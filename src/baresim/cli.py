@@ -314,7 +314,13 @@ def _cmd_sample_law(args) -> int:
 def _cmd_validate(args) -> int:
     import subprocess
 
-    cmd = [sys.executable, "-m", "pytest", "tests/test_acceptance.py", "-v"]
+    # the suite ships with a source checkout: <root>/src/baresim/cli.py
+    suite = Path(__file__).resolve().parents[2] / "tests" / "test_acceptance.py"
+    if not suite.is_file():
+        print(f"validation error: acceptance suite not found at {suite}; "
+              "run validate from a source checkout", file=sys.stderr)
+        return EXIT_VALIDATION
+    cmd = [sys.executable, "-m", "pytest", str(suite), "-v"]
     if args.quick:
         cmd += ["-k", "not slow"]
     proc = subprocess.run(cmd)

@@ -104,16 +104,20 @@ def affine_equality(coeffs, rhs: float, tol: float = 1e-9, **kw) -> ConstraintSe
 
 
 def simplex_face(index: int, bound: float, op: str = ">=", **kw):
-    """Convenience: one-coordinate halfspace {x : x_index op bound}."""
-    def member(pts: np.ndarray) -> np.ndarray:
-        v = pts[:, index]
-        if op == ">=":
-            return v >= bound
-        if op == "<=":
-            return v <= bound
+    """Convenience: one-coordinate halfspace {x : x_index op bound} with op
+    one of >=, <=."""
+    ops = {
+        ">=": lambda v: v >= bound,
+        "<=": lambda v: v <= bound,
+    }
+    if op not in ops:
         raise ValueError(f"unknown comparison {op!r}")
-
-    return ConstraintSet(membership=member, description=f"x[{index}] {op} {bound}", **kw)
+    test = ops[op]
+    return ConstraintSet(
+        membership=lambda pts: test(pts[:, index]),
+        description=f"x[{index}] {op} {bound}",
+        **kw,
+    )
 
 
 def intersection(*sets: ConstraintSet, **kw) -> ConstraintSet:

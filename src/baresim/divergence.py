@@ -544,6 +544,16 @@ def phi_prime(gen: Generator, t) -> float | np.ndarray:
     return out
 
 
+def _divergence_positive(gen: Generator, Q: np.ndarray, P: np.ndarray) -> float:
+    """``sum_k p_k phi(q_k / p_k)`` for a finite Q and a strictly positive P
+    of the same length, with no checks: +inf when a ratio leaves dom phi.
+    For callers that validated P once and evaluate many Q."""
+    vals = gen.phi(Q / P)
+    if np.any(np.isinf(vals)):
+        return INF
+    return float(np.dot(P, vals))
+
+
 def divergence(gen: Generator, Q, P) -> float:
     """``D(Q, P) = sum_k p_k phi(q_k / p_k)`` with the zero-entry conventions:
     ``p * phi(0/p) = p * phi(0)``, ``0 * phi(q/0) = q * lim phi(x sgn q)/(x sgn q)``,
@@ -556,10 +566,9 @@ def divergence(gen: Generator, Q, P) -> float:
     total = 0.0
     pos = P > 0
     if np.any(pos):
-        vals = gen.phi(Q[pos] / P[pos])
-        if np.any(np.isinf(vals)):
+        total = _divergence_positive(gen, Q[pos], P[pos])
+        if total == INF:
             return INF
-        total += float(np.dot(P[pos], vals))
     for q in Q[~pos]:
         if q == 0.0:
             continue

@@ -31,10 +31,16 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .constraints import ConstraintSet
-from .divergence import Generator, PowerGamma, check_prob_vector, divergence, normalize_bs1
+from .divergence import (
+    Generator,
+    PowerGamma,
+    _divergence_positive,
+    check_prob_vector,
+    divergence,
+    normalize_bs1,
+)
 from .entropy import EntropySpec
 from .laws import WeightLaw, law_for_generator
 
@@ -219,13 +225,32 @@ class Estimate:
 # core accumulation
 
 
+def _log_sum_exp(v: np.ndarray) -> float:
+    """log(sum(exp(v))) of a nonempty 1-d array with a finite maximum.
+
+    Shifted by the maximum, whose copies are counted apart and the rest
+    added through log1p, the arithmetic of ``scipy.special.logsumexp``
+    without its per-call dispatch cost."""
+    top = v.max()
+    at_top = v == top
+    count = np.count_nonzero(at_top)
+    rest = np.exp(v - top)
+    rest[at_top] = 0.0
+    return float(np.log1p(rest.sum() / count) + np.log(count) + top)
+
+
 def _membership_points(mode: str, omega: ConstraintSet, sums: np.ndarray,
                        part: BlockPartition, mass: float):
-    """Map raw block sums (L, K) to the user's constraint coordinates."""
+    """Map raw block sums (L, K) to the user's constraint coordinates.
+
+    Returns (points, ok): ``ok`` marks the rows with a nonzero total, or is
+    None when every row is usable."""
     if mode == "deterministic":
         return mass * sums / part.n, None
     totals = sums.sum(axis=1)
     ok = totals != 0.0
+    if ok.all():
+        return omega.scale * sums / totals[:, None], None
     pts = np.empty_like(sums)
     pts[ok] = omega.scale * sums[ok] / totals[ok, None]
     pts[~ok] = np.nan  # guaranteed non-member
@@ -235,22 +260,27 @@ def _membership_points(mode: str, omega: ConstraintSet, sums: np.ndarray,
 def _run_batches(law: WeightLaw, part: BlockPartition, omega: ConstraintSet,
                  config: EstimatorConfig, mode: str, mass: float,
                  taus: Optional[np.ndarray], phase: int = _PHASE_MAIN):
-    """Per-batch log-contribution pools.
+    """Per-batch log-mean ISF values and hit counts.
 
-    Returns (per-batch arrays of log ISF values of the hits, batch sizes).
-    Batch b uses its own counter-based stream and the batches are reduced
-    in index order, so the result is bit-identical for any thread count.
+    Returns (batch log-means, per-batch hits, batch sizes); a batch without
+    hits has log-mean -inf.  Batch b uses its own counter-based stream and
+    reduces its own hits, so the result is bit-identical for any thread
+    count.
     """
     B = config.batches
     base, rem = divmod(config.L, B)
     batch_sizes = [base + (1 if b < rem else 0) for b in range(B)]
     K = part.K
     sizes = part.sizes
+    if taus is not None:
+        # sum_k n_k Lambda(tau_k), the part of every log ISF that is fixed
+        lam = np.array([float(law.log_mgf(float(t))) for t in taus])
+        log_isf_offset = sizes @ lam
 
     def one_batch(b: int):
         size = batch_sizes[b]
         if size == 0:
-            return np.empty(0)
+            return -INF, 0
         rng = _rng(config.seed, phase, b)
         sums = np.empty((size, K))
         for k in range(K):
@@ -276,31 +306,30 @@ def _run_batches(law: WeightLaw, part: BlockPartition, omega: ConstraintSet,
             member = np.zeros(size, dtype=bool)
             if np.any(ok):
                 member[ok] = omega.contains(pts[ok])
+        hits = int(member.sum())
+        if hits == 0:
+            return -INF, 0
         if taus is None:
-            return np.zeros(int(member.sum()))
-        lam = np.array([float(law.log_mgf(float(t))) for t in taus])
-        log_isf = sizes @ lam - sums[member] @ taus
-        return log_isf
+            log_sum = float(np.log(hits))
+        else:
+            log_sum = _log_sum_exp(log_isf_offset - sums[member] @ taus)
+        return log_sum - math.log(size), hits
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            batch_logs = list(pool.map(one_batch, range(B)))
+            results = list(pool.map(one_batch, range(B)))
     else:
-        batch_logs = [one_batch(b) for b in range(B)]
-    return batch_logs, np.array(batch_sizes)
+        results = [one_batch(b) for b in range(B)]
+    batch_log_means = np.array([m for m, _ in results])
+    batch_hits = np.array([h for _, h in results])
+    return batch_log_means, batch_hits, np.array(batch_sizes)
 
 
-def _estimate_from_batches(batch_logs, batch_sizes, config: EstimatorConfig,
-                           n: int) -> Estimate:
-    hits = int(sum(len(v) for v in batch_logs))
+def _estimate_from_batches(batch_log_means, batch_hits, batch_sizes,
+                           config: EstimatorConfig, n: int) -> Estimate:
+    hits = int(batch_hits.sum())
     L = int(batch_sizes.sum())
     warnings = []
-    batch_log_means = np.array(
-        [
-            (logsumexp(v) - math.log(s)) if len(v) else -INF
-            for v, s in zip(batch_logs, batch_sizes)
-        ]
-    )
     if hits == 0:
         warnings.append(
             f"zero hits in {L} replications; rule-of-three bound pi <= {3.0 / L:.3e}"
@@ -310,8 +339,10 @@ def _estimate_from_batches(batch_logs, batch_sizes, config: EstimatorConfig,
             n=n, L=L, seed=config.seed, hit_rate=0.0,
             batch_log_means=batch_log_means, warnings=warnings,
         )
-    all_logs = np.concatenate([v for v in batch_logs if len(v)])
-    log_pi = float(logsumexp(all_logs) - math.log(L))
+    # batches combine in index order: log pi = lse_b(m_b + log s_b) - log L
+    has_hits = batch_hits > 0
+    log_sums = batch_log_means[has_hits] + np.log(batch_sizes[has_hits])
+    log_pi = _log_sum_exp(log_sums) - math.log(L)
     # batch-means stderr on a relative scale, safe against underflow
     finite = batch_log_means[np.isfinite(batch_log_means)]
     ref = float(np.max(batch_log_means))
@@ -361,8 +392,9 @@ def naive_estimate(gen: Optional[Generator], P, omega: ConstraintSet,
     """Plain frequency estimator of the hitting probability (poor hit rate
     for rare sets; kept as the importance-sampling baseline)."""
     part, mass, law = _prepare(gen, P, part, config, mode, law)
-    batch_logs, batch_sizes = _run_batches(law, part, omega, config, mode, mass, None)
-    est = _estimate_from_batches(batch_logs, batch_sizes, config, part.n)
+    est = _estimate_from_batches(
+        *_run_batches(law, part, omega, config, mode, mass, None), config, part.n
+    )
     if not part.exact and mode == "deterministic":
         est.warnings.append(
             "n * p_k not integral: floor-and-remainder blocks add O(1/n) bias"
@@ -399,15 +431,17 @@ def proxy_q_star(gen: Optional[Generator], part: BlockPartition, omega: Constrai
 
 
 def _proxy_rank(gen, mode, mass, omega, part):
-    """Divergence value used to rank candidate proxies (lower is better)."""
+    """Divergence value used to rank candidate proxies (lower is better).
+    The reference vector was validated by ``_prepare``, so candidates are
+    scored without the checks of the public ``divergence``."""
     p = part.p_tilde
 
     def value(q_reduced: np.ndarray) -> float:
         if gen is None:
             return 0.0
         if mode == "deterministic":
-            return divergence(gen, mass * q_reduced, mass * p)
-        return divergence(gen, omega.scale * q_reduced, p)
+            return _divergence_positive(gen, mass * q_reduced, mass * p)
+        return _divergence_positive(gen, omega.scale * q_reduced, p)
 
     return value
 
@@ -454,7 +488,7 @@ def _polish_proxy(gen, q, part, omega, mode, mass,
     member = _member_fn(part, omega, mode, mass)
 
     def objective(x: np.ndarray) -> float:
-        return divergence(gen, x, p)
+        return _divergence_positive(gen, x, p)
 
     best = objective(q)
     if not math.isfinite(best):
@@ -569,7 +603,7 @@ def _proxy_density(gen, part, omega, config, mode, mass) -> ProxyResult:
     gaussian_exact = isinstance(gen, PowerGamma) and gen.gamma == 2.0
 
     def log_target(t: np.ndarray) -> float:
-        val = divergence(gen, t, p)
+        val = _divergence_positive(gen, t, p)
         return -mass * val if math.isfinite(val) else -INF
 
     rng = _rng(config.seed, _PHASE_PROXY, 0)
@@ -687,8 +721,9 @@ def is_estimate(gen: Optional[Generator], part_or_P, omega: ConstraintSet,
         raise ValueError("importance sampling needs the generator for the tilts")
     for t in taus:
         law.check_tau(float(t))
-    batch_logs, batch_sizes = _run_batches(law, part, omega, config, mode, mass, taus)
-    est = _estimate_from_batches(batch_logs, batch_sizes, config, part.n)
+    est = _estimate_from_batches(
+        *_run_batches(law, part, omega, config, mode, mass, taus), config, part.n
+    )
     if not part.exact and mode == "deterministic":
         est.warnings.append(
             "n * p_k not integral: floor-and-remainder blocks add O(1/n) bias"

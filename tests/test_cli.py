@@ -1,4 +1,6 @@
 import json
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,3 +170,26 @@ class TestOtherCommands:
         payload = json.loads(out.read_text())
         assert payload["law"] == "ScaledPoisson"
         assert len(payload["draws"]) == 20
+
+
+class TestValidateCommand:
+    def test_suite_path_is_absolute_outside_repo_root(self, tmp_path, monkeypatch):
+        calls = []
+
+        def fake_run(cmd, **kwargs):
+            calls.append(cmd)
+            return subprocess.CompletedProcess(cmd, 0)
+
+        monkeypatch.setattr(subprocess, "run", fake_run)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["validate", "--quick"]) == cli.EXIT_OK
+        (cmd,) = calls
+        (suite,) = [Path(a) for a in cmd if a.endswith("test_acceptance.py")]
+        assert suite.is_absolute()
+        assert suite.is_file()
+
+    def test_missing_suite_is_a_validation_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "__file__", str(tmp_path / "site" / "baresim" / "cli.py"))
+        monkeypatch.setattr(subprocess, "run", pytest.fail)
+        assert cli.main(["validate"]) == cli.EXIT_VALIDATION
+        assert "acceptance suite not found" in capsys.readouterr().err

@@ -13,7 +13,10 @@ from baresim.divergence import (
     GeneralizedKL,
     PowerGamma,
     TwoPoint,
+    _divergence_positive,
 )
+
+from cases import SOLVED_CASES
 
 ALL_GENERATORS = [
     PowerGamma(-1.0, 1.0),
@@ -152,6 +155,21 @@ class TestDivergence:
         val = bs.divergence(gen10, [1.5, -0.5], [1.0, 0.0])
         assert math.isfinite(val)
         assert bs.divergence(PowerGamma(2.0), [1.5, -0.5], [1.0, 0.0]) == math.inf
+
+    def test_private_evaluator_matches_public(self, rng):
+        # the proxy search scores candidates with the unchecked evaluator on
+        # a validated, strictly positive P; it must agree exactly with the
+        # public divergence, +inf outside dom phi included
+        outside = 0
+        for case in SOLVED_CASES:
+            for _ in range(200):
+                k = int(rng.integers(2, 6))
+                P = rng.dirichlet(np.ones(k)) + 1e-3
+                Q = P * rng.uniform(-1.0, 4.0, size=k)
+                public = bs.divergence(case.gen, Q, P)
+                assert _divergence_positive(case.gen, Q, P) == public, case.name
+                outside += public == math.inf
+        assert outside > 0
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(0.05, 5.0), min_size=2, max_size=5),

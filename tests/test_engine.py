@@ -114,6 +114,37 @@ class TestNaive:
         final = engine.finalize(est, "deterministic", cfg.n)
         assert final.value == math.inf
 
+    def test_some_batches_without_hits(self):
+        # rare enough that some, but not all, of the 32 batches see no hit
+        runs = [
+            engine.naive_estimate(
+                PowerGamma(1.0), np.array([0.5, 0.5]), bs.simplex_face(0, 0.75),
+                bs.EstimatorConfig(n=40, L=6_400, seed=3, threads=threads),
+                mode="simplex",
+            )
+            for threads in (1, 2)
+        ]
+        est = runs[0]
+        empty = np.isneginf(est.batch_log_means)
+        assert 0 < empty.sum() < empty.size
+        assert "some batches had zero hits; stderr is rough" in est.warnings
+        assert est.log_pi_hat == pytest.approx(math.log(est.hits / est.L), abs=1e-12)
+        assert runs[1].log_pi_hat == est.log_pi_hat
+        assert runs[1].stderr_log_pi == est.stderr_log_pi
+        assert np.array_equal(runs[1].batch_log_means, est.batch_log_means)
+
+    def test_zero_total_rows_never_hit(self):
+        # simplex mode cannot normalise a replication whose weights sum to
+        # zero; with Poisson(1) weights at n=2 that is a share exp(-2)
+        cfg = bs.EstimatorConfig(n=2, L=20_000, seed=5)
+        est = engine.naive_estimate(
+            PowerGamma(1.0), np.array([0.5, 0.5]), bs.full_space(), cfg,
+            mode="simplex",
+        )
+        share = 1.0 - math.exp(-2.0)
+        tol = 6 * math.sqrt(share * (1 - share) / cfg.L)
+        assert est.hit_rate == pytest.approx(share, abs=tol)
+
     def test_nonintegral_blocks_warn(self):
         cfg = bs.EstimatorConfig(n=10, L=200, seed=0)
         est = engine.naive_estimate(

@@ -56,20 +56,9 @@ from .engine import (
     naive_estimate,
     partition,
     proxy_q_star,
-    xi_vectors,
 )
 from .entropy import EntropySpec, entropy
-from .laws import (
-    BlockSumLaw,
-    TiltedLaw,
-    isf_block,
-    law_for_generator,
-    log_mgf,
-    sample,
-    sample_block_sum,
-    sample_tilted,
-    tilt,
-)
+from .laws import law_for_generator, log_mgf
 from .legendre import (
     CumulantFunction,
     GeneratorSpec,

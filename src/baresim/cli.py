@@ -200,107 +200,108 @@ def _emit(payload: dict, out: str | None, trace: np.ndarray | None = None,
         Path(trace_path).write_text("\n".join(lines) + "\n")
 
 
-def _cmd_estimate(args) -> int:
+def _run(args, solve) -> int:
+    """Shared body of the estimation commands: load and validate the config,
+    solve, and write the result and the per-batch trace where ``--out`` or
+    the config's ``output`` section asks.  ``solve(spec, config)`` returns
+    the estimate and the extra payload fields."""
     spec = _load_and_validate(args.config)
-    gen = _generator_from_dict(spec["generator"])
-    omega = constraint_from_dict(spec["constraint"])
     config = _config_from_dict(spec, args)
-    ref, part = _load_reference(spec)
-    mode = spec.get("mode", "simplex" if part is None else "empirical")
-    target = spec.get("target")
-    est = engine.estimate_min_divergence(
-        gen, part if part is not None else ref, omega, config,
-        mode=mode, target=target,
-    )
-    payload = _estimate_payload(est, {"mode": mode, "target": target or "default"})
+    est, extra = solve(spec, config)
     out_spec = spec.get("output", {})
-    _emit(payload, args.out or out_spec.get("result"),
+    _emit(_estimate_payload(est, extra), args.out or out_spec.get("result"),
           trace=est.batch_log_means, trace_path=out_spec.get("trace"))
     return EXIT_ZERO_HITS if est.hits == 0 else EXIT_OK
 
 
-def _cmd_entropy_max(args) -> int:
-    spec = _load_and_validate(args.config)
-    ent = _entropy_from_dict(spec["entropy"])
-    omega = constraint_from_dict(spec["constraint"])
-    config = _config_from_dict(spec, args)
-    K = int(spec["K"])
-    est = engine.estimate_entropy_extremum(ent, K, omega, config)
-    _emit(_estimate_payload(est, {"kind": "entropy"}), args.out)
-    return EXIT_ZERO_HITS if est.hits == 0 else EXIT_OK
-
-
-def _cmd_bounds(args) -> int:
-    spec = _load_and_validate(args.config)
+def _divergence_inputs(spec: dict):
+    """Generator, constraint set, reference (vector or observed-sample
+    partition) and mode of an ``estimate`` or ``bounds`` config."""
     gen = _generator_from_dict(spec["generator"])
     omega = constraint_from_dict(spec["constraint"])
-    config = _config_from_dict(spec, args)
     ref, part = _load_reference(spec)
     mode = spec.get("mode", "simplex" if part is None else "empirical")
-    lower, upper, q_hat, est = engine.bounds_general(
-        gen, part if part is not None else ref, omega, config, mode=mode
-    )
-    payload = _estimate_payload(
-        est,
-        {
-            "lower": lower if math.isfinite(lower) else None,
-            "upper": upper if math.isfinite(upper) else None,
-            "q_hat": None if q_hat is None else list(map(float, q_hat)),
-        },
-    )
-    _emit(payload, args.out)
-    return EXIT_ZERO_HITS if est.hits == 0 else EXIT_OK
+    return gen, omega, part if part is not None else ref, mode
 
 
-def _cmd_quadratic(args) -> int:
-    spec = _load_and_validate(args.config)
-    inst = problems.SeparableQuadratic(
+def _solve_estimate(spec: dict, config: EstimatorConfig):
+    gen, omega, P, mode = _divergence_inputs(spec)
+    target = spec.get("target")
+    est = engine.estimate_min_divergence(gen, P, omega, config, mode=mode, target=target)
+    return est, {"mode": mode, "target": target or "default"}
+
+
+def _solve_entropy_max(spec: dict, config: EstimatorConfig):
+    est = engine.estimate_entropy_extremum(
+        _entropy_from_dict(spec["entropy"]), int(spec["K"]),
+        constraint_from_dict(spec["constraint"]), config,
+    )
+    return est, {"kind": "entropy"}
+
+
+def _solve_bounds(spec: dict, config: EstimatorConfig):
+    gen, omega, P, mode = _divergence_inputs(spec)
+    lower, upper, q_hat, est = engine.bounds_general(gen, P, omega, config, mode=mode)
+    return est, {
+        "lower": lower if math.isfinite(lower) else None,
+        "upper": upper if math.isfinite(upper) else None,
+        "q_hat": None if q_hat is None else list(map(float, q_hat)),
+    }
+
+
+def _side(spec: dict):
+    return constraint_from_dict(spec["side"]) if "side" in spec else None
+
+
+def _floats(spec: dict, *keys) -> dict:
+    """The given optional number fields that the config sets; the rest keep
+    the problem's own defaults."""
+    return {key: float(spec[key]) for key in keys if key in spec}
+
+
+# problem instance builders, one per problem command
+_PROBLEMS = {
+    "quadratic": lambda spec: problems.SeparableQuadratic(
         c1=spec["c1"], c2=spec["c2"], c3=spec["c3"],
         omega=constraint_from_dict(spec["constraint"]),
-    )
-    config = _config_from_dict(spec, args)
-    report = problems.solve(inst, config)
-    _emit(_estimate_payload(report.estimate, {"value": report.value, **report.details}),
-          args.out)
-    return EXIT_ZERO_HITS if report.estimate.hits == 0 else EXIT_OK
+    ),
+    "transport": lambda spec: problems.Transport(
+        mu=np.asarray(spec["mu"], dtype=float), nu=np.asarray(spec["nu"], dtype=float),
+        side=_side(spec), **_floats(spec, "band"),
+    ),
+    "assignment": lambda spec: problems.Assignment(
+        costs=np.asarray(spec["costs"], dtype=float), side=_side(spec),
+        **_floats(spec, "eps1", "eps2"),
+    ),
+}
 
 
-def _cmd_transport(args) -> int:
-    spec = _load_and_validate(args.config)
-    side = constraint_from_dict(spec["side"]) if "side" in spec else None
-    inst = problems.Transport(mu=np.asarray(spec["mu"], dtype=float),
-                              nu=np.asarray(spec["nu"], dtype=float), side=side)
-    config = _config_from_dict(spec, args)
-    report = problems.solve(inst, config)
-    _emit(_estimate_payload(report.estimate, {"value": report.value, **report.details}),
-          args.out)
-    return EXIT_ZERO_HITS if report.estimate.hits == 0 else EXIT_OK
+def _solve_problem(build):
+    def solve(spec: dict, config: EstimatorConfig):
+        report = problems.solve(build(spec), config)
+        return report.estimate, {"value": report.value, **report.details}
+
+    return solve
 
 
-def _cmd_assignment(args) -> int:
-    spec = _load_and_validate(args.config)
-    side = constraint_from_dict(spec["side"]) if "side" in spec else None
-    inst = problems.Assignment(
-        costs=np.asarray(spec["costs"], dtype=float),
-        eps1=float(spec.get("eps1", 0.05)),
-        eps2=float(spec.get("eps2", 0.05)),
-        side=side,
-    )
-    config = _config_from_dict(spec, args)
-    report = problems.solve(inst, config)
-    _emit(_estimate_payload(report.estimate, {"value": report.value, **report.details}),
-          args.out)
-    return EXIT_ZERO_HITS if report.estimate.hits == 0 else EXIT_OK
+_COMMANDS = {
+    "estimate": _solve_estimate,
+    "entropy-max": _solve_entropy_max,
+    "bounds": _solve_bounds,
+    **{name: _solve_problem(build) for name, build in _PROBLEMS.items()},
+}
 
 
 def _cmd_sample_law(args) -> int:
+    if args.count < 1:
+        raise ConfigError(f"--count must be >= 1 (got {args.count})")
     spec = _load_and_validate(args.config) if args.config else {}
     gen = _generator_from_dict(spec["generator"]) if "generator" in spec else PowerGamma(
         float(args.gamma), 1.0
     )
     law = laws.law_for_generator(gen)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
-    draws = laws.sample(law, rng, size=args.count)
+    draws = law.sample(rng, args.count)
     payload = {
         "law": type(law).__name__,
         "mean": float(draws.mean()),
@@ -342,17 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--L", type=int, default=None)
         p.add_argument("--threads", type=int, default=None)
 
-    for name, fn in [
-        ("estimate", _cmd_estimate),
-        ("entropy-max", _cmd_entropy_max),
-        ("bounds", _cmd_bounds),
-        ("quadratic", _cmd_quadratic),
-        ("transport", _cmd_transport),
-        ("assignment", _cmd_assignment),
-    ]:
+    for name, solve in _COMMANDS.items():
         p = sub.add_parser(name)
         add_common(p)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=lambda args, solve=solve: _run(args, solve))
 
     p = sub.add_parser("sample-law", help="diagnostic draws from a weight law")
     p.add_argument("--config", help="JSON config with a generator section")

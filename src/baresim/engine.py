@@ -52,7 +52,6 @@ __all__ = [
     "Estimate",
     "partition",
     "ingest_sample",
-    "xi_vectors",
     "naive_estimate",
     "proxy_q_star",
     "compute_taus",
@@ -70,6 +69,12 @@ INF = math.inf
 _PHASE_MAIN = 0
 _PHASE_PROXY = 1
 _PHASE_BOUNDS = 2
+
+# proxy search: hit-run hits collected before the best is kept, and the
+# burn-in and thinning of the density proxy's Metropolis-Hastings chain
+_PROXY_COLLECT = 64
+_MH_BURN_IN = 1000
+_MH_THINNING = 10
 
 
 def _rng(seed: int, *path: int) -> np.random.Generator:
@@ -99,18 +104,23 @@ class BlockPartition:
 
 def partition(p_tilde, n: int) -> BlockPartition:
     """Deterministic partition: n_k = floor(n * p_k) with the last block
-    absorbing the remainder.  Requires every block nonempty."""
+    absorbing the remainder.  Requires every block nonempty.  A product
+    n * p_k within 1e-9 of an integer counts as that integer, the same
+    tolerance that decides ``exact``."""
     p = check_prob_vector(p_tilde)
     if np.any(p == 0):
         raise ValueError("reference vector must be strictly positive")
     n_min = int(math.ceil(max(1.0 / p)))
     if n < n_min:
         raise ValueError(f"n={n} too small: need n >= {n_min} for nonempty blocks")
-    sizes = np.floor(n * p).astype(int)
+    counts = n * p
+    nearest = np.round(counts)
+    integral = np.abs(counts - nearest) < 1e-9
+    sizes = np.floor(np.where(integral, nearest, counts)).astype(int)
     sizes[-1] = n - int(sizes[:-1].sum())
     if np.any(sizes < 1):
         raise ValueError("empty block; increase n")
-    exact = bool(np.all(np.abs(n * p - np.round(n * p)) < 1e-9))
+    exact = bool(np.all(integral))
     return BlockPartition(n=n, sizes=sizes, p_tilde=p, mode="deterministic", exact=exact)
 
 
@@ -134,36 +144,21 @@ def ingest_sample(observations: Sequence, categories: Optional[Sequence] = None)
     )
 
 
-def xi_vectors(weights, part: BlockPartition):
-    """Blockwise sums of a length-n weight vector: returns
-    (xi_det, xi_norm) with xi_det = blocksums/n and xi_norm =
-    blocksums/total (None when the total is zero)."""
-    w = np.asarray(weights, dtype=float)
-    if w.size != part.n:
-        raise ValueError("weight vector length must equal n")
-    sums = np.array([w[a:b].sum() for a, b in part.block_ranges()])
-    xi_det = sums / part.n
-    total = sums.sum()
-    xi_norm = sums / total if total != 0.0 else None
-    return xi_det, xi_norm
-
-
 @dataclass(frozen=True)
 class ProxySpec:
     """How to find the tilt target Q*.
 
     method "given": use ``q_star`` (original/user coordinates).
     method "hit_run": repeat xi-runs of a short length ``m_run`` (default:
-    the smallest run with nonempty blocks) until the constraint set is
-    hit; among the hits collected within the budget the divergence-smallest
-    is kept.
+    the smallest run with nonempty blocks) until 64 hits are collected or
+    the budget runs out; the divergence-smallest hit is kept.
     method "density": sample from the density proportional to
     exp(-D(q, p)) until the set is hit (suited to large minima); exact
     Gaussian sampling when the generator is quadratic, independence
     Metropolis-Hastings otherwise.
 
-    Unless ``refine`` is disabled, the hit is then pushed toward the
-    boundary by bisecting the segment to the reference vector; the
+    The hit is then pushed toward the boundary by bisecting the segment
+    to the reference vector and polished by a local descent; the
     divergence decreases monotonically along that ray, so the refined
     point is a strictly better proxy of the dominating point while
     remaining feasible.  A poor proxy degrades only the variance of the
@@ -174,10 +169,6 @@ class ProxySpec:
     q_star: Optional[np.ndarray] = None
     budget: int = 200_000
     m_run: Optional[int] = None
-    collect: int = 64
-    refine: bool = True
-    mh_burn_in: int = 1000
-    mh_thinning: int = 10
 
 
 @dataclass(frozen=True)
@@ -189,7 +180,6 @@ class EstimatorConfig:
     batches: int = 32
     bisection_tol: float = 1e-10
     threads: int = 1
-    per_coordinate: bool = False  # force the n*L path instead of block sums
 
     def __post_init__(self):
         if self.n < 1 or self.L < 1:
@@ -239,22 +229,45 @@ def _log_sum_exp(v: np.ndarray) -> float:
     return float(np.log1p(rest.sum() / count) + np.log(count) + top)
 
 
-def _membership_points(mode: str, omega: ConstraintSet, sums: np.ndarray,
-                       part: BlockPartition, mass: float):
-    """Map raw block sums (L, K) to the user's constraint coordinates.
+def _block_sums(law: WeightLaw, sizes, taus: Optional[np.ndarray],
+                rng: np.random.Generator, size: int) -> np.ndarray:
+    """(size, K) draws of the block sums: block k sums ``sizes[k]`` i.i.d.
+    weights tilted by ``taus[k]``, or untilted when ``taus`` is None."""
+    sums = np.empty((size, len(sizes)))
+    for k, nk in enumerate(sizes):
+        if taus is None:
+            sums[:, k] = law.sample_block_sum(int(nk), rng, size)
+        else:
+            sums[:, k] = law.sample_tilted_block(float(taus[k]), int(nk), rng, size)
+    return sums
 
-    Returns (points, ok): ``ok`` marks the rows with a nonzero total, or is
-    None when every row is usable."""
+
+def _coords_and_hits(mode: str, omega: ConstraintSet, sums: np.ndarray,
+                     denom: float, mass: float):
+    """Map block sums (rows) to coordinates and test them against Omega.
+
+    Returns (x, member).  Deterministic mode: x = sums / denom, tested as
+    mass * sums / denom.  Simplex modes: x = sums / (row total), tested as
+    omega.scale * sums / (row total); a row whose total is zero is NaN and
+    never a member.  The tested points are rounded as ``oracle.exact_pi``
+    rounds them, so that both place a point on the boundary alike; with a
+    unit mass or scale they are x itself, bit for bit, and are not
+    computed twice."""
     if mode == "deterministic":
-        return mass * sums / part.n, None
+        x = sums / denom
+        return x, omega.contains(x if mass == 1.0 else mass * sums / denom)
     totals = sums.sum(axis=1)
     ok = totals != 0.0
     if ok.all():
-        return omega.scale * sums / totals[:, None], None
-    pts = np.empty_like(sums)
-    pts[ok] = omega.scale * sums[ok] / totals[ok, None]
-    pts[~ok] = np.nan  # guaranteed non-member
-    return pts, ok
+        x = sums / totals[:, None]
+        scale = omega.scale
+        return x, omega.contains(x if scale == 1.0 else scale * sums / totals[:, None])
+    x = np.full_like(sums, np.nan)
+    x[ok] = sums[ok] / totals[ok, None]
+    member = np.zeros(len(sums), dtype=bool)
+    if ok.any():
+        member[ok] = omega.contains(omega.scale * sums[ok] / totals[ok, None])
+    return x, member
 
 
 def _run_batches(law: WeightLaw, part: BlockPartition, omega: ConstraintSet,
@@ -270,42 +283,17 @@ def _run_batches(law: WeightLaw, part: BlockPartition, omega: ConstraintSet,
     B = config.batches
     base, rem = divmod(config.L, B)
     batch_sizes = [base + (1 if b < rem else 0) for b in range(B)]
-    K = part.K
-    sizes = part.sizes
     if taus is not None:
         # sum_k n_k Lambda(tau_k), the part of every log ISF that is fixed
         lam = np.array([float(law.log_mgf(float(t))) for t in taus])
-        log_isf_offset = sizes @ lam
+        log_isf_offset = part.sizes @ lam
 
     def one_batch(b: int):
         size = batch_sizes[b]
         if size == 0:
             return -INF, 0
-        rng = _rng(config.seed, phase, b)
-        sums = np.empty((size, K))
-        for k in range(K):
-            nk = int(sizes[k])
-            if taus is None:
-                if config.per_coordinate:
-                    draws = law.sample(rng, size * nk).reshape(size, nk)
-                    sums[:, k] = draws.sum(axis=1)
-                else:
-                    sums[:, k] = law.sample_block_sum(nk, rng, size)
-            else:
-                if config.per_coordinate:
-                    draws = law.sample_tilted_block(
-                        float(taus[k]), 1, rng, size * nk
-                    ).reshape(size, nk)
-                    sums[:, k] = draws.sum(axis=1)
-                else:
-                    sums[:, k] = law.sample_tilted_block(float(taus[k]), nk, rng, size)
-        pts, ok = _membership_points(mode, omega, sums, part, mass)
-        if ok is None:
-            member = omega.contains(pts)
-        else:
-            member = np.zeros(size, dtype=bool)
-            if np.any(ok):
-                member[ok] = omega.contains(pts[ok])
+        sums = _block_sums(law, part.sizes, taus, _rng(config.seed, phase, b), size)
+        _, member = _coords_and_hits(mode, omega, sums, part.n, mass)
         hits = int(member.sum())
         if hits == 0:
             return -INF, 0
@@ -527,6 +515,18 @@ def _polish_proxy(gen, q, part, omega, mode, mass,
     return x
 
 
+def _refined_proxy(gen, q, w_bar, used, part, omega, mode, mass) -> ProxyResult:
+    """Push a feasible hit toward the reference vector and polish it; the
+    raw hit, with its ``w_bar``, stands when the pushed point is not
+    finite."""
+    refined = _refine_toward_reference(q, part, omega, mode, mass)
+    if not np.all(np.isfinite(refined)):
+        return ProxyResult(q_star=q, w_bar=w_bar, draws_used=used)
+    refined = _polish_proxy(gen, refined, part, omega, mode, mass)
+    w = 1.0 if mode == "deterministic" else None
+    return ProxyResult(q_star=refined, w_bar=w, draws_used=used)
+
+
 def _proxy_hit_run(gen, law, part, omega, config, mode, mass) -> ProxyResult:
     spec = config.proxy
     if spec.m_run is not None:
@@ -548,24 +548,11 @@ def _proxy_hit_run(gen, law, part, omega, config, mode, mass) -> ProxyResult:
     used = 0
     ci = 0
     best_q, best_w, best_val, hits = None, 1.0, INF, 0
-    while used < spec.budget and hits < spec.collect:
-        rng = _rng(config.seed, _PHASE_PROXY, ci)
+    while used < spec.budget and hits < _PROXY_COLLECT:
+        sums = _block_sums(law, sizes, None, _rng(config.seed, _PHASE_PROXY, ci), chunk)
         ci += 1
-        sums = np.empty((chunk, part.K))
-        for k in range(part.K):
-            sums[:, k] = law.sample_block_sum(int(sizes[k]), rng, chunk)
         used += chunk
-        if mode == "deterministic":
-            cand = sums / m_run
-            member = omega.contains(mass * cand)
-        else:
-            totals = sums.sum(axis=1)
-            ok = totals != 0.0
-            cand = np.full_like(sums, np.nan)
-            cand[ok] = sums[ok] / totals[ok, None]
-            member = np.zeros(chunk, dtype=bool)
-            if np.any(ok):
-                member[ok] = omega.contains(omega.scale * cand[ok])
+        cand, member = _coords_and_hits(mode, omega, sums, m_run, mass)
         for i in np.nonzero(member)[0]:
             hits += 1
             val = rank(cand[i])
@@ -581,13 +568,7 @@ def _proxy_hit_run(gen, law, part, omega, config, mode, mass) -> ProxyResult:
             "rare at this run length; raise the budget, change m_run, or "
             "supply q_star"
         )
-    if spec.refine:
-        refined = _refine_toward_reference(best_q, part, omega, mode, mass)
-        if np.all(np.isfinite(refined)):
-            refined = _polish_proxy(gen, refined, part, omega, mode, mass)
-            w = 1.0 if mode == "deterministic" else None
-            return ProxyResult(q_star=refined, w_bar=w, draws_used=used)
-    return ProxyResult(q_star=best_q, w_bar=best_w, draws_used=used)
+    return _refined_proxy(gen, best_q, best_w, used, part, omega, mode, mass)
 
 
 def _proxy_density(gen, part, omega, config, mode, mass) -> ProxyResult:
@@ -606,49 +587,21 @@ def _proxy_density(gen, part, omega, config, mode, mass) -> ProxyResult:
         val = _divergence_positive(gen, t, p)
         return -mass * val if math.isfinite(val) else -INF
 
+    def finish(t: np.ndarray, q: np.ndarray, used: int) -> ProxyResult:
+        w_bar = 1.0 if mode == "deterministic" else float(t.sum())
+        return _refined_proxy(gen, q, w_bar, used, part, omega, mode, mass)
+
     rng = _rng(config.seed, _PHASE_PROXY, 0)
     used = 0
-
-    def check(t: np.ndarray):
-        if mode == "deterministic":
-            return omega.contains_point(mass * t), t
-        total = t.sum()
-        if total == 0:
-            return False, t
-        q = t / total
-        return omega.contains_point(omega.scale * q), q
-
-    def finish(t: np.ndarray, q: np.ndarray, used: int) -> ProxyResult:
-        if spec.refine:
-            refined = _refine_toward_reference(q, part, omega, mode, mass)
-            if np.all(np.isfinite(refined)):
-                refined = _polish_proxy(gen, refined, part, omega, mode, mass)
-                w = 1.0 if mode == "deterministic" else None
-                return ProxyResult(q_star=refined, w_bar=w, draws_used=used)
-        wb = float(t.sum()) if mode != "deterministic" else 1.0
-        return ProxyResult(q_star=q, w_bar=wb, draws_used=used)
-
     if gaussian_exact:
         chunk = 512
         while used < spec.budget:
             ts = rng.normal(p, sd, size=(chunk, part.K))
             used += chunk
-            if mode == "deterministic":
-                member = omega.contains(mass * ts)
-                if np.any(member):
-                    i = int(np.argmax(member))
-                    return finish(ts[i], ts[i], used)
-            else:
-                totals = ts.sum(axis=1)
-                ok = totals != 0.0
-                member = np.zeros(chunk, dtype=bool)
-                if np.any(ok):
-                    member[ok] = omega.contains(
-                        omega.scale * ts[ok] / totals[ok, None]
-                    )
-                if np.any(member):
-                    i = int(np.argmax(member))
-                    return finish(ts[i], ts[i] / ts[i].sum(), used)
+            x, member = _coords_and_hits(mode, omega, ts, 1.0, mass)
+            if np.any(member):
+                i = int(np.argmax(member))
+                return finish(ts[i], x[i], used)
         raise RuntimeError("density proxy exhausted its budget")
     # independence MH with the Gaussian proposal matched to the curvature
     cur = p.copy()
@@ -661,11 +614,11 @@ def _proxy_density(gen, part, omega, config, mode, mass) -> ProxyResult:
             cur, cur_ratio = t, prop_ratio
         it += 1
         used += 1
-        if it <= spec.mh_burn_in or (it - spec.mh_burn_in) % spec.mh_thinning:
+        if it <= _MH_BURN_IN or (it - _MH_BURN_IN) % _MH_THINNING:
             continue
-        hit, q = check(cur)
-        if hit:
-            return finish(cur, q, used)
+        x, member = _coords_and_hits(mode, omega, cur[None, :], 1.0, mass)
+        if member[0]:
+            return finish(cur, x[0], used)
     raise RuntimeError("density proxy exhausted its budget")
 
 
@@ -920,7 +873,6 @@ def bounds_general(gen: Generator, part_or_P, omega: ConstraintSet,
     # the m-projected value comes within eta of the lower estimate
     m_short = int(math.ceil(max(1.0 / part.p_tilde)))
     sizes = partition(part.p_tilde, max(m_short, part.K)).sizes
-    m_short = int(sizes.sum())
     chunk = 512
     best_q = None
     best_div = INF
@@ -928,18 +880,8 @@ def bounds_general(gen: Generator, part_or_P, omega: ConstraintSet,
     budget = max(20, config.proxy.budget // chunk)
     warnings = list(est.warnings)
     for ci in range(budget):
-        rng = _rng(config.seed, _PHASE_BOUNDS, ci)
-        sums = np.empty((chunk, part.K))
-        for k in range(part.K):
-            sums[:, k] = law.sample_block_sum(int(sizes[k]), rng, chunk)
-        totals = sums.sum(axis=1)
-        ok = totals > 0
-        if not np.any(ok):
-            continue
-        qs = sums[ok] / totals[ok, None]
-        member = omega.contains(qs)
-        if not np.any(member):
-            continue
+        sums = _block_sums(law, sizes, None, _rng(config.seed, _PHASE_BOUNDS, ci), chunk)
+        qs, member = _coords_and_hits("simplex", omega, sums, 1.0, mass)
         for q in qs[member]:
             q = _refine_toward_reference(q, part, omega, "simplex", mass)
             q = _polish_proxy(gen, q, part, omega, "simplex", mass)
@@ -974,20 +916,13 @@ def bounds_general(gen: Generator, part_or_P, omega: ConstraintSet,
 def estimate_min_divergence(gen: Generator, P, omega: ConstraintSet,
                             config: EstimatorConfig, mode: str = "deterministic",
                             target: Optional[str] = None,
-                            law: Optional[WeightLaw] = None,
-                            naive: bool = False) -> Estimate:
+                            law: Optional[WeightLaw] = None) -> Estimate:
     """Full pipeline: partition, proxy search, importance sampling,
     inversion.  ``P`` is the reference vector (deterministic/simplex) or a
     BlockPartition from ``ingest_sample`` (empirical)."""
     if target is None:
         target = "deterministic" if mode == "deterministic" else "divergence"
-    if naive:
-        if mode == "empirical":
-            est = naive_estimate(gen, None, omega, config, mode, part=P, law=law)
-        else:
-            est = naive_estimate(gen, P, omega, config, mode, law=law)
-    else:
-        est = is_estimate(gen, P, omega, config, mode=mode, law=law)
+    est = is_estimate(gen, P, omega, config, mode=mode, law=law)
     A = omega.scale if mode != "deterministic" else 1.0
     K = P.K if isinstance(P, BlockPartition) else len(np.atleast_1d(P))
     return finalize(est, target, config.n, gen=gen, A=A, K=K)

@@ -43,19 +43,15 @@ __all__ = [
     "ModTiltedStable",
     "TwoPointLaw",
     "GenAsymLaplaceLaw",
-    "BlockSumLaw",
-    "TiltedLaw",
-    "sample",
-    "sample_block_sum",
-    "tilt",
-    "sample_tilted",
     "log_mgf",
-    "log_isf_block",
-    "isf_block",
     "law_for_generator",
 ]
 
 INF = math.inf
+
+# DistortedStable draws single weights by rejection only while the
+# acceptance rate stays at or above this floor; below it, by inversion
+_REJECTION_FLOOR = 1e-3
 
 
 class WeightLaw:
@@ -74,14 +70,19 @@ class WeightLaw:
         return float((self.log_mgf(z2) - self.log_mgf(z1)) / (z2 - z1))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` exact draws of W."""
         return self.sample_block_sum(1, rng, size)
 
     def sample_block_sum(self, nk: int, rng: np.random.Generator, size: int) -> np.ndarray:
-        raise NotImplementedError
+        """``size`` draws of the sum of ``nk`` i.i.d. copies of W: the
+        untilted (tau = 0) case of ``sample_tilted_block``."""
+        return self.sample_tilted_block(0.0, nk, rng, size)
 
     def sample_tilted_block(
         self, tau: float, nk: int, rng: np.random.Generator, size: int
     ) -> np.ndarray:
+        """``size`` draws of the nk-fold block sum under the exponential
+        tilt dU propto exp(tau * v) dzeta, from the closed-form convolution."""
         raise NotImplementedError
 
     def check_tau(self, tau: float) -> float:
@@ -142,11 +143,6 @@ class TiltedStable(WeightLaw):
     def log_mgf(self, z):
         return _log_mgf_power(self.scale, self.gamma, z)
 
-    def sample_block_sum(self, nk, rng, size):
-        return stable.sample_tilted_positive_stable(
-            self.alpha, nk * self.stable_d, self.tilt_rate, rng, size
-        )
-
     def sample_tilted_block(self, tau, nk, rng, size):
         self.check_tau(tau)
         return stable.sample_tilted_positive_stable(
@@ -186,22 +182,16 @@ class CompoundPoissonGamma(WeightLaw):
     def log_mgf(self, z):
         return _log_mgf_power(self.scale, self.gamma, z)
 
-    def _sample(self, theta, rate, rng, size):
-        n = rng.poisson(theta, size=size)
-        out = np.zeros(size)
-        pos = n > 0
-        if np.any(pos):
-            out[pos] = rng.gamma(shape=self.shape * n[pos], scale=1.0 / rate)
-        return out
-
-    def sample_block_sum(self, nk, rng, size):
-        return self._sample(nk * self.theta, self.rate, rng, size)
-
     def sample_tilted_block(self, tau, nk, rng, size):
         self.check_tau(tau)
         g, c = self.gamma, self.scale
         theta_t = c / g * (1.0 + (g - 1.0) * tau / c) ** (g / (g - 1.0))
-        return self._sample(nk * theta_t, self.rate - tau, rng, size)
+        n = rng.poisson(nk * theta_t, size=size)
+        out = np.zeros(size)
+        pos = n > 0
+        if np.any(pos):
+            out[pos] = rng.gamma(shape=self.shape * n[pos], scale=1.0 / (self.rate - tau))
+        return out
 
 
 @dataclass(frozen=True)
@@ -212,7 +202,6 @@ class DistortedStable(WeightLaw):
 
     gamma: float
     scale: float = 1.0
-    rejection_floor: float = 1e-3
 
     def __post_init__(self):
         if not (self.gamma > 2):
@@ -245,11 +234,14 @@ class DistortedStable(WeightLaw):
         )
 
     def sample_block_sum(self, nk, rng, size):
+        # single weights come from the certified rejection sampler, an
+        # algorithm independent of the inverter that the law tests compare
+        # the block sums against
         if nk == 1:
             _, acc = stable.weighted_stable_acceptance(
                 self.alpha, self.stable_d, self.weight_rate
             )
-            if acc >= self.rejection_floor:
+            if acc >= _REJECTION_FLOOR:
                 return stable.sample_weighted_negative_stable(
                     self.alpha, self.stable_d, self.weight_rate, rng, size
                 )
@@ -310,9 +302,6 @@ class Gaussian(WeightLaw):
         z = np.asarray(z, dtype=float)
         return z**2 / (2.0 * self.scale) + z
 
-    def sample_block_sum(self, nk, rng, size):
-        return rng.normal(nk, math.sqrt(nk / self.scale), size=size)
-
     def sample_tilted_block(self, tau, nk, rng, size):
         mean = nk * (1.0 + tau / self.scale)
         return rng.normal(mean, math.sqrt(nk / self.scale), size=size)
@@ -339,9 +328,6 @@ class GammaLaw(WeightLaw):
         out[ok] = -self.scale * np.log1p(-z[ok] / self.scale)
         return out
 
-    def sample_block_sum(self, nk, rng, size):
-        return rng.gamma(shape=nk * self.scale, scale=1.0 / self.scale, size=size)
-
     def sample_tilted_block(self, tau, nk, rng, size):
         self.check_tau(tau)
         return rng.gamma(shape=nk * self.scale, scale=1.0 / (self.scale - tau), size=size)
@@ -363,9 +349,6 @@ class ScaledPoisson(WeightLaw):
     def log_mgf(self, z):
         z = np.asarray(z, dtype=float)
         return self.scale * np.expm1(z / self.scale)
-
-    def sample_block_sum(self, nk, rng, size):
-        return rng.poisson(nk * self.scale, size=size) / self.scale
 
     def sample_tilted_block(self, tau, nk, rng, size):
         lam = nk * self.scale * math.exp(tau / self.scale)
@@ -399,10 +382,6 @@ class ShiftedPoisson(WeightLaw):
         z = np.asarray(z, dtype=float)
         ec = math.exp(self.anchor)
         return self.scale * ec * np.expm1(z / self.scale) + z * (1.0 - ec)
-
-    def sample_block_sum(self, nk, rng, size):
-        ec = math.exp(self.anchor)
-        return rng.poisson(nk * self.scale * ec, size=size) / self.scale + nk * (1.0 - ec)
 
     def sample_tilted_block(self, tau, nk, rng, size):
         ec = math.exp(self.anchor)
@@ -448,10 +427,6 @@ class ScaledNegBinomial(WeightLaw):
     def _p_success(self, tau: float) -> float:
         return 1.0 - self.alpha / (1.0 + self.alpha) * math.exp(tau / self.scale)
 
-    def sample_block_sum(self, nk, rng, size):
-        r = nk * self.scale / self.alpha
-        return rng.negative_binomial(r, 1.0 / (1.0 + self.alpha), size=size) / self.scale
-
     def sample_tilted_block(self, tau, nk, rng, size):
         self.check_tau(tau)
         r = nk * self.scale / self.alpha
@@ -495,9 +470,6 @@ class ScaledBinomial(WeightLaw):
         c, m = self.scale, float(self.m)
         e = c * math.exp(tau / c)
         return e / (m - c + e)
-
-    def sample_block_sum(self, nk, rng, size):
-        return rng.binomial(self.m * nk, self.scale / self.m, size=size) / self.scale
 
     def sample_tilted_block(self, tau, nk, rng, size):
         return rng.binomial(self.m * nk, self._p_tilted(tau), size=size) / self.scale
@@ -544,10 +516,6 @@ class ModTiltedStable(WeightLaw):
         )
         return out
 
-    def sample_block_sum(self, nk, rng, size):
-        w = self.base.sample_block_sum(nk, rng, size)
-        return w / self.beta - nk * (1.0 / self.beta - 1.0)
-
     def sample_tilted_block(self, tau, nk, rng, size):
         self.check_tau(tau)
         w = self.base.sample_tilted_block(tau / self.beta, nk, rng, size)
@@ -583,19 +551,14 @@ class TwoPointLaw(WeightLaw):
         b = np.log1p(-self.p) + self.z2 * z
         return self.mult * np.logaddexp(a, b)
 
-    def _walk(self, steps: int, prob_z2: float, rng, size):
-        ell = rng.binomial(steps, prob_z2, size=size)
-        return (self.z1 * (steps - ell) + self.z2 * ell) / self.mult
-
-    def sample_block_sum(self, nk, rng, size):
-        return self._walk(nk * self.mult, 1.0 - self.p, rng, size)
-
     def sample_tilted_block(self, tau, nk, rng, size):
         t = tau / self.mult
         log_w1 = math.log(self.p) + self.z1 * t
         log_w2 = math.log1p(-self.p) + self.z2 * t
         prob_z2 = 1.0 / (1.0 + math.exp(log_w1 - log_w2))
-        return self._walk(nk * self.mult, prob_z2, rng, size)
+        steps = nk * self.mult
+        ell = rng.binomial(steps, prob_z2, size=size)
+        return (self.z1 * (steps - ell) + self.z2 * ell) / self.mult
 
     is_discrete = True
 
@@ -640,9 +603,6 @@ class GenAsymLaplaceLaw(WeightLaw):
         out[ok] = self.theta * z[ok] - c * al * np.log(arg[ok])
         return out
 
-    def sample_block_sum(self, nk, rng, size):
-        return self.sample_tilted_block(0.0, nk, rng, size)
-
     def sample_tilted_block(self, tau, nk, rng, size):
         self.check_tau(tau)
         c, al = self.scale, self.alpha
@@ -652,77 +612,10 @@ class GenAsymLaplaceLaw(WeightLaw):
         return self.theta * nk + g1 - g2
 
 
-# block-sum and tilted views --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BlockSumLaw:
-    """Law of the sum of ``count`` i.i.d. draws of ``base``."""
-
-    base: WeightLaw
-    count: int
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
-
-    def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        return self.base.sample_block_sum(self.count, rng, size)
-
-
-@dataclass(frozen=True)
-class TiltedLaw:
-    """Exponentially tilted block-sum law dU propto exp(tau * v) dzeta."""
-
-    base: WeightLaw
-    tau: float
-    count: int
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
-        self.base.check_tau(self.tau)
-
-    def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        return self.base.sample_tilted_block(self.tau, self.count, rng, size)
-
-
-def sample(law: WeightLaw, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-    """One (or ``size``) exact draw(s) of W under the law."""
-    return law.sample(rng, size)
-
-
-def sample_block_sum(law: WeightLaw, nk: int, rng: np.random.Generator, size: int = 1):
-    """Draws from the nk-fold convolution, using the closed form."""
-    if nk < 1:
-        raise ValueError("nk must be >= 1")
-    return law.sample_block_sum(nk, rng, size)
-
-
-def tilt(law: WeightLaw, tau: float, nk: int) -> TiltedLaw:
-    return TiltedLaw(base=law, tau=tau, count=nk)
-
-
-def sample_tilted(tilted: TiltedLaw, rng: np.random.Generator, size: int = 1):
-    return tilted.sample(rng, size)
-
-
 def log_mgf(law: WeightLaw, z) -> float | np.ndarray:
     """Cumulant function Lambda(z); +inf outside the domain."""
     out = law.log_mgf(np.atleast_1d(np.asarray(z, dtype=float)))
     return float(out[0]) if np.ndim(z) == 0 else out
-
-
-def log_isf_block(law: WeightLaw, tau: float, nk: int, x) -> np.ndarray:
-    """log of the importance-sampling factor for block k:
-    nk * Lambda(tau) - x * tau."""
-    lam = float(log_mgf(law, tau))
-    return nk * lam - np.asarray(x, dtype=float) * tau
-
-
-def isf_block(law: WeightLaw, tau: float, nk: int, x):
-    out = np.exp(log_isf_block(law, tau, nk, x))
-    return float(out) if np.ndim(x) == 0 else out
 
 
 # generator -> law dispatch ----------------------------------------------------

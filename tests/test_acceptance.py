@@ -81,7 +81,7 @@ def test_criterion_2_law_suite():
     for i, case in enumerate(SOLVED_CASES):
         law = case.law
         rng = make_rng(1000 + i)
-        x = lw.sample(law, rng, 1_000_000)
+        x = law.sample(rng, 1_000_000)
         se = float(x.std(ddof=1) / math.sqrt(x.size))
         if abs(float(x.mean()) - 1.0) > 4.0 * se:
             failures.append(f"{case.name}: mean {x.mean():.5f} off by >4 sigma")
@@ -102,7 +102,7 @@ def test_criterion_2_law_suite():
         for j, n_k in enumerate((2, 5, 20)):
             blk = law.sample_block_sum(n_k, make_rng(2000 + 10 * i + j), 100_000)
             summed = sum(
-                lw.sample(law, make_rng(3000 + 100 * i + 10 * j + r), 100_000)
+                law.sample(make_rng(3000 + 100 * i + 10 * j + r), 100_000)
                 for r in range(n_k)
             )
             ks = stats.ks_2samp(np.round(blk, 8), np.round(summed, 8))
@@ -380,8 +380,8 @@ def test_criterion_10_determinism():
     )
     draws_same = True
     for i, case in enumerate(SOLVED_CASES):
-        x = lw.sample(case.law, make_rng(900 + i), 256)
-        y = lw.sample(case.law, make_rng(900 + i), 256)
+        x = case.law.sample(make_rng(900 + i), 256)
+        y = case.law.sample(make_rng(900 + i), 256)
         draws_same &= bool(np.array_equal(x, y))
     ok = same_estimate and draws_same
     report(10, ok, f"same-seed reruns bit-identical: estimates={same_estimate}, "

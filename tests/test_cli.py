@@ -23,6 +23,32 @@ BASE_CONFIG = {
     "estimator": {"n": 400, "L": 4000, "seed": 7},
 }
 
+# one small config per estimation command other than estimate
+COMMAND_CONFIGS = {
+    "entropy-max": {
+        "entropy": {"preset": "shannon"},
+        "K": 3,
+        "constraint": {"type": "coordinate", "index": 0, "bound": 0.5, "op": ">="},
+        "estimator": {"n": 600, "L": 8000, "seed": 2},
+    },
+    "bounds": {
+        "generator": {"family": "generalized_kl", "alpha": 1.0},
+        "reference_vector": [0.2, 0.3, 0.5],
+        "mode": "simplex",
+        "constraint": {"type": "coordinate", "index": 0, "bound": 0.6, "op": ">="},
+        "estimator": {"n": 800, "L": 5000, "seed": 3},
+    },
+    "quadratic": {
+        "c1": [0.64, 1.96], "c2": [-1.6, -2.8], "c3": [1.0, 1.0],
+        "constraint": {"type": "box", "lower": [0.0, 0.0], "upper": [2.0, 2.0]},
+        "estimator": {"n": 400, "L": 4000, "seed": 4},
+    },
+    "transport": {
+        "mu": [0.5, 0.5], "nu": [0.5, 0.5],
+        "estimator": {"n": 400, "L": 4000, "seed": 5},
+    },
+}
+
 
 class TestEstimateCommand:
     def test_result_schema(self, tmp_path, capsys):
@@ -102,26 +128,13 @@ class TestEstimateCommand:
 
 class TestOtherCommands:
     def test_entropy_max(self, tmp_path):
-        config = {
-            "entropy": {"preset": "shannon"},
-            "K": 3,
-            "constraint": {"type": "coordinate", "index": 0, "bound": 0.5, "op": ">="},
-            "estimator": {"n": 600, "L": 8000, "seed": 2},
-        }
-        cfg = write_config(tmp_path, config)
+        cfg = write_config(tmp_path, COMMAND_CONFIGS["entropy-max"])
         out = tmp_path / "res.json"
         assert cli.main(["entropy-max", "--config", cfg, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["value"] == pytest.approx(1.0397, abs=0.05)
 
     def test_bounds(self, tmp_path):
-        config = {
-            "generator": {"family": "generalized_kl", "alpha": 1.0},
-            "reference_vector": [0.2, 0.3, 0.5],
-            "mode": "simplex",
-            "constraint": {"type": "coordinate", "index": 0, "bound": 0.6, "op": ">="},
-            "estimator": {"n": 800, "L": 5000, "seed": 3},
-        }
-        cfg = write_config(tmp_path, config)
+        cfg = write_config(tmp_path, COMMAND_CONFIGS["bounds"])
         out = tmp_path / "res.json"
         assert cli.main(["bounds", "--config", cfg, "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
@@ -129,25 +142,43 @@ class TestOtherCommands:
         assert payload["q_hat"] is not None
 
     def test_quadratic(self, tmp_path):
-        config = {
-            "c1": [0.64, 1.96], "c2": [-1.6, -2.8], "c3": [1.0, 1.0],
-            "constraint": {"type": "box", "lower": [0.0, 0.0], "upper": [2.0, 2.0]},
-            "estimator": {"n": 400, "L": 4000, "seed": 4},
-        }
-        cfg = write_config(tmp_path, config)
+        cfg = write_config(tmp_path, COMMAND_CONFIGS["quadratic"])
         out = tmp_path / "res.json"
         assert cli.main(["quadratic", "--config", cfg, "--out", str(out)]) == 0
         assert abs(json.loads(out.read_text())["value"]) < 0.05
 
     def test_transport(self, tmp_path):
-        config = {
-            "mu": [0.5, 0.5], "nu": [0.5, 0.5],
-            "estimator": {"n": 400, "L": 4000, "seed": 5},
-        }
-        cfg = write_config(tmp_path, config)
+        cfg = write_config(tmp_path, COMMAND_CONFIGS["transport"])
         out = tmp_path / "res.json"
         assert cli.main(["transport", "--config", cfg, "--out", str(out)]) == 0
         assert abs(json.loads(out.read_text())["value"]) < 0.05
+
+    def test_transport_passes_band(self, tmp_path, monkeypatch):
+        seen = []
+        solve = cli.problems.solve
+
+        def spy(problem, config):
+            seen.append(problem)
+            return solve(problem, config)
+
+        monkeypatch.setattr(cli.problems, "solve", spy)
+        config = dict(COMMAND_CONFIGS["transport"], band=0.05)
+        cfg = write_config(tmp_path, config)
+        assert cli.main(["transport", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
+        (problem,) = seen
+        assert problem.band == 0.05
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_CONFIGS))
+    def test_output_section_is_honoured(self, tmp_path, command):
+        result, trace = tmp_path / "result.json", tmp_path / "trace.csv"
+        config = dict(COMMAND_CONFIGS[command],
+                      output={"result": str(result), "trace": str(trace)})
+        cfg = write_config(tmp_path, config)
+        assert cli.main([command, "--config", cfg]) == 0
+        assert json.loads(result.read_text())["hits"] > 0
+        lines = trace.read_text().strip().splitlines()
+        assert lines[0] == "batch,log_mean"
+        assert len(lines) == 33  # header + 32 batches
 
     def test_assignment_constructs(self, tmp_path):
         config = {
@@ -170,6 +201,13 @@ class TestOtherCommands:
         payload = json.loads(out.read_text())
         assert payload["law"] == "ScaledPoisson"
         assert len(payload["draws"]) == 20
+
+    def test_sample_law_rejects_zero_count(self, tmp_path, capsys):
+        out = tmp_path / "draws.json"
+        code = cli.main(["sample-law", "--count", "0", "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert not out.exists()
+        assert "--count" in capsys.readouterr().err
 
 
 class TestValidateCommand:

@@ -13,10 +13,19 @@ from cases import SOLVED_CASES
 from conftest import make_rng
 
 
+def interior_tau(law) -> float:
+    """A nonzero tilt well inside the law's MGF domain."""
+    lo, hi = law.mgf_dom()
+    tau = 0.3 * (hi if math.isfinite(hi) else 1.0)
+    if tau <= lo or tau == 0.0:
+        tau = 0.5 * (lo + min(hi, 1.0))
+    return tau
+
+
 class TestSampleFacts:
     def test_poisson_zero_mass(self, rng):
         law = lw.ScaledPoisson(1.0)
-        x = lw.sample(law, rng, 200_000)
+        x = law.sample(rng, 200_000)
         assert np.all(x >= 0)
         frac0 = float(np.mean(x == 0))
         assert frac0 == pytest.approx(math.exp(-1.0), abs=0.005)
@@ -24,70 +33,83 @@ class TestSampleFacts:
     def test_two_point_support_and_mean(self, rng):
         law = lw.TwoPointLaw(0.0, 2.0)
         assert law.p == pytest.approx(0.5)
-        x = lw.sample(law, rng, 100_000)
+        x = law.sample(rng, 100_000)
         assert set(np.unique(x)) <= {0.0, 2.0}
         assert float(x.mean()) == pytest.approx(1.0, abs=0.02)
 
     def test_gaussian_variance(self, rng):
-        x = lw.sample(lw.Gaussian(4.0), rng, 200_000)
+        x = lw.Gaussian(4.0).sample(rng, 200_000)
         assert float(x.var(ddof=1)) == pytest.approx(0.25, abs=0.01)
 
     def test_positive_support_laws(self, rng):
         for law in (lw.TiltedStable(-1.0, 1.0), lw.GammaLaw(1.0)):
-            x = lw.sample(law, rng, 20_000)
+            x = law.sample(rng, 20_000)
             assert np.all(x > 0), type(law).__name__
 
     def test_negative_mass_laws(self, rng):
         for law in (lw.Gaussian(1.0), lw.GenAsymLaplaceLaw(1.0, 2.0, 1.5, 1.0)):
-            x = lw.sample(law, rng, 20_000)
+            x = law.sample(rng, 20_000)
             assert np.mean(x < 0) > 0.0, type(law).__name__
 
     def test_two_point_positivity_iff_z1_positive(self, rng):
-        x = lw.sample(lw.TwoPointLaw(0.5, 2.0), rng, 5_000)
+        x = lw.TwoPointLaw(0.5, 2.0).sample(rng, 5_000)
         assert np.all(x > 0)
-        y = lw.sample(lw.TwoPointLaw(-0.5, 2.0), rng, 5_000)
+        y = lw.TwoPointLaw(-0.5, 2.0).sample(rng, 5_000)
         assert np.any(y < 0)
 
     def test_shifted_poisson_negatives_iff_positive_anchor(self, rng):
-        x = lw.sample(lw.ShiftedPoisson(0.5), rng, 50_000)
+        x = lw.ShiftedPoisson(0.5).sample(rng, 50_000)
         assert np.any(x < 0)
-        y = lw.sample(lw.ShiftedPoisson(-0.5), rng, 50_000)
+        y = lw.ShiftedPoisson(-0.5).sample(rng, 50_000)
         assert np.all(y > 0)
 
 
 class TestBlockSums:
     def test_gamma_block(self, rng):
-        x = lw.sample_block_sum(lw.GammaLaw(1.0), 3, rng, 100_000)
+        x = lw.GammaLaw(1.0).sample_block_sum(3, rng, 100_000)
         assert float(x.mean()) == pytest.approx(3.0, abs=0.03)
         ks = stats.ks_1samp(x, stats.gamma(a=3.0).cdf)
         assert ks.pvalue > 1e-3
 
     def test_poisson_block(self, rng):
-        x = lw.sample_block_sum(lw.ScaledPoisson(1.0), 5, rng, 100_000)
+        x = lw.ScaledPoisson(1.0).sample_block_sum(5, rng, 100_000)
         assert float(x.mean()) == pytest.approx(5.0, abs=0.05)
         assert np.all(x == np.round(x))
 
     def test_block_of_one_matches_sample(self, rng):
         law = lw.CompoundPoissonGamma(0.5, 1.0)
-        a = lw.sample_block_sum(law, 1, make_rng(1), 50_000)
-        b = lw.sample(law, make_rng(1), 50_000)
+        a = law.sample_block_sum(1, make_rng(1), 50_000)
+        b = law.sample(make_rng(1), 50_000)
         assert np.allclose(a, b)
 
     def test_block_law_wrapper(self, rng):
-        blk = lw.BlockSumLaw(base=lw.Gaussian(2.0), count=4)
-        x = blk.sample(rng, 50_000)
+        x = lw.Gaussian(2.0).sample_block_sum(4, rng, 50_000)
         assert float(x.mean()) == pytest.approx(4.0, abs=0.03)
         assert float(x.var(ddof=1)) == pytest.approx(2.0, abs=0.05)
 
-    @pytest.mark.parametrize("case", SOLVED_CASES, ids=lambda c: c.name)
-    def test_convolution_ks(self, case):
+    @pytest.mark.parametrize(
+        "case, tilted",
+        [(c, False) for c in SOLVED_CASES] + [(c, True) for c in SOLVED_CASES],
+        ids=[c.name for c in SOLVED_CASES] + [f"{c.name}, tilted" for c in SOLVED_CASES],
+    )
+    def test_convolution_ks(self, case, tilted):
+        # the closed-form n_k-fold convolution against n_k summed single
+        # draws; untilted, DistortedStable's single draws come from its
+        # rejection sampler, not from the inverter
         law = case.law
+        tau = interior_tau(law) if tilted else 0.0
+
+        def draws(nk, seed):
+            if tilted:
+                return law.sample_tilted_block(tau, nk, make_rng(seed), 30_000)
+            return law.sample_block_sum(nk, make_rng(seed), 30_000)
+
         n_k = 5
-        blk = law.sample_block_sum(n_k, make_rng(11), 30_000)
-        summed = sum(lw.sample(law, make_rng(12 + i), 30_000) for i in range(n_k))
+        blk = draws(n_k, 11)
+        summed = sum(draws(1, 12 + i) for i in range(n_k))
         # align lattice values: the two paths accumulate rounding differently
         ks = stats.ks_2samp(np.round(blk, 8), np.round(summed, 8))
-        assert ks.pvalue > 1e-3, (case.name, ks.pvalue)
+        assert ks.pvalue > 1e-3, (case.name, tau, ks.pvalue)
 
 
 class TestTilting:
@@ -112,25 +134,21 @@ class TestTilting:
     @pytest.mark.parametrize("case", SOLVED_CASES, ids=lambda c: c.name)
     def test_tilted_mean_matches_cumulant_slope(self, case):
         law = case.law
-        lo, hi = law.mgf_dom()
-        tau = 0.3 * (hi if math.isfinite(hi) else 1.0)
-        if tau <= lo or tau == 0.0:
-            tau = 0.5 * (lo + min(hi, 1.0))
+        tau = interior_tau(law)
         n_k = 4
         x = law.sample_tilted_block(tau, n_k, make_rng(17), 60_000)
         target = n_k * law.log_mgf_deriv(tau)
         se = float(x.std(ddof=1) / math.sqrt(x.size))
         assert abs(float(x.mean()) - target) < 5 * se + 1e-3, case.name
 
-    def test_tau_outside_domain_rejected(self):
+    def test_tau_outside_domain_rejected(self, rng):
         with pytest.raises(ValueError):
-            lw.tilt(lw.GammaLaw(1.0), 1.5, 2)
+            lw.GammaLaw(1.0).sample_tilted_block(1.5, 2, rng, 1)
         with pytest.raises(ValueError):
-            lw.tilt(lw.GenAsymLaplaceLaw(1.0, 2.0, 1.5, 1.0), -2.0, 2)
+            lw.GenAsymLaplaceLaw(1.0, 2.0, 1.5, 1.0).sample_tilted_block(-2.0, 2, rng, 1)
 
     def test_tilted_law_wrapper(self, rng):
-        tl = lw.tilt(lw.Gaussian(1.0), 1.0, 2)
-        x = lw.sample_tilted(tl, rng, 50_000)
+        x = lw.Gaussian(1.0).sample_tilted_block(1.0, 2, rng, 50_000)
         assert float(x.mean()) == pytest.approx(4.0, abs=0.05)
 
     def test_discrete_tilting_identity_poisson(self):
@@ -163,29 +181,27 @@ class TestTilting:
         assert float(np.mean(x == 0.0)) == pytest.approx(p_tilt, abs=0.004)
 
 
+def isf_block(law, tau, nk, x):
+    """Importance-sampling factor of one block sum x: exp(nk Lambda(tau) - x tau)."""
+    return math.exp(nk * lw.log_mgf(law, tau) - x * tau)
+
+
 class TestLogMgfAndIsf:
     def test_zero_values(self):
         for case in SOLVED_CASES:
             assert float(lw.log_mgf(case.law, 0.0)) == pytest.approx(0.0, abs=1e-12)
-            assert lw.isf_block(case.law, 0.0, 3, 1.7) == pytest.approx(1.0)
+            assert isf_block(case.law, 0.0, 3, 1.7) == pytest.approx(1.0)
 
     def test_gamma_log_mgf(self):
         assert float(lw.log_mgf(lw.GammaLaw(1.0), 0.5)) == pytest.approx(math.log(2.0))
 
     def test_gaussian_isf_example(self):
-        val = lw.isf_block(lw.Gaussian(1.0), 1.0, 2, 3.0)
+        val = isf_block(lw.Gaussian(1.0), 1.0, 2, 3.0)
         assert val == pytest.approx(1.0)
 
     def test_outside_domain_is_inf(self):
         assert float(lw.log_mgf(lw.GammaLaw(1.0), 2.0)) == math.inf
         assert float(lw.log_mgf(lw.TiltedStable(-1.0, 1.0), 0.9)) == math.inf
-
-    def test_log_isf_is_log_of_isf(self):
-        law = lw.ScaledNegBinomial(1.0, 1.0)
-        x = np.array([0.5, 2.0])
-        assert np.allclose(
-            np.exp(lw.log_isf_block(law, 0.3, 4, x)), lw.isf_block(law, 0.3, 4, x)
-        )
 
 
 class TestLawForGenerator:
@@ -248,7 +264,7 @@ class TestDistortedStable:
     def test_fallback_on_low_acceptance(self, rng):
         # large scale kills the rejection rate; inversion must take over
         law = lw.DistortedStable(3.0, 25.0)
-        x = lw.sample(law, rng, 20_000)
+        x = law.sample(rng, 20_000)
         assert float(x.mean()) == pytest.approx(1.0, abs=0.02)
 
     def test_block_and_tilted_paths(self, rng):

@@ -54,20 +54,22 @@ def _load_and_validate(path: str) -> dict:
     spec = json.loads(Path(path).read_text())
     try:
         import jsonschema
-
-        schema_file = Path(__file__).with_name("config.schema.json")
-        if schema_file.exists():
-            schema = json.loads(schema_file.read_text())
-            validator = jsonschema.Draft202012Validator(schema)
-            errors = sorted(validator.iter_errors(spec), key=lambda e: list(e.path))
-            if errors:
-                locs = "; ".join(
-                    f"{'/'.join(str(p) for p in e.path) or '<root>'}: {e.message}"
-                    for e in errors[:5]
-                )
-                raise ConfigError(f"schema violations: {locs}")
-    except ImportError:
-        pass
+    except ImportError as exc:
+        raise ConfigError(
+            f"cannot validate the config: jsonschema is not installed ({exc})") from exc
+    schema_file = Path(__file__).with_name("config.schema.json")
+    if not schema_file.is_file():
+        raise ConfigError(
+            f"cannot validate the config: schema file {schema_file} is missing")
+    schema = json.loads(schema_file.read_text())
+    validator = jsonschema.Draft202012Validator(schema)
+    errors = sorted(validator.iter_errors(spec), key=lambda e: list(e.path))
+    if errors:
+        locs = "; ".join(
+            f"{'/'.join(str(p) for p in e.path) or '<root>'}: {e.message}"
+            for e in errors[:5]
+        )
+        raise ConfigError(f"schema violations: {locs}")
     return spec
 
 

@@ -26,6 +26,7 @@ minimizer and corrects with the per-block factor
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -127,17 +128,18 @@ def partition(p_tilde, n: int) -> BlockPartition:
 def ingest_sample(observations: Sequence, categories: Optional[Sequence] = None) -> BlockPartition:
     """Empirical partition from category-valued observations: block sizes
     are the category counts, the reference vector the empirical
-    frequencies.  Batch and stream orders give the same partition."""
-    obs = list(observations)
-    if not obs:
+    frequencies.  Batch and stream orders give the same partition.  Labels
+    must be hashable; they are counted in one pass."""
+    tally = Counter(observations)
+    if not tally:
         raise ValueError("no observations")
     if categories is None:
-        categories = sorted(set(obs))
-    counts = np.array([sum(1 for o in obs if o == c) for c in categories], dtype=int)
+        categories = sorted(tally)
+    counts = np.array([tally.get(c, 0) for c in categories], dtype=int)
     if np.any(counts == 0):
         raise ValueError("every category must occur at least once")
     n = int(counts.sum())
-    if n != len(obs):
+    if n != tally.total():
         raise ValueError("observations contain labels outside the category list")
     return BlockPartition(
         n=n, sizes=counts, p_tilde=counts / n, mode="empirical", exact=True
@@ -243,7 +245,7 @@ def _block_sums(law: WeightLaw, sizes, taus: Optional[np.ndarray],
 
 
 def _coords_and_hits(mode: str, omega: ConstraintSet, sums: np.ndarray,
-                     denom: float, mass: float):
+                     denom: float, mass: float, want_x: bool = True):
     """Map block sums (rows) to coordinates and test them against Omega.
 
     Returns (x, member).  Deterministic mode: x = sums / denom, tested as
@@ -252,21 +254,24 @@ def _coords_and_hits(mode: str, omega: ConstraintSet, sums: np.ndarray,
     never a member.  The tested points are rounded as ``oracle.exact_pi``
     rounds them, so that both place a point on the boundary alike; with a
     unit mass or scale they are x itself, bit for bit, and are not
-    computed twice."""
+    computed twice.  With ``want_x`` false only the tested points are
+    computed, and x is None unless it is the tested points."""
     if mode == "deterministic":
-        x = sums / denom
+        x = sums / denom if want_x or mass == 1.0 else None
         return x, omega.contains(x if mass == 1.0 else mass * sums / denom)
     totals = sums.sum(axis=1)
     ok = totals != 0.0
+    scale = omega.scale
     if ok.all():
-        x = sums / totals[:, None]
-        scale = omega.scale
+        x = sums / totals[:, None] if want_x or scale == 1.0 else None
         return x, omega.contains(x if scale == 1.0 else scale * sums / totals[:, None])
-    x = np.full_like(sums, np.nan)
-    x[ok] = sums[ok] / totals[ok, None]
     member = np.zeros(len(sums), dtype=bool)
     if ok.any():
-        member[ok] = omega.contains(omega.scale * sums[ok] / totals[ok, None])
+        member[ok] = omega.contains(scale * sums[ok] / totals[ok, None])
+    if not want_x:
+        return None, member
+    x = np.full_like(sums, np.nan)
+    x[ok] = sums[ok] / totals[ok, None]
     return x, member
 
 
@@ -293,7 +298,7 @@ def _run_batches(law: WeightLaw, part: BlockPartition, omega: ConstraintSet,
         if size == 0:
             return -INF, 0
         sums = _block_sums(law, part.sizes, taus, _rng(config.seed, phase, b), size)
-        _, member = _coords_and_hits(mode, omega, sums, part.n, mass)
+        _, member = _coords_and_hits(mode, omega, sums, part.n, mass, want_x=False)
         hits = int(member.sum())
         if hits == 0:
             return -INF, 0

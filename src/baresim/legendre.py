@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy import integrate, optimize
 
 __all__ = ["GeneratorSpec", "CumulantFunction", "build_lambda", "build_phi",
            "legendre_transform", "check_mean_one"]
@@ -70,7 +69,8 @@ class GeneratorSpec:
     """A generator description: strictly increasing smooth ``F`` on
     ``]a_F, b_F[`` plus an anchor point ``c`` in the interior of range(F).
 
-    Monotonicity is verified numerically on a grid at construction.
+    Monotonicity is verified numerically on a grid at construction, where
+    the range of F and ``F^{-1}(c)`` are computed once.
     """
 
     F: Callable[[float], float]
@@ -80,6 +80,8 @@ class GeneratorSpec:
 
     _grid: np.ndarray = field(init=False, repr=False)
     _F_grid: np.ndarray = field(init=False, repr=False)
+    _range_F: Tuple[float, float] = field(init=False, repr=False)
+    _f_inv_c: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.a_F < 1.0 < self.b_F:
@@ -98,15 +100,16 @@ class GeneratorSpec:
         keep = np.concatenate(([True], diffs > 0))
         self._grid = grid[keep]
         self._F_grid = vals[keep]
-        lo, hi = self.range_F
+        lo = _endpoint_limit(self.F, self.a_F, side="lower")
+        hi = _endpoint_limit(self.F, self.b_F, side="upper")
+        self._range_F = lo, hi
         if not (lo < self.c < hi):
             raise ValueError(f"anchor {self.c} outside int(range F) = ]{lo}, {hi}[")
+        self._f_inv_c = self.F_inverse(self.c)
 
     @property
     def range_F(self) -> Tuple[float, float]:
-        lim_lo = _endpoint_limit(self.F, self.a_F, side="lower")
-        lim_hi = _endpoint_limit(self.F, self.b_F, side="upper")
-        return lim_lo, lim_hi
+        return self._range_F
 
     @property
     def lambda_dom(self) -> Tuple[float, float]:
@@ -115,7 +118,7 @@ class GeneratorSpec:
 
     @property
     def t_sc(self) -> Tuple[float, float]:
-        f_inv_c = self.F_inverse(self.c)
+        f_inv_c = self._f_inv_c
         return 1.0 + self.a_F - f_inv_c, 1.0 + self.b_F - f_inv_c
 
     @property
@@ -129,7 +132,9 @@ class GeneratorSpec:
     def F_inverse(self, x: float) -> float:
         """Invert F by bracketed root finding on the monotone grid
         (Brent: bisection with secant/inverse-quadratic polish)."""
-        lo, hi = self.range_F
+        from scipy import optimize
+
+        lo, hi = self._range_F
         if not (lo < x < hi):
             raise ValueError(f"{x} outside int(range F) = ]{lo}, {hi}[")
         idx = int(np.searchsorted(self._F_grid, x))
@@ -187,7 +192,7 @@ class GeneratorSpec:
         return out
 
     def phi_prime(self, t):
-        f_inv_c = self.F_inverse(self.c)
+        f_inv_c = self._f_inv_c
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.full(t_arr.shape, np.nan)
         t_lo, t_hi = self.t_sc
@@ -248,8 +253,10 @@ class CumulantFunction:
             if z == 0.0:
                 return 0.0
             return math.inf
+        from scipy import integrate
+
         spec = self.spec
-        shift = 1.0 - spec.F_inverse(spec.c)
+        shift = 1.0 - spec._f_inv_c
 
         def integrand(u: float) -> float:
             return spec.F_inverse(u + spec.c)
@@ -258,7 +265,7 @@ class CumulantFunction:
         return val + z * shift
 
     def derivative(self, z: float) -> float:
-        return self.spec.F_inverse(z + self.spec.c) + 1.0 - self.spec.F_inverse(self.spec.c)
+        return self.spec.F_inverse(z + self.spec.c) + 1.0 - self.spec._f_inv_c
 
 
 def build_lambda(spec: GeneratorSpec) -> CumulantFunction:
@@ -270,7 +277,7 @@ def build_lambda(spec: GeneratorSpec) -> CumulantFunction:
 def _phi_at(spec: GeneratorSpec, lam: CumulantFunction, t: float) -> float:
     t_lo, t_hi = spec.t_sc
     lam_lo, lam_hi = spec.lambda_dom
-    f_inv_c = spec.F_inverse(spec.c)
+    f_inv_c = spec._f_inv_c
     if t_lo < t < t_hi:
         z_t = float(spec.F(t + f_inv_c - 1.0)) - spec.c
         if z_t == 0.0:
@@ -309,6 +316,8 @@ def legendre_transform(f: Callable[[float], float], domain: Tuple[float, float])
     section over a bracketing grid of the (finite part of the) domain;
     an unbounded supremum is signalled as +inf.
     """
+    from scipy import optimize
+
     lo, hi = domain
     w_lo, w_hi = _finite_window(lo, hi, pad=1e-10)
 

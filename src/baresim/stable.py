@@ -24,10 +24,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-# scipy.special ahead of scipy.optimize: when scipy.optimize pulls it in,
-# importing baresim measured 0.1-0.2 s slower (scipy 1.17, Python 3.11)
-import scipy.special  # noqa: F401
-from scipy import optimize
 
 __all__ = [
     "sample_positive_stable",
@@ -128,6 +124,8 @@ def weighted_stable_acceptance(alpha: float, d: float, lam: float) -> tuple[floa
     is below exp(_TRUNCATION_LOG_MASS); the acceptance rate is
     approximately exp(d lam^alpha - lam v_max).
     """
+    from scipy import optimize
+
     log_norm = d * lam**alpha
     target = _TRUNCATION_LOG_MASS + log_norm
 
@@ -193,6 +191,7 @@ def chernoff_quantile(
 ) -> tuple[float, float]:
     """Certified (lo, hi) range outside which each tail carries log-mass
     below ``log_mass``, from the Chernoff bound inf_z Lambda(z) - z*x."""
+    from scipy import optimize
 
     def bound(x: float, lo: float, hi: float) -> float:
         res = optimize.minimize_scalar(

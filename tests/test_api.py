@@ -1,9 +1,14 @@
 """The package's public names: every name a module lists in ``__all__``
-and every name ``baresim/__init__.py`` imports must exist."""
+and every name ``baresim/__init__.py`` imports must exist; and importing the
+package loads no scipy, nor does a solve on a path that does not need it."""
 
 import ast
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,3 +33,69 @@ def test_package_imports_resolve():
     assert imported
     missing = [n for n in imported if not hasattr(baresim, n)]
     assert not missing, f"baresim imports missing names {missing}"
+
+
+# Loads baresim in a fresh interpreter and, after each stage, lists the scipy
+# modules in sys.modules: importing the package and the CLI, then one small
+# solve of each path that needs no scipy.
+_COLD_START = r"""
+import json, sys
+from pathlib import Path
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+stages = {}
+import baresim, baresim.cli
+stages["import"] = scipy_loaded()
+
+from baresim import cli, problems
+import numpy as np
+
+config = baresim.EstimatorConfig(n=40, L=400, seed=1)
+baresim.estimate_min_divergence(
+    baresim.PowerGamma(-1.0), np.array([0.2, 0.3, 0.5]),
+    baresim.halfspace([1.0, 1.0, 1.0], 1.3, ">="), config, mode="deterministic")
+stages["power_deterministic"] = scipy_loaded()
+
+v = np.array([0.5, 1.0, 1.5])
+problems.solve(problems.SeparableQuadratic(
+    c1=v**2, c2=-2.0 * v, c3=np.ones(3),
+    omega=baresim.halfspace(np.ones(3), 3.15, ">=")),
+    baresim.EstimatorConfig(n=400, L=2000, seed=2))
+stages["separable_quadratic"] = scipy_loaded()
+
+work = Path(sys.argv[1])
+(work / "labels.txt").write_text("a\nb\nb\nc\nc\nc\n" * 20)
+(work / "run.json").write_text(json.dumps({
+    "generator": {"family": "power", "gamma": 1.0},
+    "data_file": str(work / "labels.txt"),
+    "mode": "empirical",
+    "constraint": {"type": "coordinate", "index": 0, "bound": 0.3, "op": ">="},
+    "estimator": {"n": 120, "L": 2000, "seed": 3},
+}))
+code = cli.main(["estimate", "--config", str(work / "run.json"),
+                 "--out", str(work / "out.json")])
+stages["cli_estimate_empirical"] = scipy_loaded() if code == 0 else [f"exit code {code}"]
+print(json.dumps(stages))
+"""
+
+COLD_START_STAGES = ["import", "power_deterministic", "separable_quadratic",
+                     "cli_estimate_empirical"]
+
+
+@pytest.fixture(scope="module")
+def cold_start(tmp_path_factory):
+    work = tmp_path_factory.mktemp("cold_start")
+    env = dict(os.environ)
+    src = str(Path(baresim.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, str(work)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("stage", COLD_START_STAGES)
+def test_cold_start_loads_no_scipy(cold_start, stage):
+    assert cold_start[stage] == []

@@ -1,5 +1,6 @@
 import json
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,18 @@ class TestEstimateCommand:
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, {"generator": {"family": "power", "gamma": 1.0}})
         assert cli.main(["estimate", "--config", cfg]) == cli.EXIT_CONFIG
+
+    def test_missing_jsonschema_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        monkeypatch.setitem(sys.modules, "jsonschema", None)  # import now fails
+        assert cli.main(["estimate", "--config", cfg]) == cli.EXIT_CONFIG
+        assert "jsonschema" in capsys.readouterr().err
+
+    def test_missing_schema_file_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        monkeypatch.setattr(cli, "__file__", str(tmp_path / "cli.py"))
+        assert cli.main(["estimate", "--config", cfg]) == cli.EXIT_CONFIG
+        assert "config.schema.json" in capsys.readouterr().err
 
     def test_bad_generator_family(self, tmp_path):
         config = dict(BASE_CONFIG)

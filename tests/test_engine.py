@@ -80,8 +80,24 @@ class TestIngestSample:
         assert np.allclose(a.p_tilde, b.p_tilde)
 
     def test_missing_category_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="every category must occur"):
             engine.ingest_sample(list("aaaa"), categories=["a", "b"])
+
+    def test_unlisted_label_rejected(self):
+        with pytest.raises(ValueError, match="outside the category list"):
+            engine.ingest_sample(list("aabc"), categories=["a", "b"])
+
+    def test_many_categories_match_unique_counts(self):
+        rng = make_rng(5)
+        labels = [f"c{k:02d}" for k in rng.integers(0, 50, size=200_000)]
+        cats, counts = np.unique(labels, return_counts=True)
+        part = engine.ingest_sample(labels)
+        assert list(part.sizes) == list(counts)
+        assert np.array_equal(part.p_tilde, counts / counts.sum())
+        # an explicit category list sets the block order
+        order = rng.permutation(len(cats))
+        part = engine.ingest_sample(labels, categories=[str(c) for c in cats[order]])
+        assert list(part.sizes) == list(counts[order])
 
 
 class TestNaive:

@@ -127,6 +127,13 @@ def _entropy_from_dict(spec: dict) -> EntropySpec:
     )
 
 
+def _whole(spec: dict) -> dict:
+    """The settings with every integral float (a JSON ``1e5``, which the
+    schema accepts as an integer) made an int."""
+    return {key: int(v) if isinstance(v, float) and v.is_integer() else v
+            for key, v in spec.items()}
+
+
 def _config_from_dict(spec: dict, overrides) -> EstimatorConfig:
     est = dict(spec.get("estimator", {}))
     for key in ("n", "L", "seed", "threads"):
@@ -135,27 +142,13 @@ def _config_from_dict(spec: dict, overrides) -> EstimatorConfig:
             est[key] = val
     if "n" not in est:
         raise ConfigError("estimator.n is required")
-    proxy_spec = est.pop("proxy", {})
-    if isinstance(proxy_spec, dict):
-        q_star = proxy_spec.get("q_star")
-        proxy = ProxySpec(
-            method=proxy_spec.get("method", "hit_run"),
-            q_star=np.asarray(q_star, dtype=float) if q_star is not None else None,
-            budget=int(proxy_spec.get("budget", 200_000)),
-            m_run=proxy_spec.get("m_run"),
-        )
-    else:
-        raise ConfigError("estimator.proxy must be an object")
+    proxy = dict(est.pop("proxy", {}))
+    if proxy.get("q_star") is not None:
+        proxy["q_star"] = np.asarray(proxy["q_star"], dtype=float)
     try:
-        return EstimatorConfig(
-            n=int(est["n"]),
-            L=int(est.get("L", 10_000)),
-            seed=int(est.get("seed", 0)),
-            proxy=proxy,
-            batches=int(est.get("batches", 32)),
-            bisection_tol=float(est.get("bisection_tol", 1e-10)),
-            threads=int(est.get("threads", 1)),
-        )
+        # every key the config sets goes through: the defaults live only in
+        # EstimatorConfig and ProxySpec, and an unknown key is a TypeError
+        return EstimatorConfig(**_whole(est), proxy=ProxySpec(**_whole(proxy)))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad estimator settings: {exc}") from exc
 

@@ -69,7 +69,6 @@ INF = math.inf
 
 _PHASE_MAIN = 0
 _PHASE_PROXY = 1
-_PHASE_BOUNDS = 2
 
 # proxy search: hit-run hits collected before the best is kept, and the
 # burn-in and thinning of the density proxy's Metropolis-Hastings chain
@@ -153,7 +152,8 @@ class ProxySpec:
     method "given": use ``q_star`` (original/user coordinates).
     method "hit_run": repeat xi-runs of a short length ``m_run`` (default:
     the smallest run with nonempty blocks) until 64 hits are collected or
-    the budget runs out; the divergence-smallest hit is kept.
+    the budget runs out; the hits are tried from the divergence-smallest
+    up.
     method "density": sample from the density proportional to
     exp(-D(q, p)) until the set is hit (suited to large minima); exact
     Gaussian sampling when the generator is quadratic, independence
@@ -163,8 +163,11 @@ class ProxySpec:
     to the reference vector and polished by a local descent; the
     divergence decreases monotonically along that ray, so the refined
     point is a strictly better proxy of the dominating point while
-    remaining feasible.  A poor proxy degrades only the variance of the
-    estimator, never its unbiasedness.
+    remaining feasible.  A refined hit whose tilt is not finite (a zero
+    coordinate where phi' is infinite) is passed over: hit-run tries its
+    next hit, density samples on.  A poor proxy degrades only the
+    variance of the estimator, never its unbiasedness.  The same proxy
+    gives ``bounds_general`` its upper bound, D(Q*, P).
     """
 
     method: str = "hit_run"
@@ -180,7 +183,6 @@ class EstimatorConfig:
     seed: int = 0
     proxy: ProxySpec = field(default_factory=ProxySpec)
     batches: int = 32
-    bisection_tol: float = 1e-10
     threads: int = 1
 
     def __post_init__(self):
@@ -188,8 +190,6 @@ class EstimatorConfig:
             raise ValueError("n and L must be >= 1")
         if self.batches < 10:
             raise ValueError("need at least 10 batches for the stderr")
-        if self.bisection_tol <= 0:
-            raise ValueError("bisection tolerance must be > 0")
 
 
 @dataclass
@@ -398,7 +398,6 @@ def naive_estimate(gen: Optional[Generator], P, omega: ConstraintSet,
 @dataclass(frozen=True)
 class ProxyResult:
     q_star: np.ndarray  # normalized (simplex modes) or Omega/M coordinates
-    w_bar: Optional[float] = None  # None: solve the m-equation at q_star
     draws_used: int = 0
 
 
@@ -414,8 +413,8 @@ def proxy_q_star(gen: Optional[Generator], part: BlockPartition, omega: Constrai
         if q.size != part.K:
             raise ValueError("q_star has the wrong length")
         if mode == "deterministic":
-            return ProxyResult(q_star=q / mass, w_bar=1.0)
-        return ProxyResult(q_star=q / omega.scale, w_bar=None)
+            return ProxyResult(q_star=q / mass)
+        return ProxyResult(q_star=q / omega.scale)
     if spec.method == "hit_run":
         return _proxy_hit_run(gen, law, part, omega, config, mode, mass)
     if spec.method == "density":
@@ -520,16 +519,16 @@ def _polish_proxy(gen, q, part, omega, mode, mass,
     return x
 
 
-def _refined_proxy(gen, q, w_bar, used, part, omega, mode, mass) -> ProxyResult:
-    """Push a feasible hit toward the reference vector and polish it; the
-    raw hit, with its ``w_bar``, stands when the pushed point is not
-    finite."""
+def _refined_proxy(gen, q, part, omega, mode, mass) -> Optional[np.ndarray]:
+    """Push a feasible hit toward the reference vector and polish it; None
+    when the polished point has no finite tilt, as a hit on the boundary
+    with a zero coordinate where phi' is infinite has."""
     refined = _refine_toward_reference(q, part, omega, mode, mass)
-    if not np.all(np.isfinite(refined)):
-        return ProxyResult(q_star=q, w_bar=w_bar, draws_used=used)
     refined = _polish_proxy(gen, refined, part, omega, mode, mass)
-    w = 1.0 if mode == "deterministic" else None
-    return ProxyResult(q_star=refined, w_bar=w, draws_used=used)
+    if gen is not None and not np.all(np.isfinite(
+            _tilts(gen, part.p_tilde, refined, mode, mass)[1])):
+        return None
+    return refined
 
 
 def _proxy_hit_run(gen, law, part, omega, config, mode, mass) -> ProxyResult:
@@ -552,28 +551,32 @@ def _proxy_hit_run(gen, law, part, omega, config, mode, mass) -> ProxyResult:
     chunk = 256
     used = 0
     ci = 0
-    best_q, best_w, best_val, hits = None, 1.0, INF, 0
+    found, hits = [], 0  # (rank, hit) of every hit
     while used < spec.budget and hits < _PROXY_COLLECT:
         sums = _block_sums(law, sizes, None, _rng(config.seed, _PHASE_PROXY, ci), chunk)
         ci += 1
         used += chunk
         cand, member = _coords_and_hits(mode, omega, sums, m_run, mass)
-        for i in np.nonzero(member)[0]:
-            hits += 1
-            val = rank(cand[i])
-            if val < best_val:
-                best_val = val
-                best_q = cand[i].copy()
-                best_w = 1.0 if mode == "deterministic" else float(
-                    sums[i].sum() / m_run
-                )
-    if best_q is None:
+        rows = np.nonzero(member)[0]
+        hits += rows.size
+        found += [(rank(cand[i]), cand[i].copy()) for i in rows]
+    # lowest divergence first, ties in draw order; a hit of infinite (or
+    # NaN) divergence is never a proxy
+    ranked = sorted((h for h in found if h[0] < INF), key=lambda h: h[0])
+    if not ranked:
         raise RuntimeError(
             "proxy search exhausted its budget: the constraint set is too "
             "rare at this run length; raise the budget, change m_run, or "
             "supply q_star"
         )
-    return _refined_proxy(gen, best_q, best_w, used, part, omega, mode, mass)
+    for _, q in ranked:
+        q_star = _refined_proxy(gen, q, part, omega, mode, mass)
+        if q_star is not None:
+            return ProxyResult(q_star=q_star, draws_used=used)
+    raise RuntimeError(
+        f"hit-run proxy: none of its {len(ranked)} ranked hits has a finite "
+        "tilt after refinement; supply q_star or use the density proxy"
+    )
 
 
 def _proxy_density(gen, part, omega, config, mode, mass) -> ProxyResult:
@@ -592,10 +595,6 @@ def _proxy_density(gen, part, omega, config, mode, mass) -> ProxyResult:
         val = _divergence_positive(gen, t, p)
         return -mass * val if math.isfinite(val) else -INF
 
-    def finish(t: np.ndarray, q: np.ndarray, used: int) -> ProxyResult:
-        w_bar = 1.0 if mode == "deterministic" else float(t.sum())
-        return _refined_proxy(gen, q, w_bar, used, part, omega, mode, mass)
-
     rng = _rng(config.seed, _PHASE_PROXY, 0)
     used = 0
     if gaussian_exact:
@@ -604,9 +603,10 @@ def _proxy_density(gen, part, omega, config, mode, mass) -> ProxyResult:
             ts = rng.normal(p, sd, size=(chunk, part.K))
             used += chunk
             x, member = _coords_and_hits(mode, omega, ts, 1.0, mass)
-            if np.any(member):
-                i = int(np.argmax(member))
-                return finish(ts[i], x[i], used)
+            for i in np.nonzero(member)[0]:
+                q_star = _refined_proxy(gen, x[i], part, omega, mode, mass)
+                if q_star is not None:
+                    return ProxyResult(q_star=q_star, draws_used=used)
         raise RuntimeError("density proxy exhausted its budget")
     # independence MH with the Gaussian proposal matched to the curvature
     cur = p.copy()
@@ -623,7 +623,9 @@ def _proxy_density(gen, part, omega, config, mode, mass) -> ProxyResult:
             continue
         x, member = _coords_and_hits(mode, omega, cur[None, :], 1.0, mass)
         if member[0]:
-            return finish(cur, x[0], used)
+            q_star = _refined_proxy(gen, x[0], part, omega, mode, mass)
+            if q_star is not None:
+                return ProxyResult(q_star=q_star, draws_used=used)
     raise RuntimeError("density proxy exhausted its budget")
 
 
@@ -641,18 +643,22 @@ def _m_minimizer(gen: Generator, q: np.ndarray, p: np.ndarray) -> float:
         return 1.0
 
 
+def _tilts(gen: Generator, p: np.ndarray, q_star: np.ndarray, mode: str,
+           mass: float):
+    """Target ratios and tilts (M phi)'(ratio) at a proxy point, possibly
+    not finite.  Deterministic mode targets q_star itself; the simplex
+    modes target m* q_star (see ``_m_minimizer``)."""
+    if mode == "deterministic":
+        ratios = q_star / p
+    else:
+        ratios = _m_minimizer(gen, q_star, p) * q_star / p
+    return ratios, mass * np.asarray(gen.phi_prime(ratios), dtype=float)
+
+
 def compute_taus(gen: Generator, part: BlockPartition, proxy: ProxyResult,
                  mode: str, mass: float) -> np.ndarray:
     """Per-block tilts tau_k = (M phi)'(target ratio)."""
-    p = part.p_tilde
-    if mode == "deterministic":
-        ratios = proxy.q_star / p
-    else:
-        w_bar = proxy.w_bar
-        if w_bar is None:
-            w_bar = _m_minimizer(gen, proxy.q_star, p)
-        ratios = w_bar * proxy.q_star / p
-    taus = mass * np.asarray(gen.phi_prime(ratios), dtype=float)
+    ratios, taus = _tilts(gen, part.p_tilde, proxy.q_star, mode, mass)
     if np.any(~np.isfinite(taus)):
         raise ValueError(
             f"tilt target ratio outside int(dom phi): ratios={ratios}"
@@ -671,12 +677,11 @@ def is_estimate(gen: Optional[Generator], part_or_P, omega: ConstraintSet,
     else:
         part, P = None, part_or_P
     part, mass, law = _prepare(gen, P, part, config, mode, law)
+    if gen is None:
+        raise ValueError("importance sampling needs the generator for the tilts")
     if q_star is None:
         q_star = proxy_q_star(gen, part, omega, config, mode, mass, law=law)
-    if gen is not None:
-        taus = compute_taus(gen, part, q_star, mode, mass)
-    else:
-        raise ValueError("importance sampling needs the generator for the tilts")
+    taus = compute_taus(gen, part, q_star, mode, mass)
     for t in taus:
         law.check_tau(float(t))
     est = _estimate_from_batches(
@@ -852,9 +857,11 @@ def bounds_general(gen: Generator, part_or_P, omega: ConstraintSet,
     (non power type) divergence over a simplex constraint set.
 
     Lower bound: the estimated inf over (Q, m) of D(m Q, P).  Upper bound:
-    D(Q_hat, P) at a feasible Q_hat found by iterative descent, accepted
-    once its m-projected value is within eta of the lower estimate.
-    For power-type generators the exact inversion collapses both bounds.
+    D(Q*, P) at the importance-sampling proxy Q*, which is also returned;
+    the one proxy search sets both the tilts and the upper bound.  The
+    searched proxies are feasible by construction; a given ``q_star``
+    outside the set raises ``ValueError``.  For power-type generators the
+    exact inversion collapses both bounds.
     """
     if isinstance(gen, PowerGamma):
         est = is_estimate(gen, part_or_P, omega, config, mode=mode, law=law)
@@ -868,50 +875,22 @@ def bounds_general(gen: Generator, part_or_P, omega: ConstraintSet,
     part, mass, law = _prepare(gen, P, part, config, mode, law)
     if omega.scale != 1.0:
         raise ValueError("general-divergence bounds run on probability-simplex sets")
-    p_ref = part.p_tilde
-    est = is_estimate(gen, part_or_P, omega, config, mode=mode, law=law)
+    if gen is None:
+        raise ValueError("importance sampling needs the generator for the tilts")
+    proxy = proxy_q_star(gen, part, omega, config, mode, mass, law=law)
+    if not omega.contains_point(proxy.q_star):
+        # a tilt target outside Omega costs the estimate only variance, but
+        # D there is no upper bound on the minimum over Omega
+        raise ValueError(
+            f"the {config.proxy.method!r} proxy q_star is outside the constraint "
+            "set; the upper bound needs a feasible point"
+        )
+    est = is_estimate(gen, part_or_P, omega, config, mode=mode, q_star=proxy, law=law)
     lower = -est.log_pi_hat / config.n if math.isfinite(est.log_pi_hat) else INF
-    eta = 1e-3 * max(abs(lower), 1e-6)
-
-    # descent for the upper bound: short feasible runs, refined toward the
-    # reference (the divergence decreases along that ray), accepted once
-    # the m-projected value comes within eta of the lower estimate
-    m_short = int(math.ceil(max(1.0 / part.p_tilde)))
-    sizes = partition(part.p_tilde, max(m_short, part.K)).sizes
-    chunk = 512
-    best_q = None
-    best_div = INF
-    q_hat = None
-    budget = max(20, config.proxy.budget // chunk)
-    warnings = list(est.warnings)
-    for ci in range(budget):
-        sums = _block_sums(law, sizes, None, _rng(config.seed, _PHASE_BOUNDS, ci), chunk)
-        qs, member = _coords_and_hits("simplex", omega, sums, 1.0, mass)
-        for q in qs[member]:
-            q = _refine_toward_reference(q, part, omega, "simplex", mass)
-            q = _polish_proxy(gen, q, part, omega, "simplex", mass)
-            if np.any(q <= 0):
-                continue
-            d = divergence(gen, q, p_ref)
-            if d >= best_div:
-                continue
-            best_div, best_q = d, q
-            m = solve_m_equation(gen, q, p_ref, tol=config.bisection_tol)
-            if divergence(gen, m * q, p_ref) < lower + eta:
-                q_hat = q
-                break
-        if q_hat is not None:
-            break
-    if q_hat is None:
-        q_hat = best_q
-        warnings.append("descent budget exhausted; upper bound is best-so-far")
-    if q_hat is None:
-        raise RuntimeError("no feasible point found for the upper bound")
-    upper = divergence(gen, q_hat, p_ref)
-    est.warnings = warnings
+    upper = divergence(gen, proxy.q_star, part.p_tilde)
     est.value = lower
     est.stderr = est.stderr_log_pi / config.n if math.isfinite(est.stderr_log_pi) else INF
-    return lower, upper, q_hat, est
+    return lower, upper, proxy.q_star, est
 
 
 # ---------------------------------------------------------------------------

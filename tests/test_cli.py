@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from baresim import cli
+from baresim.engine import EstimatorConfig
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -105,6 +106,52 @@ class TestEstimateCommand:
         monkeypatch.setattr(cli, "__file__", str(tmp_path / "cli.py"))
         assert cli.main(["estimate", "--config", cfg]) == cli.EXIT_CONFIG
         assert "config.schema.json" in capsys.readouterr().err
+
+    def test_estimator_defaults_come_from_the_dataclasses(self):
+        assert cli._config_from_dict({"estimator": {"n": 50}}, None) == EstimatorConfig(n=50)
+
+    def test_estimator_settings_are_converted(self):
+        est = {"n": 50, "L": 300, "seed": 4, "batches": 12, "threads": 2,
+               "proxy": {"method": "given", "q_star": [1, 2], "budget": 10, "m_run": None}}
+        config = cli._config_from_dict({"estimator": est}, None)
+        assert (config.n, config.L, config.seed, config.batches, config.threads) == (
+            50, 300, 4, 12, 2)
+        assert config.proxy.method == "given" and config.proxy.budget == 10
+        assert config.proxy.m_run is None
+        assert config.proxy.q_star.dtype == float and list(config.proxy.q_star) == [1.0, 2.0]
+
+    def test_integral_floats_become_ints(self):
+        config = cli._config_from_dict({"estimator": {"n": 50.0, "L": 1e5}}, None)
+        assert (config.n, config.L) == (50, 100_000)
+        assert type(config.n) is int and type(config.L) is int
+
+    @pytest.mark.parametrize("estimator", [
+        {"n": 50, "bisection_tol": 1e-10},
+        {"n": 50, "proxy": {"budjet": 10}},
+    ])
+    def test_unknown_setting_is_never_dropped(self, estimator):
+        # past the schema, an unknown key still fails rather than vanishing
+        with pytest.raises(cli.ConfigError, match="bad estimator settings"):
+            cli._config_from_dict({"estimator": estimator}, None)
+
+    @pytest.mark.parametrize("estimator, path, key", [
+        ({"n": 400, "bisection_tol": 1e-10}, "estimator", "bisection_tol"),
+        ({"n": 400, "thread": 2}, "estimator", "thread"),
+        ({"n": 400, "proxy": {"budjet": 10}}, "estimator/proxy", "budjet"),
+    ])
+    def test_unknown_estimator_key_is_a_config_error(self, tmp_path, capsys, estimator,
+                                                     path, key):
+        cfg = write_config(tmp_path, {**BASE_CONFIG, "estimator": estimator})
+        assert cli.main(["estimate", "--config", cfg]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and repr(key) in err
+
+    def test_readme_configs_validate(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = [b.split("```")[0] for b in readme.split("```json\n")[1:]]
+        assert blocks
+        for block in blocks:
+            cli._load_and_validate(write_config(tmp_path, json.loads(block)))
 
     def test_bad_generator_family(self, tmp_path):
         config = dict(BASE_CONFIG)

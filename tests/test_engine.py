@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import baresim as bs
-from baresim import engine, laws, oracle
+from baresim import engine, laws, oracle, problems
 from baresim.divergence import GeneralizedKL, PowerGamma
+from baresim.entropy import shannon
 
 from conftest import make_rng
 
@@ -229,6 +230,29 @@ class TestProxy:
         assert res.q_star[0] == pytest.approx(0.5, abs=1e-6)
         assert res.q_star[1] == pytest.approx(0.1875, abs=0.02)
 
+    def test_zero_coordinate_hit_is_passed_over(self):
+        # with this seed the best-ranked hit lies on sum k q_k = 13 with
+        # q_0 = 0, where the KL tilt is infinite, and neither the push
+        # toward the uniform reference nor the polish can leave q_0 = 0;
+        # the next-ranked hit gives the proxy
+        omega = bs.halfspace(np.arange(1, 21), 13.0, ">=")
+        cfg = bs.EstimatorConfig(n=10_000, L=2000, seed=3169191882)
+        res = engine.proxy_q_star(PowerGamma(1.0), engine.partition(np.full(20, 0.05), 10_000),
+                                  omega, cfg, "simplex", 1.0)
+        assert np.all(res.q_star > 0)
+        assert omega.contains_point(res.q_star)
+        rep = problems.solve(problems.EntropyMax(shannon(), 20, omega), cfg)
+        truth = 2.899898  # Shannon entropy of the Gibbs law with mean 13
+        assert abs(rep.value - truth) <= 0.02 + 0.05 * truth
+
+    def test_no_finite_tilt_raises_naming_the_proxy(self):
+        # every hit of {q_0 <= 0} has q_0 = 0, where the KL tilt is infinite
+        cfg = bs.EstimatorConfig(n=100, L=10, seed=2, proxy=bs.ProxySpec(m_run=5))
+        part = engine.partition(self.p, 100)
+        with pytest.raises(RuntimeError, match="hit-run proxy"):
+            engine.proxy_q_star(PowerGamma(1.0), part, bs.simplex_face(0, 0.0, "<="),
+                                cfg, "simplex", 1.0)
+
 
 class TestInvert:
     def test_deterministic(self):
@@ -431,6 +455,79 @@ class TestBoundsEmpirical:
                                             resolution=0.01)
         assert lower <= ref + 2e-5 <= upper + 4e-5
         assert omega.contains_point(q_hat)
+
+
+class _NoDrawLaw(laws.ScaledPoisson):
+    """A law whose every draw fails the test."""
+
+    def sample_tilted_block(self, *args, **kwargs):
+        pytest.fail("a weight law was drawn from")
+
+    sample_block_sum = sample_tilted_block
+
+
+class TestGeneratorCheck:
+    def test_missing_generator_fails_before_any_draw(self):
+        p = np.array([0.2, 0.3, 0.5])
+        omega = bs.simplex_face(0, 0.5, ">=")
+        cfg = bs.EstimatorConfig(n=100, L=1000, seed=2)
+        with pytest.raises(ValueError, match="needs the generator"):
+            engine.is_estimate(None, p, omega, cfg, mode="simplex", law=_NoDrawLaw())
+        with pytest.raises(ValueError, match="needs the generator"):
+            engine.bounds_general(None, p, omega, cfg, mode="simplex", law=_NoDrawLaw())
+
+
+class TestBoundsSingleSearch:
+    """``bounds_general`` runs the one proxy search of ``is_estimate`` and
+    reports D at that proxy as its upper bound."""
+
+    @pytest.mark.parametrize("mode", ["simplex", "empirical"])
+    def test_upper_bound_at_the_proxy(self, mode, monkeypatch):
+        gen = GeneralizedKL(1.0, 1.0)
+        if mode == "simplex":
+            ref = p = np.array([0.2, 0.3, 0.5])
+            omega = bs.simplex_face(0, 0.55, ">=")
+            cfg = bs.EstimatorConfig(n=1000, L=5000, seed=8)
+        else:
+            draws = make_rng(55).choice(["a", "b", "c"], p=[0.25, 0.35, 0.4], size=1200)
+            ref = engine.ingest_sample(list(draws), categories=["a", "b", "c"])
+            p = ref.p_tilde
+            omega = bs.simplex_face(0, 0.6, ">=")
+            cfg = bs.EstimatorConfig(n=ref.n, L=5000, seed=56)
+        proxies = []
+        search = engine.proxy_q_star
+
+        def counted(*args, **kwargs):
+            proxies.append(search(*args, **kwargs))
+            return proxies[-1]
+
+        monkeypatch.setattr(engine, "proxy_q_star", counted)
+        lower, upper, q_hat, est = engine.bounds_general(gen, ref, omega, cfg, mode=mode)
+        assert len(proxies) == 1
+        monkeypatch.undo()
+        plain = engine.is_estimate(gen, ref, omega, cfg, mode=mode)
+        assert lower == -plain.log_pi_hat / cfg.n
+        assert est.log_pi_hat == plain.log_pi_hat
+        assert est.hits == plain.hits
+        assert np.array_equal(est.batch_log_means, plain.batch_log_means)
+        assert np.array_equal(q_hat, proxies[0].q_star)
+        assert upper == bs.divergence(gen, q_hat, p)
+
+
+    def test_infeasible_given_proxy_is_refused(self):
+        # a tilt target just outside Omega serves the estimate, but D there
+        # lies below the minimum over Omega, so it bounds nothing
+        p = np.array([0.2, 0.3, 0.5])
+        omega = bs.simplex_face(0, 0.55, ">=")
+        q_star = np.array([0.5, 0.1875, 0.3125])
+        cfg = bs.EstimatorConfig(n=200, L=2000, seed=8,
+                                 proxy=bs.ProxySpec("given", q_star=q_star))
+        gen = GeneralizedKL(1.0, 1.0)
+        assert engine.is_estimate(gen, p, omega, cfg, mode="simplex").hits > 0
+        floor, _ = oracle.grid_min_divergence(gen, p, omega, resolution=0.01)
+        assert bs.divergence(gen, q_star, p) < floor
+        with pytest.raises(ValueError, match="'given' proxy q_star is outside"):
+            engine.bounds_general(gen, p, omega, cfg, mode="simplex")
 
 
 class TestSimplexTwoPointExact:

@@ -46,6 +46,7 @@ from .engine import (
     BlockPartition,
     Estimate,
     EstimatorConfig,
+    Prepared,
     ProxySpec,
     bounds_general,
     estimate_entropy_extremum,
@@ -55,6 +56,7 @@ from .engine import (
     is_estimate,
     naive_estimate,
     partition,
+    prepare,
     proxy_q_star,
 )
 from .entropy import EntropySpec, entropy

@@ -51,8 +51,10 @@ __all__ = [
     "ProxySpec",
     "ProxyResult",
     "Estimate",
+    "Prepared",
     "partition",
     "ingest_sample",
+    "prepare",
     "naive_estimate",
     "proxy_q_star",
     "compute_taus",
@@ -244,47 +246,132 @@ def _block_sums(law: WeightLaw, sizes, taus: Optional[np.ndarray],
     return sums
 
 
-def _coords_and_hits(mode: str, omega: ConstraintSet, sums: np.ndarray,
-                     denom: float, mass: float, want_x: bool = True):
-    """Map block sums (rows) to coordinates and test them against Omega.
+@dataclass(frozen=True)
+class Prepared:
+    """One validated problem and the frame its block sums are tested in.
 
-    Returns (x, member).  Deterministic mode: x = sums / denom, tested as
-    mass * sums / denom.  Simplex modes: x = sums / (row total), tested as
-    omega.scale * sums / (row total); a row whose total is zero is NaN and
-    never a member.  The tested points are rounded as ``oracle.exact_pi``
-    rounds them, so that both place a point on the boundary alike; with a
-    unit mass or scale they are x itself, bit for bit, and are not
-    computed twice.  With ``want_x`` false only the tested points are
-    computed, and x is None unless it is the tested points."""
-    if mode == "deterministic":
-        x = sums / denom if want_x or mass == 1.0 else None
-        return x, omega.contains(x if mass == 1.0 else mass * sums / denom)
-    totals = sums.sum(axis=1)
-    ok = totals != 0.0
-    scale = omega.scale
-    if ok.all():
-        x = sums / totals[:, None] if want_x or scale == 1.0 else None
-        return x, omega.contains(x if scale == 1.0 else scale * sums / totals[:, None])
-    member = np.zeros(len(sums), dtype=bool)
-    if ok.any():
-        member[ok] = omega.contains(scale * sums[ok] / totals[ok, None])
-    if not want_x:
-        return None, member
-    x = np.full_like(sums, np.nan)
-    x[ok] = sums[ok] / totals[ok, None]
-    return x, member
+    A row of block sums maps to reduced coordinates x: divided by the run
+    length in deterministic mode, by its own total in the simplex modes.
+    The point tested against Omega is A * x, where the scale A is M_P (the
+    total of the deterministic reference vector) or ``omega.scale``.
+    ``mass`` is M_P in deterministic mode and 1 otherwise; it scales the
+    generator to M phi, and with it the weight law and the tilts.  Built
+    by ``prepare``."""
+
+    gen: Optional[Generator]
+    part: BlockPartition
+    law: WeightLaw
+    omega: ConstraintSet
+    mode: str
+    mass: float = 1.0
+
+    @property
+    def scale(self) -> float:
+        """A: the factor from reduced coordinates to the tested points."""
+        return self.mass if self.mode == "deterministic" else self.omega.scale
+
+    def coords_and_hits(self, sums: np.ndarray, denom: float, want_x: bool = True):
+        """Map block sums (rows) to reduced coordinates and test them.
+
+        Returns (x, member).  Deterministic mode divides by ``denom``, the
+        simplex modes by each row's total; a row whose total is zero is NaN
+        and never a member.  The tested points A * sums / divisor are
+        rounded as ``oracle.exact_pi`` rounds them, so that both place a
+        point on the boundary alike; with A = 1 they are x itself, bit for
+        bit, and are not computed twice.  With ``want_x`` false only the
+        tested points are computed, and x is None unless it is the tested
+        points."""
+        A = self.scale
+        if self.mode == "deterministic":
+            divisor, ok = denom, True
+        else:
+            totals = sums.sum(axis=1)
+            divisor, ok = totals[:, None], totals != 0.0
+        if np.all(ok):
+            x = sums / divisor if want_x or A == 1.0 else None
+            return x, self.omega.contains(x if A == 1.0 else A * sums / divisor)
+        member = np.zeros(len(sums), dtype=bool)
+        if ok.any():
+            member[ok] = self.omega.contains(A * sums[ok] / divisor[ok])
+        if not want_x:
+            return None, member
+        x = np.full_like(sums, np.nan)
+        x[ok] = sums[ok] / divisor[ok]
+        return x, member
+
+    def member(self, x: np.ndarray) -> bool:
+        """Whether one point in reduced coordinates lies in the set."""
+        return bool(self.omega.contains(self.scale * np.atleast_2d(x))[0])
+
+    def rank(self, q: np.ndarray) -> float:
+        """Divergence used to rank candidate proxies (lower is better).
+        The reference vector was validated by ``prepare``, so candidates are
+        scored without the checks of the public ``divergence``."""
+        if self.gen is None:
+            return 0.0
+        return _divergence_positive(self.gen, self.scale * q, self.mass * self.part.p_tilde)
+
+    def tilts(self, q_star: np.ndarray):
+        """Target ratios and tilts (M phi)'(ratio) at a proxy point, possibly
+        not finite.  Deterministic mode targets q_star itself; the simplex
+        modes target m* q_star (see ``_m_minimizer``)."""
+        p = self.part.p_tilde
+        if self.mode == "deterministic":
+            ratios = q_star / p
+        else:
+            ratios = _m_minimizer(self.gen, q_star, p) * q_star / p
+        return ratios, self.mass * np.asarray(self.gen.phi_prime(ratios), dtype=float)
 
 
-def _run_batches(law: WeightLaw, part: BlockPartition, omega: ConstraintSet,
-                 config: EstimatorConfig, mode: str, mass: float,
-                 taus: Optional[np.ndarray], phase: int = _PHASE_MAIN):
-    """Per-batch log-mean ISF values and hit counts.
+def prepare(gen: Optional[Generator], P, omega: ConstraintSet, config: EstimatorConfig,
+            mode: str, law: Optional[WeightLaw] = None) -> Prepared:
+    """Validate a problem and fix its frame, before any draw.
 
-    Returns (batch log-means, per-batch hits, batch sizes); a batch without
-    hits has log-mean -inf.  Batch b uses its own counter-based stream and
-    reduces its own hits, so the result is bit-identical for any thread
-    count.
+    ``P`` is the reference vector (deterministic, simplex) or the
+    ``ingest_sample`` partition of the observed sample (empirical), whose
+    size ``config.n`` must equal.  The weight law defaults to the one of
+    ``gen``, scaled by M_P in deterministic mode."""
+    if mode not in ("deterministic", "simplex", "empirical"):
+        raise ValueError(f"unknown mode {mode!r}")
+    mass = 1.0
+    if mode == "empirical":
+        if not isinstance(P, BlockPartition):
+            raise ValueError(
+                "empirical mode needs an ingest_sample partition, not a reference vector")
+        if P.n != config.n:
+            raise ValueError(
+                f"empirical mode: n={config.n} differs from the sample size {P.n}; "
+                "n must be the number of observations")
+        part = P
+    else:
+        if isinstance(P, BlockPartition):
+            raise ValueError(
+                f"{mode} mode needs a reference vector; an observed sample needs "
+                "mode 'empirical'")
+        if mode == "simplex":
+            p_tilde = check_prob_vector(P)
+        else:
+            p_tilde, mass = normalize_bs1(P)
+        if np.any(p_tilde == 0):
+            raise ValueError("reference vector must be strictly positive")
+        part = partition(p_tilde, config.n)
+    if law is None:
+        if gen is None:
+            raise ValueError("need a generator or an explicit weight law")
+        law = law_for_generator(gen, extra_scale=mass)
+    return Prepared(gen=gen, part=part, law=law, omega=omega, mode=mode, mass=mass)
+
+
+def _run_batches(prepared: Prepared, config: EstimatorConfig,
+                 taus: Optional[np.ndarray]) -> Estimate:
+    """The estimate from ``config.batches`` batches, tilted by ``taus`` or
+    untilted when it is None.
+
+    A batch without hits has log-mean -inf.  Batch b uses its own
+    counter-based stream and reduces its own hits, so the result is
+    bit-identical for any thread count.
     """
+    law, part = prepared.law, prepared.part
     B = config.batches
     base, rem = divmod(config.L, B)
     batch_sizes = [base + (1 if b < rem else 0) for b in range(B)]
@@ -297,8 +384,8 @@ def _run_batches(law: WeightLaw, part: BlockPartition, omega: ConstraintSet,
         size = batch_sizes[b]
         if size == 0:
             return -INF, 0
-        sums = _block_sums(law, part.sizes, taus, _rng(config.seed, phase, b), size)
-        _, member = _coords_and_hits(mode, omega, sums, part.n, mass, want_x=False)
+        sums = _block_sums(law, part.sizes, taus, _rng(config.seed, _PHASE_MAIN, b), size)
+        _, member = prepared.coords_and_hits(sums, part.n, want_x=False)
         hits = int(member.sum())
         if hits == 0:
             return -INF, 0
@@ -313,9 +400,15 @@ def _run_batches(law: WeightLaw, part: BlockPartition, omega: ConstraintSet,
             results = list(pool.map(one_batch, range(B)))
     else:
         results = [one_batch(b) for b in range(B)]
-    batch_log_means = np.array([m for m, _ in results])
-    batch_hits = np.array([h for _, h in results])
-    return batch_log_means, batch_hits, np.array(batch_sizes)
+    est = _estimate_from_batches(
+        np.array([m for m, _ in results]), np.array([h for _, h in results]),
+        np.array(batch_sizes), config, part.n,
+    )
+    if not part.exact and prepared.mode == "deterministic":
+        est.warnings.append(
+            "n * p_k not integral: floor-and-remainder blocks add O(1/n) bias"
+        )
+    return est
 
 
 def _estimate_from_batches(batch_log_means, batch_hits, batch_sizes,
@@ -350,49 +443,13 @@ def _estimate_from_batches(batch_log_means, batch_hits, batch_sizes,
     )
 
 
-def _prepare(gen: Optional[Generator], P, part: Optional[BlockPartition],
-             config: EstimatorConfig, mode: str, law: Optional[WeightLaw]):
-    if mode not in ("deterministic", "simplex", "empirical"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "empirical":
-        if part is None:
-            raise ValueError("empirical mode needs an ingest_sample partition")
-        mass = 1.0
-        p_tilde = part.p_tilde
-    else:
-        P = np.asarray(P, dtype=float)
-        if mode == "simplex":
-            p_tilde = check_prob_vector(P)
-            if np.any(p_tilde == 0):
-                raise ValueError("reference vector must be strictly positive")
-            mass = 1.0
-        else:
-            p_tilde, mass = normalize_bs1(P)
-            if np.any(p_tilde == 0):
-                raise ValueError("reference vector must be strictly positive")
-        part = partition(p_tilde, config.n)
-    if law is None:
-        if gen is None:
-            raise ValueError("need a generator or an explicit weight law")
-        law = law_for_generator(gen, extra_scale=mass)
-    return part, mass, law
-
-
 def naive_estimate(gen: Optional[Generator], P, omega: ConstraintSet,
                    config: EstimatorConfig, mode: str = "deterministic",
-                   part: Optional[BlockPartition] = None,
                    law: Optional[WeightLaw] = None) -> Estimate:
     """Plain frequency estimator of the hitting probability (poor hit rate
-    for rare sets; kept as the importance-sampling baseline)."""
-    part, mass, law = _prepare(gen, P, part, config, mode, law)
-    est = _estimate_from_batches(
-        *_run_batches(law, part, omega, config, mode, mass, None), config, part.n
-    )
-    if not part.exact and mode == "deterministic":
-        est.warnings.append(
-            "n * p_k not integral: floor-and-remainder blocks add O(1/n) bias"
-        )
-    return est
+    for rare sets; kept as the importance-sampling baseline).  ``P`` is as
+    for ``prepare``."""
+    return _run_batches(prepare(gen, P, omega, config, mode, law), config, None)
 
 
 @dataclass(frozen=True)
@@ -401,83 +458,50 @@ class ProxyResult:
     draws_used: int = 0
 
 
-def proxy_q_star(gen: Optional[Generator], part: BlockPartition, omega: ConstraintSet,
-                 config: EstimatorConfig, mode: str, mass: float,
-                 law: Optional[WeightLaw] = None) -> ProxyResult:
-    """Find a tilt target inside the constraint set."""
+def proxy_q_star(prepared: Prepared, config: EstimatorConfig) -> ProxyResult:
+    """Find a tilt target inside the constraint set, in reduced
+    coordinates."""
     spec = config.proxy
-    if law is None:
-        law = law_for_generator(gen, extra_scale=mass)
     if spec.method == "given":
         q = np.asarray(spec.q_star, dtype=float)
-        if q.size != part.K:
+        if q.size != prepared.part.K:
             raise ValueError("q_star has the wrong length")
-        if mode == "deterministic":
-            return ProxyResult(q_star=q / mass)
-        return ProxyResult(q_star=q / omega.scale)
+        return ProxyResult(q_star=q / prepared.scale)
     if spec.method == "hit_run":
-        return _proxy_hit_run(gen, law, part, omega, config, mode, mass)
+        return _proxy_hit_run(prepared, config)
     if spec.method == "density":
-        return _proxy_density(gen, part, omega, config, mode, mass)
+        return _proxy_density(prepared, config)
     raise ValueError(f"unknown proxy method {spec.method!r}")
 
 
-def _proxy_rank(gen, mode, mass, omega, part):
-    """Divergence value used to rank candidate proxies (lower is better).
-    The reference vector was validated by ``_prepare``, so candidates are
-    scored without the checks of the public ``divergence``."""
-    p = part.p_tilde
-
-    def value(q_reduced: np.ndarray) -> float:
-        if gen is None:
-            return 0.0
-        if mode == "deterministic":
-            return _divergence_positive(gen, mass * q_reduced, mass * p)
-        return _divergence_positive(gen, omega.scale * q_reduced, p)
-
-    return value
-
-
-def _member_fn(part, omega, mode, mass):
-    def member(x: np.ndarray) -> bool:
-        pts = np.atleast_2d(x)
-        if mode == "deterministic":
-            return bool(omega.contains(mass * pts)[0])
-        return bool(omega.contains(omega.scale * pts)[0])
-
-    return member
-
-
-def _refine_toward_reference(q, part, omega, mode, mass) -> np.ndarray:
+def _refine_toward_reference(prepared: Prepared, q: np.ndarray) -> np.ndarray:
     """Bisect the segment from a feasible point toward the reference vector,
     keeping feasibility; the divergence is convex along the segment and
     decreases toward the reference, so the crossing point improves the
     proxy."""
-    p = part.p_tilde
-    member = _member_fn(part, omega, mode, mass)
-    if member(p):
+    p = prepared.part.p_tilde
+    if prepared.member(p):
         return p.copy()
     t_feasible, t_not = 0.0, 1.0  # q + t * (p - q)
     for _ in range(60):
         t = 0.5 * (t_feasible + t_not)
-        if member(q + t * (p - q)):
+        if prepared.member(q + t * (p - q)):
             t_feasible = t
         else:
             t_not = t
     return q + t_feasible * (p - q)
 
 
-def _polish_proxy(gen, q, part, omega, mode, mass,
-                  rounds: int = 5) -> np.ndarray:
+def _polish_proxy(prepared: Prepared, q: np.ndarray, rounds: int = 5) -> np.ndarray:
     """Feasibility-constrained local descent of the divergence around a
     proxy point: approximates the dominating point, which controls the
     importance-sampling variance (a rough proxy stays unbiased but noisy).
     Simplex modes move mass pairwise (sum preserved); the deterministic
     mode moves single coordinates."""
+    gen = prepared.gen
     if gen is None:
         return q
-    p = part.p_tilde
-    member = _member_fn(part, omega, mode, mass)
+    p = prepared.part.p_tilde
 
     def objective(x: np.ndarray) -> float:
         return _divergence_positive(gen, x, p)
@@ -488,16 +512,15 @@ def _polish_proxy(gen, q, part, omega, mode, mass,
     x = q.copy()
     K = x.size
     h = 0.05
-    pairwise = mode != "deterministic"
+    pairwise = prepared.mode != "deterministic"
+    if pairwise:
+        moves = [(i, j) for i in range(K) for j in range(K) if i != j]
+    else:
+        moves = [(i, None) for i in range(K)] + [(None, i) for i in range(K)]
     for _ in range(rounds):
         improved = True
         while improved:
             improved = False
-            moves = []
-            if pairwise:
-                moves = [(i, j) for i in range(K) for j in range(K) if i != j]
-            else:
-                moves = [(i, None) for i in range(K)] + [(None, i) for i in range(K)]
             for i, j in moves:
                 y = x.copy()
                 if pairwise:
@@ -509,7 +532,7 @@ def _polish_proxy(gen, q, part, omega, mode, mass,
                     y[i] += h
                 else:
                     y[j] -= h
-                if not member(y):
+                if not prepared.member(y):
                     continue
                 val = objective(y)
                 if val < best - 1e-14:
@@ -519,25 +542,24 @@ def _polish_proxy(gen, q, part, omega, mode, mass,
     return x
 
 
-def _refined_proxy(gen, q, part, omega, mode, mass) -> Optional[np.ndarray]:
+def _refined_proxy(prepared: Prepared, q: np.ndarray) -> Optional[np.ndarray]:
     """Push a feasible hit toward the reference vector and polish it; None
     when the polished point has no finite tilt, as a hit on the boundary
     with a zero coordinate where phi' is infinite has."""
-    refined = _refine_toward_reference(q, part, omega, mode, mass)
-    refined = _polish_proxy(gen, refined, part, omega, mode, mass)
-    if gen is not None and not np.all(np.isfinite(
-            _tilts(gen, part.p_tilde, refined, mode, mass)[1])):
+    refined = _polish_proxy(prepared, _refine_toward_reference(prepared, q))
+    if prepared.gen is not None and not np.all(np.isfinite(prepared.tilts(refined)[1])):
         return None
     return refined
 
 
-def _proxy_hit_run(gen, law, part, omega, config, mode, mass) -> ProxyResult:
+def _proxy_hit_run(prepared: Prepared, config: EstimatorConfig) -> ProxyResult:
     spec = config.proxy
+    part = prepared.part
     if spec.m_run is not None:
         m_run = spec.m_run
     else:
         m_run = int(math.ceil(max(1.0 / part.p_tilde)))
-    if mode == "empirical" and m_run >= part.n:
+    if prepared.mode == "empirical" and m_run >= part.n:
         # replicate the observations so the proxy run length is a multiple of n
         mult = max(1, math.ceil(m_run / part.n))
         sizes = part.sizes * mult
@@ -547,19 +569,19 @@ def _proxy_hit_run(gen, law, part, omega, config, mode, mass) -> ProxyResult:
         # and any feasible hit is an admissible tilt target
         sizes = partition(part.p_tilde, max(m_run, part.K)).sizes
         m_run = int(sizes.sum())
-    rank = _proxy_rank(gen, mode, mass, omega, part)
     chunk = 256
     used = 0
     ci = 0
     found, hits = [], 0  # (rank, hit) of every hit
     while used < spec.budget and hits < _PROXY_COLLECT:
-        sums = _block_sums(law, sizes, None, _rng(config.seed, _PHASE_PROXY, ci), chunk)
+        sums = _block_sums(prepared.law, sizes, None,
+                           _rng(config.seed, _PHASE_PROXY, ci), chunk)
         ci += 1
         used += chunk
-        cand, member = _coords_and_hits(mode, omega, sums, m_run, mass)
+        cand, member = prepared.coords_and_hits(sums, m_run)
         rows = np.nonzero(member)[0]
         hits += rows.size
-        found += [(rank(cand[i]), cand[i].copy()) for i in rows]
+        found += [(prepared.rank(cand[i]), cand[i].copy()) for i in rows]
     # lowest divergence first, ties in draw order; a hit of infinite (or
     # NaN) divergence is never a proxy
     ranked = sorted((h for h in found if h[0] < INF), key=lambda h: h[0])
@@ -570,7 +592,7 @@ def _proxy_hit_run(gen, law, part, omega, config, mode, mass) -> ProxyResult:
             "supply q_star"
         )
     for _, q in ranked:
-        q_star = _refined_proxy(gen, q, part, omega, mode, mass)
+        q_star = _refined_proxy(prepared, q)
         if q_star is not None:
             return ProxyResult(q_star=q_star, draws_used=used)
     raise RuntimeError(
@@ -579,14 +601,15 @@ def _proxy_hit_run(gen, law, part, omega, config, mode, mass) -> ProxyResult:
     )
 
 
-def _proxy_density(gen, part, omega, config, mode, mass) -> ProxyResult:
+def _proxy_density(prepared: Prepared, config: EstimatorConfig) -> ProxyResult:
     """Sample T from the density proportional to exp(-D(T, p)) until T is
     in the set.  Exact product-Gaussian sampling for the quadratic
     generator, independence Metropolis-Hastings otherwise."""
+    gen, mass = prepared.gen, prepared.mass
     if gen is None:
         raise ValueError("the density proxy needs the generator")
     spec = config.proxy
-    p = part.p_tilde
+    p = prepared.part.p_tilde
     gen_scaled_curv = mass * gen.phi_curvature_at_one()
     sd = np.sqrt(p / gen_scaled_curv)
     gaussian_exact = isinstance(gen, PowerGamma) and gen.gamma == 2.0
@@ -600,11 +623,11 @@ def _proxy_density(gen, part, omega, config, mode, mass) -> ProxyResult:
     if gaussian_exact:
         chunk = 512
         while used < spec.budget:
-            ts = rng.normal(p, sd, size=(chunk, part.K))
+            ts = rng.normal(p, sd, size=(chunk, prepared.part.K))
             used += chunk
-            x, member = _coords_and_hits(mode, omega, ts, 1.0, mass)
+            x, member = prepared.coords_and_hits(ts, 1.0)
             for i in np.nonzero(member)[0]:
-                q_star = _refined_proxy(gen, x[i], part, omega, mode, mass)
+                q_star = _refined_proxy(prepared, x[i])
                 if q_star is not None:
                     return ProxyResult(q_star=q_star, draws_used=used)
         raise RuntimeError("density proxy exhausted its budget")
@@ -621,9 +644,9 @@ def _proxy_density(gen, part, omega, config, mode, mass) -> ProxyResult:
         used += 1
         if it <= _MH_BURN_IN or (it - _MH_BURN_IN) % _MH_THINNING:
             continue
-        x, member = _coords_and_hits(mode, omega, cur[None, :], 1.0, mass)
+        x, member = prepared.coords_and_hits(cur[None, :], 1.0)
         if member[0]:
-            q_star = _refined_proxy(gen, x[0], part, omega, mode, mass)
+            q_star = _refined_proxy(prepared, x[0])
             if q_star is not None:
                 return ProxyResult(q_star=q_star, draws_used=used)
     raise RuntimeError("density proxy exhausted its budget")
@@ -643,22 +666,9 @@ def _m_minimizer(gen: Generator, q: np.ndarray, p: np.ndarray) -> float:
         return 1.0
 
 
-def _tilts(gen: Generator, p: np.ndarray, q_star: np.ndarray, mode: str,
-           mass: float):
-    """Target ratios and tilts (M phi)'(ratio) at a proxy point, possibly
-    not finite.  Deterministic mode targets q_star itself; the simplex
-    modes target m* q_star (see ``_m_minimizer``)."""
-    if mode == "deterministic":
-        ratios = q_star / p
-    else:
-        ratios = _m_minimizer(gen, q_star, p) * q_star / p
-    return ratios, mass * np.asarray(gen.phi_prime(ratios), dtype=float)
-
-
-def compute_taus(gen: Generator, part: BlockPartition, proxy: ProxyResult,
-                 mode: str, mass: float) -> np.ndarray:
+def compute_taus(prepared: Prepared, proxy: ProxyResult) -> np.ndarray:
     """Per-block tilts tau_k = (M phi)'(target ratio)."""
-    ratios, taus = _tilts(gen, part.p_tilde, proxy.q_star, mode, mass)
+    ratios, taus = prepared.tilts(proxy.q_star)
     if np.any(~np.isfinite(taus)):
         raise ValueError(
             f"tilt target ratio outside int(dom phi): ratios={ratios}"
@@ -666,32 +676,22 @@ def compute_taus(gen: Generator, part: BlockPartition, proxy: ProxyResult,
     return taus
 
 
-def is_estimate(gen: Optional[Generator], part_or_P, omega: ConstraintSet,
+def is_estimate(gen: Optional[Generator], P, omega: ConstraintSet,
                 config: EstimatorConfig, mode: str = "deterministic",
                 q_star: Optional[ProxyResult] = None,
                 law: Optional[WeightLaw] = None) -> Estimate:
     """Importance-sampling estimator of the hitting probability, tilted
-    toward a proxy of the constrained minimizer."""
-    if mode == "empirical":
-        part, P = part_or_P, None
-    else:
-        part, P = None, part_or_P
-    part, mass, law = _prepare(gen, P, part, config, mode, law)
+    toward a proxy of the constrained minimizer.  ``P`` is as for
+    ``prepare``."""
+    prepared = prepare(gen, P, omega, config, mode, law)
     if gen is None:
         raise ValueError("importance sampling needs the generator for the tilts")
     if q_star is None:
-        q_star = proxy_q_star(gen, part, omega, config, mode, mass, law=law)
-    taus = compute_taus(gen, part, q_star, mode, mass)
+        q_star = proxy_q_star(prepared, config)
+    taus = compute_taus(prepared, q_star)
     for t in taus:
-        law.check_tau(float(t))
-    est = _estimate_from_batches(
-        *_run_batches(law, part, omega, config, mode, mass, taus), config, part.n
-    )
-    if not part.exact and mode == "deterministic":
-        est.warnings.append(
-            "n * p_k not integral: floor-and-remainder blocks add O(1/n) bias"
-        )
-    return est
+        prepared.law.check_tau(float(t))
+    return _run_batches(prepared, config, taus)
 
 
 # ---------------------------------------------------------------------------
@@ -850,11 +850,12 @@ def solve_m_equation(gen: Generator, Q, P, tol: float = 1e-10) -> float:
     return 0.5 * (lo + hi)
 
 
-def bounds_general(gen: Generator, part_or_P, omega: ConstraintSet,
+def bounds_general(gen: Generator, P, omega: ConstraintSet,
                    config: EstimatorConfig, mode: str = "simplex",
                    law: Optional[WeightLaw] = None):
     """Sharp lower/upper bounds for the constrained minimum of a general
-    (non power type) divergence over a simplex constraint set.
+    (non power type) divergence over a simplex constraint set, in the
+    simplex or empirical mode.
 
     Lower bound: the estimated inf over (Q, m) of D(m Q, P).  Upper bound:
     D(Q*, P) at the importance-sampling proxy Q*, which is also returned;
@@ -863,21 +864,19 @@ def bounds_general(gen: Generator, part_or_P, omega: ConstraintSet,
     outside the set raises ``ValueError``.  For power-type generators the
     exact inversion collapses both bounds.
     """
+    if mode == "deterministic":
+        raise ValueError(
+            "bounds_general runs on simplex sets: use mode 'simplex' or 'empirical'")
     if isinstance(gen, PowerGamma):
-        est = is_estimate(gen, part_or_P, omega, config, mode=mode, law=law)
-        A = omega.scale
-        est = finalize(est, "divergence", config.n, gen=gen, A=A)
+        est = is_estimate(gen, P, omega, config, mode=mode, law=law)
+        est = finalize(est, "divergence", config.n, gen=gen, A=omega.scale)
         return est.value, est.value, None, est
-    if mode == "empirical":
-        part, P = part_or_P, None
-    else:
-        part, P = None, part_or_P
-    part, mass, law = _prepare(gen, P, part, config, mode, law)
+    prepared = prepare(gen, P, omega, config, mode, law)
     if omega.scale != 1.0:
         raise ValueError("general-divergence bounds run on probability-simplex sets")
     if gen is None:
         raise ValueError("importance sampling needs the generator for the tilts")
-    proxy = proxy_q_star(gen, part, omega, config, mode, mass, law=law)
+    proxy = proxy_q_star(prepared, config)
     if not omega.contains_point(proxy.q_star):
         # a tilt target outside Omega costs the estimate only variance, but
         # D there is no upper bound on the minimum over Omega
@@ -885,9 +884,9 @@ def bounds_general(gen: Generator, part_or_P, omega: ConstraintSet,
             f"the {config.proxy.method!r} proxy q_star is outside the constraint "
             "set; the upper bound needs a feasible point"
         )
-    est = is_estimate(gen, part_or_P, omega, config, mode=mode, q_star=proxy, law=law)
+    est = is_estimate(gen, P, omega, config, mode=mode, q_star=proxy, law=prepared.law)
     lower = -est.log_pi_hat / config.n if math.isfinite(est.log_pi_hat) else INF
-    upper = divergence(gen, proxy.q_star, part.p_tilde)
+    upper = divergence(gen, proxy.q_star, prepared.part.p_tilde)
     est.value = lower
     est.stderr = est.stderr_log_pi / config.n if math.isfinite(est.stderr_log_pi) else INF
     return lower, upper, proxy.q_star, est
@@ -902,14 +901,14 @@ def estimate_min_divergence(gen: Generator, P, omega: ConstraintSet,
                             target: Optional[str] = None,
                             law: Optional[WeightLaw] = None) -> Estimate:
     """Full pipeline: partition, proxy search, importance sampling,
-    inversion.  ``P`` is the reference vector (deterministic/simplex) or a
-    BlockPartition from ``ingest_sample`` (empirical)."""
+    inversion.  ``P`` is as for ``prepare``."""
+    prepared = prepare(gen, P, omega, config, mode, law)
     if target is None:
         target = "deterministic" if mode == "deterministic" else "divergence"
-    est = is_estimate(gen, P, omega, config, mode=mode, law=law)
-    A = omega.scale if mode != "deterministic" else 1.0
-    K = P.K if isinstance(P, BlockPartition) else len(np.atleast_1d(P))
-    return finalize(est, target, config.n, gen=gen, A=A, K=K)
+    est = is_estimate(gen, P, omega, config, mode=mode, law=prepared.law)
+    # the deterministic rate is the value itself; the simplex targets invert at A
+    A = 1.0 if mode == "deterministic" else prepared.scale
+    return finalize(est, target, config.n, gen=gen, A=A, K=prepared.part.K)
 
 
 def estimate_entropy_extremum(spec: EntropySpec, K: int, omega: ConstraintSet,

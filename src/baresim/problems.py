@@ -21,8 +21,6 @@ from .engine import (
     EstimatorConfig,
     estimate_entropy_extremum,
     estimate_min_divergence,
-    finalize,
-    is_estimate,
 )
 from .entropy import EntropySpec
 
@@ -76,8 +74,7 @@ class LinearObjective:
 
     cost: np.ndarray
     gamma: float
-    mass: float  # A: component sum of the transformed vector
-    omega: ConstraintSet  # constraint on the transformed scaled-simplex vector
+    omega: ConstraintSet  # on the transformed vector; its scale is the total mass A
 
     def __post_init__(self):
         object.__setattr__(self, "cost", np.asarray(self.cost, dtype=float))
@@ -194,7 +191,6 @@ class LinearReduction:
     P: np.ndarray  # probability vector
     prefactor: float  # norm of the cost vector
     direction: str  # "min" or "max"
-    mass: float
     omega: ConstraintSet
 
     def to_reduced(self, x) -> np.ndarray:
@@ -219,8 +215,7 @@ def reduce_linear(inst: LinearObjective) -> LinearReduction:
     P = powered / powered.sum()
     direction = "max" if 0.0 < g < 1.0 else "min"
     return LinearReduction(
-        gamma=g, P=P, prefactor=prefactor, direction=direction,
-        mass=inst.mass, omega=inst.omega,
+        gamma=g, P=P, prefactor=prefactor, direction=direction, omega=inst.omega,
     )
 
 
@@ -259,7 +254,7 @@ def reduce_assignment(inst: Assignment):
     if inst.side is not None:
         parts.append(inst.side)
     omega = cs.intersection(*parts, scale=float(K))
-    linear = LinearObjective(cost=cost_flat, gamma=2.0, mass=float(K), omega=omega)
+    linear = LinearObjective(cost=cost_flat, gamma=2.0, omega=omega)
     return reduce_linear(linear)
 
 
@@ -320,8 +315,8 @@ def solve(problem, config: EstimatorConfig) -> SolveReport:
         )
     if isinstance(problem, Transport):
         red = reduce_transport(problem)
-        est = is_estimate(red.gen, red.P, red.omega, config, mode="simplex")
-        est = finalize(est, "divergence", config.n, gen=red.gen, A=red.omega.scale)
+        est = estimate_min_divergence(red.gen, red.P, red.omega, config,
+                                      mode="simplex", target="divergence")
         return SolveReport(
             value=est.value, estimate=est,
             details={"kind": "transport", "offset": red.offset},
@@ -329,8 +324,8 @@ def solve(problem, config: EstimatorConfig) -> SolveReport:
     if isinstance(problem, (LinearObjective, Assignment)):
         red = reduce_assignment(problem) if isinstance(problem, Assignment) else reduce_linear(problem)
         gen = PowerGamma(red.gamma, 1.0)
-        est = is_estimate(gen, red.P, red.omega, config, mode="simplex")
-        est = finalize(est, "hellinger", config.n, gen=gen, A=red.mass)
+        est = estimate_min_divergence(gen, red.P, red.omega, config,
+                                      mode="simplex", target="hellinger")
         return SolveReport(
             value=red.prefactor * est.value, estimate=est,
             details={"kind": "linear", "prefactor": red.prefactor,

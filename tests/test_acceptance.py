@@ -298,7 +298,7 @@ def test_criterion_8_reductions():
 
         g = float(rng.choice([2.0, 3.0, 0.5]))
         lin = problems.LinearObjective(
-            cost=rng.uniform(0.5, 2.0, k), gamma=g, mass=1.0, omega=bs.full_space()
+            cost=rng.uniform(0.5, 2.0, k), gamma=g, omega=bs.full_space()
         )
         lred = problems.reduce_linear(lin)
         xq = rng.uniform(0.1, 2.0, k)

@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from baresim import cli
+from baresim import cli, engine
 from baresim.engine import EstimatorConfig
+
+from conftest import NoDrawLaw
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -184,6 +186,59 @@ class TestEstimateCommand:
         out = tmp_path / "res.json"
         assert cli.main(["estimate", "--config", cfg, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["value"] > 0
+
+
+class TestModeMismatch:
+    """A reference that does not fit the mode, or an empirical n other than
+    the sample size, is a config error (exit 2) raised before any draw."""
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        monkeypatch.setattr(engine, "law_for_generator", lambda *args, **kw: NoDrawLaw())
+
+    def data_config(self, tmp_path, **changes):
+        data = tmp_path / "obs.txt"
+        data.write_text("\n".join(["a"] * 211 + ["b"] * 310 + ["c"] * 479))
+        config = {
+            "generator": {"family": "power", "gamma": 1.0},
+            "data_file": str(data),
+            "target": "divergence",
+            "constraint": {"type": "coordinate", "index": 0, "bound": 0.5, "op": ">="},
+            "estimator": {"n": 1000, "L": 3000, "seed": 1},
+        }
+        config.update(changes)
+        return write_config(tmp_path, config)
+
+    def run(self, cfg, capsys, command="estimate"):
+        code = cli.main([command, "--config", cfg])
+        return code, capsys.readouterr().err
+
+    def test_empirical_mode_with_reference_vector(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(BASE_CONFIG, mode="empirical"))
+        code, err = self.run(cfg, capsys)
+        assert code == cli.EXIT_CONFIG
+        assert "empirical mode needs an ingest_sample partition" in err
+
+    def test_deterministic_mode_with_data_file(self, tmp_path, capsys):
+        cfg = self.data_config(tmp_path, mode="deterministic", target="deterministic")
+        code, err = self.run(cfg, capsys)
+        assert code == cli.EXIT_CONFIG
+        assert "deterministic mode needs a reference vector" in err
+
+    @pytest.mark.parametrize("command", ["estimate", "bounds"])
+    @pytest.mark.parametrize("n", [200, 5000])
+    def test_empirical_n_other_than_the_sample_size(self, tmp_path, capsys, command, n):
+        cfg = self.data_config(tmp_path)
+        code = cli.main([command, "--config", cfg, "--n", str(n)])
+        assert code == cli.EXIT_CONFIG
+        assert f"n={n} differs from the sample size 1000" in capsys.readouterr().err
+
+    def test_bounds_in_deterministic_mode(self, tmp_path, capsys):
+        config = dict(COMMAND_CONFIGS["bounds"], mode="deterministic",
+                      reference_vector=[0.3, 0.5, 0.4])
+        code, err = self.run(write_config(tmp_path, config), capsys, "bounds")
+        assert code == cli.EXIT_CONFIG
+        assert "use mode 'simplex' or 'empirical'" in err
 
 
 class TestOtherCommands:

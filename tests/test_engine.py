@@ -8,7 +8,7 @@ from baresim import engine, laws, oracle, problems
 from baresim.divergence import GeneralizedKL, PowerGamma
 from baresim.entropy import shannon
 
-from conftest import make_rng
+from conftest import NoDrawLaw, make_rng
 
 
 class TestPartition:
@@ -171,9 +171,8 @@ class TestProxy:
 
     def test_hit_run_membership(self):
         cfg = bs.EstimatorConfig(n=100, L=10, seed=2)
-        part = engine.partition(self.p, 100)
         res = engine.proxy_q_star(
-            PowerGamma(1.0), part, self.omega, cfg, "simplex", 1.0
+            engine.prepare(PowerGamma(1.0), self.p, self.omega, cfg, "simplex"), cfg
         )
         assert self.omega.contains_point(res.q_star)
         assert res.q_star.sum() == pytest.approx(1.0, abs=1e-9)
@@ -182,9 +181,8 @@ class TestProxy:
         cfg = bs.EstimatorConfig(
             n=100, L=10, seed=2, proxy=bs.ProxySpec(method="density")
         )
-        part = engine.partition(self.p, 100)
         res = engine.proxy_q_star(
-            PowerGamma(2.0), part, self.omega, cfg, "simplex", 1.0
+            engine.prepare(PowerGamma(2.0), self.p, self.omega, cfg, "simplex"), cfg
         )
         assert self.omega.contains_point(res.q_star)
 
@@ -192,9 +190,8 @@ class TestProxy:
         cfg = bs.EstimatorConfig(
             n=100, L=10, seed=2, proxy=bs.ProxySpec(method="density", budget=500_000)
         )
-        part = engine.partition(self.p, 100)
         res = engine.proxy_q_star(
-            PowerGamma(1.0), part, self.omega, cfg, "simplex", 1.0
+            engine.prepare(PowerGamma(1.0), self.p, self.omega, cfg, "simplex"), cfg
         )
         assert self.omega.contains_point(res.q_star)
 
@@ -203,9 +200,8 @@ class TestProxy:
         cfg = bs.EstimatorConfig(
             n=100, L=10, seed=2, proxy=bs.ProxySpec(method="given", q_star=q)
         )
-        part = engine.partition(self.p, 100)
         res = engine.proxy_q_star(
-            PowerGamma(1.0), part, self.omega, cfg, "simplex", 1.0
+            engine.prepare(PowerGamma(1.0), self.p, self.omega, cfg, "simplex"), cfg
         )
         assert np.allclose(res.q_star, q)
 
@@ -213,19 +209,17 @@ class TestProxy:
         cfg = bs.EstimatorConfig(
             n=100, L=10, seed=2, proxy=bs.ProxySpec(budget=512)
         )
-        part = engine.partition(self.p, 100)
         with pytest.raises(RuntimeError):
             engine.proxy_q_star(
-                PowerGamma(1.0), part, bs.empty_set(), cfg, "simplex", 1.0
+                engine.prepare(PowerGamma(1.0), self.p, bs.empty_set(), cfg, "simplex"), cfg
             )
 
     def test_refined_proxy_near_projection(self):
         # for the KL face instance the refined proxy should approach the
         # I-projection (0.5, 0.1875, 0.3125)
         cfg = bs.EstimatorConfig(n=100, L=10, seed=4)
-        part = engine.partition(self.p, 100)
         res = engine.proxy_q_star(
-            PowerGamma(1.0), part, self.omega, cfg, "simplex", 1.0
+            engine.prepare(PowerGamma(1.0), self.p, self.omega, cfg, "simplex"), cfg
         )
         assert res.q_star[0] == pytest.approx(0.5, abs=1e-6)
         assert res.q_star[1] == pytest.approx(0.1875, abs=0.02)
@@ -237,8 +231,8 @@ class TestProxy:
         # the next-ranked hit gives the proxy
         omega = bs.halfspace(np.arange(1, 21), 13.0, ">=")
         cfg = bs.EstimatorConfig(n=10_000, L=2000, seed=3169191882)
-        res = engine.proxy_q_star(PowerGamma(1.0), engine.partition(np.full(20, 0.05), 10_000),
-                                  omega, cfg, "simplex", 1.0)
+        res = engine.proxy_q_star(
+            engine.prepare(PowerGamma(1.0), np.full(20, 0.05), omega, cfg, "simplex"), cfg)
         assert np.all(res.q_star > 0)
         assert omega.contains_point(res.q_star)
         rep = problems.solve(problems.EntropyMax(shannon(), 20, omega), cfg)
@@ -248,10 +242,10 @@ class TestProxy:
     def test_no_finite_tilt_raises_naming_the_proxy(self):
         # every hit of {q_0 <= 0} has q_0 = 0, where the KL tilt is infinite
         cfg = bs.EstimatorConfig(n=100, L=10, seed=2, proxy=bs.ProxySpec(m_run=5))
-        part = engine.partition(self.p, 100)
         with pytest.raises(RuntimeError, match="hit-run proxy"):
-            engine.proxy_q_star(PowerGamma(1.0), part, bs.simplex_face(0, 0.0, "<="),
-                                cfg, "simplex", 1.0)
+            engine.proxy_q_star(engine.prepare(PowerGamma(1.0), self.p,
+                                               bs.simplex_face(0, 0.0, "<="), cfg, "simplex"),
+                                cfg)
 
 
 class TestInvert:
@@ -457,24 +451,74 @@ class TestBoundsEmpirical:
         assert omega.contains_point(q_hat)
 
 
-class _NoDrawLaw(laws.ScaledPoisson):
-    """A law whose every draw fails the test."""
-
-    def sample_tilted_block(self, *args, **kwargs):
-        pytest.fail("a weight law was drawn from")
-
-    sample_block_sum = sample_tilted_block
-
-
 class TestGeneratorCheck:
     def test_missing_generator_fails_before_any_draw(self):
         p = np.array([0.2, 0.3, 0.5])
         omega = bs.simplex_face(0, 0.5, ">=")
         cfg = bs.EstimatorConfig(n=100, L=1000, seed=2)
         with pytest.raises(ValueError, match="needs the generator"):
-            engine.is_estimate(None, p, omega, cfg, mode="simplex", law=_NoDrawLaw())
+            engine.is_estimate(None, p, omega, cfg, mode="simplex", law=NoDrawLaw())
         with pytest.raises(ValueError, match="needs the generator"):
-            engine.bounds_general(None, p, omega, cfg, mode="simplex", law=_NoDrawLaw())
+            engine.bounds_general(None, p, omega, cfg, mode="simplex", law=NoDrawLaw())
+
+
+class TestModeChecks:
+    """``prepare`` refuses a reference that does not fit the mode, and an
+    empirical n other than the sample size, before any draw."""
+
+    def setup_method(self):
+        self.part = engine.ingest_sample(["a"] * 211 + ["b"] * 310 + ["c"] * 479)
+        self.omega = bs.simplex_face(0, 0.5, ">=")
+        self.gen = PowerGamma(1.0)
+
+    @pytest.mark.parametrize("entry", [engine.naive_estimate, engine.is_estimate,
+                                       bs.estimate_min_divergence, engine.bounds_general])
+    def test_empirical_needs_a_sample(self, entry):
+        cfg = bs.EstimatorConfig(n=1000, L=1000, seed=1)
+        with pytest.raises(ValueError, match="empirical mode needs an ingest_sample partition"):
+            entry(self.gen, self.part.p_tilde, self.omega, cfg, mode="empirical",
+                  law=NoDrawLaw())
+
+    @pytest.mark.parametrize("entry", [engine.naive_estimate, engine.is_estimate,
+                                       bs.estimate_min_divergence])
+    @pytest.mark.parametrize("mode", ["deterministic", "simplex"])
+    def test_sample_needs_empirical_mode(self, entry, mode):
+        cfg = bs.EstimatorConfig(n=1000, L=1000, seed=1)
+        with pytest.raises(ValueError, match=f"{mode} mode needs a reference vector"):
+            entry(self.gen, self.part, self.omega, cfg, mode=mode, law=NoDrawLaw())
+
+    @pytest.mark.parametrize("n", [200, 5000])
+    @pytest.mark.parametrize("entry", [engine.naive_estimate, engine.is_estimate,
+                                       bs.estimate_min_divergence, engine.bounds_general])
+    def test_empirical_n_is_the_sample_size(self, entry, n):
+        cfg = bs.EstimatorConfig(n=n, L=1000, seed=1)
+        with pytest.raises(ValueError, match=f"n={n} differs from the sample size 1000"):
+            entry(self.gen, self.part, self.omega, cfg, mode="empirical", law=NoDrawLaw())
+
+    def test_non_power_bounds_check_before_the_search(self):
+        cfg = bs.EstimatorConfig(n=5000, L=1000, seed=1)
+        with pytest.raises(ValueError, match="differs from the sample size"):
+            engine.bounds_general(GeneralizedKL(1.0, 1.0), self.part, self.omega, cfg,
+                                  mode="empirical", law=NoDrawLaw())
+
+    def test_bounds_refuse_deterministic_mode(self):
+        # the search would run and then report its own proxy infeasible
+        P = np.array([0.3, 0.5, 0.4])
+        omega = bs.halfspace([1.0, 1.0, 1.0], 1.15, ">=")
+        cfg = bs.EstimatorConfig(n=200, L=1000, seed=1)
+        for gen in (GeneralizedKL(1.0, 1.0), PowerGamma(1.0)):
+            with pytest.raises(ValueError, match="use mode 'simplex' or 'empirical'"):
+                engine.bounds_general(gen, P, omega, cfg, mode="deterministic",
+                                      law=NoDrawLaw())
+
+    def test_prepared_frame(self):
+        cfg = bs.EstimatorConfig(n=120, L=1000, seed=1)
+        det = engine.prepare(self.gen, [0.3, 0.5, 0.4], self.omega, cfg, "deterministic")
+        assert det.mass == pytest.approx(1.2) and det.scale == det.mass
+        assert det.part.n == 120
+        scaled = bs.intersection(self.omega, scale=2.0)
+        sx = engine.prepare(self.gen, [0.2, 0.3, 0.5], scaled, cfg, "simplex")
+        assert sx.mass == 1.0 and sx.scale == 2.0
 
 
 class TestBoundsSingleSearch:

@@ -69,7 +69,7 @@ class TestQuadraticReduction:
 
 class TestLinearReduction:
     def test_norm_prefactor_example(self):
-        inst = problems.LinearObjective(cost=[1.0, 1.0], gamma=2.0, mass=1.0,
+        inst = problems.LinearObjective(cost=[1.0, 1.0], gamma=2.0,
                                         omega=bs.full_space())
         red = problems.reduce_linear(inst)
         assert red.prefactor == pytest.approx(0.5)
@@ -78,7 +78,7 @@ class TestLinearReduction:
     def test_binary_fixed_point(self):
         # on 0/1 vectors the power transform is the identity
         x = np.array([1.0, 0.0, 1.0])
-        inst = problems.LinearObjective(cost=[2.0, 3.0, 4.0], gamma=2.0, mass=2.0,
+        inst = problems.LinearObjective(cost=[2.0, 3.0, 4.0], gamma=2.0,
                                         omega=bs.full_space())
         red = problems.reduce_linear(inst)
         assert np.allclose(red.to_reduced(x), x)
@@ -89,7 +89,7 @@ class TestLinearReduction:
                 k = int(rng.integers(2, 6))
                 cost = rng.uniform(0.5, 2.0, k)
                 x = rng.uniform(0.1, 2.0, k)
-                inst = problems.LinearObjective(cost=cost, gamma=gamma, mass=1.0,
+                inst = problems.LinearObjective(cost=cost, gamma=gamma,
                                                 omega=bs.full_space())
                 red = problems.reduce_linear(inst)
                 direct = float(x @ cost)
@@ -99,7 +99,7 @@ class TestLinearReduction:
 
     def test_direction_by_gamma(self):
         for g, d in ((2.0, "min"), (-1.0, "min"), (0.5, "max")):
-            inst = problems.LinearObjective(cost=[1.0, 2.0], gamma=g, mass=1.0,
+            inst = problems.LinearObjective(cost=[1.0, 2.0], gamma=g,
                                             omega=bs.full_space())
             assert problems.reduce_linear(inst).direction == d
 

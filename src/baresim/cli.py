@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import engine, laws, problems
+from .constraints import constraint_from_dict
 from .divergence import (
     AnchoredKL,
     BlendedWeightChiSq,
@@ -24,8 +25,8 @@ from .divergence import (
     GeneralizedKL,
     PowerGamma,
     TwoPoint,
+    check_nonneg_vector,
 )
-from .constraints import constraint_from_dict
 from .engine import EstimatorConfig, ProxySpec
 from .entropy import (
     EntropySpec,
@@ -39,6 +40,17 @@ from .entropy import (
     sharma_mittal1,
     sharma_mittal2,
 )
+from .jsonread import (
+    ConfigError,
+    as_integer,
+    as_list,
+    as_number,
+    as_numbers,
+    as_object,
+    as_string,
+    field,
+    whole,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -46,118 +58,100 @@ EXIT_ZERO_HITS = 3
 EXIT_VALIDATION = 4
 
 
-class ConfigError(Exception):
-    pass
+def _load_config(path: str) -> dict:
+    """The parsed config; each command's builders read and check its sections."""
+    return as_object(json.loads(Path(path).read_text()), "config")
 
 
-def _load_and_validate(path: str) -> dict:
-    spec = json.loads(Path(path).read_text())
-    try:
-        import jsonschema
-    except ImportError as exc:
-        raise ConfigError(
-            f"cannot validate the config: jsonschema is not installed ({exc})") from exc
-    schema_file = Path(__file__).with_name("config.schema.json")
-    if not schema_file.is_file():
-        raise ConfigError(
-            f"cannot validate the config: schema file {schema_file} is missing")
-    schema = json.loads(schema_file.read_text())
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(spec), key=lambda e: list(e.path))
-    if errors:
-        locs = "; ".join(
-            f"{'/'.join(str(p) for p in e.path) or '<root>'}: {e.message}"
-            for e in errors[:5]
-        )
-        raise ConfigError(f"schema violations: {locs}")
-    return spec
-
-
-def _generator_from_dict(spec: dict) -> Generator:
-    try:
-        family = spec["family"]
-        if family == "power":
-            return PowerGamma(float(spec["gamma"]), float(spec.get("scale", 1.0)))
-        if family == "generalized_kl":
-            return GeneralizedKL(float(spec["alpha"]), float(spec.get("scale", 1.0)))
-        if family == "anchored_kl":
-            return AnchoredKL(float(spec["anchor"]), float(spec.get("scale", 1.0)))
-        if family == "blended_chisq":
-            return BlendedWeightChiSq(float(spec["beta"]), float(spec.get("scale", 1.0)))
-        if family == "two_point":
-            return TwoPoint(float(spec["z1"]), float(spec["z2"]))
-        if family == "asym_laplace":
-            return GenAsymLaplace(
-                float(spec["alpha"]), float(spec["beta1"]), float(spec["beta2"]),
-                float(spec.get("scale", 1.0)),
-            )
-    except KeyError as exc:
-        raise ConfigError(f"generator spec missing field {exc}") from exc
-    raise ConfigError(f"unknown generator family {spec.get('family')!r}")
-
-
-_ENTROPY_PRESETS = {
-    "shannon": lambda spec: shannon(),
-    "sm2": lambda spec: sharma_mittal2(float(spec["s"])),
-    "renyi": lambda spec: renyi_entropy(float(spec["gamma"])),
-    "havrda_charvat": lambda spec: havrda_charvat(float(spec["gamma"])),
-    "hill": lambda spec: hill_number(float(spec["gamma"])),
-    "gamma_norm": lambda spec: gamma_norm(float(spec["gamma"])),
-    "arimoto": lambda spec: arimoto(float(spec["order"])),
-    "sharma_mittal": lambda spec: sharma_mittal1(float(spec["gamma"]), float(spec["s"])),
-    "patil_taillie": lambda spec: patil_taillie(float(spec["s"])),
+# generator families; a family's dataclass fields are its section's keys
+_GENERATORS = {
+    "power": PowerGamma,
+    "generalized_kl": GeneralizedKL,
+    "anchored_kl": AnchoredKL,
+    "blended_chisq": BlendedWeightChiSq,
+    "two_point": TwoPoint,
+    "asym_laplace": GenAsymLaplace,
 }
 
 
-def _entropy_from_dict(spec: dict) -> EntropySpec:
-    preset = spec.get("preset")
-    if preset:
-        if preset not in _ENTROPY_PRESETS:
-            raise ConfigError(f"unknown entropy preset {preset!r}")
-        return _ENTROPY_PRESETS[preset](spec)
-    return EntropySpec(
-        kind=spec["kind"],
-        gamma=float(spec.get("gamma", 0.0)),
-        c1=float(spec.get("c1", 1.0)),
-        c2=float(spec.get("c2", 1.0)),
-        c3=float(spec.get("c3", 0.0)),
-        c4=float(spec.get("c4", 1.0)),
-        fprime0=float(spec.get("fprime0", 1.0)),
-        s=float(spec.get("s", 0.0)),
-    )
+def _construct(cls, where: str, *args, **kwargs):
+    """``cls(*args, **kwargs)``; a key that is not a field of ``cls``, a
+    missing one, or a value the constructor refuses is an error at ``where``."""
+    try:
+        return cls(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {where.split('/')[0]} settings: {where}: {exc}") from exc
+
+
+def _generator(spec, where: str) -> Generator:
+    spec = as_object(spec, where)
+    family = field(spec, "family", as_string, path=where)
+    if family not in _GENERATORS:
+        raise ConfigError(f"{where}/family: unknown generator family {family!r}")
+    params = {key: as_number(v, f"{where}/{key}") for key, v in spec.items() if key != "family"}
+    return _construct(_GENERATORS[family], where, **params)
+
+
+# entropy presets: the preset and the config keys of its arguments
+_ENTROPY_PRESETS = {
+    "shannon": (shannon, ()),
+    "sm2": (sharma_mittal2, ("s",)),
+    "renyi": (renyi_entropy, ("gamma",)),
+    "havrda_charvat": (havrda_charvat, ("gamma",)),
+    "hill": (hill_number, ("gamma",)),
+    "gamma_norm": (gamma_norm, ("gamma",)),
+    "arimoto": (arimoto, ("order",)),
+    "sharma_mittal": (sharma_mittal1, ("gamma", "s")),
+    "patil_taillie": (patil_taillie, ("s",)),
+}
+
+
+def _entropy(spec, where: str) -> EntropySpec:
+    """A preset with its arguments, or an ``EntropySpec`` whose fields are
+    the section's keys."""
+    spec = as_object(spec, where)
+    if "preset" not in spec:
+        params = {key: as_number(v, f"{where}/{key}") for key, v in spec.items() if key != "kind"}
+        return _construct(EntropySpec, where, field(spec, "kind", as_string, path=where), **params)
+    preset = field(spec, "preset", as_string, path=where)
+    if preset not in _ENTROPY_PRESETS:
+        raise ConfigError(f"{where}/preset: unknown entropy preset {preset!r}")
+    build, keys = _ENTROPY_PRESETS[preset]
+    unknown = sorted(set(spec) - {"preset", *keys})
+    if unknown:
+        raise ConfigError(f"{where}: preset {preset!r} takes no key {unknown[0]!r}")
+    return _construct(build, where, *(field(spec, key, as_number, path=where) for key in keys))
 
 
 def _whole(spec: dict) -> dict:
-    """The settings with every integral float (a JSON ``1e5``, which the
-    schema accepts as an integer) made an int."""
-    return {key: int(v) if isinstance(v, float) and v.is_integer() else v
-            for key, v in spec.items()}
+    """The settings with every integral float made an int."""
+    return {key: whole(v) for key, v in spec.items()}
 
 
 def _config_from_dict(spec: dict, overrides) -> EstimatorConfig:
-    est = dict(spec.get("estimator", {}))
+    """The estimator settings.  Every key the config sets goes through:
+    the defaults and the rules live only in EstimatorConfig and ProxySpec,
+    and an unknown key is an error."""
+    est = dict(field(spec, "estimator", as_object, {}))
     for key in ("n", "L", "seed", "threads"):
         val = getattr(overrides, key, None)
         if val is not None:
             est[key] = val
-    if "n" not in est:
-        raise ConfigError("estimator.n is required")
-    proxy = dict(est.pop("proxy", {}))
-    if proxy.get("q_star") is not None:
-        proxy["q_star"] = np.asarray(proxy["q_star"], dtype=float)
-    try:
-        # every key the config sets goes through: the defaults live only in
-        # EstimatorConfig and ProxySpec, and an unknown key is a TypeError
-        return EstimatorConfig(**_whole(est), proxy=ProxySpec(**_whole(proxy)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad estimator settings: {exc}") from exc
+    proxy = dict(field(est, "proxy", as_object, {}, path="estimator"))
+    est.pop("proxy", None)
+    if "q_star" in proxy:
+        proxy["q_star"] = field(proxy, "q_star", as_numbers, path="estimator/proxy")
+    proxy = _construct(ProxySpec, "estimator/proxy", **_whole(proxy))
+    return _construct(EstimatorConfig, "estimator", **_whole(est), proxy=proxy)
 
 
 def _load_reference(spec: dict):
-    if "reference_vector" in spec:
-        return np.asarray(spec["reference_vector"], dtype=float), None
-    if "data_file" in spec:
-        lines = Path(spec["data_file"]).read_text().split()
+    ref = field(spec, "reference_vector", as_numbers, None)
+    data_file = field(spec, "data_file", as_string, None)
+    if ref is not None:
+        return _construct(check_nonneg_vector, "reference_vector", ref), None
+    if data_file is not None:
+        lines = Path(data_file).read_text().split()
         if not lines:
             raise ConfigError("data file is empty")
         return None, engine.ingest_sample(lines)
@@ -196,40 +190,42 @@ def _emit(payload: dict, out: str | None, trace: np.ndarray | None = None,
 
 
 def _run(args, solve) -> int:
-    """Shared body of the estimation commands: load and validate the config,
+    """Shared body of the estimation commands: load and read the config,
     solve, and write the result and the per-batch trace where ``--out`` or
     the config's ``output`` section asks.  ``solve(spec, config)`` returns
     the estimate and the extra payload fields."""
-    spec = _load_and_validate(args.config)
+    spec = _load_config(args.config)
     config = _config_from_dict(spec, args)
+    output = field(spec, "output", as_object, {})
+    result = field(output, "result", as_string, None, path="output")
+    trace = field(output, "trace", as_string, None, path="output")
     est, extra = solve(spec, config)
-    out_spec = spec.get("output", {})
-    _emit(_estimate_payload(est, extra), args.out or out_spec.get("result"),
-          trace=est.batch_log_means, trace_path=out_spec.get("trace"))
+    _emit(_estimate_payload(est, extra), args.out or result,
+          trace=est.batch_log_means, trace_path=trace)
     return EXIT_ZERO_HITS if est.hits == 0 else EXIT_OK
 
 
 def _divergence_inputs(spec: dict):
     """Generator, constraint set, reference (vector or observed-sample
     partition) and mode of an ``estimate`` or ``bounds`` config."""
-    gen = _generator_from_dict(spec["generator"])
-    omega = constraint_from_dict(spec["constraint"])
+    gen = field(spec, "generator", _generator)
+    omega = field(spec, "constraint", constraint_from_dict)
     ref, part = _load_reference(spec)
-    mode = spec.get("mode", "simplex" if part is None else "empirical")
+    mode = field(spec, "mode", as_string, "simplex" if part is None else "empirical")
     return gen, omega, part if part is not None else ref, mode
 
 
 def _solve_estimate(spec: dict, config: EstimatorConfig):
     gen, omega, P, mode = _divergence_inputs(spec)
-    target = spec.get("target")
+    target = field(spec, "target", as_string, None)
     est = engine.estimate_min_divergence(gen, P, omega, config, mode=mode, target=target)
     return est, {"mode": mode, "target": target or "default"}
 
 
 def _solve_entropy_max(spec: dict, config: EstimatorConfig):
     est = engine.estimate_entropy_extremum(
-        _entropy_from_dict(spec["entropy"]), int(spec["K"]),
-        constraint_from_dict(spec["constraint"]), config,
+        field(spec, "entropy", _entropy), field(spec, "K", as_integer),
+        field(spec, "constraint", constraint_from_dict), config,
     )
     return est, {"kind": "entropy"}
 
@@ -244,28 +240,28 @@ def _solve_bounds(spec: dict, config: EstimatorConfig):
     }
 
 
-def _side(spec: dict):
-    return constraint_from_dict(spec["side"]) if "side" in spec else None
-
-
 def _floats(spec: dict, *keys) -> dict:
-    """The given optional number fields that the config sets; the rest keep
-    the problem's own defaults."""
-    return {key: float(spec[key]) for key in keys if key in spec}
+    """The optional number fields the config sets; the rest keep their defaults."""
+    return {key: field(spec, key, as_number) for key in keys if key in spec}
+
+
+def _matrix(value, where: str) -> np.ndarray:
+    return np.array([as_numbers(row, f"{where}/{i}")
+                     for i, row in enumerate(as_list(value, where))])
 
 
 # problem instance builders, one per problem command
 _PROBLEMS = {
     "quadratic": lambda spec: problems.SeparableQuadratic(
-        c1=spec["c1"], c2=spec["c2"], c3=spec["c3"],
-        omega=constraint_from_dict(spec["constraint"]),
+        c1=field(spec, "c1", as_numbers), c2=field(spec, "c2", as_numbers),
+        c3=field(spec, "c3", as_numbers), omega=field(spec, "constraint", constraint_from_dict),
     ),
     "transport": lambda spec: problems.Transport(
-        mu=np.asarray(spec["mu"], dtype=float), nu=np.asarray(spec["nu"], dtype=float),
-        side=_side(spec), **_floats(spec, "band"),
+        mu=field(spec, "mu", as_numbers), nu=field(spec, "nu", as_numbers),
+        side=field(spec, "side", constraint_from_dict, None), **_floats(spec, "band"),
     ),
     "assignment": lambda spec: problems.Assignment(
-        costs=np.asarray(spec["costs"], dtype=float), side=_side(spec),
+        costs=field(spec, "costs", _matrix), side=field(spec, "side", constraint_from_dict, None),
         **_floats(spec, "eps1", "eps2"),
     ),
 }
@@ -290,10 +286,10 @@ _COMMANDS = {
 def _cmd_sample_law(args) -> int:
     if args.count < 1:
         raise ConfigError(f"--count must be >= 1 (got {args.count})")
-    spec = _load_and_validate(args.config) if args.config else {}
-    gen = _generator_from_dict(spec["generator"]) if "generator" in spec else PowerGamma(
-        float(args.gamma), 1.0
-    )
+    spec = _load_config(args.config) if args.config else {}
+    gen = field(spec, "generator", _generator, None)
+    if gen is None:
+        gen = PowerGamma(float(args.gamma), 1.0)
     law = laws.law_for_generator(gen)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
     draws = law.sample(rng, args.count)

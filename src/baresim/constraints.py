@@ -14,10 +14,15 @@ escape hatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+
+from .divergence import _check_int
+from .jsonread import (
+    as_bool, as_integer, as_list, as_number, as_numbers, as_object, as_string, field,
+)
 
 __all__ = [
     "ConstraintSet",
@@ -70,7 +75,7 @@ def halfspace(coeffs, rhs: float, op: str = ">=", **kw) -> ConstraintSet:
         "<": lambda v: v < rhs,
     }
     if op not in ops:
-        raise ValueError(f"unknown comparison {op!r}")
+        raise ValueError(f"unknown comparison op {op!r}")
     test = ops[op]
     return ConstraintSet(
         membership=lambda pts: test(pts @ c),
@@ -95,6 +100,8 @@ def box(lower, upper, **kw) -> ConstraintSet:
 def affine_equality(coeffs, rhs: float, tol: float = 1e-9, **kw) -> ConstraintSet:
     """{x : |<coeffs, x> - rhs| <= tol}; the tolerance keeps membership
     stable under the floating-point block-sum arithmetic."""
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0 (got {tol!r})")
     c = np.asarray(coeffs, dtype=float)
     return ConstraintSet(
         membership=lambda pts: np.abs(pts @ c - rhs) <= tol,
@@ -105,13 +112,14 @@ def affine_equality(coeffs, rhs: float, tol: float = 1e-9, **kw) -> ConstraintSe
 
 def simplex_face(index: int, bound: float, op: str = ">=", **kw):
     """Convenience: one-coordinate halfspace {x : x_index op bound} with op
-    one of >=, <=."""
+    one of >=, <=, and ``index`` an integer >= 0."""
+    _check_int("index", index, 0)
     ops = {
         ">=": lambda v: v >= bound,
         "<=": lambda v: v <= bound,
     }
     if op not in ops:
-        raise ValueError(f"unknown comparison {op!r}")
+        raise ValueError(f"unknown comparison op {op!r}")
     test = ops[op]
     return ConstraintSet(
         membership=lambda pts: test(pts[:, index]),
@@ -183,8 +191,9 @@ def from_predicate(pred: Callable[[np.ndarray], bool], **kw) -> ConstraintSet:
     )
 
 
-def constraint_from_dict(spec: dict) -> ConstraintSet:
-    """Build a constraint set from the JSON config schema.
+def constraint_from_dict(spec, path: str = "constraint") -> ConstraintSet:
+    """Build a constraint set from its JSON config form; ``path`` is where
+    the form sits in the config, named by every error.
 
     Leaf forms: {"type": "halfspace", "coeffs": [...], "rhs": r, "op": ">="},
     {"type": "box", "lower": [...], "upper": [...]},
@@ -193,32 +202,33 @@ def constraint_from_dict(spec: dict) -> ConstraintSet:
     Combinators: {"type": "all"/"any", "parts": [...]}.
     Optional top-level keys: "scale", "regularity_asserted", "description".
     """
+    spec = as_object(spec, path)
+
+    def get(key, read, *default):
+        return field(spec, key, read, *default, path=path)
+
     meta = {
-        "scale": float(spec.get("scale", 1.0)),
-        "regularity_asserted": bool(spec.get("regularity_asserted", True)),
+        "scale": get("scale", as_number, 1.0),
+        "regularity_asserted": get("regularity_asserted", as_bool, True),
     }
-    kind = spec["type"]
+    description = get("description", as_string, None)
+    kind = get("type", as_string)
     if kind == "halfspace":
-        out = halfspace(spec["coeffs"], float(spec["rhs"]), spec.get("op", ">="), **meta)
+        out = halfspace(get("coeffs", as_numbers), get("rhs", as_number),
+                        get("op", as_string, ">="), **meta)
     elif kind == "box":
-        out = box(spec["lower"], spec["upper"], **meta)
+        out = box(get("lower", as_numbers), get("upper", as_numbers), **meta)
     elif kind == "affine_eq":
-        out = affine_equality(
-            spec["coeffs"], float(spec["rhs"]), float(spec.get("tol", 1e-9)), **meta
-        )
+        out = affine_equality(get("coeffs", as_numbers), get("rhs", as_number),
+                              get("tol", as_number, 1e-9), **meta)
     elif kind == "coordinate":
-        out = simplex_face(int(spec["index"]), float(spec["bound"]), spec.get("op", ">="), **meta)
+        out = simplex_face(get("index", as_integer), get("bound", as_number),
+                           get("op", as_string, ">="), **meta)
     elif kind in ("all", "any"):
-        parts = [constraint_from_dict(p) for p in spec["parts"]]
+        parts = [constraint_from_dict(p, f"{path}/parts/{i}")
+                 for i, p in enumerate(get("parts", as_list))]
         combo = intersection if kind == "all" else union
         out = combo(*parts, **meta)
     else:
-        raise ValueError(f"unknown constraint type {kind!r}")
-    if "description" in spec:
-        out = ConstraintSet(
-            membership=out.membership,
-            scale=out.scale,
-            regularity_asserted=out.regularity_asserted,
-            description=spec["description"],
-        )
-    return out
+        raise ValueError(f"{path}/type: unknown constraint type {kind!r}")
+    return out if description is None else replace(out, description=description)

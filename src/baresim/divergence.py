@@ -57,6 +57,12 @@ def _as_1d(x, name: str) -> np.ndarray:
     return arr
 
 
+def _check_int(name: str, value, least: int) -> None:
+    """Refuse all but an integer >= ``least``; a numpy integer counts, a bool not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least} (got {value!r})")
+
+
 def check_nonneg_vector(values) -> np.ndarray:
     """Validate a vector in R_{>=0}^K \\ {0} (nonnegative, not identically zero)."""
     arr = _as_1d(values, "vector")

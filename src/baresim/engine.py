@@ -37,6 +37,7 @@ from .constraints import ConstraintSet
 from .divergence import (
     Generator,
     PowerGamma,
+    _check_int,
     _divergence_positive,
     check_prob_vector,
     divergence,
@@ -177,6 +178,13 @@ class ProxySpec:
     budget: int = 200_000
     m_run: Optional[int] = None
 
+    def __post_init__(self):
+        if self.method not in ("given", "hit_run", "density"):
+            raise ValueError(f"proxy method {self.method!r} is not given, hit_run or density")
+        _check_int("budget", self.budget, 1)
+        if self.m_run is not None:
+            _check_int("m_run", self.m_run, 1)
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -188,10 +196,9 @@ class EstimatorConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.n < 1 or self.L < 1:
-            raise ValueError("n and L must be >= 1")
-        if self.batches < 10:
-            raise ValueError("need at least 10 batches for the stderr")
+        # at least 10 batches for the batch-means stderr
+        for name, least in (("n", 1), ("L", 1), ("seed", 0), ("batches", 10), ("threads", 1)):
+            _check_int(name, getattr(self, name), least)
 
 
 @dataclass
@@ -469,9 +476,7 @@ def proxy_q_star(prepared: Prepared, config: EstimatorConfig) -> ProxyResult:
         return ProxyResult(q_star=q / prepared.scale)
     if spec.method == "hit_run":
         return _proxy_hit_run(prepared, config)
-    if spec.method == "density":
-        return _proxy_density(prepared, config)
-    raise ValueError(f"unknown proxy method {spec.method!r}")
+    return _proxy_density(prepared, config)
 
 
 def _refine_toward_reference(prepared: Prepared, q: np.ndarray) -> np.ndarray:
@@ -587,6 +592,8 @@ def _proxy_hit_run(prepared: Prepared, config: EstimatorConfig) -> ProxyResult:
     ranked = sorted((h for h in found if h[0] < INF), key=lambda h: h[0])
     if not ranked:
         raise RuntimeError(
+            f"hit-run proxy: all {len(found)} hits lie where D(q, p) is infinite "
+            f"at run length {m_run}; raise m_run or supply q_star" if found else
             "proxy search exhausted its budget: the constraint set is too "
             "rare at this run length; raise the budget, change m_run, or "
             "supply q_star"
@@ -718,6 +725,35 @@ def _power_divergence_from_rate(gamma: float, scale: float, A: float, r: float) 
     )
 
 
+_ENTROPY_TARGETS = ("power_sum", "renyi_entropy", "shannon", "sm2", "entropy")
+_TARGETS = ("deterministic", "divergence", "hellinger", "renyi", "modified_kl",
+           "modified_rev_kl") + _ENTROPY_TARGETS
+
+
+def _check_target(target, gen: Optional[Generator] = None, K: Optional[int] = None,
+                  entropy_spec: Optional[EntropySpec] = None) -> None:
+    """Refuse a target that ``invert`` cannot map with this generator,
+    dimension and entropy spec; the pipelines call it before any draw."""
+    if target not in _TARGETS:
+        raise ValueError(f"unknown inversion target {target!r}")
+    if target == "deterministic":
+        return
+    if not isinstance(gen, PowerGamma):
+        raise ValueError(f"target {target!r} needs a power generator")
+    if target in ("modified_kl", "shannon", "sm2") and gen.gamma != 1.0:
+        raise ValueError("modified KL inversion needs gamma = 1")
+    if target == "modified_rev_kl" and gen.gamma != 0.0:
+        raise ValueError("modified reverse KL inversion needs gamma = 0")
+    if target in _ENTROPY_TARGETS and K is None:
+        raise ValueError("entropy targets need the dimension K")
+    kind = getattr(entropy_spec, "kind", None)
+    if target == "sm2" and kind != "sm2":
+        raise ValueError("sm2 inversion needs its entropy spec")
+    if target == "entropy" and kind not in ("power", "log"):
+        raise ValueError("the entropy target needs a power or log entropy spec; "
+                         "shannon and sm2 specs use their named targets")
+
+
 def invert(target, log_pi_hat: float, n: int, gen: Optional[Generator] = None,
            A: float = 1.0, K: Optional[int] = None,
            entropy_spec: Optional[EntropySpec] = None) -> float:
@@ -726,15 +762,15 @@ def invert(target, log_pi_hat: float, n: int, gen: Optional[Generator] = None,
     Targets: "deterministic" (also the inf-over-m value for general
     generators), "divergence", "hellinger", "renyi", "modified_kl",
     "modified_rev_kl", "power_sum", "renyi_entropy", "shannon", "sm2",
-    "entropy" (with ``entropy_spec``).
+    "entropy" (with ``entropy_spec``); ``_check_target`` refuses a target
+    that does not fit the generator.
     """
+    _check_target(target, gen, K, entropy_spec)
     if log_pi_hat == -INF:
         return INF
     r = log_pi_hat / n
     if target == "deterministic":
         return -r
-    if not isinstance(gen, PowerGamma):
-        raise ValueError(f"target {target!r} needs a power generator")
     g, c = gen.gamma, gen.scale
     if target == "divergence":
         return _power_divergence_from_rate(g, c, A, r)
@@ -744,8 +780,6 @@ def invert(target, log_pi_hat: float, n: int, gen: Optional[Generator] = None,
         return 1.0 + g * (A - 1.0) + g * (g - 1.0) * d / c
 
     def mod_kl() -> float:
-        if g != 1.0:
-            raise ValueError("modified KL inversion needs gamma = 1")
         return _power_divergence_from_rate(1.0, c, A, r) / c + A - 1.0
 
     if target == "hellinger":
@@ -755,34 +789,20 @@ def invert(target, log_pi_hat: float, n: int, gen: Optional[Generator] = None,
     if target == "modified_kl":
         return mod_kl()
     if target == "modified_rev_kl":
-        if g != 0.0:
-            raise ValueError("modified reverse KL inversion needs gamma = 0")
         return _power_divergence_from_rate(0.0, c, A, r) / c + 1.0 - A
-    if target in ("power_sum", "renyi_entropy", "shannon", "sm2", "entropy"):
-        if K is None:
-            raise ValueError("entropy targets need the dimension K")
-        if target == "shannon":
-            return A * math.log(K) - mod_kl()
-        if target == "sm2":
-            if entropy_spec is None or entropy_spec.kind != "sm2":
-                raise ValueError("sm2 inversion needs its entropy spec")
-            y = mod_kl() - A * math.log(K)  # optimal sum q log q
-            return (math.exp((entropy_spec.s - 1.0) * y) - 1.0) / (1.0 - entropy_spec.s)
-        h = hellinger()
-        psum = K ** (1.0 - g) * h
-        if target == "power_sum":
-            return psum
-        if target == "renyi_entropy":
-            return math.log(psum) / (1.0 - g)
-        # entropy family
-        if entropy_spec is None:
-            raise ValueError("entropy target needs an entropy spec")
-        if entropy_spec.kind == "power":
-            return entropy_spec.c1 * (psum**entropy_spec.c2 - entropy_spec.c3)
-        if entropy_spec.kind == "log":
-            return entropy_spec.c4 / entropy_spec.fprime0 * math.log(psum)
-        raise ValueError("shannon/sm2 entropy specs use their named targets")
-    raise ValueError(f"unknown inversion target {target!r}")
+    if target == "shannon":
+        return A * math.log(K) - mod_kl()
+    if target == "sm2":
+        y = mod_kl() - A * math.log(K)  # optimal sum q log q
+        return (math.exp((entropy_spec.s - 1.0) * y) - 1.0) / (1.0 - entropy_spec.s)
+    psum = K ** (1.0 - g) * hellinger()
+    if target == "power_sum":
+        return psum
+    if target == "renyi_entropy":
+        return math.log(psum) / (1.0 - g)
+    if entropy_spec.kind == "power":
+        return entropy_spec.c1 * (psum**entropy_spec.c2 - entropy_spec.c3)
+    return entropy_spec.c4 / entropy_spec.fprime0 * math.log(psum)
 
 
 def _delta_stderr(target, est: Estimate, n: int, gen, A, K, entropy_spec) -> float:
@@ -905,6 +925,7 @@ def estimate_min_divergence(gen: Generator, P, omega: ConstraintSet,
     prepared = prepare(gen, P, omega, config, mode, law)
     if target is None:
         target = "deterministic" if mode == "deterministic" else "divergence"
+    _check_target(target, gen, prepared.part.K)
     est = is_estimate(gen, P, omega, config, mode=mode, law=prepared.law)
     # the deterministic rate is the value itself; the simplex targets invert at A
     A = 1.0 if mode == "deterministic" else prepared.scale
@@ -915,6 +936,7 @@ def estimate_entropy_extremum(spec: EntropySpec, K: int, omega: ConstraintSet,
                               config: EstimatorConfig) -> Estimate:
     """Constrained entropy extremum over Omega in A * simplex, via the
     uniform reference vector."""
+    _check_int("K", K, 1)
     if spec.kind in ("shannon", "sm2"):
         gen = PowerGamma(1.0, 1.0)
         target = "shannon" if spec.kind == "shannon" else "sm2"

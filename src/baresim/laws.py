@@ -95,6 +95,9 @@ class WeightLaw:
     is_discrete = False
 
     def block_support(self, nk: int, tail_log_mass: float):
+        """(values, probabilities, dropped tail mass) of the n_k-block sum,
+        cut where the tail falls below about exp(tail_log_mass) / 2; the
+        tail is computed from the far side, not as 1 - sum."""
         raise NotImplementedError("law has no countable support")
 
 
@@ -358,9 +361,8 @@ class ScaledPoisson(WeightLaw):
 
     def block_support(self, nk, tail_log_mass):
         lam = nk * self.scale
-        jmax = _poisson_tail_cut(lam, tail_log_mass)
-        j = np.arange(jmax + 1)
-        return j / self.scale, _poisson_pmf(lam, j)
+        j, pmf, tail = _poisson_support(lam, tail_log_mass)
+        return j / self.scale, pmf, tail
 
 
 @dataclass(frozen=True)
@@ -392,10 +394,8 @@ class ShiftedPoisson(WeightLaw):
 
     def block_support(self, nk, tail_log_mass):
         ec = math.exp(self.anchor)
-        lam = nk * self.scale * ec
-        jmax = _poisson_tail_cut(lam, tail_log_mass)
-        j = np.arange(jmax + 1)
-        return j / self.scale + nk * (1.0 - ec), _poisson_pmf(lam, j)
+        j, pmf, tail = _poisson_support(nk * self.scale * ec, tail_log_mass)
+        return j / self.scale + nk * (1.0 - ec), pmf, tail
 
 
 @dataclass(frozen=True)
@@ -441,7 +441,7 @@ class ScaledNegBinomial(WeightLaw):
         p = 1.0 / (1.0 + self.alpha)
         jmax = int(stats.nbinom.isf(math.exp(tail_log_mass) / 2.0, r, p)) + 2
         j = np.arange(jmax + 1)
-        return j / self.scale, stats.nbinom.pmf(j, r, p)
+        return j / self.scale, stats.nbinom.pmf(j, r, p), float(stats.nbinom.sf(jmax, r, p))
 
 
 @dataclass(frozen=True)
@@ -481,7 +481,7 @@ class ScaledBinomial(WeightLaw):
 
         n = self.m * nk
         j = np.arange(n + 1)
-        return j / self.scale, stats.binom.pmf(j, n, self.scale / self.m)
+        return j / self.scale, stats.binom.pmf(j, n, self.scale / self.m), 0.0
 
 
 @dataclass(frozen=True)
@@ -568,7 +568,7 @@ class TwoPointLaw(WeightLaw):
         steps = nk * self.mult
         ell = np.arange(steps + 1)
         vals = (self.z1 * (steps - ell) + self.z2 * ell) / self.mult
-        return vals, stats.binom.pmf(ell, steps, 1.0 - self.p)
+        return vals, stats.binom.pmf(ell, steps, 1.0 - self.p), 0.0
 
 
 @dataclass(frozen=True)
@@ -680,13 +680,19 @@ def law_for_generator(gen: Generator, extra_scale: float = 1.0) -> WeightLaw:
 # pmf helpers (exact enumeration) ----------------------------------------------
 
 
-def _poisson_pmf(lam: float, j: np.ndarray) -> np.ndarray:
+def _poisson_support(lam: float, tail_log_mass: float):
+    """Poisson(lam) on 0..jmax with its tail P[X > jmax]: jmax is 2 past
+    the point where the tail falls to exp(tail_log_mass) / 2, found by
+    ``isf`` or, where ``isf`` is not finite (far tails), on ``logsf``."""
     from scipy import stats
 
-    return stats.poisson.pmf(j, lam)
-
-
-def _poisson_tail_cut(lam: float, tail_log_mass: float) -> int:
-    from scipy import stats
-
-    return int(stats.poisson.isf(math.exp(tail_log_mass) / 2.0, lam)) + 2
+    cut = stats.poisson.isf(math.exp(tail_log_mass) / 2.0, lam)
+    if not math.isfinite(cut):
+        log_target = tail_log_mass - math.log(2.0)
+        top = max(2.0 * lam, 8.0)
+        while stats.poisson.logsf(top, lam) > log_target:
+            top *= 2.0
+        cut = np.argmax(stats.poisson.logsf(np.arange(math.ceil(top) + 1), lam) <= log_target)
+    jmax = int(cut) + 2
+    j = np.arange(jmax + 1)
+    return j, stats.poisson.pmf(j, lam), float(stats.poisson.sf(jmax, lam))

@@ -112,10 +112,10 @@ def exact_pi(law: WeightLaw, part: BlockPartition, omega: ConstraintSet,
     supports = []
     tail_total = 0.0
     for k in range(K):
-        vals, probs = law.block_support(int(part.sizes[k]), per_block_log_tail)
+        vals, probs, tail = law.block_support(int(part.sizes[k]), per_block_log_tail)
         keep = probs > 0
         supports.append((vals[keep], probs[keep]))
-        tail_total += max(0.0, 1.0 - float(probs[keep].sum()))
+        tail_total += tail
     if tail_total > tail_bound:
         raise ValueError("truncation budget exceeded; raise tail_bound")
     grids = np.meshgrid(*[s[0] for s in supports], indexing="ij")

@@ -125,11 +125,13 @@ class Transport:
         object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float))
         object.__setattr__(self, "nu", np.asarray(self.nu, dtype=float))
         if np.any(self.mu < 0) or np.any(self.nu < 0):
-            raise ValueError("marginals must be nonnegative")
+            raise ValueError("marginals mu and nu must be nonnegative")
         if abs(self.mu.sum() - self.nu.sum()) > 1e-12 * max(1.0, self.mu.sum()):
             raise ValueError("marginals must carry equal mass")
         if self.mu.sum() <= 0:
             raise ValueError("total mass must be positive")
+        if not self.band > 0:
+            raise ValueError(f"band must be > 0 (got {self.band!r})")
 
     def objective(self, coupling) -> float:
         pi = np.asarray(coupling, dtype=float).reshape(self.mu.size, self.nu.size)

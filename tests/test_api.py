@@ -1,6 +1,7 @@
 """The package's public names: every name a module lists in ``__all__``
 and every name ``baresim/__init__.py`` imports must exist; and importing the
-package loads no scipy, nor does a solve on a path that does not need it."""
+package loads no scipy, nor does a solve on a path that does not need it;
+no stage loads jsonschema, which the config reader does not use."""
 
 import ast
 import importlib
@@ -36,18 +37,21 @@ def test_package_imports_resolve():
 
 
 # Loads baresim in a fresh interpreter and, after each stage, lists the scipy
-# modules in sys.modules: importing the package and the CLI, then one small
-# solve of each path that needs no scipy.
+# and the jsonschema modules in sys.modules: importing the package and the
+# CLI, then one small solve of each path that needs no scipy.
 _COLD_START = r"""
 import json, sys
 from pathlib import Path
 
-def scipy_loaded():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+LIBS = ("scipy", "jsonschema")
+
+def loaded():
+    return {lib: sorted(m for m in sys.modules if m == lib or m.startswith(lib + "."))
+            for lib in LIBS}
 
 stages = {}
 import baresim, baresim.cli
-stages["import"] = scipy_loaded()
+stages["import"] = loaded()
 
 from baresim import cli, problems
 import numpy as np
@@ -56,14 +60,14 @@ config = baresim.EstimatorConfig(n=40, L=400, seed=1)
 baresim.estimate_min_divergence(
     baresim.PowerGamma(-1.0), np.array([0.2, 0.3, 0.5]),
     baresim.halfspace([1.0, 1.0, 1.0], 1.3, ">="), config, mode="deterministic")
-stages["power_deterministic"] = scipy_loaded()
+stages["power_deterministic"] = loaded()
 
 v = np.array([0.5, 1.0, 1.5])
 problems.solve(problems.SeparableQuadratic(
     c1=v**2, c2=-2.0 * v, c3=np.ones(3),
     omega=baresim.halfspace(np.ones(3), 3.15, ">=")),
     baresim.EstimatorConfig(n=400, L=2000, seed=2))
-stages["separable_quadratic"] = scipy_loaded()
+stages["separable_quadratic"] = loaded()
 
 work = Path(sys.argv[1])
 (work / "labels.txt").write_text("a\nb\nb\nc\nc\nc\n" * 20)
@@ -76,7 +80,8 @@ work = Path(sys.argv[1])
 }))
 code = cli.main(["estimate", "--config", str(work / "run.json"),
                  "--out", str(work / "out.json")])
-stages["cli_estimate_empirical"] = scipy_loaded() if code == 0 else [f"exit code {code}"]
+stages["cli_estimate_empirical"] = (
+    loaded() if code == 0 else dict.fromkeys(LIBS, [f"exit code {code}"]))
 print(json.dumps(stages))
 """
 
@@ -98,4 +103,9 @@ def cold_start(tmp_path_factory):
 
 @pytest.mark.parametrize("stage", COLD_START_STAGES)
 def test_cold_start_loads_no_scipy(cold_start, stage):
-    assert cold_start[stage] == []
+    assert cold_start[stage]["scipy"] == []
+
+
+@pytest.mark.parametrize("stage", COLD_START_STAGES)
+def test_cold_start_loads_no_jsonschema(cold_start, stage):
+    assert cold_start[stage]["jsonschema"] == []

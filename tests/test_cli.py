@@ -1,4 +1,6 @@
+import copy
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,6 +56,290 @@ COMMAND_CONFIGS = {
 }
 
 
+ASSIGNMENT_CONFIG = {
+    "costs": [[1.0, 10.0], [10.0, 1.0]],
+    "eps1": 0.15, "eps2": 0.15,
+    "estimator": {"n": 200, "L": 2000, "seed": 6,
+                  "proxy": {"method": "given", "q_star": [0.99, 0.01, 0.01, 0.99]}},
+}
+
+# the valid config each rule row breaks, per command
+RULE_BASES = {"assignment": ASSIGNMENT_CONFIG, "estimate": BASE_CONFIG, **COMMAND_CONFIGS}
+
+DELETE = object()
+
+# (rule, command, path, value, named key): the config of ``command`` with the
+# value at ``path`` replaced (DELETE removes it) breaks one keyword of one
+# property of the JSON schema the config format was once checked against
+# (type, enum, minimum, exclusiveMinimum, minItems, required and
+# additionalProperties), rows written out from that schema; the last rows
+# break a rule with another value.
+RULE_ROWS = [
+    ('generator: type', 'estimate', 'generator', [1], 'generator'),
+    ('generator/family: enum', 'estimate', 'generator/family', 'bogus', 'family'),
+    ('generator: required family', 'estimate', 'generator', {'gamma': 1.0}, 'family'),
+    ('generator/gamma: type', 'estimate', 'generator', {'family': 'power', 'gamma': 'x'}, 'gamma'),
+    ('generator/alpha: type', 'estimate', 'generator',
+     {'family': 'generalized_kl', 'alpha': 'x'}, 'alpha'),
+    ('generator/anchor: type', 'estimate', 'generator',
+     {'family': 'anchored_kl', 'anchor': 'x'}, 'anchor'),
+    ('generator/beta: type', 'estimate', 'generator',
+     {'family': 'blended_chisq', 'beta': 'x'}, 'beta'),
+    ('generator/beta1: type', 'estimate', 'generator',
+     {'family': 'asym_laplace', 'alpha': 1.0, 'beta1': 'x', 'beta2': 1.0}, 'beta1'),
+    ('generator/beta2: type', 'estimate', 'generator',
+     {'family': 'asym_laplace', 'alpha': 1.0, 'beta1': 1.0, 'beta2': 'x'}, 'beta2'),
+    ('generator/z1: type', 'estimate', 'generator',
+     {'family': 'two_point', 'z1': 'x', 'z2': 2.0}, 'z1'),
+    ('generator/z2: type', 'estimate', 'generator',
+     {'family': 'two_point', 'z1': 0.0, 'z2': 'x'}, 'z2'),
+    ('generator/scale: type', 'estimate', 'generator',
+     {'family': 'power', 'gamma': 1.0, 'scale': 'x'}, 'scale'),
+    ('generator/scale: exclusiveMinimum', 'estimate', 'generator',
+     {'family': 'power', 'gamma': 1.0, 'scale': 0}, 'scale'),
+    ('entropy: type', 'entropy-max', 'entropy', [1], 'entropy'),
+    ('entropy/preset: enum', 'entropy-max', 'entropy', {'preset': 'bogus'}, 'preset'),
+    ('entropy/kind: enum', 'entropy-max', 'entropy', {'kind': 'bogus'}, 'kind'),
+    ('entropy/gamma: type', 'entropy-max', 'entropy', {'kind': 'power', 'gamma': 'x'}, 'gamma'),
+    ('entropy/s: type', 'entropy-max', 'entropy', {'kind': 'power', 'gamma': 2.0, 's': 'x'}, 's'),
+    ('entropy/order: type', 'entropy-max', 'entropy',
+     {'preset': 'arimoto', 'order': 'x'}, 'order'),
+    ('entropy/c1: type', 'entropy-max', 'entropy',
+     {'kind': 'power', 'gamma': 2.0, 'c1': 'x'}, 'c1'),
+    ('entropy/c2: type', 'entropy-max', 'entropy',
+     {'kind': 'power', 'gamma': 2.0, 'c2': 'x'}, 'c2'),
+    ('entropy/c3: type', 'entropy-max', 'entropy',
+     {'kind': 'power', 'gamma': 2.0, 'c3': 'x'}, 'c3'),
+    ('entropy/c4: type', 'entropy-max', 'entropy',
+     {'kind': 'power', 'gamma': 2.0, 'c4': 'x'}, 'c4'),
+    ('entropy/fprime0: type', 'entropy-max', 'entropy',
+     {'kind': 'power', 'gamma': 2.0, 'fprime0': 'x'}, 'fprime0'),
+    ('K: type', 'entropy-max', 'K', 1.5, 'K'),
+    ('K: minimum', 'entropy-max', 'K', 0, 'K'),
+    ('reference_vector: type', 'estimate', 'reference_vector', 5, 'reference_vector'),
+    ('reference_vector/items: type', 'estimate', 'reference_vector',
+     ['x', 0.3, 0.5], 'reference_vector'),
+    ('reference_vector/items: minimum', 'estimate', 'reference_vector',
+     [-0.2, 0.7, 0.5], 'reference_vector'),
+    ('reference_vector: minItems', 'estimate', 'reference_vector', [], 'reference_vector'),
+    ('data_file: type', 'estimate', 'data_file', 123, 'data_file'),
+    ('mode: enum', 'estimate', 'mode', 'bogus', 'mode'),
+    ('target: enum', 'estimate', 'target', 'bogus', 'target'),
+    ('constraint: type', 'estimate', 'constraint', [1], 'constraint'),
+    ('constraint/type: enum', 'estimate', 'constraint', {'type': 'bogus'}, 'type'),
+    ('constraint: required type', 'estimate', 'constraint', {'index': 0, 'bound': 0.5}, 'type'),
+    ('constraint/coeffs: type', 'estimate', 'constraint',
+     {'type': 'halfspace', 'coeffs': 5, 'rhs': 0.5, 'op': '>='}, 'coeffs'),
+    ('constraint/coeffs/items: type', 'estimate', 'constraint',
+     {'type': 'halfspace', 'coeffs': ['x', 0.0, 0.0], 'rhs': 0.5, 'op': '>='}, 'coeffs'),
+    ('constraint/rhs: type', 'estimate', 'constraint',
+     {'type': 'halfspace', 'coeffs': [1.0, 0.0, 0.0], 'rhs': 'x', 'op': '>='}, 'rhs'),
+    ('constraint/op: enum', 'estimate', 'constraint',
+     {'type': 'halfspace', 'coeffs': [1.0, 0.0, 0.0], 'rhs': 0.5, 'op': '!='}, 'op'),
+    ('constraint/lower: type', 'estimate', 'constraint',
+     {'type': 'box', 'lower': 5, 'upper': [1.0, 1.0, 1.0]}, 'lower'),
+    ('constraint/lower/items: type', 'estimate', 'constraint',
+     {'type': 'box', 'lower': ['x', 0.0, 0.0], 'upper': [1.0, 1.0, 1.0]}, 'lower'),
+    ('constraint/upper: type', 'estimate', 'constraint',
+     {'type': 'box', 'lower': [0.5, 0.0, 0.0], 'upper': 5}, 'upper'),
+    ('constraint/upper/items: type', 'estimate', 'constraint',
+     {'type': 'box', 'lower': [0.5, 0.0, 0.0], 'upper': ['x', 1.0, 1.0]}, 'upper'),
+    ('constraint/tol: type', 'estimate', 'constraint',
+     {'type': 'affine_eq', 'coeffs': [1.0, 0.0, 0.0], 'rhs': 0.5, 'tol': 'x'}, 'tol'),
+    ('constraint/tol: exclusiveMinimum', 'estimate', 'constraint',
+     {'type': 'affine_eq', 'coeffs': [1.0, 0.0, 0.0], 'rhs': 0.5, 'tol': 0}, 'tol'),
+    ('constraint/index: type', 'estimate', 'constraint',
+     {'type': 'coordinate', 'index': 1.5, 'bound': 0.5}, 'index'),
+    ('constraint/index: minimum', 'estimate', 'constraint',
+     {'type': 'coordinate', 'index': -1, 'bound': 0.5}, 'index'),
+    ('constraint/bound: type', 'estimate', 'constraint',
+     {'type': 'coordinate', 'index': 0, 'bound': 'x'}, 'bound'),
+    ('constraint/parts: type', 'estimate', 'constraint', {'type': 'all', 'parts': 5}, 'parts'),
+    ('constraint/scale: type', 'estimate', 'constraint',
+     {'type': 'coordinate', 'index': 0, 'bound': 0.5, 'scale': 'x'}, 'scale'),
+    ('constraint/regularity_asserted: type', 'estimate', 'constraint',
+     {'type': 'coordinate', 'index': 0, 'bound': 0.5, 'regularity_asserted': 'false'},
+     'regularity_asserted'),
+    ('constraint/description: type', 'estimate', 'constraint',
+     {'type': 'coordinate', 'index': 0, 'bound': 0.5, 'description': 5}, 'description'),
+    ('constraint/parts/0: type', 'estimate', 'constraint',
+     {'type': 'all', 'parts': [[1]]}, 'parts'),
+    ('constraint/parts/0/type: enum', 'estimate', 'constraint',
+     {'type': 'all', 'parts': [{'type': 'bogus'}]}, 'type'),
+    ('constraint/parts/0: required type', 'estimate', 'constraint',
+     {'type': 'all', 'parts': [{'index': 0, 'bound': 0.5}]}, 'type'),
+    ('constraint/parts/0/coeffs: type', 'estimate', 'constraint',
+     {'type': 'all', 'parts': [{'type': 'halfspace', 'coeffs': 5, 'rhs': 0.5, 'op': '>='}]},
+     'coeffs'),
+    ('constraint/parts/0/coeffs/items: type', 'estimate', 'constraint',
+     {'type': 'all', 'parts': [
+         {'type': 'halfspace', 'coeffs': ['x', 0.0, 0.0], 'rhs': 0.5, 'op': '>='}]},
+     'coeffs'),
+    ('constraint/parts/0/rhs: type', 'estimate', 'constraint',
+     {'type': 'all', 'parts': [
+         {'type': 'halfspace', 'coeffs': [1.0, 0.0, 0.0], 'rhs': 'x', 'op': '>='}]},
+     'rhs'),
+    ('constraint/parts/0/op: enum', 'estimate', 'constraint',
+     {'type': 'all', 'parts': [
+         {'type': 'halfspace', 'coeffs': [1.0, 0.0, 0.0], 'rhs': 0.5, 'op': '!='}]},
+     'op'),
+    ('constraint/parts/0/lower: type', 'estimate', 'constraint',
+     {'type': 'all', 'parts': [{'type': 'box', 'lower': 5, 'upper': [1.0, 1.0, 1.0]}]}, 'lower'),
+    ('constraint/parts/0/lower/items: type', 'estimate', 'constraint',
+     {'type': 'all', 'parts': [
+         {'type': 'box', 'lower': ['x', 0.0, 0.0], 'upper': [1.0, 1.0, 1.0]}]},
+     'lower'),
+    ('constraint/parts/0/upper: type', 'estimate', 'constraint',
+     {'type': 'all', 'parts': [{'type': 'box', 'lower': [0.5, 0.0, 0.0], 'upper': 5}]}, 'upper'),
+    ('constraint/parts/0/upper/items: type', 'estimate', 'constraint',
+     {'type': 'all', 'parts': [
+         {'type': 'box', 'lower': [0.5, 0.0, 0.0], 'upper': ['x', 1.0, 1.0]}]},
+     'upper'),
+    ('constraint/parts/0/tol: type', 'estimate', 'constraint',
+     {'type': 'all', 'parts': [
+         {'type': 'affine_eq', 'coeffs': [1.0, 0.0, 0.0], 'rhs': 0.5, 'tol': 'x'}]},
+     'tol'),
+    ('constraint/parts/0/tol: exclusiveMinimum', 'estimate', 'constraint',
+     {'type': 'all', 'parts': [
+         {'type': 'affine_eq', 'coeffs': [1.0, 0.0, 0.0], 'rhs': 0.5, 'tol': 0}]},
+     'tol'),
+    ('constraint/parts/0/index: type', 'estimate', 'constraint',
+     {'type': 'all', 'parts': [{'type': 'coordinate', 'index': 1.5, 'bound': 0.5}]}, 'index'),
+    ('constraint/parts/0/index: minimum', 'estimate', 'constraint',
+     {'type': 'all', 'parts': [{'type': 'coordinate', 'index': -1, 'bound': 0.5}]}, 'index'),
+    ('constraint/parts/0/bound: type', 'estimate', 'constraint',
+     {'type': 'all', 'parts': [{'type': 'coordinate', 'index': 0, 'bound': 'x'}]}, 'bound'),
+    ('constraint/parts/0/parts: type', 'estimate', 'constraint',
+     {'type': 'all', 'parts': [{'type': 'all', 'parts': 5}]}, 'parts'),
+    ('constraint/parts/0/scale: type', 'estimate', 'constraint',
+     {'type': 'all', 'parts': [{'type': 'coordinate', 'index': 0, 'bound': 0.5, 'scale': 'x'}]},
+     'scale'),
+    ('constraint/parts/0/regularity_asserted: type', 'estimate', 'constraint',
+     {'type': 'all', 'parts': [
+         {'type': 'coordinate', 'index': 0, 'bound': 0.5, 'regularity_asserted': 'false'}]},
+     'regularity_asserted'),
+    ('constraint/parts/0/description: type', 'estimate', 'constraint',
+     {'type': 'all', 'parts': [
+         {'type': 'coordinate', 'index': 0, 'bound': 0.5, 'description': 5}]},
+     'description'),
+    ('side: type', 'transport', 'side', [1], 'side'),
+    ('side/type: enum', 'transport', 'side', {'type': 'bogus'}, 'type'),
+    ('side: required type', 'transport', 'side', {'index': 0, 'bound': 0.5}, 'type'),
+    ('side/coeffs: type', 'transport', 'side',
+     {'type': 'halfspace', 'coeffs': 5, 'rhs': 0.5, 'op': '>='}, 'coeffs'),
+    ('side/coeffs/items: type', 'transport', 'side',
+     {'type': 'halfspace', 'coeffs': ['x', 0.0, 0.0, 0.0], 'rhs': 0.5, 'op': '>='}, 'coeffs'),
+    ('side/rhs: type', 'transport', 'side',
+     {'type': 'halfspace', 'coeffs': [1.0, 0.0, 0.0, 0.0], 'rhs': 'x', 'op': '>='}, 'rhs'),
+    ('side/op: enum', 'transport', 'side',
+     {'type': 'halfspace', 'coeffs': [1.0, 0.0, 0.0, 0.0], 'rhs': 0.5, 'op': '!='}, 'op'),
+    ('side/lower: type', 'transport', 'side',
+     {'type': 'box', 'lower': 5, 'upper': [1.0, 1.0, 1.0, 1.0]}, 'lower'),
+    ('side/lower/items: type', 'transport', 'side',
+     {'type': 'box', 'lower': ['x', 0.0, 0.0, 0.0], 'upper': [1.0, 1.0, 1.0, 1.0]}, 'lower'),
+    ('side/upper: type', 'transport', 'side',
+     {'type': 'box', 'lower': [0.5, 0.0, 0.0, 0.0], 'upper': 5}, 'upper'),
+    ('side/upper/items: type', 'transport', 'side',
+     {'type': 'box', 'lower': [0.5, 0.0, 0.0, 0.0], 'upper': ['x', 1.0, 1.0, 1.0]}, 'upper'),
+    ('side/tol: type', 'transport', 'side',
+     {'type': 'affine_eq', 'coeffs': [1.0, 0.0, 0.0, 0.0], 'rhs': 0.5, 'tol': 'x'}, 'tol'),
+    ('side/tol: exclusiveMinimum', 'transport', 'side',
+     {'type': 'affine_eq', 'coeffs': [1.0, 0.0, 0.0, 0.0], 'rhs': 0.5, 'tol': 0}, 'tol'),
+    ('side/index: type', 'transport', 'side',
+     {'type': 'coordinate', 'index': 1.5, 'bound': 0.5}, 'index'),
+    ('side/index: minimum', 'transport', 'side',
+     {'type': 'coordinate', 'index': -1, 'bound': 0.5}, 'index'),
+    ('side/bound: type', 'transport', 'side',
+     {'type': 'coordinate', 'index': 0, 'bound': 'x'}, 'bound'),
+    ('side/parts: type', 'transport', 'side', {'type': 'all', 'parts': 5}, 'parts'),
+    ('side/scale: type', 'transport', 'side',
+     {'type': 'coordinate', 'index': 0, 'bound': 0.5, 'scale': 'x'}, 'scale'),
+    ('side/regularity_asserted: type', 'transport', 'side',
+     {'type': 'coordinate', 'index': 0, 'bound': 0.5, 'regularity_asserted': 'false'},
+     'regularity_asserted'),
+    ('side/description: type', 'transport', 'side',
+     {'type': 'coordinate', 'index': 0, 'bound': 0.5, 'description': 5}, 'description'),
+    ('estimator: type', 'estimate', 'estimator', [1], 'estimator'),
+    ('estimator/n: type', 'estimate', 'estimator/n', 1.5, 'n'),
+    ('estimator/n: minimum', 'estimate', 'estimator/n', 0, 'n'),
+    ('estimator/L: type', 'estimate', 'estimator/L', 1.5, 'L'),
+    ('estimator/L: minimum', 'estimate', 'estimator/L', 0, 'L'),
+    ('estimator/seed: type', 'estimate', 'estimator/seed', 1.5, 'seed'),
+    ('estimator/batches: type', 'estimate', 'estimator/batches', 1.5, 'batches'),
+    ('estimator/batches: minimum', 'estimate', 'estimator/batches', 9, 'batches'),
+    ('estimator/threads: type', 'estimate', 'estimator/threads', 1.5, 'threads'),
+    ('estimator/threads: minimum', 'estimate', 'estimator/threads', 0, 'threads'),
+    ('estimator/proxy: type', 'estimate', 'estimator/proxy', [1], 'proxy'),
+    ('estimator/proxy/method: enum', 'estimate', 'estimator/proxy/method', 'bogus', 'method'),
+    ('estimator/proxy/q_star: type', 'estimate', 'estimator/proxy/q_star', 5, 'q_star'),
+    ('estimator/proxy/q_star/items: type', 'estimate', 'estimator/proxy/q_star',
+     ['x', 0.3, 0.5], 'q_star'),
+    ('estimator/proxy/budget: type', 'estimate', 'estimator/proxy/budget', 1.5, 'budget'),
+    ('estimator/proxy/budget: minimum', 'estimate', 'estimator/proxy/budget', 0, 'budget'),
+    ('estimator/proxy/m_run: type', 'estimate', 'estimator/proxy/m_run', 1.5, 'm_run'),
+    ('estimator/proxy/m_run: minimum', 'estimate', 'estimator/proxy/m_run', 0, 'm_run'),
+    ('estimator/proxy: additionalProperties', 'estimate', 'estimator/proxy/bogus_key',
+     1, 'bogus_key'),
+    ('estimator: required n', 'estimate', 'estimator/n', DELETE, 'n'),
+    ('estimator: additionalProperties', 'estimate', 'estimator/bogus_key', 1, 'bogus_key'),
+    ('output: type', 'estimate', 'output', [1], 'output'),
+    ('output/result: type', 'estimate', 'output/result', 5, 'result'),
+    ('output/trace: type', 'estimate', 'output/trace', 5, 'trace'),
+    ('c1: type', 'quadratic', 'c1', 5, 'c1'),
+    ('c1/items: type', 'quadratic', 'c1', ['x', 1.0], 'c1'),
+    ('c2: type', 'quadratic', 'c2', 5, 'c2'),
+    ('c2/items: type', 'quadratic', 'c2', ['x', 1.0], 'c2'),
+    ('c3: type', 'quadratic', 'c3', 5, 'c3'),
+    ('c3/items: type', 'quadratic', 'c3', ['x', 1.0], 'c3'),
+    ('mu: type', 'transport', 'mu', 5, 'mu'),
+    ('mu/items: type', 'transport', 'mu', ['x', 0.5], 'mu'),
+    ('mu/items: minimum', 'transport', 'mu', [-0.5, 1.5], 'mu'),
+    ('nu: type', 'transport', 'nu', 5, 'nu'),
+    ('nu/items: type', 'transport', 'nu', ['x', 0.5], 'nu'),
+    ('nu/items: minimum', 'transport', 'nu', [-0.5, 1.5], 'nu'),
+    ('costs: type', 'assignment', 'costs', 5, 'costs'),
+    ('costs/items: type', 'assignment', 'costs', [[1.0, 10.0], 5], 'costs'),
+    ('costs/items/items: type', 'assignment', 'costs', [[1.0, 'x'], [10.0, 1.0]], 'costs'),
+    ('costs/items/items: exclusiveMinimum', 'assignment', 'costs',
+     [[1.0, 0.0], [10.0, 1.0]], 'costs'),
+    ('eps1: type', 'assignment', 'eps1', 'x', 'eps1'),
+    ('eps1: exclusiveMinimum', 'assignment', 'eps1', 0, 'eps1'),
+    ('eps2: type', 'assignment', 'eps2', 'x', 'eps2'),
+    ('eps2: exclusiveMinimum', 'assignment', 'eps2', 0, 'eps2'),
+    ('band: type', 'transport', 'band', 'x', 'band'),
+    ('band: exclusiveMinimum', 'transport', 'band', 0, 'band'),
+    # values named where the schema alone refused them
+    ('generator/gamma: value True', 'estimate', 'generator/gamma', True, 'gamma'),
+    ("generator/gamma: value '1.0'", 'estimate', 'generator/gamma', '1.0', 'gamma'),
+    ('generator/gamma: value [1.0]', 'estimate', 'generator/gamma', [1.0], 'gamma'),
+    ('estimator/n: value 400.5', 'estimate', 'estimator/n', 400.5, 'n'),
+    ("estimator/seed: value '7'", 'estimate', 'estimator/seed', '7', 'seed'),
+    ('estimator/threads: value -2', 'estimate', 'estimator/threads', -2, 'threads'),
+    ('constraint/index: value -3', 'estimate', 'constraint/index', -3, 'index'),
+    ('constraint/index: value 0.5', 'estimate', 'constraint/index', 0.5, 'index'),
+    ("constraint/scale: value '2'", 'estimate', 'constraint/scale', '2', 'scale'),
+    ('constraint/tol: value -1', 'estimate', 'constraint',
+     {'type': 'affine_eq', 'coeffs': [1.0, 0.0, 0.0], 'rhs': 0.5, 'tol': -1}, 'tol'),
+    ("entropy/gamma: value '2'", 'entropy-max', 'entropy',
+     {'preset': 'renyi', 'gamma': '2'}, 'gamma'),
+    ('K: value 2.5', 'entropy-max', 'K', 2.5, 'K'),
+    ('band: value -0.1', 'transport', 'band', -0.1, 'band'),
+]
+
+
+def with_value(config: dict, path: str, value) -> dict:
+    config = copy.deepcopy(config)
+    *parents, last = path.split("/")
+    node = config
+    for key in parents:
+        node = node.setdefault(key, {})
+    if value is DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return config
+
+
 class TestEstimateCommand:
     def test_result_schema(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE_CONFIG)
@@ -96,18 +382,6 @@ class TestEstimateCommand:
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, {"generator": {"family": "power", "gamma": 1.0}})
         assert cli.main(["estimate", "--config", cfg]) == cli.EXIT_CONFIG
-
-    def test_missing_jsonschema_is_a_config_error(self, tmp_path, monkeypatch, capsys):
-        cfg = write_config(tmp_path, BASE_CONFIG)
-        monkeypatch.setitem(sys.modules, "jsonschema", None)  # import now fails
-        assert cli.main(["estimate", "--config", cfg]) == cli.EXIT_CONFIG
-        assert "jsonschema" in capsys.readouterr().err
-
-    def test_missing_schema_file_is_a_config_error(self, tmp_path, monkeypatch, capsys):
-        cfg = write_config(tmp_path, BASE_CONFIG)
-        monkeypatch.setattr(cli, "__file__", str(tmp_path / "cli.py"))
-        assert cli.main(["estimate", "--config", cfg]) == cli.EXIT_CONFIG
-        assert "config.schema.json" in capsys.readouterr().err
 
     def test_estimator_defaults_come_from_the_dataclasses(self):
         assert cli._config_from_dict({"estimator": {"n": 50}}, None) == EstimatorConfig(n=50)
@@ -153,7 +427,9 @@ class TestEstimateCommand:
         blocks = [b.split("```")[0] for b in readme.split("```json\n")[1:]]
         assert blocks
         for block in blocks:
-            cli._load_and_validate(write_config(tmp_path, json.loads(block)))
+            spec = cli._load_config(write_config(tmp_path, json.loads(block)))
+            cli._config_from_dict(spec, None)
+            cli._divergence_inputs(spec)
 
     def test_bad_generator_family(self, tmp_path):
         config = dict(BASE_CONFIG)
@@ -239,6 +515,48 @@ class TestModeMismatch:
         code, err = self.run(write_config(tmp_path, config), capsys, "bounds")
         assert code == cli.EXIT_CONFIG
         assert "use mode 'simplex' or 'empirical'" in err
+
+
+class TestTargetCheck:
+    """A target the generator cannot invert is a config error raised
+    before any draw."""
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        monkeypatch.setattr(engine, "law_for_generator", lambda *args, **kw: NoDrawLaw())
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"generator": {"family": "generalized_kl", "alpha": 1.0}, "target": DELETE},
+         "target 'divergence' needs a power generator"),
+        ({"target": "divergenz"}, "unknown inversion target 'divergenz'"),
+        ({"generator": {"family": "power", "gamma": 0.5}, "target": "modified_kl"},
+         "modified KL inversion needs gamma = 1"),
+    ])
+    def test_refused_before_any_draw(self, tmp_path, capsys, changes, message):
+        config = BASE_CONFIG
+        for key, value in changes.items():
+            config = with_value(config, key, value)
+        assert cli.main(["estimate", "--config", write_config(tmp_path, config)]) == 2
+        assert message in capsys.readouterr().err
+
+
+class TestConfigRules:
+    """Every rule row is a config error (exit 2) raised before any draw,
+    and its message names the key."""
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        monkeypatch.setattr(engine, "law_for_generator", lambda *args, **kw: NoDrawLaw())
+
+    @pytest.mark.parametrize("command, path, value, key",
+                             [row[1:] for row in RULE_ROWS], ids=[row[0] for row in RULE_ROWS])
+    def test_rule_is_a_config_error(self, tmp_path, capsys, command, path, value, key):
+        config = with_value(RULE_BASES[command], path, value)
+        code = cli.main([command, "--config", write_config(tmp_path, config)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG, err
+        assert "Traceback" not in err
+        assert re.search(rf"\b{key}\b", err), err
 
 
 class TestOtherCommands:

@@ -5,7 +5,7 @@ import pytest
 
 import baresim as bs
 from baresim import engine, laws, oracle, problems
-from baresim.divergence import GeneralizedKL, PowerGamma
+from baresim.divergence import GeneralizedKL, PowerGamma, TwoPoint
 from baresim.entropy import shannon
 
 from conftest import NoDrawLaw, make_rng
@@ -519,6 +519,95 @@ class TestModeChecks:
         scaled = bs.intersection(self.omega, scale=2.0)
         sx = engine.prepare(self.gen, [0.2, 0.3, 0.5], scaled, cfg, "simplex")
         assert sx.mass == 1.0 and sx.scale == 2.0
+
+
+class TestConstructorRules:
+    """The range and choice rules of the estimator settings hold at
+    construction, for the library as for the CLI."""
+
+    @pytest.mark.parametrize("name", ["n", "L", "batches", "threads", "seed"])
+    @pytest.mark.parametrize("value", [10.5, "12", True, None])
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            bs.EstimatorConfig(**{"n": 100, name: value})
+
+    @pytest.mark.parametrize("name, value", [("n", 0), ("L", 0), ("batches", 9),
+                                             ("threads", 0), ("threads", -2), ("seed", -1)])
+    def test_count_ranges(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >="):
+            bs.EstimatorConfig(**{"n": 100, name: value})
+
+    def test_numpy_integers_are_integers(self):
+        cfg = bs.EstimatorConfig(n=np.int64(100), L=np.int32(500), threads=np.int64(2))
+        assert (cfg.n, cfg.L, cfg.threads) == (100, 500, 2)
+
+    def test_proxy_method_is_one_of_three(self):
+        with pytest.raises(ValueError, match="proxy method 'grid' is not given, hit_run or density"):
+            bs.ProxySpec(method="grid")
+
+    @pytest.mark.parametrize("name, value", [("budget", 0), ("budget", 2.5),
+                                             ("m_run", 0), ("m_run", 1.5)])
+    def test_proxy_counts(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+            bs.ProxySpec(**{name: value})
+
+    def test_proxy_run_length_may_be_left_out(self):
+        assert bs.ProxySpec(m_run=None).m_run is None
+
+    @pytest.mark.parametrize("K", [0, 2.5, True])
+    def test_entropy_dimension(self, K, monkeypatch):
+        monkeypatch.setattr(engine, "law_for_generator", lambda *args, **kw: NoDrawLaw())
+        cfg = bs.EstimatorConfig(n=300, L=1000, seed=1)
+        with pytest.raises(ValueError, match="K must be an integer >= 1"):
+            bs.estimate_entropy_extremum(shannon(), K, bs.simplex_face(0, 0.5), cfg)
+
+
+class TestTargetCheck:
+    """A target that cannot be inverted with the generator is refused
+    before any draw."""
+
+    P = np.array([0.2, 0.3, 0.5])
+    OMEGA = bs.simplex_face(0, 0.45, ">=")
+
+    @pytest.mark.parametrize("gen, target, message", [
+        (GeneralizedKL(1.0, 1.0), None, "target 'divergence' needs a power generator"),
+        (PowerGamma(1.0), "divergenz", "unknown inversion target 'divergenz'"),
+        (PowerGamma(0.5), "modified_kl", "modified KL inversion needs gamma = 1"),
+    ])
+    def test_refused_before_any_draw(self, gen, target, message):
+        cfg = bs.EstimatorConfig(n=1000, L=20_000, seed=1)
+        with pytest.raises(ValueError, match=message):
+            bs.estimate_min_divergence(gen, self.P, self.OMEGA, cfg, mode="simplex",
+                                       target=target, law=NoDrawLaw())
+
+    def test_invert_shares_the_check(self):
+        with pytest.raises(ValueError, match="unknown inversion target"):
+            engine.invert("divergenz", -10.0, 100, gen=PowerGamma(1.0))
+        with pytest.raises(ValueError, match="needs a power generator"):
+            engine.invert("hellinger", -10.0, 100, gen=GeneralizedKL(1.0))
+
+
+class TestHitRunOutsideDomain:
+    """Two-point weights on {0, 2}: at the default run length 5 the blocks
+    are (1, 1, 3), so every hit of {q_0 >= .35} has q_0 / p_0 in {5, 2.5},
+    outside dom phi = [0, 2]."""
+
+    P = np.array([0.2, 0.3, 0.5])
+    OMEGA = bs.simplex_face(0, 0.35, ">=")
+
+    def proxy(self, m_run=None):
+        cfg = bs.EstimatorConfig(n=200, L=2000, seed=1, proxy=bs.ProxySpec(m_run=m_run))
+        return engine.proxy_q_star(
+            engine.prepare(TwoPoint(0.0, 2.0), self.P, self.OMEGA, cfg, "simplex"), cfg)
+
+    def test_the_error_says_where_the_hits_lie(self):
+        with pytest.raises(RuntimeError, match=r"all \d+ hits lie where D\(q, p\) is "
+                                                r"infinite at run length 5; raise m_run"):
+            self.proxy()
+
+    def test_a_longer_run_finds_a_proxy(self):
+        q = self.proxy(m_run=20).q_star
+        assert q[0] >= 0.35 and np.all(q / self.P <= 2.0)
 
 
 class TestBoundsSingleSearch:

@@ -156,7 +156,7 @@ class TestTilting:
         law = lw.ScaledPoisson(1.0)
         tau = math.log(2.0)
         lam = float(lw.log_mgf(law, tau))
-        base_v, base_p = law.block_support(1, math.log(1e-12))
+        base_v, base_p, _ = law.block_support(1, math.log(1e-12))
         tilt_p = stats.poisson.pmf(np.arange(base_v.size), math.exp(tau))
         ratio = np.exp(tau * base_v - lam) * base_p
         assert np.allclose(tilt_p, ratio, atol=1e-12)

@@ -109,6 +109,25 @@ class TestExactPi:
         pi, tail = oracle.exact_pi(law, part, omega, mode="deterministic")
         assert pi == pytest.approx(1 - stats.poisson.cdf(4, 2), abs=1e-10)
 
+    @pytest.mark.parametrize("tail_bound", [1e-14, 1e-16])
+    def test_small_tail_bounds_are_certified(self, tail_bound):
+        # each block's tail is P[X > cut] from the far side, not 1 - sum(pmf)
+        law = laws.ScaledPoisson(1.0)
+        part = engine.partition(np.full(3, 1 / 3), 150)
+        omega = bs.simplex_face(0, 0.6, ">=")
+        pi0, tail0 = oracle.exact_pi(law, part, omega, mode="simplex")
+        pi, tail = oracle.exact_pi(law, part, omega, tail_bound=tail_bound, mode="simplex")
+        assert tail <= tail_bound
+        assert abs(pi - pi0) <= tail + tail0
+        # the enumeration at the default bound is the one of the 1 - sum(pmf) tail
+        assert pi0.hex() == "0x1.4735142037e89p-34"
+
+    def test_poisson_cut_beyond_isf(self):
+        # scipy's poisson.isf is NaN this far out; the cut is found on logsf
+        vals, probs, tail = laws.ScaledPoisson(1.0).block_support(50, math.log(1e-17))
+        assert 0.0 < tail <= 1e-17 / 2
+        assert probs[-3:].sum() > 0.0
+
     def test_continuous_law_rejected(self):
         part = engine.partition([0.5, 0.5], 4)
         with pytest.raises(ValueError):

@@ -195,6 +195,13 @@ class TestTransportReduction:
             problems.Transport(mu=[1.0, 0.0], nu=[0.3, 0.3])
 
 
+class TestTransportBand:
+    @pytest.mark.parametrize("band", [0.0, -0.1])
+    def test_band_must_be_positive(self, band):
+        with pytest.raises(ValueError, match="band must be > 0"):
+            problems.Transport(mu=[0.5, 0.5], nu=[0.5, 0.5], band=band)
+
+
 class TestSolve:
     def test_transport_trivial_estimate(self):
         inst = problems.Transport(mu=[0.5, 0.5], nu=[0.5, 0.5])

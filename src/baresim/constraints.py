@@ -21,7 +21,8 @@ import numpy as np
 
 from .divergence import _check_int
 from .jsonread import (
-    as_bool, as_integer, as_list, as_number, as_numbers, as_object, as_string, field,
+    ConfigError, as_bool, as_integer, as_list, as_number, as_numbers, as_object, as_string,
+    field,
 )
 
 __all__ = [
@@ -201,10 +202,13 @@ def constraint_from_dict(spec, path: str = "constraint") -> ConstraintSet:
     {"type": "coordinate", "index": k, "bound": b, "op": ">="}.
     Combinators: {"type": "all"/"any", "parts": [...]}.
     Optional top-level keys: "scale", "regularity_asserted", "description".
+    A key that the form's type does not read is an error.
     """
     spec = as_object(spec, path)
+    used = set()
 
     def get(key, read, *default):
+        used.add(key)
         return field(spec, key, read, *default, path=path)
 
     meta = {
@@ -231,4 +235,8 @@ def constraint_from_dict(spec, path: str = "constraint") -> ConstraintSet:
         out = combo(*parts, **meta)
     else:
         raise ValueError(f"{path}/type: unknown constraint type {kind!r}")
+    unknown = sorted(set(spec) - used)
+    if unknown:
+        raise ConfigError(f"{path}/{unknown[0]}: a {kind!r} constraint takes no key "
+                          f"{unknown[0]!r}")
     return out if description is None else replace(out, description=description)

@@ -909,6 +909,11 @@ def bounds_general(gen: Generator, P, omega: ConstraintSet,
     upper = divergence(gen, proxy.q_star, prepared.part.p_tilde)
     est.value = lower
     est.stderr = est.stderr_log_pi / config.n if math.isfinite(est.stderr_log_pi) else INF
+    if lower > upper:
+        est.warnings.append(
+            f"lower bound {lower:.6g} exceeds upper bound {upper:.6g}: the lower "
+            "bound -(1/n) log pi_hat carries the O(log n / n) finite-n bias; raise n"
+        )
     return lower, upper, proxy.q_star, est
 
 

@@ -49,10 +49,6 @@ __all__ = [
 
 INF = math.inf
 
-# DistortedStable draws single weights by rejection only while the
-# acceptance rate stays at or above this floor; below it, by inversion
-_REJECTION_FLOOR = 1e-3
-
 
 class WeightLaw:
     """Base class; subclasses are frozen dataclasses."""
@@ -212,47 +208,18 @@ class DistortedStable(WeightLaw):
         if not (self.scale > 0):
             raise ValueError("scale must be > 0")
 
-    @property
-    def alpha(self) -> float:
-        return self.gamma / (self.gamma - 1.0)
-
-    @property
-    def stable_d(self) -> float:
-        g, c = self.gamma, self.scale
-        return c ** (1.0 / (1.0 - g)) * (g - 1.0) ** (g / (g - 1.0)) / g
-
-    @property
-    def weight_rate(self) -> float:
-        return self.scale / (self.gamma - 1.0)
-
     def mgf_dom(self) -> Tuple[float, float]:
         return (-self.scale / (self.gamma - 1.0), INF)
 
     def log_mgf(self, z):
         return _log_mgf_power(self.scale, self.gamma, z)
 
-    def _inverter(self, tau: float, nk: int) -> stable.LatticeFreeInverter:
-        return _distorted_inverter(
-            round(self.gamma, 12), round(self.scale, 12), round(tau, 12), nk
-        )
-
-    def sample_block_sum(self, nk, rng, size):
-        # single weights come from the certified rejection sampler, an
-        # algorithm independent of the inverter that the law tests compare
-        # the block sums against
-        if nk == 1:
-            _, acc = stable.weighted_stable_acceptance(
-                self.alpha, self.stable_d, self.weight_rate
-            )
-            if acc >= _REJECTION_FLOOR:
-                return stable.sample_weighted_negative_stable(
-                    self.alpha, self.stable_d, self.weight_rate, rng, size
-                )
-        return self._inverter(0.0, nk).sample(rng, size)
-
     def sample_tilted_block(self, tau, nk, rng, size):
         self.check_tau(tau)
-        return self._inverter(tau, nk).sample(rng, size)
+        inverter = _distorted_inverter(
+            round(self.gamma, 12), round(self.scale, 12), round(tau, 12), nk
+        )
+        return inverter.sample(rng, size)
 
 
 @lru_cache(maxsize=128)

@@ -10,17 +10,14 @@ Two regimes are needed:
   ``1/e`` uniformly in the tilt.
 
 * index ``alpha`` in ]1,2[, spectrally negative, exponentially weighted:
-  single draws by rejection from a Chambers-Mallows-Stuck proposal
-  truncated where the weighted mass is certifiably negligible; block sums
-  and tilted variants by numeric inversion of the closed-form
-  characteristic function.
+  every draw (single weights, block sums, tilted or not) by numeric
+  inversion of the closed-form characteristic function.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -28,12 +25,9 @@ import numpy as np
 __all__ = [
     "sample_positive_stable",
     "sample_tilted_positive_stable",
-    "sample_cms_stable",
     "LatticeFreeInverter",
     "chernoff_quantile",
 ]
-
-_TRUNCATION_LOG_MASS = math.log(1e-14)
 
 
 def sample_positive_stable(alpha: float, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -78,102 +72,6 @@ def sample_tilted_positive_stable(
             piece[pending[accept]] = cand[accept]
             pending = pending[~accept]
         out += scale * piece
-    return out
-
-
-def sample_cms_stable(
-    alpha: float, beta: float, rng: np.random.Generator, size: int
-) -> np.ndarray:
-    """Chambers-Mallows-Stuck draws from the standard stable law
-    S(alpha, beta; 1, 0) in the S1 parametrization, alpha != 1."""
-    if not (0.0 < alpha <= 2.0) or alpha == 1.0:
-        raise ValueError("alpha must lie in ]0,1[ or ]1,2]")
-    if not (-1.0 <= beta <= 1.0):
-        raise ValueError("beta must lie in [-1,1]")
-    u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=size)
-    w = rng.exponential(1.0, size=size)
-    zeta = beta * math.tan(math.pi * alpha / 2.0)
-    xi = math.atan(zeta) / alpha
-    factor = (1.0 + zeta**2) ** (1.0 / (2.0 * alpha))
-    return (
-        factor
-        * np.sin(alpha * (u + xi))
-        / np.cos(u) ** (1.0 / alpha)
-        * (np.cos(u - alpha * (u + xi)) / w) ** ((1.0 - alpha) / alpha)
-    )
-
-
-def sample_spectrally_negative_stable(
-    alpha: float, d: float, rng: np.random.Generator, size: int
-) -> np.ndarray:
-    """Draws of V with E[exp(s V)] = exp(d s^alpha) for s >= 0,
-    alpha in ]1,2[ (totally skewed, heavy left tail)."""
-    if not (1.0 < alpha < 2.0):
-        raise ValueError("alpha must lie in ]1,2[")
-    sigma = (d * abs(math.cos(math.pi * alpha / 2.0))) ** (1.0 / alpha)
-    return -sigma * sample_cms_stable(alpha, 1.0, rng, size)
-
-
-@lru_cache(maxsize=512)
-def weighted_stable_acceptance(alpha: float, d: float, lam: float) -> tuple[float, float]:
-    """Truncation point and acceptance rate for rejection sampling of the
-    law with density proportional to exp(lam*v) * f_V(v), V spectrally
-    negative stable with exponent d*s^alpha.
-
-    The truncation point v_max is chosen so that the discarded target mass
-    is below exp(_TRUNCATION_LOG_MASS); the acceptance rate is
-    approximately exp(d lam^alpha - lam v_max).
-    """
-    from scipy import optimize
-
-    log_norm = d * lam**alpha
-    target = _TRUNCATION_LOG_MASS + log_norm
-
-    def tail_bound(x: float) -> float:
-        # log integral_{v > x} e^{lam v} f_V(v) dv <= inf_{s>0} d(lam+s)^a - s x
-        def obj(s: float) -> float:
-            return d * (lam + s) ** alpha - s * x
-
-        res = optimize.minimize_scalar(obj, bounds=(1e-12, 1e8), method="bounded")
-        return float(res.fun)
-
-    x = max(1.0, d ** (1.0 / alpha))
-    for _ in range(200):
-        if tail_bound(x) <= target:
-            break
-        x *= 1.5
-    else:
-        raise RuntimeError("could not certify a truncation point")
-    # shrink back for a tighter acceptance rate
-    lo, hi = x / 1.5, x
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if tail_bound(mid) <= target:
-            hi = mid
-        else:
-            lo = mid
-    v_max = hi
-    acc = math.exp(min(0.0, d * lam**alpha - lam * v_max))
-    return v_max, acc
-
-
-def sample_weighted_negative_stable(
-    alpha: float, d: float, lam: float, rng: np.random.Generator, size: int
-) -> np.ndarray:
-    """Rejection draws of the exponentially weighted spectrally negative
-    stable law: density proportional to exp(lam*v) f_V(v).  Exact up to
-    the certified truncation mass (< 1e-14 in total variation)."""
-    v_max, _ = weighted_stable_acceptance(alpha, d, lam)
-    out = np.full(size, np.nan)
-    pending = np.arange(size)
-    while pending.size:
-        cand = sample_spectrally_negative_stable(alpha, d, rng, pending.size)
-        ok = cand <= v_max
-        accept = np.zeros(pending.size, dtype=bool)
-        if np.any(ok):
-            accept[ok] = rng.random(int(ok.sum())) < np.exp(lam * (cand[ok] - v_max))
-        out[pending[accept]] = cand[accept]
-        pending = pending[~accept]
     return out
 
 

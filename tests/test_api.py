@@ -1,7 +1,8 @@
 """The package's public names: every name a module lists in ``__all__``
 and every name ``baresim/__init__.py`` imports must exist; and importing the
 package loads no scipy, nor does a solve on a path that does not need it;
-no stage loads jsonschema, which the config reader does not use."""
+no stage loads jsonschema, which the config reader does not use; and every
+source file parses at the Python floor that pyproject.toml declares."""
 
 import ast
 import importlib
@@ -34,6 +35,16 @@ def test_package_imports_resolve():
     assert imported
     missing = [n for n in imported if not hasattr(baresim, n)]
     assert not missing, f"baresim imports missing names {missing}"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_source_parses_at_python_3_10(path):
+    # requires-python = ">=3.10": no syntax newer than 3.10
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
 # Loads baresim in a fresh interpreter and, after each stage, lists the scipy

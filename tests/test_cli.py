@@ -422,6 +422,18 @@ class TestEstimateCommand:
         err = capsys.readouterr().err
         assert f"{path}: " in err and repr(key) in err
 
+    @pytest.mark.parametrize("constraint, path", [
+        ({"type": "coordinate", "index": 0, "bound": 0.5, "opp": "<="}, "constraint/opp"),
+        ({"type": "any", "parts": [{"type": "coordinate", "index": 0, "bound": 0.5,
+                                    "coeffs": [1, 0, 0]}]}, "constraint/parts/0/coeffs"),
+    ])
+    def test_unknown_constraint_key_is_a_config_error(self, tmp_path, capsys, constraint,
+                                                      path):
+        cfg = write_config(tmp_path, {**BASE_CONFIG, "constraint": constraint})
+        assert cli.main(["estimate", "--config", cfg]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and "Traceback" not in err
+
     def test_readme_configs_validate(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         blocks = [b.split("```")[0] for b in readme.split("```json\n")[1:]]

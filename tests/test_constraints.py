@@ -41,3 +41,31 @@ class TestConstraintFromDict:
     def test_integral_float_index(self):
         omega = bs.constraint_from_dict({"type": "coordinate", "index": 1.0, "bound": 0.5})
         assert omega.description == "x[1] >= 0.5"
+
+    @pytest.mark.parametrize("spec, path", [
+        ({"type": "halfspace", "coeffs": [1, 0, 0], "rhs": 0.5, "opp": "<="}, "constraint/opp"),
+        ({"type": "coordinate", "index": 0, "bound": 0.5, "coeffs": [1, 0]},
+         "constraint/coeffs"),
+        ({"type": "box", "lower": [0], "upper": [1], "op": ">="}, "constraint/op"),
+        ({"type": "affine_eq", "coeffs": [1, 1], "rhs": 1, "index": 0}, "constraint/index"),
+        ({"type": "all", "parts": [{"type": "coordinate", "index": 0, "bound": 0.5}],
+          "rhs": 1}, "constraint/rhs"),
+        ({"type": "any", "parts": [{"type": "coordinate", "index": 0, "bound": 0.5,
+                                    "tol": 1e-9}]}, "constraint/parts/0/tol"),
+    ])
+    def test_a_key_the_type_does_not_read_is_refused(self, spec, path):
+        # a misspelt optional key would otherwise silently take its default
+        with pytest.raises(ValueError, match=f"^{path}: "):
+            bs.constraint_from_dict(spec)
+
+    @pytest.mark.parametrize("spec", [
+        {"type": "halfspace", "coeffs": [1, 0], "rhs": 0.5, "op": "<="},
+        {"type": "box", "lower": [0, 0], "upper": [1, 1]},
+        {"type": "affine_eq", "coeffs": [1, 1], "rhs": 1, "tol": 1e-6},
+        {"type": "coordinate", "index": 0, "bound": 0.5, "op": "<="},
+        {"type": "all", "parts": [{"type": "coordinate", "index": 0, "bound": 0.5}]},
+        {"type": "any", "parts": [{"type": "coordinate", "index": 1, "bound": 0.5}]},
+    ])
+    def test_every_key_a_type_reads_is_accepted(self, spec):
+        common = {"scale": 1.0, "regularity_asserted": True, "description": "d"}
+        assert bs.constraint_from_dict({**spec, **common}).description == "d"

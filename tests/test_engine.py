@@ -645,6 +645,8 @@ class TestBoundsSingleSearch:
         assert np.array_equal(est.batch_log_means, plain.batch_log_means)
         assert np.array_equal(q_hat, proxies[0].q_star)
         assert upper == bs.divergence(gen, q_hat, p)
+        # ordered bounds add no warning
+        assert lower <= upper and est.warnings == plain.warnings
 
 
     def test_infeasible_given_proxy_is_refused(self):
@@ -661,6 +663,17 @@ class TestBoundsSingleSearch:
         assert bs.divergence(gen, q_star, p) < floor
         with pytest.raises(ValueError, match="'given' proxy q_star is outside"):
             engine.bounds_general(gen, p, omega, cfg, mode="simplex")
+
+
+class TestBoundsOrderWarning:
+    def test_inverted_bounds_are_flagged(self):
+        # at n = 200 the finite-n bias lifts the lower bound above the upper
+        cfg = bs.EstimatorConfig(n=200, L=2000, seed=1, proxy=bs.ProxySpec(m_run=20))
+        lower, upper, _, est = engine.bounds_general(
+            TwoPoint(0.0, 2.0), np.array([0.2, 0.3, 0.5]), bs.simplex_face(0, 0.35, ">="),
+            cfg, mode="simplex")
+        assert lower > upper
+        assert any("finite-n bias" in w for w in est.warnings), est.warnings
 
 
 class TestSimplexTwoPointExact:

@@ -193,8 +193,13 @@ def _run(args, solve) -> int:
     """Shared body of the estimation commands: load and read the config,
     solve, and write the result and the per-batch trace where ``--out`` or
     the config's ``output`` section asks.  ``solve(spec, config)`` returns
-    the estimate and the extra payload fields."""
+    the estimate and the extra payload fields.  A top-level key the command
+    does not read is an error."""
     spec = _load_config(args.config)
+    unknown = sorted(set(spec) - {"estimator", "output", *_KEYS[args.command]})
+    if unknown:
+        raise ConfigError(f"{unknown[0]}: the {args.command} command reads no key "
+                          f"{unknown[0]!r}")
     config = _config_from_dict(spec, args)
     output = field(spec, "output", as_object, {})
     result = field(output, "result", as_string, None, path="output")
@@ -232,6 +237,9 @@ def _solve_entropy_max(spec: dict, config: EstimatorConfig):
 
 def _solve_bounds(spec: dict, config: EstimatorConfig):
     gen, omega, P, mode = _divergence_inputs(spec)
+    # the bounds are on the divergence, the target an estimate config may name
+    if field(spec, "target", as_string, "divergence") != "divergence":
+        raise ConfigError("target: the only target of bounds is 'divergence'")
     lower, upper, q_hat, est = engine.bounds_general(gen, P, omega, config, mode=mode)
     return est, {
         "lower": lower if math.isfinite(lower) else None,
@@ -274,6 +282,15 @@ def _solve_problem(build):
 
     return solve
 
+
+# the top-level keys each estimation command reads besides estimator and output
+_DIVERGENCE_KEYS = ("generator", "constraint", "reference_vector", "data_file", "mode",
+                    "target")
+_KEYS = {
+    "estimate": _DIVERGENCE_KEYS, "bounds": _DIVERGENCE_KEYS,
+    "entropy-max": ("entropy", "K", "constraint"), "quadratic": ("c1", "c2", "c3", "constraint"),
+    "transport": ("mu", "nu", "side", "band"), "assignment": ("costs", "side", "eps1", "eps2"),
+}
 
 _COMMANDS = {
     "estimate": _solve_estimate,

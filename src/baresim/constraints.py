@@ -57,7 +57,12 @@ class ConstraintSet:
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.asarray(self.membership(pts), dtype=bool)
+        try:
+            out = np.asarray(self.membership(pts), dtype=bool)
+        except (IndexError, ValueError) as exc:
+            # such as a coordinate index, coefficient or bound vector of another width
+            raise ValueError(f"constraint set {self.description or '?'!r} cannot test "
+                             f"points of width K={pts.shape[1]}: {exc}") from exc
         if out.shape != (pts.shape[0],):
             raise ValueError("membership must return one boolean per row")
         return out

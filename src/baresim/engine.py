@@ -72,12 +72,12 @@ INF = math.inf
 
 _PHASE_MAIN = 0
 _PHASE_PROXY = 1
+_PHASE_GAUSSIAN = 2
 
-# proxy search: hit-run hits collected before the best is kept, and the
-# burn-in and thinning of the density proxy's Metropolis-Hastings chain
+# proxy search: candidates drawn per chunk, and the hits of finite
+# divergence a stage collects before it ranks them
+_PROXY_CHUNK = 256
 _PROXY_COLLECT = 64
-_MH_BURN_IN = 1000
-_MH_THINNING = 10
 
 
 def _rng(seed: int, *path: int) -> np.random.Generator:
@@ -153,34 +153,27 @@ class ProxySpec:
     """How to find the tilt target Q*.
 
     method "given": use ``q_star`` (original/user coordinates).
-    method "hit_run": repeat xi-runs of a short length ``m_run`` (default:
-    the smallest run with nonempty blocks) until 64 hits are collected or
-    the budget runs out; the hits are tried from the divergence-smallest
-    up.
-    method "density": sample from the density proportional to
-    exp(-D(q, p)) until the set is hit (suited to large minima); exact
-    Gaussian sampling when the generator is quadratic, independence
-    Metropolis-Hastings otherwise.
-
-    The hit is then pushed toward the boundary by bisecting the segment
-    to the reference vector and polished by a local descent; the
-    divergence decreases monotonically along that ray, so the refined
-    point is a strictly better proxy of the dominating point while
-    remaining feasible.  A refined hit whose tilt is not finite (a zero
-    coordinate where phi' is infinite) is passed over: hit-run tries its
-    next hit, density samples on.  A poor proxy degrades only the
-    variance of the estimator, never its unbiasedness.  The same proxy
-    gives ``bounds_general`` its upper bound, D(Q*, P).
+    method "search": stage 1 draws short xi-runs of length ``m_run``
+    (default: the smallest run with nonempty blocks) at the reference
+    frequencies; only when they give no usable point, stage 2 draws Gaussian
+    candidates N(p, p / (M phi''(1))).  Each stage draws chunks of 256
+    candidates until it holds 64 hits of finite divergence or has drawn
+    ``budget`` candidates, rounded up to a whole chunk.  The hits are tried
+    from the divergence-smallest up: each is pushed toward the reference
+    vector up to the boundary, polished by a local descent, and passed over
+    when its tilt is not finite.  A poor proxy costs the estimator variance,
+    never unbiasedness.  The same proxy gives ``bounds_general`` its upper
+    bound, D(Q*, P).
     """
 
-    method: str = "hit_run"
+    method: str = "search"
     q_star: Optional[np.ndarray] = None
     budget: int = 200_000
     m_run: Optional[int] = None
 
     def __post_init__(self):
-        if self.method not in ("given", "hit_run", "density"):
-            raise ValueError(f"proxy method {self.method!r} is not given, hit_run or density")
+        if self.method not in ("given", "search"):
+            raise ValueError(f"proxy method {self.method!r} is not given or search")
         _check_int("budget", self.budget, 1)
         if self.m_run is not None:
             _check_int("m_run", self.m_run, 1)
@@ -314,8 +307,6 @@ class Prepared:
         """Divergence used to rank candidate proxies (lower is better).
         The reference vector was validated by ``prepare``, so candidates are
         scored without the checks of the public ``divergence``."""
-        if self.gen is None:
-            return 0.0
         return _divergence_positive(self.gen, self.scale * q, self.mass * self.part.p_tilde)
 
     def tilts(self, q_star: np.ndarray):
@@ -474,9 +465,23 @@ def proxy_q_star(prepared: Prepared, config: EstimatorConfig) -> ProxyResult:
         if q.size != prepared.part.K:
             raise ValueError("q_star has the wrong length")
         return ProxyResult(q_star=q / prepared.scale)
-    if spec.method == "hit_run":
-        return _proxy_hit_run(prepared, config)
-    return _proxy_density(prepared, config)
+    if prepared.gen is None:
+        raise ValueError("the proxy search needs the generator")
+    used = hits = finite = 0
+    stages = ((_PHASE_PROXY, lambda: _short_runs(prepared, spec)),
+              (_PHASE_GAUSSIAN, lambda: _gaussian_candidates(prepared)))
+    for phase, build in stages:
+        q_star, stage_used, stage_hits, stage_finite = _search(prepared, config, build(), phase)
+        used, hits, finite = used + stage_used, hits + stage_hits, finite + stage_finite
+        if q_star is not None:
+            return ProxyResult(q_star=q_star, draws_used=used)
+    raise RuntimeError(
+        f"proxy search: none of its {finite} hits of finite divergence has a finite "
+        "tilt after refinement; supply q_star" if finite else
+        f"proxy search: all {hits} hits lie where D(q, p) is infinite; the constraint "
+        "set may not meet the domain of D; supply q_star" if hits else
+        f"proxy search exhausted its budget: no hit of the constraint set in {used} "
+        "draws; the set is too rare; raise the budget, change m_run, or supply q_star")
 
 
 def _refine_toward_reference(prepared: Prepared, q: np.ndarray) -> np.ndarray:
@@ -503,13 +508,9 @@ def _polish_proxy(prepared: Prepared, q: np.ndarray, rounds: int = 5) -> np.ndar
     importance-sampling variance (a rough proxy stays unbiased but noisy).
     Simplex modes move mass pairwise (sum preserved); the deterministic
     mode moves single coordinates."""
-    gen = prepared.gen
-    if gen is None:
-        return q
-    p = prepared.part.p_tilde
 
     def objective(x: np.ndarray) -> float:
-        return _divergence_positive(gen, x, p)
+        return _divergence_positive(prepared.gen, x, prepared.part.p_tilde)
 
     best = objective(q)
     if not math.isfinite(best):
@@ -528,16 +529,11 @@ def _polish_proxy(prepared: Prepared, q: np.ndarray, rounds: int = 5) -> np.ndar
             improved = False
             for i, j in moves:
                 y = x.copy()
-                if pairwise:
+                if i is not None:
                     y[i] += h
+                if j is not None:
                     y[j] -= h
-                    if y[j] < 0:
-                        continue
-                elif i is not None:
-                    y[i] += h
-                else:
-                    y[j] -= h
-                if not prepared.member(y):
+                if (pairwise and y[j] < 0) or not prepared.member(y):
                     continue
                 val = objective(y)
                 if val < best - 1e-14:
@@ -552,111 +548,61 @@ def _refined_proxy(prepared: Prepared, q: np.ndarray) -> Optional[np.ndarray]:
     when the polished point has no finite tilt, as a hit on the boundary
     with a zero coordinate where phi' is infinite has."""
     refined = _polish_proxy(prepared, _refine_toward_reference(prepared, q))
-    if prepared.gen is not None and not np.all(np.isfinite(prepared.tilts(refined)[1])):
-        return None
-    return refined
+    return refined if np.all(np.isfinite(prepared.tilts(refined)[1])) else None
 
 
-def _proxy_hit_run(prepared: Prepared, config: EstimatorConfig) -> ProxyResult:
-    spec = config.proxy
+def _short_runs(prepared: Prepared, spec: ProxySpec):
+    """Stage 1 candidates: short untilted runs at the reference frequencies,
+    the best hit rate.  In empirical mode a run at least as long as the
+    sample replicates the observations, so its length is a multiple of n."""
     part = prepared.part
-    if spec.m_run is not None:
-        m_run = spec.m_run
-    else:
-        m_run = int(math.ceil(max(1.0 / part.p_tilde)))
+    m_run = spec.m_run if spec.m_run is not None else int(math.ceil(max(1.0 / part.p_tilde)))
     if prepared.mode == "empirical" and m_run >= part.n:
-        # replicate the observations so the proxy run length is a multiple of n
-        mult = max(1, math.ceil(m_run / part.n))
-        sizes = part.sizes * mult
-        m_run = part.n * mult
+        sizes = part.sizes * math.ceil(m_run / part.n)
     else:
-        # short coarse runs at the reference frequencies: best hit rate,
-        # and any feasible hit is an admissible tilt target
         sizes = partition(part.p_tilde, max(m_run, part.K)).sizes
-        m_run = int(sizes.sum())
-    chunk = 256
-    used = 0
-    ci = 0
-    found, hits = [], 0  # (rank, hit) of every hit
-    while used < spec.budget and hits < _PROXY_COLLECT:
-        sums = _block_sums(prepared.law, sizes, None,
-                           _rng(config.seed, _PHASE_PROXY, ci), chunk)
-        ci += 1
-        used += chunk
-        cand, member = prepared.coords_and_hits(sums, m_run)
+    m_run = int(sizes.sum())
+
+    def draw(rng: np.random.Generator):
+        sums = _block_sums(prepared.law, sizes, None, rng, _PROXY_CHUNK)
+        return prepared.coords_and_hits(sums, m_run)
+
+    return draw
+
+
+def _gaussian_candidates(prepared: Prepared):
+    """Stage 2 candidates: N(p, p / (M phi''(1))), the Gaussian matched to the
+    curvature of exp(-M D(q, p)) at the reference vector."""
+    p = prepared.part.p_tilde
+    sd = np.sqrt(p / (prepared.mass * prepared.gen.phi_curvature_at_one()))
+
+    def draw(rng: np.random.Generator):
+        return prepared.coords_and_hits(rng.normal(p, sd, size=(_PROXY_CHUNK, p.size)), 1.0)
+
+    return draw
+
+
+def _search(prepared: Prepared, config: EstimatorConfig, draw, phase: int):
+    """One proxy search stage: chunk c is ``draw(rng)`` on the stream
+    (seed, phase, c), candidates in reduced coordinates and their membership.
+    Returns the refined proxy or None, the draws, hits and finite-D hits."""
+    used = hits = 0
+    found = []  # (rank, hit) of every hit of finite divergence
+    while used < config.proxy.budget and len(found) < _PROXY_COLLECT:
+        cand, member = draw(_rng(config.seed, phase, used // _PROXY_CHUNK))
+        used += _PROXY_CHUNK
         rows = np.nonzero(member)[0]
         hits += rows.size
-        found += [(prepared.rank(cand[i]), cand[i].copy()) for i in rows]
-    # lowest divergence first, ties in draw order; a hit of infinite (or
-    # NaN) divergence is never a proxy
-    ranked = sorted((h for h in found if h[0] < INF), key=lambda h: h[0])
-    if not ranked:
-        raise RuntimeError(
-            f"hit-run proxy: all {len(found)} hits lie where D(q, p) is infinite "
-            f"at run length {m_run}; raise m_run or supply q_star" if found else
-            "proxy search exhausted its budget: the constraint set is too "
-            "rare at this run length; raise the budget, change m_run, or "
-            "supply q_star"
-        )
-    for _, q in ranked:
+        # a hit of infinite (or NaN) divergence is never a proxy
+        ranked = ((prepared.rank(cand[i]), cand[i]) for i in rows)
+        found += [h for h in ranked if h[0] < INF]
+    # lowest divergence first, ties in draw order
+    found.sort(key=lambda h: h[0])
+    for _, q in found:
         q_star = _refined_proxy(prepared, q)
         if q_star is not None:
-            return ProxyResult(q_star=q_star, draws_used=used)
-    raise RuntimeError(
-        f"hit-run proxy: none of its {len(ranked)} ranked hits has a finite "
-        "tilt after refinement; supply q_star or use the density proxy"
-    )
-
-
-def _proxy_density(prepared: Prepared, config: EstimatorConfig) -> ProxyResult:
-    """Sample T from the density proportional to exp(-D(T, p)) until T is
-    in the set.  Exact product-Gaussian sampling for the quadratic
-    generator, independence Metropolis-Hastings otherwise."""
-    gen, mass = prepared.gen, prepared.mass
-    if gen is None:
-        raise ValueError("the density proxy needs the generator")
-    spec = config.proxy
-    p = prepared.part.p_tilde
-    gen_scaled_curv = mass * gen.phi_curvature_at_one()
-    sd = np.sqrt(p / gen_scaled_curv)
-    gaussian_exact = isinstance(gen, PowerGamma) and gen.gamma == 2.0
-
-    def log_target(t: np.ndarray) -> float:
-        val = _divergence_positive(gen, t, p)
-        return -mass * val if math.isfinite(val) else -INF
-
-    rng = _rng(config.seed, _PHASE_PROXY, 0)
-    used = 0
-    if gaussian_exact:
-        chunk = 512
-        while used < spec.budget:
-            ts = rng.normal(p, sd, size=(chunk, prepared.part.K))
-            used += chunk
-            x, member = prepared.coords_and_hits(ts, 1.0)
-            for i in np.nonzero(member)[0]:
-                q_star = _refined_proxy(prepared, x[i])
-                if q_star is not None:
-                    return ProxyResult(q_star=q_star, draws_used=used)
-        raise RuntimeError("density proxy exhausted its budget")
-    # independence MH with the Gaussian proposal matched to the curvature
-    cur = p.copy()
-    cur_ratio = log_target(cur) + 0.5 * float((((cur - p) / sd) ** 2).sum())
-    it = 0
-    while used < spec.budget:
-        t = rng.normal(p, sd)
-        prop_ratio = log_target(t) + 0.5 * float((((t - p) / sd) ** 2).sum())
-        if math.log(max(rng.random(), 1e-300)) < prop_ratio - cur_ratio:
-            cur, cur_ratio = t, prop_ratio
-        it += 1
-        used += 1
-        if it <= _MH_BURN_IN or (it - _MH_BURN_IN) % _MH_THINNING:
-            continue
-        x, member = prepared.coords_and_hits(cur[None, :], 1.0)
-        if member[0]:
-            q_star = _refined_proxy(prepared, x[0])
-            if q_star is not None:
-                return ProxyResult(q_star=q_star, draws_used=used)
-    raise RuntimeError("density proxy exhausted its budget")
+            return q_star, used, hits, len(found)
+    return None, used, hits, len(found)
 
 
 def _m_minimizer(gen: Generator, q: np.ndarray, p: np.ndarray) -> float:

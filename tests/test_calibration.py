@@ -75,3 +75,17 @@ def test_value_coverage_neyman_deterministic():
                       bs.EstimatorConfig(n=200, L=2000, seed=1, threads=1), "deterministic",
                       truth)
     assert abs(z) <= 3.0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3(a)")
+def test_proxy_gap_stalled_polish():
+    # KL over {sum x >= 1.3} in deterministic mode: the minimum is at
+    # q = 1.3 p, D = 1.3 log 1.3 - 0.3 = 0.041073.  The polish stalls at
+    # q* = (.2, .375, .725), D = 0.0531; pi-coverage misses it (|z| <= 1.51
+    # over seeds 1-5 at n = 150), so the proxy gap judges it
+    gen, P = PowerGamma(1.0), np.array([0.2, 0.3, 0.5])
+    cfg = bs.EstimatorConfig(n=150, seed=1)
+    prepared = engine.prepare(gen, P, bs.halfspace([1.0, 1.0, 1.0], 1.3, ">="), cfg,
+                              "deterministic")
+    q_star = engine.proxy_q_star(prepared, cfg).q_star
+    assert bs.divergence(gen, q_star, P) - (1.3 * math.log(1.3) - 0.3) <= 1e-3

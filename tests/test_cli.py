@@ -571,6 +571,57 @@ class TestConfigRules:
         assert re.search(rf"\b{key}\b", err), err
 
 
+class TestTopLevelKeys:
+    """Each estimation command refuses, before any draw, a top-level key it
+    does not read."""
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        monkeypatch.setattr(engine, "law_for_generator", lambda *args, **kw: NoDrawLaw())
+
+    @pytest.mark.parametrize("command, key", [
+        ("estimate", "estimatr"), ("estimate", "targt"), ("bounds", "estimatr"),
+        ("entropy-max", "mode"), ("quadratic", "reference_vector"),
+        ("transport", "constraint"), ("assignment", "band"),
+    ])
+    def test_unread_key_is_a_config_error(self, tmp_path, capsys, command, key):
+        config = {**RULE_BASES[command], key: {"n": 5}}
+        code = cli.main([command, "--config", write_config(tmp_path, config)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG, err
+        assert f"the {command} command reads no key {key!r}" in err
+
+    def test_bounds_take_no_target_but_the_divergence(self, tmp_path, capsys):
+        config = {**COMMAND_CONFIGS["bounds"], "target": "hellinger"}
+        code = cli.main(["bounds", "--config", write_config(tmp_path, config)])
+        assert code == cli.EXIT_CONFIG
+        assert "the only target of bounds is 'divergence'" in capsys.readouterr().err
+
+    def test_sample_law_reads_the_generator_of_any_config(self, tmp_path):
+        cfg = write_config(tmp_path, {**BASE_CONFIG, "estimatr": {"n": 5}})
+        out = tmp_path / "draws.json"
+        assert cli.main(["sample-law", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["law"] == "ScaledPoisson"
+
+
+class TestConstraintMisfit:
+    """A constraint built for another width K is a clear error at the
+    first membership test, not a traceback or numpy's raw text."""
+
+    @pytest.mark.parametrize("constraint, description", [
+        ({"type": "coordinate", "index": 5, "bound": 0.3}, "x[5] >= 0.3"),
+        ({"type": "halfspace", "coeffs": [1.0, 1.0], "rhs": 0.3}, "halfspace <c,x> >= 0.3"),
+        ({"type": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]}, "box"),
+    ])
+    def test_misfit_is_a_config_error(self, tmp_path, capsys, constraint, description):
+        config = {**BASE_CONFIG, "constraint": constraint}
+        code = cli.main(["estimate", "--config", write_config(tmp_path, config)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG, err
+        assert "Traceback" not in err
+        assert f"constraint set {description!r} cannot test points of width K=3" in err
+
+
 class TestOtherCommands:
     def test_entropy_max(self, tmp_path):
         cfg = write_config(tmp_path, COMMAND_CONFIGS["entropy-max"])

@@ -177,23 +177,52 @@ class TestProxy:
         assert self.omega.contains_point(res.q_star)
         assert res.q_star.sum() == pytest.approx(1.0, abs=1e-9)
 
-    def test_density_method_gaussian(self):
-        cfg = bs.EstimatorConfig(
-            n=100, L=10, seed=2, proxy=bs.ProxySpec(method="density")
-        )
+    def no_short_run_hit(self, monkeypatch):
+        # stage 1 draws chunks that never hit, so the Gaussian stage runs
+        chunk = engine._PROXY_CHUNK
+        monkeypatch.setattr(engine, "_short_runs", lambda prepared, spec: lambda rng: (
+            np.zeros((chunk, 3)), np.zeros(chunk, dtype=bool)))
+
+    def test_gaussian_stage_quadratic(self, monkeypatch):
+        self.no_short_run_hit(monkeypatch)
+        cfg = bs.EstimatorConfig(n=100, L=10, seed=2)
         res = engine.proxy_q_star(
             engine.prepare(PowerGamma(2.0), self.p, self.omega, cfg, "simplex"), cfg
         )
         assert self.omega.contains_point(res.q_star)
+        assert res.draws_used > cfg.proxy.budget
 
-    def test_density_method_mh(self):
-        cfg = bs.EstimatorConfig(
-            n=100, L=10, seed=2, proxy=bs.ProxySpec(method="density", budget=500_000)
-        )
+    def test_gaussian_stage_kl(self, monkeypatch):
+        self.no_short_run_hit(monkeypatch)
+        cfg = bs.EstimatorConfig(n=100, L=10, seed=2)
         res = engine.proxy_q_star(
             engine.prepare(PowerGamma(1.0), self.p, self.omega, cfg, "simplex"), cfg
         )
         assert self.omega.contains_point(res.q_star)
+        assert np.all(res.q_star > 0)
+
+    def test_gaussian_stage_finds_what_short_runs_miss(self):
+        # block 0 holds one weight of a run of 50, so short runs almost never
+        # reach q_0 >= .3 and exhaust their budget; the Gaussian stage finds
+        # the face, and the polish reaches the closed-form minimum 2.0
+        # (q_0 = .3, the other coordinates lowered in proportion to p)
+        p = np.array([0.02, 0.18, 0.3, 0.5])
+        omega = bs.simplex_face(0, 0.3, ">=")
+        cfg = bs.EstimatorConfig(n=1000, L=10, seed=1)
+        res = engine.proxy_q_star(
+            engine.prepare(PowerGamma(2.0), p, omega, cfg, "simplex"), cfg)
+        assert omega.contains_point(res.q_star)
+        assert bs.divergence(PowerGamma(2.0), res.q_star, p) <= 2.0 + 1e-3
+
+    def test_gaussian_stage_not_built_when_short_runs_hit(self, monkeypatch):
+        def fail(prepared):
+            pytest.fail("the Gaussian stage was built")
+
+        monkeypatch.setattr(engine, "_gaussian_candidates", fail)
+        cfg = bs.EstimatorConfig(n=2000, L=2000, seed=1)
+        est = bs.estimate_min_divergence(PowerGamma(1.0), self.p, self.omega, cfg,
+                                         mode="simplex", target="divergence")
+        assert est.hits > 0
 
     def test_given_q_star(self):
         q = np.array([0.5, 0.25, 0.25])
@@ -242,7 +271,8 @@ class TestProxy:
     def test_no_finite_tilt_raises_naming_the_proxy(self):
         # every hit of {q_0 <= 0} has q_0 = 0, where the KL tilt is infinite
         cfg = bs.EstimatorConfig(n=100, L=10, seed=2, proxy=bs.ProxySpec(m_run=5))
-        with pytest.raises(RuntimeError, match="hit-run proxy"):
+        with pytest.raises(RuntimeError, match=r"proxy search: none of its \d+ hits of "
+                                                "finite divergence has a finite tilt"):
             engine.proxy_q_star(engine.prepare(PowerGamma(1.0), self.p,
                                                bs.simplex_face(0, 0.0, "<="), cfg, "simplex"),
                                 cfg)
@@ -541,9 +571,10 @@ class TestConstructorRules:
         cfg = bs.EstimatorConfig(n=np.int64(100), L=np.int32(500), threads=np.int64(2))
         assert (cfg.n, cfg.L, cfg.threads) == (100, 500, 2)
 
-    def test_proxy_method_is_one_of_three(self):
-        with pytest.raises(ValueError, match="proxy method 'grid' is not given, hit_run or density"):
-            bs.ProxySpec(method="grid")
+    def test_proxy_method_is_one_of_two(self):
+        for method in ("grid", "hit_run", "density"):
+            with pytest.raises(ValueError, match=f"proxy method '{method}' is not given or search"):
+                bs.ProxySpec(method=method)
 
     @pytest.mark.parametrize("name, value", [("budget", 0), ("budget", 2.5),
                                              ("m_run", 0), ("m_run", 1.5)])
@@ -588,25 +619,33 @@ class TestTargetCheck:
 
 
 class TestHitRunOutsideDomain:
-    """Two-point weights on {0, 2}: at the default run length 5 the blocks
-    are (1, 1, 3), so every hit of {q_0 >= .35} has q_0 / p_0 in {5, 2.5},
-    outside dom phi = [0, 2]."""
+    """Two-point weights on {0, 2}, so D(q, p) is finite only where
+    q_k / p_k <= 2.  At the default run length 5 the blocks are (1, 1, 3),
+    and every short-run hit of {q_0 >= .35} has q_0 / p_0 in {5, 2.5}."""
 
     P = np.array([0.2, 0.3, 0.5])
-    OMEGA = bs.simplex_face(0, 0.35, ">=")
 
-    def proxy(self, m_run=None):
+    def proxy(self, bound, m_run=None):
         cfg = bs.EstimatorConfig(n=200, L=2000, seed=1, proxy=bs.ProxySpec(m_run=m_run))
+        omega = bs.simplex_face(0, bound, ">=")
         return engine.proxy_q_star(
-            engine.prepare(TwoPoint(0.0, 2.0), self.P, self.OMEGA, cfg, "simplex"), cfg)
+            engine.prepare(TwoPoint(0.0, 2.0), self.P, omega, cfg, "simplex"), cfg)
 
     def test_the_error_says_where_the_hits_lie(self):
+        # q_0 >= .45 means q_0 / p_0 >= 2.25: the set misses dom D, and no
+        # budget or run length can help
         with pytest.raises(RuntimeError, match=r"all \d+ hits lie where D\(q, p\) is "
-                                                r"infinite at run length 5; raise m_run"):
-            self.proxy()
+                                                r"infinite; the constraint set may not "
+                                                r"meet the domain of D") as err:
+            self.proxy(0.45)
+        assert "m_run" not in str(err.value)
+
+    def test_the_gaussian_stage_finds_a_proxy(self):
+        q = self.proxy(0.35).q_star
+        assert q[0] >= 0.35 and np.all(q / self.P <= 2.0)
 
     def test_a_longer_run_finds_a_proxy(self):
-        q = self.proxy(m_run=20).q_star
+        q = self.proxy(0.35, m_run=20).q_star
         assert q[0] >= 0.35 and np.all(q / self.P <= 2.0)
 
 

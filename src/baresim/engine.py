@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,7 +38,6 @@ from .divergence import (
     Generator,
     PowerGamma,
     _check_int,
-    _divergence_positive,
     check_prob_vector,
     divergence,
     normalize_bs1,
@@ -78,6 +77,8 @@ _PHASE_GAUSSIAN = 2
 # divergence a stage collects before it ranks them
 _PROXY_CHUNK = 256
 _PROXY_COLLECT = 64
+# bisection levels of the push toward the reference tested per membership call
+_BISECT_LEVELS = 6
 
 
 def _rng(seed: int, *path: int) -> np.random.Generator:
@@ -233,6 +234,24 @@ def _log_sum_exp(v: np.ndarray) -> float:
     return float(np.log1p(rest.sum() / count) + np.log(count) + top)
 
 
+def _phi_rows(gen: Generator, Q: np.ndarray, P: np.ndarray):
+    """phi(Q / P) for every row of Q by one ``phi`` call on the flattened
+    ratios, and which rows stay inside dom phi (no value +inf)."""
+    vals = np.asarray(gen.phi((Q / P).ravel()), dtype=float).reshape(Q.shape)
+    return vals, ~np.isinf(vals).any(axis=1)
+
+
+def _row_divergences(gen: Generator, Q: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """``_divergence_positive`` of every row of Q: +inf where a ratio leaves
+    dom phi, else the row summed as one ``np.dot``, so that each value
+    equals the one-row result bit for bit."""
+    vals, inside = _phi_rows(gen, Q, P)
+    out = np.full(len(Q), INF)
+    for i in np.flatnonzero(inside):
+        out[i] = np.dot(P, vals[i])
+    return out
+
+
 def _block_sums(law: WeightLaw, sizes, taus: Optional[np.ndarray],
                 rng: np.random.Generator, size: int) -> np.ndarray:
     """(size, K) draws of the block sums: block k sums ``sizes[k]`` i.i.d.
@@ -303,11 +322,12 @@ class Prepared:
         """Whether one point in reduced coordinates lies in the set."""
         return bool(self.omega.contains(self.scale * np.atleast_2d(x))[0])
 
-    def rank(self, q: np.ndarray) -> float:
-        """Divergence used to rank candidate proxies (lower is better).
-        The reference vector was validated by ``prepare``, so candidates are
+    def rank(self, points: np.ndarray) -> np.ndarray:
+        """Divergences D(A x, M p) of the rows x, used to rank candidate
+        proxies (lower is better); +inf where a ratio leaves dom phi.  The
+        reference vector was validated by ``prepare``, so the rows are
         scored without the checks of the public ``divergence``."""
-        return _divergence_positive(self.gen, self.scale * q, self.mass * self.part.p_tilde)
+        return _row_divergences(self.gen, self.scale * points, self.mass * self.part.p_tilde)
 
     def tilts(self, q_star: np.ndarray):
         """Target ratios and tilts (M phi)'(ratio) at a proxy point, possibly
@@ -390,7 +410,7 @@ def _run_batches(prepared: Prepared, config: EstimatorConfig,
         if taus is None:
             log_sum = float(np.log(hits))
         else:
-            log_sum = _log_sum_exp(log_isf_offset - sums[member] @ taus)
+            log_sum = _log_sum_exp(log_isf_offset - (sums @ taus)[member])
         return log_sum - math.log(size), hits
 
     if config.threads > 1:
@@ -454,6 +474,8 @@ def naive_estimate(gen: Optional[Generator], P, omega: ConstraintSet,
 class ProxyResult:
     q_star: np.ndarray  # normalized (simplex modes) or Omega/M coordinates
     draws_used: int = 0
+    # the finite tilts at q_star, set by the search that checked them
+    _taus: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
 def proxy_q_star(prepared: Prepared, config: EstimatorConfig) -> ProxyResult:
@@ -471,10 +493,10 @@ def proxy_q_star(prepared: Prepared, config: EstimatorConfig) -> ProxyResult:
     stages = ((_PHASE_PROXY, lambda: _short_runs(prepared, spec)),
               (_PHASE_GAUSSIAN, lambda: _gaussian_candidates(prepared)))
     for phase, build in stages:
-        q_star, stage_used, stage_hits, stage_finite = _search(prepared, config, build(), phase)
+        proxy, stage_used, stage_hits, stage_finite = _search(prepared, config, build(), phase)
         used, hits, finite = used + stage_used, hits + stage_hits, finite + stage_finite
-        if q_star is not None:
-            return ProxyResult(q_star=q_star, draws_used=used)
+        if proxy is not None:
+            return replace(proxy, draws_used=used)
     raise RuntimeError(
         f"proxy search: none of its {finite} hits of finite divergence has a finite "
         "tilt after refinement; supply q_star" if finite else
@@ -488,17 +510,31 @@ def _refine_toward_reference(prepared: Prepared, q: np.ndarray) -> np.ndarray:
     """Bisect the segment from a feasible point toward the reference vector,
     keeping feasibility; the divergence is convex along the segment and
     decreases toward the reference, so the crossing point improves the
-    proxy."""
+    proxy.
+
+    60 bisection steps, ``_BISECT_LEVELS`` per membership call: each call
+    tests the midpoints of every path through the next levels, and the
+    walk down the tree then takes the path that one-step bisection takes."""
     p = prepared.part.p_tilde
     if prepared.member(p):
         return p.copy()
     t_feasible, t_not = 0.0, 1.0  # q + t * (p - q)
-    for _ in range(60):
-        t = 0.5 * (t_feasible + t_not)
-        if prepared.member(q + t * (p - q)):
-            t_feasible = t
-        else:
-            t_not = t
+    nodes = 2**_BISECT_LEVELS - 1
+    for _ in range(60 // _BISECT_LEVELS):
+        # heap order: node i bisects bounds[i]; a feasible midpoint moves
+        # on to child 2i+1, an infeasible one to child 2i+2
+        bounds, ts = [(t_feasible, t_not)], np.empty(nodes)
+        for i in range(nodes):
+            lo, hi = bounds[i]
+            ts[i] = t = 0.5 * (lo + hi)
+            bounds += [(t, hi), (lo, t)]
+        inside = prepared.omega.contains(prepared.scale * (q + ts[:, None] * (p - q)))
+        i = 0
+        for _ in range(_BISECT_LEVELS):
+            if inside[i]:
+                t_feasible, i = ts[i], 2 * i + 1
+            else:
+                t_not, i = ts[i], 2 * i + 2
     return q + t_feasible * (p - q)
 
 
@@ -507,48 +543,54 @@ def _polish_proxy(prepared: Prepared, q: np.ndarray, rounds: int = 5) -> np.ndar
     proxy point: approximates the dominating point, which controls the
     importance-sampling variance (a rough proxy stays unbiased but noisy).
     Simplex modes move mass pairwise (sum preserved); the deterministic
-    mode moves single coordinates."""
+    mode moves single coordinates.
 
-    def objective(x: np.ndarray) -> float:
-        return _divergence_positive(prepared.gen, x, prepared.part.p_tilde)
-
-    best = objective(q)
+    A sweep tries the moves in order and takes each one that improves.  The
+    moves left in a sweep are tested from the current point at once, by one
+    membership and one phi call; the first improving one is taken and the
+    sweep resumes after it, the path of trying them one at a time."""
+    p = prepared.part.p_tilde
+    best = float(_row_divergences(prepared.gen, q[None, :], p)[0])
     if not math.isfinite(best):
         return q
-    x = q.copy()
+    x, h = q.copy(), 0.05
     K = x.size
-    h = 0.05
+    eye = np.eye(K)
     pairwise = prepared.mode != "deterministic"
+    # move m adds h * steps[m]: mass moved from one coordinate to another,
+    # or one coordinate raised or lowered
     if pairwise:
-        moves = [(i, j) for i in range(K) for j in range(K) if i != j]
+        steps = np.array([eye[i] - eye[j] for i in range(K) for j in range(K) if i != j])
     else:
-        moves = [(i, None) for i in range(K)] + [(None, i) for i in range(K)]
+        steps = np.vstack((eye, -eye))
     for _ in range(rounds):
         improved = True
         while improved:
-            improved = False
-            for i, j in moves:
-                y = x.copy()
-                if i is not None:
-                    y[i] += h
-                if j is not None:
-                    y[j] -= h
-                if (pairwise and y[j] < 0) or not prepared.member(y):
-                    continue
-                val = objective(y)
-                if val < best - 1e-14:
-                    x, best = y, val
-                    improved = True
+            improved, start = False, 0
+            while start < len(steps):
+                ys = x + h * steps[start:]
+                rows = np.arange(len(ys))
+                if pairwise:  # the coordinate giving mass may not fall below 0
+                    rows = rows[~(ys[steps[start:] < 0] < 0)]
+                rows = rows[prepared.omega.contains(prepared.scale * ys[rows])]
+                vals, inside = _phi_rows(prepared.gen, ys[rows], p)
+                offset, start = start, len(steps)
+                for r, v in zip(rows[inside], vals[inside]):
+                    val = float(np.dot(p, v))
+                    if val < best - 1e-14:
+                        x, best, improved, start = ys[r], val, True, offset + r + 1
+                        break
         h /= 2.0
     return x
 
 
-def _refined_proxy(prepared: Prepared, q: np.ndarray) -> Optional[np.ndarray]:
-    """Push a feasible hit toward the reference vector and polish it; None
-    when the polished point has no finite tilt, as a hit on the boundary
-    with a zero coordinate where phi' is infinite has."""
+def _refined_proxy(prepared: Prepared, q: np.ndarray) -> Optional[ProxyResult]:
+    """Push a feasible hit toward the reference vector and polish it, with
+    its tilts; None when the polished point has no finite tilt, as a hit on
+    the boundary with a zero coordinate where phi' is infinite has."""
     refined = _polish_proxy(prepared, _refine_toward_reference(prepared, q))
-    return refined if np.all(np.isfinite(prepared.tilts(refined)[1])) else None
+    taus = prepared.tilts(refined)[1]
+    return ProxyResult(q_star=refined, _taus=taus) if np.all(np.isfinite(taus)) else None
 
 
 def _short_runs(prepared: Prepared, spec: ProxySpec):
@@ -585,23 +627,23 @@ def _gaussian_candidates(prepared: Prepared):
 def _search(prepared: Prepared, config: EstimatorConfig, draw, phase: int):
     """One proxy search stage: chunk c is ``draw(rng)`` on the stream
     (seed, phase, c), candidates in reduced coordinates and their membership.
-    Returns the refined proxy or None, the draws, hits and finite-D hits."""
+    Returns the refined proxy (draws not yet counted) or None, the draws,
+    hits and finite-D hits."""
     used = hits = 0
     found = []  # (rank, hit) of every hit of finite divergence
     while used < config.proxy.budget and len(found) < _PROXY_COLLECT:
         cand, member = draw(_rng(config.seed, phase, used // _PROXY_CHUNK))
         used += _PROXY_CHUNK
-        rows = np.nonzero(member)[0]
+        rows = np.flatnonzero(member)
         hits += rows.size
         # a hit of infinite (or NaN) divergence is never a proxy
-        ranked = ((prepared.rank(cand[i]), cand[i]) for i in rows)
-        found += [h for h in ranked if h[0] < INF]
+        found += [(r, cand[i]) for r, i in zip(prepared.rank(cand[rows]), rows) if r < INF]
     # lowest divergence first, ties in draw order
     found.sort(key=lambda h: h[0])
     for _, q in found:
-        q_star = _refined_proxy(prepared, q)
-        if q_star is not None:
-            return q_star, used, hits, len(found)
+        proxy = _refined_proxy(prepared, q)
+        if proxy is not None:
+            return proxy, used, hits, len(found)
     return None, used, hits, len(found)
 
 
@@ -620,7 +662,10 @@ def _m_minimizer(gen: Generator, q: np.ndarray, p: np.ndarray) -> float:
 
 
 def compute_taus(prepared: Prepared, proxy: ProxyResult) -> np.ndarray:
-    """Per-block tilts tau_k = (M phi)'(target ratio)."""
+    """Per-block tilts tau_k = (M phi)'(target ratio); a searched proxy
+    carries the tilts its search computed."""
+    if proxy._taus is not None:
+        return proxy._taus
     ratios, taus = prepared.tilts(proxy.q_star)
     if np.any(~np.isfinite(taus)):
         raise ValueError(

@@ -5,7 +5,7 @@ import pytest
 
 import baresim as bs
 from baresim import engine, laws, oracle, problems
-from baresim.divergence import GeneralizedKL, PowerGamma, TwoPoint
+from baresim.divergence import GeneralizedKL, PowerGamma, TwoPoint, _divergence_positive
 from baresim.entropy import shannon
 
 from conftest import NoDrawLaw, make_rng
@@ -648,6 +648,29 @@ class TestHitRunOutsideDomain:
         q = self.proxy(0.35, m_run=20).q_star
         assert q[0] >= 0.35 and np.all(q / self.P <= 2.0)
 
+    def test_a_failing_search_ranks_each_chunk_at_once(self, monkeypatch):
+        # both stages run to their budgets over some 80,000 hits of infinite
+        # D; each chunk's hits are ranked by one phi call, and none is
+        # refined
+        calls = {"chunks": 0, "phi": 0}
+        rng, phi = engine._rng, TwoPoint.phi
+
+        def counted_rng(*args):
+            calls["chunks"] += 1
+            return rng(*args)
+
+        def counted_phi(gen, t):
+            calls["phi"] += 1
+            return phi(gen, t)
+
+        monkeypatch.setattr(engine, "_rng", counted_rng)
+        monkeypatch.setattr(TwoPoint, "phi", counted_phi)
+        with pytest.raises(RuntimeError, match=r"all \d+ hits lie where D\(q, p\) is "
+                                                "infinite"):
+            self.proxy(0.45)
+        assert calls["chunks"] == 2 * math.ceil(bs.ProxySpec().budget / engine._PROXY_CHUNK)
+        assert 0 < calls["phi"] <= calls["chunks"]
+
 
 class TestBoundsSingleSearch:
     """``bounds_general`` runs the one proxy search of ``is_estimate`` and
@@ -730,3 +753,131 @@ class TestSimplexTwoPointExact:
         est = engine.is_estimate(gen, p, omega, cfg, mode="simplex")
         se = est.stderr_log_pi * est.pi_hat
         assert abs(est.pi_hat - pi_exact) < 3.5 * se
+
+
+def one_row_refine(prepared, q):
+    """The push toward the reference vector one membership test per
+    bisection step: the reference for ``engine._refine_toward_reference``."""
+    p = prepared.part.p_tilde
+    if prepared.member(p):
+        return p.copy()
+    t_feasible, t_not = 0.0, 1.0
+    for _ in range(60):
+        t = 0.5 * (t_feasible + t_not)
+        if prepared.member(q + t * (p - q)):
+            t_feasible = t
+        else:
+            t_not = t
+    return q + t_feasible * (p - q)
+
+
+def one_row_polish(prepared, q, rounds=5):
+    """The polish one move, one membership test and one divergence at a
+    time: the reference for ``engine._polish_proxy``."""
+
+    def objective(x):
+        return _divergence_positive(prepared.gen, x, prepared.part.p_tilde)
+
+    best = objective(q)
+    if not math.isfinite(best):
+        return q
+    x = q.copy()
+    K = x.size
+    h = 0.05
+    pairwise = prepared.mode != "deterministic"
+    if pairwise:
+        moves = [(i, j) for i in range(K) for j in range(K) if i != j]
+    else:
+        moves = [(i, None) for i in range(K)] + [(None, i) for i in range(K)]
+    for _ in range(rounds):
+        improved = True
+        while improved:
+            improved = False
+            for i, j in moves:
+                y = x.copy()
+                if i is not None:
+                    y[i] += h
+                if j is not None:
+                    y[j] -= h
+                if (pairwise and y[j] < 0) or not prepared.member(y):
+                    continue
+                val = objective(y)
+                if val < best - 1e-14:
+                    x, best = y, val
+                    improved = True
+        h /= 2.0
+    return x
+
+
+class TestBatchedSearchMatchesOneRow:
+    """The push toward the reference and the polish test many points per
+    membership call; they must take the path of testing one point at a
+    time.  Sets whose membership of a point does not depend on the other
+    points of the call must give the same bits; a halfspace's ``pts @ c``
+    may round a row differently in a larger call, so it agrees to 1e-12."""
+
+    PAIRS = 15  # (start point, set) pairs per mode and set kind
+
+    @staticmethod
+    def random_set(kind, rng, ref):
+        # a set in tested coordinates that misses the reference point ref
+        K = ref.size
+        k, l = rng.choice(K, size=2, replace=False)
+        lift = rng.uniform(0.2, 0.8)
+        if kind == "box":
+            lower = np.full(K, -np.inf)
+            lower[k] = ref[k] * (1.0 + lift)
+            upper = np.full(K, np.inf)
+            upper[l] = ref[l] * (1.0 - 0.5 * lift)
+            return bs.box(lower, upper)
+        if kind == "face":
+            return bs.simplex_face(int(k), ref[k] * (1.0 + lift), ">=")
+        if kind == "union":
+            return bs.union(bs.simplex_face(int(k), ref[k] * (1.0 + lift), ">="),
+                            bs.simplex_face(int(l), ref[l] * (1.0 + 2.0 * lift), ">="))
+        if kind == "predicate":
+            # a product level set or a far corner: non-convex
+            level = ref[k] * ref[l] * (1.0 + lift) ** 2
+            corner = ref[l] * (1.0 + 3.0 * lift)
+            return bs.from_predicate(lambda x: x[k] * x[l] >= level or x[l] >= corner)
+        c = rng.uniform(0.5, 2.0, size=K)
+        return bs.halfspace(c, float(c @ ref) * (1.0 + 0.5 * lift), ">=")
+
+    def pairs(self, mode, kind):
+        rng = make_rng(sum(map(ord, mode + kind)))
+        out = []
+        while len(out) < self.PAIRS:
+            K = int(rng.integers(3, 6))
+            P = rng.dirichlet(np.full(K, 3.0))
+            if mode == "deterministic":
+                P = P * rng.uniform(0.5, 2.0)
+            gen = PowerGamma(float(rng.choice([-1.0, 0.5, 1.0, 2.0])))
+            cfg = bs.EstimatorConfig(n=100 * K, L=10, seed=1)
+            probe = engine.prepare(gen, P, bs.full_space(), cfg, mode)
+            omega = self.random_set(kind, rng, probe.scale * probe.part.p_tilde)
+            prepared = engine.prepare(gen, P, omega, cfg, mode)
+            p = prepared.part.p_tilde
+            for _ in range(200):
+                if mode == "deterministic":
+                    q = p * np.exp(rng.normal(0.0, 0.5, size=K))
+                else:
+                    q = rng.dirichlet(np.full(K, 2.0))
+                if prepared.member(q):
+                    out.append((prepared, q))
+                    break
+        return out
+
+    @pytest.mark.parametrize("mode", ["deterministic", "simplex"])
+    @pytest.mark.parametrize("kind", ["box", "face", "union", "predicate", "halfspace"])
+    def test_refine_and_polish(self, mode, kind):
+        for prepared, q in self.pairs(mode, kind):
+            refined = engine._refine_toward_reference(prepared, q)
+            expected = one_row_refine(prepared, q)
+            polished = engine._polish_proxy(prepared, refined)
+            expected_polished = one_row_polish(prepared, refined)
+            if kind == "halfspace":
+                np.testing.assert_allclose(refined, expected, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(polished, expected_polished, rtol=0, atol=1e-12)
+            else:
+                assert [v.hex() for v in refined] == [v.hex() for v in expected]
+                assert [v.hex() for v in polished] == [v.hex() for v in expected_polished]

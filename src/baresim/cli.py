@@ -308,8 +308,7 @@ def _cmd_sample_law(args) -> int:
     if gen is None:
         gen = PowerGamma(float(args.gamma), 1.0)
     law = laws.law_for_generator(gen)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
-    draws = law.sample(rng, args.count)
+    draws = law.sample(engine._rng(args.seed), args.count)
     payload = {
         "law": type(law).__name__,
         "mean": float(draws.mean()),

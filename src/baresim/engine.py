@@ -82,9 +82,9 @@ _BISECT_LEVELS = 6
 
 
 def _rng(seed: int, *path: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(seed, spawn_key=tuple(path)))
-    )
+    """The SFC64 stream keyed by ``seed`` and the spawn key ``path``; every
+    random stream of the package is built here."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=path)))
 
 
 @dataclass(frozen=True)
@@ -385,9 +385,9 @@ def _run_batches(prepared: Prepared, config: EstimatorConfig,
     """The estimate from ``config.batches`` batches, tilted by ``taus`` or
     untilted when it is None.
 
-    A batch without hits has log-mean -inf.  Batch b uses its own
-    counter-based stream and reduces its own hits, so the result is
-    bit-identical for any thread count.
+    A batch without hits has log-mean -inf.  Batch b draws from its own
+    stream, keyed by (seed, phase, b), and reduces its own hits, so the
+    result is bit-identical for any thread count.
     """
     law, part = prepared.law, prepared.part
     B = config.batches

@@ -358,10 +358,10 @@ def check_mean_one(law, n_samples: int, z_grid, seed: int = 0) -> dict:
     """Monte Carlo diagnostic: empirical mean vs 1 and empirical log-MGF vs
     Lambda on a grid of interior points.  Report-only; flags deviations
     beyond four standard errors."""
+    from .engine import _rng
     from .laws import log_mgf
 
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    draws = law.sample(rng, n_samples)
+    draws = law.sample(_rng(seed), n_samples)
     mean = float(draws.mean())
     mean_se = float(draws.std(ddof=1) / math.sqrt(n_samples))
     entries = []

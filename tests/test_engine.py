@@ -224,6 +224,18 @@ class TestProxy:
                                          mode="simplex", target="divergence")
         assert est.hits > 0
 
+    def test_tilts_computed_once_per_solve(self, monkeypatch):
+        # the search checks the proxy's tilts and compute_taus reuses them
+        calls = []
+        tilts = engine.Prepared.tilts
+        monkeypatch.setattr(engine.Prepared, "tilts",
+                            lambda prepared, q: calls.append(q) or tilts(prepared, q))
+        cfg = bs.EstimatorConfig(n=2000, L=2000, seed=1)
+        est = bs.estimate_min_divergence(PowerGamma(1.0), self.p, self.omega, cfg,
+                                         mode="simplex", target="divergence")
+        assert est.hits > 0
+        assert len(calls) == 1
+
     def test_given_q_star(self):
         q = np.array([0.5, 0.25, 0.25])
         cfg = bs.EstimatorConfig(

@@ -21,6 +21,13 @@ Three modes:
 Importance sampling tilts each block toward a proxy of the constrained
 minimizer and corrects with the per-block factor
 ``exp(n_k Lambda(tau_k) - tau_k * blocksum)``, accumulated in log space.
+
+``prepare`` validates a problem before any draw and returns its frame, a
+``Prepared``.  Every stage takes that frame: ``naive_estimate``,
+``proxy_q_star``, ``compute_taus``, ``is_estimate`` and ``finalize``, which
+reads the inversion's n, K and scale A from it.  Each pipeline
+(``estimate_min_divergence``, ``bounds_general``,
+``estimate_entropy_extremum``) prepares once.
 """
 
 from __future__ import annotations
@@ -461,13 +468,10 @@ def _estimate_from_batches(batch_log_means, batch_hits, batch_sizes,
     )
 
 
-def naive_estimate(gen: Optional[Generator], P, omega: ConstraintSet,
-                   config: EstimatorConfig, mode: str = "deterministic",
-                   law: Optional[WeightLaw] = None) -> Estimate:
+def naive_estimate(prepared: Prepared, config: EstimatorConfig) -> Estimate:
     """Plain frequency estimator of the hitting probability (poor hit rate
-    for rare sets; kept as the importance-sampling baseline).  ``P`` is as
-    for ``prepare``."""
-    return _run_batches(prepare(gen, P, omega, config, mode, law), config, None)
+    for rare sets; kept as the importance-sampling baseline)."""
+    return _run_batches(prepared, config, None)
 
 
 @dataclass(frozen=True)
@@ -674,15 +678,12 @@ def compute_taus(prepared: Prepared, proxy: ProxyResult) -> np.ndarray:
     return taus
 
 
-def is_estimate(gen: Optional[Generator], P, omega: ConstraintSet,
-                config: EstimatorConfig, mode: str = "deterministic",
-                q_star: Optional[ProxyResult] = None,
-                law: Optional[WeightLaw] = None) -> Estimate:
+def is_estimate(prepared: Prepared, config: EstimatorConfig,
+                q_star: Optional[ProxyResult] = None) -> Estimate:
     """Importance-sampling estimator of the hitting probability, tilted
-    toward a proxy of the constrained minimizer.  ``P`` is as for
-    ``prepare``."""
-    prepared = prepare(gen, P, omega, config, mode, law)
-    if gen is None:
+    toward ``q_star``, or toward the proxy ``proxy_q_star`` finds when it is
+    None."""
+    if prepared.gen is None:
         raise ValueError("importance sampling needs the generator for the tilts")
     if q_star is None:
         q_star = proxy_q_star(prepared, config)
@@ -796,30 +797,32 @@ def invert(target, log_pi_hat: float, n: int, gen: Optional[Generator] = None,
     return entropy_spec.c4 / entropy_spec.fprime0 * math.log(psum)
 
 
-def _delta_stderr(target, est: Estimate, n: int, gen, A, K, entropy_spec) -> float:
+def _delta_stderr(target, est: Estimate, **frame) -> float:
     """Propagate the log-scale stderr through the inversion numerically."""
     if not math.isfinite(est.log_pi_hat) or not math.isfinite(est.stderr_log_pi):
         return INF
     h = max(est.stderr_log_pi, 1e-9)
     try:
-        up = invert(target, est.log_pi_hat + h, n, gen=gen, A=A, K=K,
-                    entropy_spec=entropy_spec)
-        dn = invert(target, est.log_pi_hat - h, n, gen=gen, A=A, K=K,
-                    entropy_spec=entropy_spec)
+        up = invert(target, est.log_pi_hat + h, **frame)
+        dn = invert(target, est.log_pi_hat - h, **frame)
     except ValueError:
         return INF
     return abs(up - dn) / 2.0
 
 
-def finalize(est: Estimate, target, n: int, gen=None, A: float = 1.0,
-             K: Optional[int] = None, entropy_spec=None) -> Estimate:
-    """Fill in the inverted value and its delta-method stderr."""
+def finalize(est: Estimate, target, prepared: Prepared,
+             entropy_spec: Optional[EntropySpec] = None) -> Estimate:
+    """Fill in the inverted value and its delta-method stderr.  The
+    deterministic rate is the value itself, so that mode inverts at A = 1;
+    the simplex modes invert at the frame's scale A."""
     if est.hits == 0:
         est.value = INF
         return est
-    est.value = invert(target, est.log_pi_hat, n, gen=gen, A=A, K=K,
-                       entropy_spec=entropy_spec)
-    est.stderr = _delta_stderr(target, est, n, gen, A, K, entropy_spec)
+    frame = dict(n=prepared.part.n, gen=prepared.gen, K=prepared.part.K,
+                 A=1.0 if prepared.mode == "deterministic" else prepared.scale,
+                 entropy_spec=entropy_spec)
+    est.value = invert(target, est.log_pi_hat, **frame)
+    est.stderr = _delta_stderr(target, est, **frame)
     return est
 
 
@@ -879,27 +882,23 @@ def bounds_general(gen: Generator, P, omega: ConstraintSet,
         raise ValueError(
             "bounds_general runs on simplex sets: use mode 'simplex' or 'empirical'")
     if isinstance(gen, PowerGamma):
-        est = is_estimate(gen, P, omega, config, mode=mode, law=law)
-        est = finalize(est, "divergence", config.n, gen=gen, A=omega.scale)
+        est = estimate_min_divergence(gen, P, omega, config, mode=mode,
+                                      target="divergence", law=law)
         return est.value, est.value, None, est
     prepared = prepare(gen, P, omega, config, mode, law)
     if omega.scale != 1.0:
         raise ValueError("general-divergence bounds run on probability-simplex sets")
-    if gen is None:
-        raise ValueError("importance sampling needs the generator for the tilts")
     proxy = proxy_q_star(prepared, config)
-    if not omega.contains_point(proxy.q_star):
+    if not prepared.member(proxy.q_star):
         # a tilt target outside Omega costs the estimate only variance, but
         # D there is no upper bound on the minimum over Omega
         raise ValueError(
             f"the {config.proxy.method!r} proxy q_star is outside the constraint "
             "set; the upper bound needs a feasible point"
         )
-    est = is_estimate(gen, P, omega, config, mode=mode, q_star=proxy, law=prepared.law)
-    lower = -est.log_pi_hat / config.n if math.isfinite(est.log_pi_hat) else INF
+    est = finalize(is_estimate(prepared, config, q_star=proxy), "deterministic", prepared)
+    lower = est.value
     upper = divergence(gen, proxy.q_star, prepared.part.p_tilde)
-    est.value = lower
-    est.stderr = est.stderr_log_pi / config.n if math.isfinite(est.stderr_log_pi) else INF
     if lower > upper:
         est.warnings.append(
             f"lower bound {lower:.6g} exceeds upper bound {upper:.6g}: the lower "
@@ -922,10 +921,7 @@ def estimate_min_divergence(gen: Generator, P, omega: ConstraintSet,
     if target is None:
         target = "deterministic" if mode == "deterministic" else "divergence"
     _check_target(target, gen, prepared.part.K)
-    est = is_estimate(gen, P, omega, config, mode=mode, law=prepared.law)
-    # the deterministic rate is the value itself; the simplex targets invert at A
-    A = 1.0 if mode == "deterministic" else prepared.scale
-    return finalize(est, target, config.n, gen=gen, A=A, K=prepared.part.K)
+    return finalize(is_estimate(prepared, config), target, prepared)
 
 
 def estimate_entropy_extremum(spec: EntropySpec, K: int, omega: ConstraintSet,
@@ -939,7 +935,5 @@ def estimate_entropy_extremum(spec: EntropySpec, K: int, omega: ConstraintSet,
     else:
         gen = PowerGamma(spec.gamma, 1.0)
         target = "entropy"
-    p_unif = np.full(K, 1.0 / K)
-    est = is_estimate(gen, p_unif, omega, config, mode="simplex")
-    return finalize(est, target, config.n, gen=gen, A=omega.scale, K=K,
-                    entropy_spec=spec)
+    prepared = prepare(gen, np.full(K, 1.0 / K), omega, config, "simplex")
+    return finalize(is_estimate(prepared, config), target, prepared, entropy_spec=spec)

@@ -170,8 +170,9 @@ def test_criterion_4_exact_unbiasedness():
                                          mass=1.0)
         assert tail < 1e-12
         cfg = bs.EstimatorConfig(n=4, L=100_000, seed=21)
-        nai = engine.naive_estimate(gen, P, omega, cfg, mode="deterministic")
-        ise = engine.is_estimate(gen, P, omega, cfg, mode="deterministic")
+        prepared = engine.prepare(gen, P, omega, cfg, "deterministic")
+        nai = engine.naive_estimate(prepared, cfg)
+        ise = engine.is_estimate(prepared, cfg)
         checks = []
         for est in (nai, ise):
             se = est.stderr_log_pi * est.pi_hat
@@ -233,8 +234,8 @@ def test_criterion_6_hit_rate_floor():
     rates = {}
     for n in (200, 500, 1000):
         cfg = bs.EstimatorConfig(n=n, L=20_000, seed=41)
-        est = engine.is_estimate(gen, REFERENCE_P, REFERENCE_OMEGA, cfg,
-                                 mode="simplex")
+        est = engine.is_estimate(
+            engine.prepare(gen, REFERENCE_P, REFERENCE_OMEGA, cfg, "simplex"), cfg)
         rates[n] = est.hit_rate
     ok = all(r >= 0.1 for r in rates.values())
     report(6, ok, f"IS hit rates {rates} all >= 0.1 [{time.time()-t0:.1f}s]")

@@ -30,7 +30,7 @@ def pi_z_score(omega, seed: int = 1) -> float:
     # the truth lies in [pi, pi + tail]: off by under 1e-3 in log pi
     assert tail < 1e-3 * pi
     cfg = bs.EstimatorConfig(n=N, L=L, seed=seed)
-    est = engine.is_estimate(gen, P_UNIFORM, omega, cfg, mode="simplex")
+    est = engine.is_estimate(engine.prepare(gen, P_UNIFORM, omega, cfg, "simplex"), cfg)
     return (est.log_pi_hat - math.log(pi)) / est.stderr_log_pi
 
 

@@ -104,35 +104,32 @@ class TestIngestSample:
 class TestNaive:
     def test_full_space(self):
         cfg = bs.EstimatorConfig(n=12, L=2_000, seed=1)
-        est = engine.naive_estimate(
-            PowerGamma(1.0), np.array([0.5, 0.5]), bs.full_space(), cfg,
-            mode="deterministic",
-        )
+        est = engine.naive_estimate(engine.prepare(
+            PowerGamma(1.0), np.array([0.5, 0.5]), bs.full_space(), cfg, "deterministic"), cfg)
         assert est.hit_rate == 1.0
         assert est.log_pi_hat == 0.0
         assert engine.invert("deterministic", est.log_pi_hat, cfg.n) == 0.0
 
     def test_empty_set_zero_hits(self):
         cfg = bs.EstimatorConfig(n=12, L=500, seed=1)
-        est = engine.naive_estimate(
-            PowerGamma(1.0), np.array([0.5, 0.5]), bs.empty_set(), cfg,
-            mode="deterministic",
-        )
+        prepared = engine.prepare(
+            PowerGamma(1.0), np.array([0.5, 0.5]), bs.empty_set(), cfg, "deterministic")
+        est = engine.naive_estimate(prepared, cfg)
         assert est.hits == 0
         assert est.log_pi_hat == -math.inf
         assert any("rule-of-three" in w for w in est.warnings)
-        final = engine.finalize(est, "deterministic", cfg.n)
+        final = engine.finalize(est, "deterministic", prepared)
         assert final.value == math.inf
 
     def test_some_batches_without_hits(self):
         # rare enough that some, but not all, of the 32 batches see no hit
+        configs = [bs.EstimatorConfig(n=40, L=6_400, seed=3, threads=threads)
+                   for threads in (1, 2)]
         runs = [
-            engine.naive_estimate(
-                PowerGamma(1.0), np.array([0.5, 0.5]), bs.simplex_face(0, 0.75),
-                bs.EstimatorConfig(n=40, L=6_400, seed=3, threads=threads),
-                mode="simplex",
-            )
-            for threads in (1, 2)
+            engine.naive_estimate(engine.prepare(
+                PowerGamma(1.0), np.array([0.5, 0.5]), bs.simplex_face(0, 0.75), cfg,
+                "simplex"), cfg)
+            for cfg in configs
         ]
         est = runs[0]
         empty = np.isneginf(est.batch_log_means)
@@ -147,20 +144,16 @@ class TestNaive:
         # simplex mode cannot normalise a replication whose weights sum to
         # zero; with Poisson(1) weights at n=2 that is a share exp(-2)
         cfg = bs.EstimatorConfig(n=2, L=20_000, seed=5)
-        est = engine.naive_estimate(
-            PowerGamma(1.0), np.array([0.5, 0.5]), bs.full_space(), cfg,
-            mode="simplex",
-        )
+        est = engine.naive_estimate(engine.prepare(
+            PowerGamma(1.0), np.array([0.5, 0.5]), bs.full_space(), cfg, "simplex"), cfg)
         share = 1.0 - math.exp(-2.0)
         tol = 6 * math.sqrt(share * (1 - share) / cfg.L)
         assert est.hit_rate == pytest.approx(share, abs=tol)
 
     def test_nonintegral_blocks_warn(self):
         cfg = bs.EstimatorConfig(n=10, L=200, seed=0)
-        est = engine.naive_estimate(
-            PowerGamma(1.0), np.array([1.0, 2.0]), bs.full_space(), cfg,
-            mode="deterministic",
-        )
+        est = engine.naive_estimate(engine.prepare(
+            PowerGamma(1.0), np.array([1.0, 2.0]), bs.full_space(), cfg, "deterministic"), cfg)
         assert any("not integral" in w for w in est.warnings)
 
 
@@ -453,10 +446,9 @@ class TestCustomGeneratorPath:
     def test_naive_with_explicit_law_and_no_generator(self):
         # a weight law alone is enough for the naive estimator
         cfg = bs.EstimatorConfig(n=20, L=2_000, seed=8)
-        est = engine.naive_estimate(
-            None, np.array([0.5, 0.5]), bs.full_space(), cfg,
-            mode="deterministic", law=laws.Gaussian(1.0),
-        )
+        est = engine.naive_estimate(engine.prepare(
+            None, np.array([0.5, 0.5]), bs.full_space(), cfg, "deterministic",
+            law=laws.Gaussian(1.0)), cfg)
         assert est.hit_rate == 1.0
 
     def test_custom_generator_with_user_law_matches_builtin(self):
@@ -467,10 +459,10 @@ class TestCustomGeneratorPath:
         p = np.array([0.5, 0.5])
         omega = bs.simplex_face(0, 0.7, ">=")
         cfg = bs.EstimatorConfig(n=60, L=10_000, seed=9)
-        est_custom = engine.is_estimate(custom, p, omega, cfg, mode="simplex",
-                                        law=laws.Gaussian(1.0))
-        est_builtin = engine.is_estimate(PowerGamma(2.0, 1.0), p, omega, cfg,
-                                         mode="simplex")
+        est_custom = engine.is_estimate(
+            engine.prepare(custom, p, omega, cfg, "simplex", law=laws.Gaussian(1.0)), cfg)
+        est_builtin = engine.is_estimate(
+            engine.prepare(PowerGamma(2.0, 1.0), p, omega, cfg, "simplex"), cfg)
         assert est_custom.log_pi_hat == pytest.approx(
             est_builtin.log_pi_hat, abs=1e-6
         )
@@ -499,9 +491,25 @@ class TestGeneratorCheck:
         omega = bs.simplex_face(0, 0.5, ">=")
         cfg = bs.EstimatorConfig(n=100, L=1000, seed=2)
         with pytest.raises(ValueError, match="needs the generator"):
-            engine.is_estimate(None, p, omega, cfg, mode="simplex", law=NoDrawLaw())
+            engine.is_estimate(
+                engine.prepare(None, p, omega, cfg, "simplex", law=NoDrawLaw()), cfg)
         with pytest.raises(ValueError, match="needs the generator"):
             engine.bounds_general(None, p, omega, cfg, mode="simplex", law=NoDrawLaw())
+
+
+def on_the_frame(stage):
+    """``stage`` run on the frame ``prepare`` builds from its arguments, under
+    the stage's own name: the stages take the frame, so its checks are
+    theirs."""
+
+    def run(gen, P, omega, cfg, mode, law=None):
+        return stage(engine.prepare(gen, P, omega, cfg, mode, law), cfg)
+
+    run.__name__ = stage.__name__
+    return run
+
+
+STAGES = [on_the_frame(engine.naive_estimate), on_the_frame(engine.is_estimate)]
 
 
 class TestModeChecks:
@@ -513,16 +521,15 @@ class TestModeChecks:
         self.omega = bs.simplex_face(0, 0.5, ">=")
         self.gen = PowerGamma(1.0)
 
-    @pytest.mark.parametrize("entry", [engine.naive_estimate, engine.is_estimate,
-                                       bs.estimate_min_divergence, engine.bounds_general])
+    @pytest.mark.parametrize("entry", [*STAGES, bs.estimate_min_divergence,
+                                       engine.bounds_general])
     def test_empirical_needs_a_sample(self, entry):
         cfg = bs.EstimatorConfig(n=1000, L=1000, seed=1)
         with pytest.raises(ValueError, match="empirical mode needs an ingest_sample partition"):
             entry(self.gen, self.part.p_tilde, self.omega, cfg, mode="empirical",
                   law=NoDrawLaw())
 
-    @pytest.mark.parametrize("entry", [engine.naive_estimate, engine.is_estimate,
-                                       bs.estimate_min_divergence])
+    @pytest.mark.parametrize("entry", [*STAGES, bs.estimate_min_divergence])
     @pytest.mark.parametrize("mode", ["deterministic", "simplex"])
     def test_sample_needs_empirical_mode(self, entry, mode):
         cfg = bs.EstimatorConfig(n=1000, L=1000, seed=1)
@@ -530,8 +537,8 @@ class TestModeChecks:
             entry(self.gen, self.part, self.omega, cfg, mode=mode, law=NoDrawLaw())
 
     @pytest.mark.parametrize("n", [200, 5000])
-    @pytest.mark.parametrize("entry", [engine.naive_estimate, engine.is_estimate,
-                                       bs.estimate_min_divergence, engine.bounds_general])
+    @pytest.mark.parametrize("entry", [*STAGES, bs.estimate_min_divergence,
+                                       engine.bounds_general])
     def test_empirical_n_is_the_sample_size(self, entry, n):
         cfg = bs.EstimatorConfig(n=n, L=1000, seed=1)
         with pytest.raises(ValueError, match=f"n={n} differs from the sample size 1000"):
@@ -712,7 +719,7 @@ class TestBoundsSingleSearch:
         lower, upper, q_hat, est = engine.bounds_general(gen, ref, omega, cfg, mode=mode)
         assert len(proxies) == 1
         monkeypatch.undo()
-        plain = engine.is_estimate(gen, ref, omega, cfg, mode=mode)
+        plain = engine.is_estimate(engine.prepare(gen, ref, omega, cfg, mode), cfg)
         assert lower == -plain.log_pi_hat / cfg.n
         assert est.log_pi_hat == plain.log_pi_hat
         assert est.hits == plain.hits
@@ -732,11 +739,50 @@ class TestBoundsSingleSearch:
         cfg = bs.EstimatorConfig(n=200, L=2000, seed=8,
                                  proxy=bs.ProxySpec("given", q_star=q_star))
         gen = GeneralizedKL(1.0, 1.0)
-        assert engine.is_estimate(gen, p, omega, cfg, mode="simplex").hits > 0
+        assert engine.is_estimate(engine.prepare(gen, p, omega, cfg, "simplex"), cfg).hits > 0
         floor, _ = oracle.grid_min_divergence(gen, p, omega, resolution=0.01)
         assert bs.divergence(gen, q_star, p) < floor
         with pytest.raises(ValueError, match="'given' proxy q_star is outside"):
             engine.bounds_general(gen, p, omega, cfg, mode="simplex")
+
+
+class TestOnePreparePerSolve:
+    """Every pipeline validates its problem and builds the frame once; the
+    stages below it take that frame."""
+
+    P = np.array([0.2, 0.3, 0.5])
+    FACE = bs.simplex_face(0, 0.5, ">=")
+
+    def solves(self):
+        cfg = bs.EstimatorConfig(n=300, L=1000, seed=1)
+        part = engine.ingest_sample(["a"] * 60 + ["b"] * 90 + ["c"] * 150)
+        quadratic = problems.SeparableQuadratic(
+            c1=[0.25, 1.0, 2.25], c2=[-1.0, -2.0, -3.0], c3=[1.0, 1.0, 1.0],
+            omega=bs.halfspace([1.0, 1.0, 1.0], 3.15, ">="))
+        return {
+            "deterministic": lambda: bs.estimate_min_divergence(
+                PowerGamma(1.0), [0.3, 0.5, 0.4], bs.halfspace([1.0, 1.0, 1.0], 1.35), cfg),
+            "simplex": lambda: bs.estimate_min_divergence(
+                PowerGamma(1.0), self.P, self.FACE, cfg, mode="simplex"),
+            "empirical": lambda: bs.estimate_min_divergence(
+                PowerGamma(1.0), part, self.FACE, cfg, mode="empirical"),
+            "bounds_power": lambda: engine.bounds_general(
+                PowerGamma(1.0), self.P, self.FACE, cfg),
+            "bounds_general": lambda: engine.bounds_general(
+                GeneralizedKL(1.0, 1.0), self.P, self.FACE, cfg),
+            "entropy": lambda: bs.estimate_entropy_extremum(shannon(), 3, self.FACE, cfg),
+            "problems": lambda: problems.solve(quadratic, cfg),
+        }
+
+    @pytest.mark.parametrize("solve", ["deterministic", "simplex", "empirical", "bounds_power",
+                                       "bounds_general", "entropy", "problems"])
+    def test_prepare_runs_once(self, solve, monkeypatch):
+        calls = []
+        prepare = engine.prepare
+        monkeypatch.setattr(engine, "prepare",
+                            lambda *args, **kw: calls.append(args) or prepare(*args, **kw))
+        self.solves()[solve]()
+        assert len(calls) == 1
 
 
 class TestBoundsOrderWarning:
@@ -762,7 +808,7 @@ class TestSimplexTwoPointExact:
         pi_exact, tail = oracle.exact_pi(law, part, omega, mode="simplex")
         assert tail < 1e-12
         cfg = bs.EstimatorConfig(n=4, L=60_000, seed=12)
-        est = engine.is_estimate(gen, p, omega, cfg, mode="simplex")
+        est = engine.is_estimate(engine.prepare(gen, p, omega, cfg, "simplex"), cfg)
         se = est.stderr_log_pi * est.pi_hat
         assert abs(est.pi_hat - pi_exact) < 3.5 * se
 

@@ -160,7 +160,8 @@ def ingest_sample(observations: Sequence, categories: Optional[Sequence] = None)
 class ProxySpec:
     """How to find the tilt target Q*.
 
-    method "given": use ``q_star`` (original/user coordinates).
+    method "given": use ``q_star`` (original/user coordinates), which this
+    method alone takes and needs.
     method "search": stage 1 draws short xi-runs of length ``m_run``
     (default: the smallest run with nonempty blocks) at the reference
     frequencies; only when they give no usable point, stage 2 draws Gaussian
@@ -182,6 +183,9 @@ class ProxySpec:
     def __post_init__(self):
         if self.method not in ("given", "search"):
             raise ValueError(f"proxy method {self.method!r} is not given or search")
+        if (self.q_star is None) == (self.method == "given"):
+            raise ValueError("proxy method 'given' needs q_star" if self.q_star is None
+                             else "proxy method 'search' takes no q_star")
         _check_int("budget", self.budget, 1)
         if self.m_run is not None:
             _check_int("m_run", self.m_run, 1)

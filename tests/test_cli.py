@@ -274,6 +274,10 @@ RULE_ROWS = [
     ('estimator/proxy/q_star: type', 'estimate', 'estimator/proxy/q_star', 5, 'q_star'),
     ('estimator/proxy/q_star/items: type', 'estimate', 'estimator/proxy/q_star',
      ['x', 0.3, 0.5], 'q_star'),
+    ('estimator/proxy/q_star: search takes none', 'estimate', 'estimator/proxy/q_star',
+     [0.5, 0.25, 0.25], 'q_star'),
+    ('estimator/proxy/q_star: given needs one', 'estimate', 'estimator/proxy/method',
+     'given', 'q_star'),
     ('estimator/proxy/budget: type', 'estimate', 'estimator/proxy/budget', 1.5, 'budget'),
     ('estimator/proxy/budget: minimum', 'estimate', 'estimator/proxy/budget', 0, 'budget'),
     ('estimator/proxy/m_run: type', 'estimate', 'estimator/proxy/m_run', 1.5, 'm_run'),

@@ -5,8 +5,11 @@ import pytest
 
 import baresim as bs
 from baresim import engine, laws, oracle, problems
-from baresim.divergence import GeneralizedKL, PowerGamma, TwoPoint, _divergence_positive
-from baresim.entropy import shannon
+from baresim.divergence import (
+    GeneralizedKL, PowerGamma, TwoPoint, _divergence_positive, min_over_m_closed, modified_kl,
+    modified_rev_kl,
+)
+from baresim.entropy import entropy, renyi_entropy, shannon, sharma_mittal2
 
 from conftest import NoDrawLaw, make_rng
 
@@ -327,6 +330,28 @@ class TestInvert:
                             entropy_spec=havrda_charvat(2.0))
         assert val == pytest.approx((psum - 1.0) / (2.0 ** (1 - 2.0) - 1.0))
 
+    @pytest.mark.parametrize("A", [1.0, 1.7])
+    @pytest.mark.parametrize("target, gamma, spec, truth", [
+        ("modified_kl", 1.0, None, modified_kl),
+        ("modified_rev_kl", 0.0, None, modified_rev_kl),
+        ("sm2", 1.0, sharma_mittal2(0.5), lambda Q, P: entropy(sharma_mittal2(0.5), Q)),
+        ("renyi_entropy", 2.0, None, lambda Q, P: entropy(renyi_entropy(2.0), Q)),
+        ("entropy", 0.5, renyi_entropy(0.5), lambda Q, P: entropy(renyi_entropy(0.5), Q)),
+    ])
+    def test_targets_at_mass_a_round_trip(self, target, gamma, spec, truth, A):
+        # the rate at Q of mass A is inf over m of D(m Q, P), in closed form;
+        # the entropy targets take the uniform reference vector
+        K, n = 4, 23
+        Q = A * make_rng(K).dirichlet(np.full(K, 2.0))
+        if target in ("modified_kl", "modified_rev_kl"):
+            P = make_rng(K + 1).dirichlet(np.full(K, 2.0))
+        else:
+            P = np.full(K, 1.0 / K)
+        gen = PowerGamma(gamma, 1.0)
+        rate = min_over_m_closed(gen, Q, P)[0]
+        got = engine.invert(target, -n * rate, n, gen=gen, A=A, K=K, entropy_spec=spec)
+        assert got == pytest.approx(truth(Q, P), rel=1e-14)
+
 
 class TestSolveMEquation:
     def test_pearson_closed_form(self, rng):
@@ -550,6 +575,13 @@ class TestModeChecks:
             engine.bounds_general(GeneralizedKL(1.0, 1.0), self.part, self.omega, cfg,
                                   mode="empirical", law=NoDrawLaw())
 
+    def test_general_bounds_refuse_a_scaled_set(self):
+        scaled = bs.simplex_face(0, 1.0, ">=", scale=2.0)
+        cfg = bs.EstimatorConfig(n=1000, L=1000, seed=1)
+        with pytest.raises(ValueError, match="run on probability-simplex sets"):
+            engine.bounds_general(GeneralizedKL(1.0, 1.0), self.part.p_tilde, scaled, cfg,
+                                  law=NoDrawLaw())
+
     def test_bounds_refuse_deterministic_mode(self):
         # the search would run and then report its own proxy infeasible
         P = np.array([0.3, 0.5, 0.4])
@@ -601,6 +633,14 @@ class TestConstructorRules:
         with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
             bs.ProxySpec(**{name: value})
 
+    def test_given_proxy_needs_its_point(self):
+        with pytest.raises(ValueError, match="proxy method 'given' needs q_star"):
+            bs.ProxySpec("given")
+
+    def test_searched_proxy_takes_no_point(self):
+        with pytest.raises(ValueError, match="proxy method 'search' takes no q_star"):
+            bs.ProxySpec(q_star=np.array([0.5, 0.25, 0.25]))
+
     def test_proxy_run_length_may_be_left_out(self):
         assert bs.ProxySpec(m_run=None).m_run is None
 
@@ -623,6 +663,9 @@ class TestTargetCheck:
         (GeneralizedKL(1.0, 1.0), None, "target 'divergence' needs a power generator"),
         (PowerGamma(1.0), "divergenz", "unknown inversion target 'divergenz'"),
         (PowerGamma(0.5), "modified_kl", "modified KL inversion needs gamma = 1"),
+        (PowerGamma(1.0), "modified_rev_kl", "modified reverse KL inversion needs gamma = 0"),
+        (PowerGamma(1.0), "sm2", "sm2 inversion needs its entropy spec"),
+        (PowerGamma(2.0), "entropy", "the entropy target needs a power or log entropy spec"),
     ])
     def test_refused_before_any_draw(self, gen, target, message):
         cfg = bs.EstimatorConfig(n=1000, L=20_000, seed=1)
@@ -635,6 +678,8 @@ class TestTargetCheck:
             engine.invert("divergenz", -10.0, 100, gen=PowerGamma(1.0))
         with pytest.raises(ValueError, match="needs a power generator"):
             engine.invert("hellinger", -10.0, 100, gen=GeneralizedKL(1.0))
+        with pytest.raises(ValueError, match="entropy targets need the dimension K"):
+            engine.invert("power_sum", -10.0, 100, gen=PowerGamma(2.0))
 
 
 class TestHitRunOutsideDomain:

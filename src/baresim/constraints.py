@@ -71,6 +71,19 @@ class ConstraintSet:
         return bool(self.contains(np.atleast_2d(np.asarray(point, dtype=float)))[0])
 
 
+def _dot_rows(pts: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """<c, x> of every row, summed column by column: a row rounds alike in a
+    call of any size, where ``pts @ c`` rounds it by how BLAS splits the
+    rows, so that one point on the boundary could be a member in one call
+    and not in another."""
+    if pts.shape[1] != c.size:
+        raise ValueError(f"{c.size} coefficients for points of width {pts.shape[1]}")
+    out = pts[:, 0] * c[0]
+    for k in range(1, c.size):
+        out += pts[:, k] * c[k]
+    return out
+
+
 def halfspace(coeffs, rhs: float, op: str = ">=", **kw) -> ConstraintSet:
     """{x : <coeffs, x> op rhs} with op one of >=, <=, >, <."""
     c = np.asarray(coeffs, dtype=float)
@@ -84,7 +97,7 @@ def halfspace(coeffs, rhs: float, op: str = ">=", **kw) -> ConstraintSet:
         raise ValueError(f"unknown comparison op {op!r}")
     test = ops[op]
     return ConstraintSet(
-        membership=lambda pts: test(pts @ c),
+        membership=lambda pts: test(_dot_rows(pts, c)),
         description=f"halfspace <c,x> {op} {rhs}",
         **kw,
     )
@@ -110,7 +123,7 @@ def affine_equality(coeffs, rhs: float, tol: float = 1e-9, **kw) -> ConstraintSe
         raise ValueError(f"tol must be > 0 (got {tol!r})")
     c = np.asarray(coeffs, dtype=float)
     return ConstraintSet(
-        membership=lambda pts: np.abs(pts @ c - rhs) <= tol,
+        membership=lambda pts: np.abs(_dot_rows(pts, c) - rhs) <= tol,
         description=f"affine <c,x> = {rhs} (tol {tol})",
         **kw,
     )

@@ -915,9 +915,8 @@ def one_row_polish(prepared, q, rounds=5):
 class TestBatchedSearchMatchesOneRow:
     """The push toward the reference and the polish test many points per
     membership call; they must take the path of testing one point at a
-    time.  Sets whose membership of a point does not depend on the other
-    points of the call must give the same bits; a halfspace's ``pts @ c``
-    may round a row differently in a larger call, so it agrees to 1e-12."""
+    time, to the bit: a point's membership does not depend on the other
+    points of the call, for halfspaces too."""
 
     PAIRS = 15  # (start point, set) pairs per mode and set kind
 
@@ -978,9 +977,5 @@ class TestBatchedSearchMatchesOneRow:
             expected = one_row_refine(prepared, q)
             polished = engine._polish_proxy(prepared, refined)
             expected_polished = one_row_polish(prepared, refined)
-            if kind == "halfspace":
-                np.testing.assert_allclose(refined, expected, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(polished, expected_polished, rtol=0, atol=1e-12)
-            else:
-                assert [v.hex() for v in refined] == [v.hex() for v in expected]
-                assert [v.hex() for v in polished] == [v.hex() for v in expected_polished]
+            assert [v.hex() for v in refined] == [v.hex() for v in expected]
+            assert [v.hex() for v in polished] == [v.hex() for v in expected_polished]

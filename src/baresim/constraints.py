@@ -72,10 +72,8 @@ class ConstraintSet:
 
 
 def _dot_rows(pts: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """<c, x> of every row, summed column by column: a row rounds alike in a
-    call of any size, where ``pts @ c`` rounds it by how BLAS splits the
-    rows, so that one point on the boundary could be a member in one call
-    and not in another."""
+    """<c, x> of every row, summed column by column: unlike BLAS's ``pts @ c``,
+    a row rounds alike in a call of any size."""
     if pts.shape[1] != c.size:
         raise ValueError(f"{c.size} coefficients for points of width {pts.shape[1]}")
     out = pts[:, 0] * c[0]

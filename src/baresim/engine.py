@@ -23,11 +23,8 @@ minimizer and corrects with the per-block factor
 ``exp(n_k Lambda(tau_k) - tau_k * blocksum)``, accumulated in log space.
 
 ``prepare`` validates a problem before any draw and returns its frame, a
-``Prepared``.  Every stage takes that frame: ``naive_estimate``,
-``proxy_q_star``, ``compute_taus``, ``is_estimate`` and ``finalize``, which
-reads the inversion's n, K and scale A from it.  Each pipeline
-(``estimate_min_divergence``, ``bounds_general``,
-``estimate_entropy_extremum``) prepares once.
+``Prepared``, which every stage below the pipelines takes; ``finalize``
+reads the inversion's n, K and scale A from it.  Each pipeline prepares once.
 """
 
 from __future__ import annotations
@@ -434,9 +431,7 @@ def _run_batches(prepared: Prepared, config: EstimatorConfig,
         np.array(batch_sizes), config, part.n,
     )
     if not part.exact and prepared.mode == "deterministic":
-        est.warnings.append(
-            "n * p_k not integral: floor-and-remainder blocks add O(1/n) bias"
-        )
+        est.warnings.append("n * p_k not integral: floor-and-remainder blocks add O(1/n) bias")
     return est
 
 
@@ -444,31 +439,23 @@ def _estimate_from_batches(batch_log_means, batch_hits, batch_sizes,
                            config: EstimatorConfig, n: int) -> Estimate:
     hits = int(batch_hits.sum())
     L = int(batch_sizes.sum())
-    warnings = []
     if hits == 0:
-        warnings.append(
-            f"zero hits in {L} replications; rule-of-three bound pi <= {3.0 / L:.3e}"
-        )
-        return Estimate(
-            log_pi_hat=-INF, value=INF, hits=0, stderr=INF, stderr_log_pi=INF,
-            n=n, L=L, seed=config.seed, hit_rate=0.0,
-            batch_log_means=batch_log_means, warnings=warnings,
-        )
-    # batches combine in index order: log pi = lse_b(m_b + log s_b) - log L
-    has_hits = batch_hits > 0
-    log_sums = batch_log_means[has_hits] + np.log(batch_sizes[has_hits])
-    log_pi = _log_sum_exp(log_sums) - math.log(L)
-    # batch-means stderr on a relative scale, safe against underflow
-    finite = batch_log_means[np.isfinite(batch_log_means)]
-    ref = float(np.max(batch_log_means))
-    rel = np.exp(np.where(np.isfinite(batch_log_means), batch_log_means, -INF) - ref)
-    rel_se = float(rel.std(ddof=1) / math.sqrt(len(rel)) / rel.mean())
-    if len(finite) < len(batch_log_means):
-        warnings.append("some batches had zero hits; stderr is rough")
+        # value and stderr are final: no inversion maps pi_hat = 0
+        log_pi, rel_se, value = -INF, INF, INF
+        warnings = [f"zero hits in {L} replications; rule-of-three bound pi <= {3.0 / L:.3e}"]
+    else:
+        # batches combine in index order: log pi = lse_b(m_b + log s_b) - log L
+        has_hits = batch_hits > 0
+        log_sums = batch_log_means[has_hits] + np.log(batch_sizes[has_hits])
+        log_pi, value = _log_sum_exp(log_sums) - math.log(L), math.nan
+        # batch-means stderr on a relative scale, safe against underflow
+        rel = np.exp(batch_log_means - float(np.max(batch_log_means)))
+        rel_se = float(rel.std(ddof=1) / math.sqrt(len(rel)) / rel.mean())
+        warnings = [] if has_hits.all() else ["some batches had zero hits; stderr is rough"]
     return Estimate(
-        log_pi_hat=log_pi, value=math.nan, hits=hits, stderr=math.nan,
-        stderr_log_pi=rel_se, n=n, L=L, seed=config.seed,
-        hit_rate=hits / L, batch_log_means=batch_log_means, warnings=warnings,
+        log_pi_hat=log_pi, value=value, hits=hits, stderr=value, stderr_log_pi=rel_se,
+        n=n, L=L, seed=config.seed, hit_rate=hits / L, batch_log_means=batch_log_means,
+        warnings=warnings,
     )
 
 
@@ -676,9 +663,7 @@ def compute_taus(prepared: Prepared, proxy: ProxyResult) -> np.ndarray:
         return proxy._taus
     ratios, taus = prepared.tilts(proxy.q_star)
     if np.any(~np.isfinite(taus)):
-        raise ValueError(
-            f"tilt target ratio outside int(dom phi): ratios={ratios}"
-        )
+        raise ValueError(f"tilt target ratio outside int(dom phi): ratios={ratios}")
     return taus
 
 

@@ -431,7 +431,9 @@ def _run_batches(prepared: Prepared, config: EstimatorConfig,
         np.array(batch_sizes), config, part.n,
     )
     if not part.exact and prepared.mode == "deterministic":
-        est.warnings.append("n * p_k not integral: floor-and-remainder blocks add O(1/n) bias")
+        est.warnings.append(
+            "n * p_k not integral: floor-and-remainder blocks add O(1/n) bias"
+        )
     return est
 
 
@@ -663,7 +665,9 @@ def compute_taus(prepared: Prepared, proxy: ProxyResult) -> np.ndarray:
         return proxy._taus
     ratios, taus = prepared.tilts(proxy.q_star)
     if np.any(~np.isfinite(taus)):
-        raise ValueError(f"tilt target ratio outside int(dom phi): ratios={ratios}")
+        raise ValueError(
+            f"tilt target ratio outside int(dom phi): ratios={ratios}"
+        )
     return taus
 
 

@@ -72,12 +72,15 @@ class ConstraintSet:
 
 
 def _dot_rows(pts: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """<c, x> of every row, summed column by column: unlike BLAS's ``pts @ c``,
-    a row rounds alike in a call of any size."""
+    """<c, x> of every row, summed column by column over the nonzero
+    coefficients: unlike BLAS's ``pts @ c``, a row rounds alike in a call of
+    any size, and a sparse c (a transport marginal) costs only its nonzero
+    columns."""
     if pts.shape[1] != c.size:
         raise ValueError(f"{c.size} coefficients for points of width {pts.shape[1]}")
-    out = pts[:, 0] * c[0]
-    for k in range(1, c.size):
+    cols = np.flatnonzero(c)
+    out = pts[:, cols[0]] * c[cols[0]] if cols.size else np.zeros(len(pts))
+    for k in cols[1:]:
         out += pts[:, k] * c[k]
     return out
 
@@ -145,7 +148,8 @@ def simplex_face(index: int, bound: float, op: str = ">=", **kw):
     )
 
 
-def intersection(*sets: ConstraintSet, **kw) -> ConstraintSet:
+def _combine(sets, fold, joiner: str, kw) -> ConstraintSet:
+    """The set whose membership folds its members' row by row."""
     if not sets:
         raise ValueError("need at least one set")
     kw.setdefault("scale", sets[0].scale)
@@ -153,32 +157,22 @@ def intersection(*sets: ConstraintSet, **kw) -> ConstraintSet:
     def member(pts: np.ndarray) -> np.ndarray:
         out = sets[0].contains(pts)
         for s in sets[1:]:
-            out &= s.contains(pts)
+            fold(out, s.contains(pts), out=out)
         return out
 
     return ConstraintSet(
         membership=member,
-        description=" and ".join(s.description or "?" for s in sets),
+        description=f" {joiner} ".join(s.description or "?" for s in sets),
         **kw,
     )
+
+
+def intersection(*sets: ConstraintSet, **kw) -> ConstraintSet:
+    return _combine(sets, np.logical_and, "and", kw)
 
 
 def union(*sets: ConstraintSet, **kw) -> ConstraintSet:
-    if not sets:
-        raise ValueError("need at least one set")
-    kw.setdefault("scale", sets[0].scale)
-
-    def member(pts: np.ndarray) -> np.ndarray:
-        out = sets[0].contains(pts)
-        for s in sets[1:]:
-            out |= s.contains(pts)
-        return out
-
-    return ConstraintSet(
-        membership=member,
-        description=" or ".join(s.description or "?" for s in sets),
-        **kw,
-    )
+    return _combine(sets, np.logical_or, "or", kw)
 
 
 def full_space(**kw) -> ConstraintSet:

@@ -398,6 +398,8 @@ def _run_batches(prepared: Prepared, config: EstimatorConfig,
     result is bit-identical for any thread count.
     """
     law, part = prepared.law, prepared.part
+    if config.n != part.n:
+        raise ValueError(f"config n={config.n} differs from the frame's n={part.n}")
     B = config.batches
     base, rem = divmod(config.L, B)
     batch_sizes = [base + (1 if b < rem else 0) for b in range(B)]
@@ -441,23 +443,31 @@ def _estimate_from_batches(batch_log_means, batch_hits, batch_sizes,
                            config: EstimatorConfig, n: int) -> Estimate:
     hits = int(batch_hits.sum())
     L = int(batch_sizes.sum())
+    warnings = []
     if hits == 0:
-        # value and stderr are final: no inversion maps pi_hat = 0
-        log_pi, rel_se, value = -INF, INF, INF
-        warnings = [f"zero hits in {L} replications; rule-of-three bound pi <= {3.0 / L:.3e}"]
-    else:
-        # batches combine in index order: log pi = lse_b(m_b + log s_b) - log L
-        has_hits = batch_hits > 0
-        log_sums = batch_log_means[has_hits] + np.log(batch_sizes[has_hits])
-        log_pi, value = _log_sum_exp(log_sums) - math.log(L), math.nan
-        # batch-means stderr on a relative scale, safe against underflow
-        rel = np.exp(batch_log_means - float(np.max(batch_log_means)))
-        rel_se = float(rel.std(ddof=1) / math.sqrt(len(rel)) / rel.mean())
-        warnings = [] if has_hits.all() else ["some batches had zero hits; stderr is rough"]
+        warnings.append(
+            f"zero hits in {L} replications; rule-of-three bound pi <= {3.0 / L:.3e}"
+        )
+        return Estimate(
+            log_pi_hat=-INF, value=INF, hits=0, stderr=INF, stderr_log_pi=INF,
+            n=n, L=L, seed=config.seed, hit_rate=0.0,
+            batch_log_means=batch_log_means, warnings=warnings,
+        )
+    # batches combine in index order: log pi = lse_b(m_b + log s_b) - log L
+    has_hits = batch_hits > 0
+    log_sums = batch_log_means[has_hits] + np.log(batch_sizes[has_hits])
+    log_pi = _log_sum_exp(log_sums) - math.log(L)
+    # batch-means stderr on a relative scale, safe against underflow
+    finite = batch_log_means[np.isfinite(batch_log_means)]
+    ref = float(np.max(batch_log_means))
+    rel = np.exp(np.where(np.isfinite(batch_log_means), batch_log_means, -INF) - ref)
+    rel_se = float(rel.std(ddof=1) / math.sqrt(len(rel)) / rel.mean())
+    if len(finite) < len(batch_log_means):
+        warnings.append("some batches had zero hits; stderr is rough")
     return Estimate(
-        log_pi_hat=log_pi, value=value, hits=hits, stderr=value, stderr_log_pi=rel_se,
-        n=n, L=L, seed=config.seed, hit_rate=hits / L, batch_log_means=batch_log_means,
-        warnings=warnings,
+        log_pi_hat=log_pi, value=math.nan, hits=hits, stderr=math.nan,
+        stderr_log_pi=rel_se, n=n, L=L, seed=config.seed,
+        hit_rate=hits / L, batch_log_means=batch_log_means, warnings=warnings,
     )
 
 
@@ -923,10 +933,8 @@ def estimate_entropy_extremum(spec: EntropySpec, K: int, omega: ConstraintSet,
     uniform reference vector."""
     _check_int("K", K, 1)
     if spec.kind in ("shannon", "sm2"):
-        gen = PowerGamma(1.0, 1.0)
-        target = "shannon" if spec.kind == "shannon" else "sm2"
+        gen, target = PowerGamma(1.0, 1.0), spec.kind
     else:
-        gen = PowerGamma(spec.gamma, 1.0)
-        target = "entropy"
+        gen, target = PowerGamma(spec.gamma, 1.0), "entropy"
     prepared = prepare(gen, np.full(K, 1.0 / K), omega, config, "simplex")
     return finalize(is_estimate(prepared, config), target, prepared, entropy_spec=spec)

@@ -829,6 +829,13 @@ class TestOnePreparePerSolve:
         self.solves()[solve]()
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("stage", [engine.is_estimate, engine.naive_estimate])
+    def test_a_config_of_another_n_is_refused(self, stage):
+        prepared = engine.prepare(PowerGamma(1.0), self.P, self.FACE,
+                                  bs.EstimatorConfig(n=300), "simplex")
+        with pytest.raises(ValueError, match="n=5000 differs from the frame's n=300"):
+            stage(prepared, bs.EstimatorConfig(n=5000, L=1000, seed=1))
+
 
 class TestBoundsOrderWarning:
     def test_inverted_bounds_are_flagged(self):

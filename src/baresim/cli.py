@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 config error, 3 zero-hit/rare-event failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -369,9 +370,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first call: building it
+    costs some twenty times what parsing does, and parsing leaves it as it
+    was, so every call of ``main`` shares it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ConfigError, KeyError, json.JSONDecodeError, FileNotFoundError) as exc:

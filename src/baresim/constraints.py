@@ -73,15 +73,27 @@ class ConstraintSet:
 
 def _dot_rows(pts: np.ndarray, c: np.ndarray) -> np.ndarray:
     """<c, x> of every row, summed column by column over the nonzero
-    coefficients: unlike BLAS's ``pts @ c``, a row rounds alike in a call of
-    any size, and a sparse c (a transport marginal) costs only its nonzero
-    columns."""
+    coefficients: unlike BLAS's ``pts @ c``, a row rounds alike in either
+    memory layout and in a call of any size, and a sparse c (a transport
+    marginal) costs only its nonzero columns."""
     if pts.shape[1] != c.size:
         raise ValueError(f"{c.size} coefficients for points of width {pts.shape[1]}")
     cols = np.flatnonzero(c)
     out = pts[:, cols[0]] * c[cols[0]] if cols.size else np.zeros(len(pts))
     for k in cols[1:]:
         out += pts[:, k] * c[k]
+    return out
+
+
+def _sum_rows(pts: np.ndarray) -> np.ndarray:
+    """The total of every row, added column by column: the bits of
+    ``_dot_rows`` with all coefficients one, without its products.  Unlike
+    ``pts.sum(axis=1)``, which sums a row of 8 or more entries pairwise in C
+    order and column by column in F order, a row rounds alike in either
+    layout and in a call of any size."""
+    out = pts[:, 0].copy()
+    for k in range(1, pts.shape[1]):
+        out += pts[:, k]
     return out
 
 

@@ -25,6 +25,13 @@ minimizer and corrects with the per-block factor
 ``prepare`` validates a problem before any draw and returns its frame, a
 ``Prepared``, which every stage below the pipelines takes; ``finalize``
 reads the inversion's n, K and scale A from it.  Each pipeline prepares once.
+
+Bits: replication batch b draws from its own stream, keyed by (seed, phase,
+b), and every per-row sum over the K blocks (the row totals, the log
+weights, the halfspace leaves) is added column by column.  A seeded result
+is therefore the same whatever the thread count, the number of rows a sum
+is called on, or the memory layout of the block sums, which ``_block_sums``
+alone chooses.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .constraints import ConstraintSet
+from .constraints import ConstraintSet, _dot_rows, _sum_rows
 from .divergence import (
     Generator,
     PowerGamma,
@@ -263,8 +270,14 @@ def _row_divergences(gen: Generator, Q: np.ndarray, P: np.ndarray) -> np.ndarray
 def _block_sums(law: WeightLaw, sizes, taus: Optional[np.ndarray],
                 rng: np.random.Generator, size: int) -> np.ndarray:
     """(size, K) draws of the block sums: block k sums ``sizes[k]`` i.i.d.
-    weights tilted by ``taus[k]``, or untilted when ``taus`` is None."""
-    sums = np.empty((size, len(sizes)))
+    weights tilted by ``taus[k]``, or untilted when ``taus`` is None.
+
+    The array is column-major: each law's draw fills contiguous memory, and
+    the row reductions after it read contiguous columns.  The layout is
+    decided here alone; every consumer sums a row column by column
+    (``constraints._dot_rows`` and ``_sum_rows``), so its bits depend
+    neither on the layout nor on the number of rows."""
+    sums = np.empty((len(sizes), size)).T
     for k, nk in enumerate(sizes):
         if taus is None:
             sums[:, k] = law.sample_block_sum(int(nk), rng, size)
@@ -301,18 +314,18 @@ class Prepared:
         """Map block sums (rows) to reduced coordinates and test them.
 
         Returns (x, member).  Deterministic mode divides by ``denom``, the
-        simplex modes by each row's total; a row whose total is zero is NaN
-        and never a member.  The tested points A * sums / divisor are
-        rounded as ``oracle.exact_pi`` rounds them, so that both place a
-        point on the boundary alike; with A = 1 they are x itself, bit for
-        bit, and are not computed twice.  With ``want_x`` false only the
-        tested points are computed, and x is None unless it is the tested
-        points."""
+        simplex modes by each row's total, summed column by column; a row
+        whose total is zero is NaN and never a member.  The tested points
+        are A * sums / divisor; with A = 1 they are x itself, bit for bit,
+        and are not computed twice.  ``oracle.exact_pi`` maps its enumerated
+        sums through this method too, so that both place a point on the
+        boundary alike.  With ``want_x`` false only the tested points are
+        computed, and x is None unless it is the tested points."""
         A = self.scale
         if self.mode == "deterministic":
             divisor, ok = denom, True
         else:
-            totals = sums.sum(axis=1)
+            totals = _sum_rows(sums)
             divisor, ok = totals[:, None], totals != 0.0
         if np.all(ok):
             x = sums / divisor if want_x or A == 1.0 else None
@@ -420,7 +433,7 @@ def _run_batches(prepared: Prepared, config: EstimatorConfig,
         if taus is None:
             log_sum = float(np.log(hits))
         else:
-            log_sum = _log_sum_exp(log_isf_offset - (sums @ taus)[member])
+            log_sum = _log_sum_exp(log_isf_offset - _dot_rows(sums, taus)[member])
         return log_sum - math.log(size), hits
 
     if config.threads > 1:

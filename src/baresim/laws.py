@@ -97,6 +97,28 @@ class WeightLaw:
         raise NotImplementedError("law has no countable support")
 
 
+def _logistic(log_odds: float) -> float:
+    """The probability 1 / (1 + e^-t) of log-odds t, which tends to 0 or 1
+    without overflow: where e^-t overflows, 1 + e^t rounds to 1 and the
+    probability is e^t."""
+    try:
+        return 1.0 / (1.0 + math.exp(-log_odds))
+    except OverflowError:
+        return math.exp(log_odds)
+
+
+def _tilted_poisson_mean(mean: float, tau: float, scale: float) -> float:
+    """mean * e^(tau / scale), the Poisson mean of a block tilted by tau; a
+    ValueError naming the tilt where it is not finite."""
+    try:
+        lam = mean * math.exp(tau / scale)
+    except OverflowError:
+        lam = INF
+    if not math.isfinite(lam):
+        raise ValueError(f"tilt {tau}: the tilted Poisson mean is not finite")
+    return lam
+
+
 def _log_mgf_power(scale: float, gamma: float, z) -> np.ndarray:
     """Cumulant function shared by the power-family laws (gamma != 1):
     (c/g) * ((1 + (g-1) z / c)^(g/(g-1)) - 1) on its domain."""
@@ -321,7 +343,7 @@ class ScaledPoisson(WeightLaw):
         return self.scale * np.expm1(z / self.scale)
 
     def sample_tilted_block(self, tau, nk, rng, size):
-        lam = nk * self.scale * math.exp(tau / self.scale)
+        lam = _tilted_poisson_mean(nk * self.scale, tau, self.scale)
         return rng.poisson(lam, size=size) / self.scale
 
     is_discrete = True
@@ -354,7 +376,7 @@ class ShiftedPoisson(WeightLaw):
 
     def sample_tilted_block(self, tau, nk, rng, size):
         ec = math.exp(self.anchor)
-        lam = nk * self.scale * ec * math.exp(tau / self.scale)
+        lam = _tilted_poisson_mean(nk * self.scale * ec, tau, self.scale)
         return rng.poisson(lam, size=size) / self.scale + nk * (1.0 - ec)
 
     is_discrete = True
@@ -435,8 +457,7 @@ class ScaledBinomial(WeightLaw):
 
     def _p_tilted(self, tau: float) -> float:
         c, m = self.scale, float(self.m)
-        e = c * math.exp(tau / c)
-        return e / (m - c + e)
+        return _logistic(tau / c + math.log(c / (m - c)))
 
     def sample_tilted_block(self, tau, nk, rng, size):
         return rng.binomial(self.m * nk, self._p_tilted(tau), size=size) / self.scale
@@ -522,7 +543,7 @@ class TwoPointLaw(WeightLaw):
         t = tau / self.mult
         log_w1 = math.log(self.p) + self.z1 * t
         log_w2 = math.log1p(-self.p) + self.z2 * t
-        prob_z2 = 1.0 / (1.0 + math.exp(log_w1 - log_w2))
+        prob_z2 = _logistic(log_w2 - log_w1)
         steps = nk * self.mult
         ell = rng.binomial(steps, prob_z2, size=size)
         return (self.z1 * (steps - ell) + self.z2 * ell) / self.mult

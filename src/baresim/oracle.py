@@ -12,7 +12,7 @@ import numpy as np
 
 from .constraints import ConstraintSet
 from .divergence import Generator, divergence
-from .engine import BlockPartition
+from .engine import BlockPartition, Prepared
 from .laws import WeightLaw
 
 __all__ = ["grid_min_divergence", "exact_pi", "golden_min", "simplex_grid"]
@@ -126,14 +126,9 @@ def exact_pi(law: WeightLaw, part: BlockPartition, omega: ConstraintSet,
         reps = int(np.prod([supports[j][0].size for j in range(k + 1, K)]))
         tile = int(np.prod([supports[j][0].size for j in range(k)]))
         probs *= np.tile(np.repeat(pk, reps), tile)
-    if mode == "deterministic":
-        pts = mass * sums / part.n
-        member = omega.contains(pts)
-    else:
-        totals = sums.sum(axis=1)
-        ok = totals != 0
-        member = np.zeros(sums.shape[0], dtype=bool)
-        member[ok] = omega.contains(omega.scale * sums[ok] / totals[ok, None])
+    # the estimator's own map from block sums to tested points
+    frame = Prepared(gen=None, part=part, law=law, omega=omega, mode=mode, mass=mass)
+    _, member = frame.coords_and_hits(sums, part.n, want_x=False)
     total = float(probs[member].sum())
     return total, tail_total
 

@@ -364,6 +364,17 @@ class TestEstimateCommand:
         assert cli.main(["estimate", "--config", cfg, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_no_setting_leaks_between_calls(self, tmp_path):
+        # the one parser of the process serves every call
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        outs = [tmp_path / f"{i}.json" for i in range(3)]
+        for out, flags in zip(outs, (["--seed", "1"], ["--seed", "2", "--threads", "2"],
+                                     ["--seed", "1"])):
+            assert cli.main(["estimate", "--config", cfg, "--out", str(out), *flags]) == 0
+        assert outs[0].read_bytes() == outs[2].read_bytes()
+        assert outs[0].read_bytes() != outs[1].read_bytes()
+        assert cli._parser() is cli._parser()
+
     def test_flag_overrides_seed(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

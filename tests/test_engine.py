@@ -415,6 +415,84 @@ class TestDeterminism:
         assert a.log_pi_hat != b.log_pi_hat
 
 
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+class TestBatchKernelBits:
+    """What a batch computes: its draws come from the stream (seed, 0, b),
+    and each row's K-term sums (row total, log weight) round alike in
+    either memory layout and in a call of any number of rows."""
+
+    def test_a_batch_is_its_stream_reduced_by_hand(self, monkeypatch):
+        cfg = bs.EstimatorConfig(n=2000, L=3_200, seed=11, batches=10)
+        prepared = engine.prepare(PowerGamma(1.0), [0.2, 0.3, 0.5], bs.simplex_face(0, 0.5),
+                                  cfg, "simplex")
+        taus = engine.compute_taus(prepared, engine.proxy_q_star(prepared, cfg))
+        seen = {}
+        real = engine._estimate_from_batches
+
+        def spy(log_means, hits, sizes, *rest):
+            seen.update(log_means=log_means, hits=hits, sizes=sizes)
+            return real(log_means, hits, sizes, *rest)
+
+        monkeypatch.setattr(engine, "_estimate_from_batches", spy)
+        engine._run_batches(prepared, cfg, taus)
+        law, sizes = prepared.law, prepared.part.sizes
+        offset = sizes @ np.array([float(law.log_mgf(float(t))) for t in taus])
+        for b, size in enumerate(seen["sizes"]):
+            s = engine._block_sums(law, sizes, taus, engine._rng(11, 0, b), int(size))
+            member = s[:, 0] / ((s[:, 0] + s[:, 1]) + s[:, 2]) >= 0.5
+            log_w = offset - ((s[:, 0] * taus[0] + s[:, 1] * taus[1]) + s[:, 2] * taus[2])
+            assert seen["hits"][b] == member.sum()
+            log_mean = engine._log_sum_exp(log_w[member]) - math.log(size)
+            assert float(seen["log_means"][b]).hex() == log_mean.hex()
+
+    @staticmethod
+    def sums(K):
+        return np.random.default_rng(K).random((4_000, K)) * 3.0
+
+    @staticmethod
+    def log_weights(monkeypatch, sums, taus):
+        """The log weights ``_run_batches`` reduces when its draws are ``sums``."""
+        K = sums.shape[1]
+        cfg = bs.EstimatorConfig(n=K, L=10 * len(sums), batches=10)
+        prepared = engine.prepare(PowerGamma(1.0), np.full(K, 1.0 / K), bs.full_space(), cfg,
+                                  "simplex")
+        seen = []
+        monkeypatch.setattr(engine, "_block_sums", lambda *args: sums)
+        monkeypatch.setattr(engine, "_log_sum_exp", lambda v: seen.append(v) or 0.0)
+        engine._run_batches(prepared, cfg, taus)
+        return seen[0]
+
+    @pytest.mark.parametrize("K", [3, 20])
+    def test_log_weights_ignore_layout_and_row_count(self, monkeypatch, K):
+        # BLAS's sums @ taus rounds some of these rows differently
+        sums, taus = self.sums(K), np.linspace(-0.9, 1.7, K)
+        c_order = hexes(self.log_weights(monkeypatch, np.ascontiguousarray(sums), taus))
+        assert hexes(self.log_weights(monkeypatch, np.asfortranarray(sums), taus)) == c_order
+        ones = [self.log_weights(monkeypatch, sums[i:i + 1], taus)[0] for i in range(300)]
+        assert hexes(ones) == c_order[:300]
+
+    @pytest.mark.parametrize("K", [3, 20])
+    def test_row_totals_ignore_layout_and_row_count(self, K):
+        sums = self.sums(K)
+        prepared = engine.prepare(PowerGamma(1.0), np.full(K, 1.0 / K), bs.full_space(),
+                                  bs.EstimatorConfig(n=K), "simplex")
+
+        def coords(s):
+            return prepared.coords_and_hits(s, K)[0]
+
+        totals = sums[:, 0].copy()
+        for k in range(1, K):  # column by column, as a row of any length
+            totals += sums[:, k]
+        by_hand = hexes((sums / totals[:, None]).ravel())
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            assert hexes(coords(layout(sums)).ravel()) == by_hand
+        ones = np.vstack([coords(sums[i:i + 1]) for i in range(300)])
+        assert hexes(ones.ravel()) == by_hand[:300 * K]
+
+
 class TestEmpiricalMode:
     def test_estimates_empirical_divergence(self):
         rng = make_rng(77)

@@ -181,6 +181,30 @@ class TestTilting:
         assert float(np.mean(x == 0.0)) == pytest.approx(p_tilt, abs=0.004)
 
 
+class TestExtremeTilts:
+    """At a tilt of +-800 a success probability is 0 or 1 and a Poisson mean
+    can pass the largest double; neither surfaces as an OverflowError."""
+
+    @pytest.mark.parametrize("tau, value", [(-800.0, 0.0), (800.0, 20.0)])
+    def test_two_point_draws_its_end(self, rng, tau, value):
+        law = lw.TwoPointLaw(0.0, 2.0)
+        assert math.isfinite(lw.log_mgf(law, tau))
+        assert law.sample_tilted_block(tau, 10, rng, 3).tolist() == [value] * 3
+
+    @pytest.mark.parametrize("tau, value", [(-800.0, 0.0), (800.0, 40.0)])
+    def test_binomial_draws_its_end(self, rng, tau, value):
+        law = lw.ScaledBinomial(4, 1.0)
+        assert law.sample_tilted_block(tau, 10, rng, 3).tolist() == [value] * 3
+
+    @pytest.mark.parametrize("law, low", [(lw.ScaledPoisson(1.0), 0.0),
+                                          (lw.ShiftedPoisson(0.3), 10 * (1 - math.exp(0.3)))],
+                             ids=["scaled", "shifted"])
+    def test_poisson_mean_past_a_double_names_the_tilt(self, rng, law, low):
+        with pytest.raises(ValueError, match="tilt 800.0: the tilted Poisson mean is not finite"):
+            law.sample_tilted_block(800.0, 10, rng, 3)
+        assert law.sample_tilted_block(-800.0, 10, rng, 3).tolist() == [low] * 3
+
+
 def isf_block(law, tau, nk, x):
     """Importance-sampling factor of one block sum x: exp(nk Lambda(tau) - x tau)."""
     return math.exp(nk * lw.log_mgf(law, tau) - x * tau)

@@ -63,6 +63,13 @@ def _check_int(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer >= {least} (got {value!r})")
 
 
+def _check_anchor(anchor: float) -> None:
+    """Refuse a NaN anchor or one whose e^anchor overflows a double."""
+    if not anchor <= np.log(np.finfo(float).max):
+        raise ValueError(f"anchor {anchor!r}: e^anchor is not a finite double; the anchor "
+                         "must be at most about 709.78")
+
+
 def check_nonneg_vector(values) -> np.ndarray:
     """Validate a vector in R_{>=0}^K \\ {0} (nonnegative, not identically zero)."""
     arr = _as_1d(values, "vector")
@@ -88,7 +95,8 @@ class Generator:
 
     Subclasses provide ``phi``/``phi_prime`` on the interior of the
     effective domain ``]a, b[`` plus the endpoints of the conjugate's
-    domain ``]lambda_minus, lambda_plus[``.
+    domain ``]lambda_minus, lambda_plus[``.  ``phi_prime`` is defined on
+    ``]t_sc_minus, t_sc_plus[``, where ``engine.solve_m_equation`` keeps m q/p.
     """
 
     a: float
@@ -282,6 +290,7 @@ class AnchoredKL(Generator):
     scale: float = 1.0
 
     def __post_init__(self):
+        _check_anchor(self.anchor)
         if not (self.scale > 0):
             raise ValueError("scale must be > 0")
 

@@ -51,6 +51,7 @@ from .divergence import (
     _check_int,
     check_prob_vector,
     divergence,
+    min_over_m_closed,
     normalize_bs1,
 )
 from .entropy import EntropySpec
@@ -174,9 +175,9 @@ class ProxySpec:
     ``budget`` candidates, rounded up to a whole chunk.  The hits are tried
     from the divergence-smallest up: each is pushed toward the reference
     vector up to the boundary, polished by a local descent, and passed over
-    when its tilt is not finite.  A poor proxy costs the estimator variance,
-    never unbiasedness.  The same proxy gives ``bounds_general`` its upper
-    bound, D(Q*, P).
+    when it has no valid tilt (``Prepared.tilts`` refuses it).  A poor proxy
+    costs the estimator variance, never unbiasedness.  The same proxy gives
+    ``bounds_general`` its upper bound, D(Q*, P).
     """
 
     method: str = "search"
@@ -350,16 +351,22 @@ class Prepared:
         scored without the checks of the public ``divergence``."""
         return _row_divergences(self.gen, self.scale * points, self.mass * self.part.p_tilde)
 
-    def tilts(self, q_star: np.ndarray):
-        """Target ratios and tilts (M phi)'(ratio) at a proxy point, possibly
-        not finite.  Deterministic mode targets q_star itself; the simplex
-        modes target m* q_star (see ``_m_minimizer``)."""
+    def tilts(self, q_star: np.ndarray) -> np.ndarray:
+        """The tilts (M phi)'(ratio) at a proxy point, or ``ValueError`` naming
+        the ratios when one is not inside int(dom MGF) (``check_tau``'s rule).
+        Deterministic mode targets q_star itself; the simplex modes target
+        m* q_star (see ``_m_minimizer``)."""
         p = self.part.p_tilde
         if self.mode == "deterministic":
             ratios = q_star / p
         else:
             ratios = _m_minimizer(self.gen, q_star, p) * q_star / p
-        return ratios, self.mass * np.asarray(self.gen.phi_prime(ratios), dtype=float)
+        taus = self.mass * np.asarray(self.gen.phi_prime(ratios), dtype=float)
+        lo, hi = self.law.mgf_dom()
+        if not np.all((lo < taus) & (taus < hi)):
+            raise ValueError(f"tilt target ratios {ratios} give tilts {taus}, not all "
+                             f"inside int(dom MGF) = ]{lo}, {hi}[")
+        return taus
 
 
 def prepare(gen: Optional[Generator], P, omega: ConstraintSet, config: EstimatorConfig,
@@ -493,22 +500,23 @@ def naive_estimate(prepared: Prepared, config: EstimatorConfig) -> Estimate:
 @dataclass(frozen=True)
 class ProxyResult:
     q_star: np.ndarray  # normalized (simplex modes) or Omega/M coordinates
+    taus: np.ndarray  # the checked tilts at q_star, ``Prepared.tilts(q_star)``
     draws_used: int = 0
-    # the finite tilts at q_star, set by the search that checked them
-    _taus: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
 def proxy_q_star(prepared: Prepared, config: EstimatorConfig) -> ProxyResult:
     """Find a tilt target inside the constraint set, in reduced
-    coordinates."""
+    coordinates, with its tilts; a given ``q_star`` without valid tilts
+    raises ``ValueError`` before any batch is drawn."""
     spec = config.proxy
+    if prepared.gen is None:
+        raise ValueError("the proxy needs the generator for its tilts")
     if spec.method == "given":
         q = np.asarray(spec.q_star, dtype=float)
         if q.size != prepared.part.K:
             raise ValueError("q_star has the wrong length")
-        return ProxyResult(q_star=q / prepared.scale)
-    if prepared.gen is None:
-        raise ValueError("the proxy search needs the generator")
+        q = q / prepared.scale
+        return ProxyResult(q_star=q, taus=prepared.tilts(q))
     used = hits = finite = 0
     stages = ((_PHASE_PROXY, lambda: _short_runs(prepared, spec)),
               (_PHASE_GAUSSIAN, lambda: _gaussian_candidates(prepared)))
@@ -604,15 +612,6 @@ def _polish_proxy(prepared: Prepared, q: np.ndarray, rounds: int = 5) -> np.ndar
     return x
 
 
-def _refined_proxy(prepared: Prepared, q: np.ndarray) -> Optional[ProxyResult]:
-    """Push a feasible hit toward the reference vector and polish it, with
-    its tilts; None when the polished point has no finite tilt, as a hit on
-    the boundary with a zero coordinate where phi' is infinite has."""
-    refined = _polish_proxy(prepared, _refine_toward_reference(prepared, q))
-    taus = prepared.tilts(refined)[1]
-    return ProxyResult(q_star=refined, _taus=taus) if np.all(np.isfinite(taus)) else None
-
-
 def _short_runs(prepared: Prepared, spec: ProxySpec):
     """Stage 1 candidates: short untilted runs at the reference frequencies,
     the best hit rate.  In empirical mode a run at least as long as the
@@ -647,8 +646,9 @@ def _gaussian_candidates(prepared: Prepared):
 def _search(prepared: Prepared, config: EstimatorConfig, draw, phase: int):
     """One proxy search stage: chunk c is ``draw(rng)`` on the stream
     (seed, phase, c), candidates in reduced coordinates and their membership.
-    Returns the refined proxy (draws not yet counted) or None, the draws,
-    hits and finite-D hits."""
+    Returns the proxy (draws not yet counted) or None, the draws, hits and
+    finite-D hits.  A refined hit with no valid tilt, as a boundary point
+    with a zero coordinate where phi' is infinite, is passed over."""
     used = hits = 0
     found = []  # (rank, hit) of every hit of finite divergence
     while used < config.proxy.budget and len(found) < _PROXY_COLLECT:
@@ -661,37 +661,27 @@ def _search(prepared: Prepared, config: EstimatorConfig, draw, phase: int):
     # lowest divergence first, ties in draw order
     found.sort(key=lambda h: h[0])
     for _, q in found:
-        proxy = _refined_proxy(prepared, q)
-        if proxy is not None:
-            return proxy, used, hits, len(found)
+        refined = _polish_proxy(prepared, _refine_toward_reference(prepared, q))
+        try:
+            taus = prepared.tilts(refined)
+        except ValueError:
+            continue
+        return ProxyResult(q_star=refined, taus=taus), used, hits, len(found)
     return None, used, hits, len(found)
 
 
 def _m_minimizer(gen: Generator, q: np.ndarray, p: np.ndarray) -> float:
     """Minimizer of m -> D(m q, p) for a normalized q: the unnormalized
     vector must be tilted to m* q, the dominating point of the
-    normalized-vector rate function."""
-    from .divergence import min_over_m_closed
-
-    try:
-        if isinstance(gen, PowerGamma):
-            return float(min_over_m_closed(gen, q, p)[1])
-        return solve_m_equation(gen, q, p)
-    except (ValueError, ZeroDivisionError):
-        return 1.0
+    normalized-vector rate function.  Raises when m* cannot be found."""
+    if isinstance(gen, PowerGamma):
+        return float(min_over_m_closed(gen, q, p)[1])
+    return solve_m_equation(gen, q, p)
 
 
 def compute_taus(prepared: Prepared, proxy: ProxyResult) -> np.ndarray:
-    """Per-block tilts tau_k = (M phi)'(target ratio); a searched proxy
-    carries the tilts its search computed."""
-    if proxy._taus is not None:
-        return proxy._taus
-    ratios, taus = prepared.tilts(proxy.q_star)
-    if np.any(~np.isfinite(taus)):
-        raise ValueError(
-            f"tilt target ratio outside int(dom phi): ratios={ratios}"
-        )
-    return taus
+    """Per-block tilts tau_k = (M phi)'(target ratio), carried by the proxy."""
+    return proxy.taus
 
 
 def is_estimate(prepared: Prepared, config: EstimatorConfig,
@@ -699,14 +689,9 @@ def is_estimate(prepared: Prepared, config: EstimatorConfig,
     """Importance-sampling estimator of the hitting probability, tilted
     toward ``q_star``, or toward the proxy ``proxy_q_star`` finds when it is
     None."""
-    if prepared.gen is None:
-        raise ValueError("importance sampling needs the generator for the tilts")
     if q_star is None:
         q_star = proxy_q_star(prepared, config)
-    taus = compute_taus(prepared, q_star)
-    for t in taus:
-        prepared.law.check_tau(float(t))
-    return _run_batches(prepared, config, taus)
+    return _run_batches(prepared, config, compute_taus(prepared, q_star))
 
 
 # ---------------------------------------------------------------------------
@@ -847,12 +832,14 @@ def finalize(est: Estimate, target, prepared: Prepared,
 
 
 def solve_m_equation(gen: Generator, Q, P, tol: float = 1e-10) -> float:
-    """Unique root of sum_k q_k phi'(m q_k / p_k) = 0 by bisection on
-    [min p_k/q_k, max p_k/q_k]."""
+    """Unique root of psi(m) = sum_{q_k > 0} q_k phi'(m q_k / p_k) = 0 by
+    bisection on the part of [min p_k/q_k, max p_k/q_k], where psi goes
+    from <= 0 to >= 0, that keeps every m q_k / p_k in ]t_sc-, t_sc+[."""
     Q = np.asarray(Q, dtype=float)
     P = np.asarray(P, dtype=float)
-    if np.any(Q <= 0) or np.any(P <= 0):
-        raise ValueError("m-equation needs strictly positive Q and P")
+    if np.any(Q < 0) or not np.any(Q > 0) or np.any(P <= 0):
+        raise ValueError("m-equation needs a nonnegative nonzero Q and a strictly positive P")
+    Q, P = Q[Q > 0], P[Q > 0]
 
     def psi(m: float) -> float:
         vals = np.asarray(gen.phi_prime(m * Q / P), dtype=float)
@@ -864,11 +851,10 @@ def solve_m_equation(gen: Generator, Q, P, tol: float = 1e-10) -> float:
     hi = float(np.max(P / Q))
     if lo == hi:
         return lo
-    flo, fhi = psi(lo), psi(hi)
-    if flo > 0 or fhi < 0:  # numerical guard; theory gives flo <= 0 <= fhi
-        lo *= 0.999
-        hi *= 1.001
-        flo, fhi = psi(lo), psi(hi)
+    # every m q_k / p_k lies in ]t_sc-, t_sc+[ iff t_sc- max(p/q) < m < t_sc+ min(p/q)
+    lo, hi = max(lo, gen.t_sc_minus * hi), min(hi, gen.t_sc_plus * lo)
+    if not lo < hi:
+        raise ValueError("no m keeps every ratio m q_k / p_k inside ]t_sc-, t_sc+[")
     for _ in range(400):
         mid = 0.5 * (lo + hi)
         if psi(mid) < 0:

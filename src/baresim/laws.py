@@ -27,6 +27,7 @@ from .divergence import (
     GeneralizedKL,
     PowerGamma,
     TwoPoint,
+    _check_anchor,
 )
 
 __all__ = [
@@ -363,6 +364,7 @@ class ShiftedPoisson(WeightLaw):
     scale: float = 1.0
 
     def __post_init__(self):
+        _check_anchor(self.anchor)
         if not (self.scale > 0):
             raise ValueError("scale must be > 0")
 

@@ -464,6 +464,16 @@ class TestEstimateCommand:
         cfg = write_config(tmp_path, config)
         assert cli.main(["estimate", "--config", cfg]) == cli.EXIT_CONFIG
 
+    def test_anchor_whose_exponential_overflows(self, tmp_path, capsys):
+        # e^800 is no double: refused with the generator section, not drawn from
+        config = dict(BASE_CONFIG, target="deterministic",
+                      generator={"family": "anchored_kl", "anchor": 800.0})
+        code = cli.main(["estimate", "--config", write_config(tmp_path, config)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG, err
+        assert "Traceback" not in err
+        assert re.search(r"\bgenerator\b.*\banchor\b", err), err
+
     def test_zero_hit_exit_code(self, tmp_path):
         config = dict(BASE_CONFIG)
         # empty set via contradictory box

@@ -71,6 +71,13 @@ class TestPhiEval:
         gen = AnchoredKL(1.0)
         assert bs.phi_eval(gen, 1.0 - math.e) == pytest.approx(math.e)
 
+    @pytest.mark.parametrize("anchor", [800.0, math.inf, math.nan])
+    def test_anchor_whose_exponential_overflows_rejected(self, anchor):
+        # e^anchor is no double past log(max double), about 709.78
+        with pytest.raises(ValueError, match="e\\^anchor is not a finite double"):
+            AnchoredKL(anchor)
+        assert AnchoredKL(709.0).a == 1.0 - math.exp(709.0)
+
     def test_gamma_in_open_interval_rejected(self):
         with pytest.raises(ValueError):
             PowerGamma(1.5, 1.0)

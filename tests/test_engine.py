@@ -6,8 +6,8 @@ import pytest
 import baresim as bs
 from baresim import engine, laws, oracle, problems
 from baresim.divergence import (
-    GeneralizedKL, PowerGamma, TwoPoint, _divergence_positive, min_over_m_closed, modified_kl,
-    modified_rev_kl,
+    GenAsymLaplace, GeneralizedKL, PowerGamma, TwoPoint, _divergence_positive, min_over_m_closed,
+    modified_kl, modified_rev_kl,
 )
 from baresim.entropy import entropy, renyi_entropy, shannon, sharma_mittal2
 
@@ -221,7 +221,7 @@ class TestProxy:
         assert est.hits > 0
 
     def test_tilts_computed_once_per_solve(self, monkeypatch):
-        # the search checks the proxy's tilts and compute_taus reuses them
+        # the search checks the proxy's tilts and the proxy carries them
         calls = []
         tilts = engine.Prepared.tilts
         monkeypatch.setattr(engine.Prepared, "tilts",
@@ -241,6 +241,16 @@ class TestProxy:
             engine.prepare(PowerGamma(1.0), self.p, self.omega, cfg, "simplex"), cfg
         )
         assert np.allclose(res.q_star, q)
+
+    def test_given_q_star_without_valid_tilt_raises(self):
+        # KL's tilt at the zero coordinate is phi'(0) = -inf: refused by the
+        # proxy, before any batch is drawn
+        cfg = bs.EstimatorConfig(n=100, L=10, seed=2, proxy=bs.ProxySpec(
+            method="given", q_star=np.array([0.5, 0.0, 0.5])))
+        with pytest.raises(ValueError, match="tilt target ratios"):
+            engine.proxy_q_star(
+                engine.prepare(PowerGamma(1.0), self.p, self.omega, cfg, "simplex",
+                               law=NoDrawLaw()), cfg)
 
     def test_budget_exhaustion_raises(self):
         cfg = bs.EstimatorConfig(
@@ -370,6 +380,26 @@ class TestSolveMEquation:
         m = engine.solve_m_equation(gen, q, p)
         assert np.min(p / q) <= m <= np.max(p / q)
         resid = float(q @ gen.phi_prime(m * q / p))
+        assert resid == pytest.approx(0.0, abs=1e-8)
+
+    def test_root_where_max_p_over_q_leaves_dom_phi_prime(self):
+        # TwoPoint(0, 2): phi' is defined on ]0, 2[, and at m = max p/q the
+        # ratio m q_0 / p_0 is 2.57; the root lies below 2 p_0 / q_0
+        gen = TwoPoint(0.0, 2.0)
+        q = np.array([0.35, 0.24375, 0.40625])
+        p = np.array([0.2, 0.3, 0.5])
+        m = engine.solve_m_equation(gen, q, p)
+        assert m == pytest.approx(0.8653, abs=1e-4)
+        assert float(q @ gen.phi_prime(m * q / p)) == pytest.approx(0.0, abs=1e-8)
+
+    @pytest.mark.parametrize("gen", [GeneralizedKL(1.0, 1.0), GenAsymLaplace(1.0, 1.0, 1.0)])
+    def test_zero_coordinate_adds_nothing(self, gen):
+        q = np.array([0.6, 0.0, 0.4])
+        p = np.array([0.2, 0.3, 0.5])
+        m = engine.solve_m_equation(gen, q, p)
+        assert m == engine.solve_m_equation(gen, q[[0, 2]], p[[0, 2]])
+        pos = q > 0
+        resid = float(q[pos] @ gen.phi_prime(m * q[pos] / p[pos]))
         assert resid == pytest.approx(0.0, abs=1e-8)
 
 
@@ -917,8 +947,9 @@ class TestOnePreparePerSolve:
 
 class TestBoundsOrderWarning:
     def test_inverted_bounds_are_flagged(self):
-        # at n = 200 the finite-n bias lifts the lower bound above the upper
-        cfg = bs.EstimatorConfig(n=200, L=2000, seed=1, proxy=bs.ProxySpec(m_run=20))
+        # at n = 100 the finite-n bias lifts the lower bound (0.0858 to 0.0866
+        # over seeds 1-3, stderr <= 0.00052) above the upper (0.0774)
+        cfg = bs.EstimatorConfig(n=100, L=2000, seed=1)
         lower, upper, _, est = engine.bounds_general(
             TwoPoint(0.0, 2.0), np.array([0.2, 0.3, 0.5]), bs.simplex_face(0, 0.35, ">="),
             cfg, mode="simplex")

@@ -63,6 +63,10 @@ class TestSampleFacts:
         y = lw.ShiftedPoisson(-0.5).sample(rng, 50_000)
         assert np.all(y > 0)
 
+    def test_shifted_poisson_anchor_whose_exponential_overflows_rejected(self):
+        with pytest.raises(ValueError, match="e\\^anchor is not a finite double"):
+            lw.ShiftedPoisson(800.0)
+
 
 class TestBlockSums:
     def test_gamma_block(self, rng):

@@ -171,6 +171,7 @@ def _estimate_payload(est: engine.Estimate, extra: dict | None = None) -> dict:
         "L": est.L,
         "seed": est.seed,
         "warnings": list(est.warnings),
+        "bias_correction": est.bias_correction,
     }
     if extra:
         payload.update(extra)

@@ -14,8 +14,9 @@ escape hatch.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -54,6 +55,11 @@ class ConstraintSet:
     scale: float = 1.0
     regularity_asserted: bool = True
     description: str = ""
+    #: (c, rhs, op) of a one-inequality leaf {x : <c, x> op rhs}: set by
+    #: ``halfspace`` (c a tuple of floats) and ``simplex_face`` (c the
+    #: coordinate index k, standing for the unit vector e_k) alone, so that
+    #: it always describes ``membership``; None for every other set
+    row: Optional[tuple] = dataclasses.field(default=None, init=False)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -69,6 +75,12 @@ class ConstraintSet:
 
     def contains_point(self, point) -> bool:
         return bool(self.contains(np.atleast_2d(np.asarray(point, dtype=float)))[0])
+
+
+def _with_row(out: ConstraintSet, row: Optional[tuple]) -> ConstraintSet:
+    """``out`` with its ``row`` set: the one writer of that field."""
+    object.__setattr__(out, "row", row)
+    return out
 
 
 def _dot_rows(pts: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -109,11 +121,11 @@ def halfspace(coeffs, rhs: float, op: str = ">=", **kw) -> ConstraintSet:
     if op not in ops:
         raise ValueError(f"unknown comparison op {op!r}")
     test = ops[op]
-    return ConstraintSet(
+    return _with_row(ConstraintSet(
         membership=lambda pts: test(_dot_rows(pts, c)),
         description=f"halfspace <c,x> {op} {rhs}",
         **kw,
-    )
+    ), (tuple(c.tolist()), float(rhs), op))
 
 
 def box(lower, upper, **kw) -> ConstraintSet:
@@ -153,11 +165,11 @@ def simplex_face(index: int, bound: float, op: str = ">=", **kw):
     if op not in ops:
         raise ValueError(f"unknown comparison op {op!r}")
     test = ops[op]
-    return ConstraintSet(
+    return _with_row(ConstraintSet(
         membership=lambda pts: test(pts[:, index]),
         description=f"x[{index}] {op} {bound}",
         **kw,
-    )
+    ), (index, float(bound), op))
 
 
 def _combine(sets, fold, joiner: str, kw) -> ConstraintSet:
@@ -261,4 +273,5 @@ def constraint_from_dict(spec, path: str = "constraint") -> ConstraintSet:
     if unknown:
         raise ConfigError(f"{path}/{unknown[0]}: a {kind!r} constraint takes no key "
                           f"{unknown[0]!r}")
-    return out if description is None else replace(out, description=description)
+    return out if description is None else _with_row(replace(out, description=description),
+                                                     out.row)

@@ -64,10 +64,15 @@ def _check_int(name: str, value, least: int) -> None:
 
 
 def _check_anchor(anchor: float) -> None:
-    """Refuse a NaN anchor or one whose e^anchor overflows a double."""
+    """Refuse a NaN anchor, one whose e^anchor overflows a double, and one so
+    negative that 1 - e^anchor rounds to 1 (below about -37.43), where the
+    generator's left end and the weight law's Poisson part are lost."""
     if not anchor <= np.log(np.finfo(float).max):
         raise ValueError(f"anchor {anchor!r}: e^anchor is not a finite double; the anchor "
                          "must be at most about 709.78")
+    if 1.0 - math.exp(anchor) == 1.0:
+        raise ValueError(f"anchor {anchor!r}: 1 - e^anchor rounds to 1; the anchor must be "
+                         "at least about -37.43")
 
 
 def check_nonneg_vector(values) -> np.ndarray:

@@ -40,6 +40,7 @@ import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -177,7 +178,9 @@ class ProxySpec:
     vector up to the boundary, polished by a local descent, and passed over
     when it has no valid tilt (``Prepared.tilts`` refuses it).  A poor proxy
     costs the estimator variance, never unbiasedness.  The same proxy gives
-    ``bounds_general`` its upper bound, D(Q*, P).
+    ``bounds_general`` its upper bound, D(Q*, P).  A one-inequality leaf in
+    deterministic mode is not searched: its dual gives the proxy
+    (``Prepared.dual``), so ``budget`` and ``m_run`` go unread there.
     """
 
     method: str = "search"
@@ -226,6 +229,9 @@ class Estimate:
     hit_rate: float
     batch_log_means: np.ndarray
     warnings: list = field(default_factory=list)
+    #: what ``finalize``'s Bahadur-Rao term added to ``value`` (value units),
+    #: or None where no term applies; ``log_pi_hat`` stays uncorrected
+    bias_correction: Optional[float] = None
 
     @property
     def pi_hat(self) -> float:
@@ -285,6 +291,68 @@ def _block_sums(law: WeightLaw, sizes, taus: Optional[np.ndarray],
         else:
             sums[:, k] = law.sample_tilted_block(float(taus[k]), int(nk), rng, size)
     return sums
+
+
+@dataclass(frozen=True)
+class Dual:
+    """The I-projection dual of a one-inequality set {<a, x> >= rhs} in
+    reduced coordinates (a set with <= turned around): lam >= 0 solves
+    sum_k p_k a_k Lambda'(lam a_k) = rhs, or is 0 when p itself is in the
+    set.  The tilts are tau = lam a, the dominating point is
+    q_star = p Lambda'(tau), sigma2 = sum_k p_k a_k^2 Lambda''(tau_k) is
+    the variance of <a, x> per unit n under the tilts, and
+    slack = <a, q_star> - rhs is how far p lies inside the set when lam = 0."""
+
+    lam: float
+    taus: np.ndarray
+    q_star: np.ndarray
+    sigma2: float
+    slack: float
+
+
+def _solve_dual(law: WeightLaw, p: np.ndarray, a: np.ndarray, rhs: float) -> float:
+    """The root lam >= 0 of g(lam) = sum_k p_k a_k Lambda'(lam a_k) - rhs,
+    which increases in lam (0 when g(0) >= 0), by Newton steps kept inside a
+    bracket and bisection where a step leaves it; ``ValueError`` when g
+    stays below 0 on the whole domain: the set lies beyond, or on the edge
+    of, what the weights reach."""
+    lo, hi = law.mgf_dom()
+    # every lam a_k must stay inside ]lo, hi[
+    caps = [hi / ak for ak in a if ak > 0] + [lo / ak for ak in a if ak < 0]
+    lam_max = min(caps, default=INF)
+
+    def g(lam: float):
+        slope, curvature = law.log_mgf_slopes(lam * a)
+        return float(p @ (a * slope)) - rhs, float(p @ (a * a * curvature))
+
+    below, value = 0.0, g(0.0)[0]
+    if value >= 0.0:  # p on the boundary of a strict inequality
+        return 0.0
+    tries = ([lam_max * (1.0 - 2.0**-j) for j in range(1, 41)] if math.isfinite(lam_max)
+             else [2.0**j for j in range(-10, 64)])
+    with np.errstate(over="ignore", invalid="ignore"):  # a bounded law's far tilts
+        for above in tries:
+            value = g(above)[0]
+            if value >= 0.0 or not math.isfinite(value):
+                break
+            below = above
+    if not value >= 0.0:
+        raise ValueError(f"no tilt reaches the set: sum_k p_k a_k Lambda'(lam a_k) stays "
+                         f"below {rhs} for every lam in [0, {lam_max}[; the set lies "
+                         "beyond, or on the edge of, what the weights reach")
+    lam = 0.5 * (below + above)
+    for _ in range(200):
+        value, deriv = g(lam)
+        if value < 0.0:
+            below = lam
+        else:
+            above = lam
+        step = lam - value / deriv if deriv > 0.0 else math.nan
+        new = step if below < step < above else 0.5 * (below + above)
+        if abs(new - lam) <= 4.0 * np.finfo(float).eps * lam:
+            return new
+        lam = new
+    return lam
 
 
 @dataclass(frozen=True)
@@ -367,6 +435,28 @@ class Prepared:
             raise ValueError(f"tilt target ratios {ratios} give tilts {taus}, not all "
                              f"inside int(dom MGF) = ]{lo}, {hi}[")
         return taus
+
+    @cached_property
+    def dual(self) -> Optional[Dual]:
+        """The dual of a one-inequality leaf (``omega.row``) in deterministic
+        mode, solved once per frame; None for every other set and mode.
+        The row tests A x, so in reduced coordinates its coefficients are
+        a = A c."""
+        if self.mode != "deterministic" or self.omega.row is None:
+            return None
+        p, K = self.part.p_tilde, self.part.K
+        c, rhs, op = self.omega.row
+        feasible = self.member(p)  # refuses a row of another width, as the batches would
+        if isinstance(c, (int, np.integer)):
+            c = np.eye(K)[c]
+        sign = 1.0 if op in (">=", ">") else -1.0
+        a = sign * self.scale * np.asarray(c, dtype=float)
+        lam = 0.0 if feasible else _solve_dual(self.law, p, a, sign * rhs)
+        taus = lam * a
+        slope, curvature = self.law.log_mgf_slopes(taus)
+        q_star = p * slope
+        return Dual(lam=lam, taus=taus, q_star=q_star, sigma2=float(p @ (a * a * curvature)),
+                    slack=float(a @ q_star) - sign * rhs)
 
 
 def prepare(gen: Optional[Generator], P, omega: ConstraintSet, config: EstimatorConfig,
@@ -507,7 +597,9 @@ class ProxyResult:
 def proxy_q_star(prepared: Prepared, config: EstimatorConfig) -> ProxyResult:
     """Find a tilt target inside the constraint set, in reduced
     coordinates, with its tilts; a given ``q_star`` without valid tilts
-    raises ``ValueError`` before any batch is drawn."""
+    raises ``ValueError`` before any batch is drawn.  A one-inequality leaf
+    in deterministic mode takes the dominating point and tilts of its dual
+    (``Prepared.dual``); every other set is searched."""
     spec = config.proxy
     if prepared.gen is None:
         raise ValueError("the proxy needs the generator for its tilts")
@@ -517,6 +609,8 @@ def proxy_q_star(prepared: Prepared, config: EstimatorConfig) -> ProxyResult:
             raise ValueError("q_star has the wrong length")
         q = q / prepared.scale
         return ProxyResult(q_star=q, taus=prepared.tilts(q))
+    if prepared.dual is not None:
+        return ProxyResult(q_star=prepared.dual.q_star, taus=prepared.dual.taus)
     used = hits = finite = 0
     stages = ((_PHASE_PROXY, lambda: _short_runs(prepared, spec)),
               (_PHASE_GAUSSIAN, lambda: _gaussian_candidates(prepared)))
@@ -526,8 +620,9 @@ def proxy_q_star(prepared: Prepared, config: EstimatorConfig) -> ProxyResult:
         if proxy is not None:
             return replace(proxy, draws_used=used)
     raise RuntimeError(
-        f"proxy search: none of its {finite} hits of finite divergence has a finite "
-        "tilt after refinement; supply q_star" if finite else
+        f"proxy search: Prepared.tilts refused every one of its {finite} refined hits "
+        "of finite divergence: their tilts lie outside int(dom MGF), or they have no "
+        "m*; supply q_star" if finite else
         f"proxy search: all {hits} hits lie where D(q, p) is infinite; the constraint "
         "set may not meet the domain of D; supply q_star" if hits else
         f"proxy search exhausted its budget: no hit of the constraint set in {used} "
@@ -798,32 +893,70 @@ def invert(target, log_pi_hat: float, n: int, gen: Optional[Generator] = None,
     return entropy_spec.c4 / entropy_spec.fprime0 * math.log(psum)
 
 
-def _delta_stderr(target, est: Estimate, **frame) -> float:
+def _delta_stderr(target, log_pi: float, stderr_log_pi: float, **frame) -> float:
     """Propagate the log-scale stderr through the inversion numerically."""
-    if not math.isfinite(est.log_pi_hat) or not math.isfinite(est.stderr_log_pi):
+    if not math.isfinite(log_pi) or not math.isfinite(stderr_log_pi):
         return INF
-    h = max(est.stderr_log_pi, 1e-9)
+    h = max(stderr_log_pi, 1e-9)
     try:
-        up = invert(target, est.log_pi_hat + h, **frame)
-        dn = invert(target, est.log_pi_hat - h, **frame)
+        up = invert(target, log_pi + h, **frame)
+        dn = invert(target, log_pi - h, **frame)
     except ValueError:
         return INF
     return abs(up - dn) / 2.0
+
+
+def _gaussian_tail_term(u: float) -> float:
+    """By how much log pi falls short of -n I, to first order, at the
+    signed standardized distance u of the set from p.  For u > 0 it is the
+    uniform Bahadur-Rao term -log(e^(u^2/2) Phibar(u)): exact for Gaussian
+    sums, log(u sqrt(2 pi)) + O(1/u^2) for large u, and log 2 at u = 0.
+    For u <= 0, where p is in the set and I = 0, it is -log Phibar(u), the
+    central limit theorem's pi."""
+    if u > 30.0:  # erfc underflows past u = 37.5: the asymptotic series instead
+        v = 1.0 / (u * u)
+        return (math.log(u * math.sqrt(2.0 * math.pi))
+                - math.log1p(v * (-1.0 + v * (3.0 + v * (-15.0 + 105.0 * v)))))
+    term = -math.log(0.5 * math.erfc(u / math.sqrt(2.0)))
+    return term - 0.5 * u * u if u > 0.0 else term
+
+
+def _bahadur_rao(prepared: Prepared) -> Optional[float]:
+    """The non-lattice Bahadur-Rao term of a one-inequality leaf in
+    deterministic mode (``Prepared.dual``), by which log pi falls short of
+    -n I: ``_gaussian_tail_term`` at u = lam sqrt(n sigma2), or, when p is
+    in the set (lam = 0), at u = -slack sqrt(n / sigma2).  None where the
+    law is discrete (a lattice law has another term), the row has no
+    spread, or there is no dual."""
+    dual = prepared.dual
+    if dual is None or prepared.law.is_discrete or not dual.sigma2 > 0.0:
+        return None
+    n = prepared.part.n
+    u = (dual.lam * math.sqrt(n * dual.sigma2) if dual.lam > 0.0
+         else -dual.slack * math.sqrt(n / dual.sigma2))
+    return _gaussian_tail_term(u)
 
 
 def finalize(est: Estimate, target, prepared: Prepared,
              entropy_spec: Optional[EntropySpec] = None) -> Estimate:
     """Fill in the inverted value and its delta-method stderr.  The
     deterministic rate is the value itself, so that mode inverts at A = 1;
-    the simplex modes invert at the frame's scale A."""
+    the simplex modes invert at the frame's scale A.  Where the set has a
+    Bahadur-Rao term (``_bahadur_rao``), it is added to log pi_hat before
+    the inversion, which removes the O(log n / n) finite-n bias of the
+    value; ``bias_correction`` reports the shift in value units."""
     if est.hits == 0:
         est.value = INF
         return est
     frame = dict(n=prepared.part.n, gen=prepared.gen, K=prepared.part.K,
                  A=1.0 if prepared.mode == "deterministic" else prepared.scale,
                  entropy_spec=entropy_spec)
-    est.value = invert(target, est.log_pi_hat, **frame)
-    est.stderr = _delta_stderr(target, est, **frame)
+    term = _bahadur_rao(prepared)
+    log_pi = est.log_pi_hat if term is None else est.log_pi_hat + term
+    est.value = invert(target, log_pi, **frame)
+    est.stderr = _delta_stderr(target, log_pi, est.stderr_log_pi, **frame)
+    if term is not None:
+        est.bias_correction = est.value - invert(target, est.log_pi_hat, **frame)
     return est
 
 

@@ -60,11 +60,26 @@ class WeightLaw:
     def log_mgf(self, z):
         raise NotImplementedError
 
-    def log_mgf_deriv(self, z: float) -> float:
-        h = 1e-6 * max(1.0, abs(z))
+    def log_mgf_slopes(self, z):
+        """Lambda'(z) and Lambda''(z) of Lambda = ``log_mgf``, elementwise
+        over z inside int(dom MGF): Lambda' by a central difference of
+        Lambda at step 1e-6 max(1, |z|), Lambda'' by one of Lambda' at step
+        1e-5 max(1, |z|), each step cut to 1% of the distance from its
+        point to the boundary of the domain."""
+        z = np.asarray(z, dtype=float)
         lo, hi = self.mgf_dom()
-        z1, z2 = max(z - h, lo + 1e-12), min(z + h, hi - 1e-12 if math.isfinite(hi) else z + h)
-        return float((self.log_mgf(z2) - self.log_mgf(z1)) / (z2 - z1))
+
+        def steps(x, rel):
+            return np.minimum(rel * np.maximum(1.0, np.abs(x)),
+                              0.01 * np.minimum(x - lo, hi - x))
+
+        h = steps(z, 1e-5)
+        points = np.stack((z, z + h, z - h))
+        h1 = steps(points, 1e-6)
+        down, up = points - h1, points + h1
+        value = np.asarray(self.log_mgf(np.concatenate((down, up))), dtype=float)
+        slope = (value[len(points):] - value[:len(points)]) / (up - down)
+        return slope[0], (slope[1] - slope[2]) / (2.0 * h)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` exact draws of W."""
@@ -254,10 +269,9 @@ def _distorted_inverter(gamma: float, scale: float, tau: float, nk: int):
         val = float(law.log_mgf(z + tau)) - float(law.log_mgf(tau))
         return nk * val
 
-    mean = nk * law.log_mgf_deriv(tau)
-    h = 1e-5 * max(1.0, abs(tau))
-    var = nk * (law.log_mgf_deriv(tau + h) - law.log_mgf_deriv(tau - h)) / (2 * h)
-    sd = math.sqrt(max(var, 1e-12))
+    slope, curvature = law.log_mgf_slopes(tau)
+    mean = nk * float(slope)
+    sd = math.sqrt(max(nk * float(curvature), 1e-12))
     x_lo, x_hi = stable.chernoff_quantile(
         lam_total, lo - tau, INF, mean, sd
     )

@@ -2,12 +2,17 @@
 
 Two regimes are needed:
 
-* index ``alpha`` in ]0,1[, positive stable, exponentially tilted: exact
-  draws by divide-and-conquer rejection.  A tilted stable with Laplace
-  exponent ``d s^alpha`` splits (infinite divisibility) into ``m`` i.i.d.
-  tilted pieces with exponent ``(d/m) s^alpha``; choosing
-  ``m = ceil(d lambda^alpha)`` keeps the per-piece acceptance rate above
-  ``1/e`` uniformly in the tilt.
+* index ``alpha`` in ]0,1[, positive stable, exponentially tilted.  At
+  ``alpha = 1/2`` (the gamma = -1 power law and the blended-weight
+  chi-square law) the tilted law is inverse Gaussian, with mean
+  ``d / (2 sqrt(lambda))`` and shape ``d^2 / 2``, drawn exactly by
+  ``Generator.wald`` (Michael, Schucany & Haas 1976) at a cost that does not
+  grow with the block size.  Other indices draw by divide-and-conquer
+  rejection: a tilted stable with Laplace exponent ``d s^alpha`` splits
+  (infinite divisibility) into ``m`` i.i.d. tilted pieces with exponent
+  ``(d/m) s^alpha``; choosing ``m = ceil(d lambda^alpha)`` keeps the
+  per-piece acceptance rate above ``1/e`` uniformly in the tilt, at a cost
+  that grows with ``d``, so with the block size.
 
 * index ``alpha`` in ]1,2[, spectrally negative, exponentially weighted:
   every draw (single weights, block sums, tilted or not) by numeric
@@ -51,13 +56,17 @@ def sample_tilted_positive_stable(
 ) -> np.ndarray:
     """Draws from the exponentially tilted positive stable law with density
     proportional to exp(-lam*x) * (stable density with Laplace exponent
-    d * s^alpha); i.e. E[exp(-s W)] = exp(-d((s+lam)^alpha - lam^alpha))."""
+    d * s^alpha); i.e. E[exp(-s W)] = exp(-d((s+lam)^alpha - lam^alpha)).
+    At alpha = 1/2 and lam > 0 that is the inverse Gaussian law with mean
+    d / (2 sqrt(lam)) and shape d^2 / 2, drawn exactly in O(1) per draw."""
     if d <= 0:
         raise ValueError("d must be > 0")
     if lam < 0:
         raise ValueError("tilt rate must be >= 0")
     if lam == 0.0:
         return d ** (1.0 / alpha) * sample_positive_stable(alpha, rng, size)
+    if alpha == 0.5:
+        return rng.wald(d / (2.0 * math.sqrt(lam)), 0.5 * d * d, size=size)
     m = max(1, math.ceil(d * lam**alpha))
     scale = (d / m) ** (1.0 / alpha)
     lam_eff = lam * scale  # tilt of the standardized piece

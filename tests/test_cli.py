@@ -357,6 +357,23 @@ class TestEstimateCommand:
         assert payload["hits"] >= 1
         assert payload["value"] == pytest.approx(0.223, abs=0.05)
 
+    def test_bias_correction_is_reported(self, tmp_path):
+        # null where no term applies (simplex mode); the Neyman halfspace in
+        # deterministic mode reports its shift of the value
+        out = tmp_path / "result.json"
+        assert cli.main(["estimate", "--config", write_config(tmp_path, BASE_CONFIG),
+                         "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["bias_correction"] is None
+        config = dict(BASE_CONFIG, mode="deterministic", target="deterministic",
+                      generator={"family": "power", "gamma": -1.0},
+                      constraint={"type": "halfspace", "coeffs": [1.0, 1.0, 1.0], "rhs": 1.3},
+                      estimator={"n": 200, "L": 2000, "seed": 1})
+        assert cli.main(["estimate", "--config", write_config(tmp_path, config),
+                         "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["bias_correction"] == pytest.approx(-0.012107, abs=1e-6)
+        assert payload["value"] == pytest.approx(0.034965, abs=0.002)
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -473,6 +490,15 @@ class TestEstimateCommand:
         assert code == cli.EXIT_CONFIG, err
         assert "Traceback" not in err
         assert re.search(r"\bgenerator\b.*\banchor\b", err), err
+
+    def test_anchor_whose_exponential_is_lost_against_one(self, tmp_path, capsys):
+        config = dict(BASE_CONFIG, target="deterministic",
+                      generator={"family": "anchored_kl", "anchor": -40.0})
+        code = cli.main(["estimate", "--config", write_config(tmp_path, config)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG, err
+        assert "Traceback" not in err
+        assert re.search(r"\bgenerator\b.*\banchor -40\.0\b", err), err
 
     def test_zero_hit_exit_code(self, tmp_path):
         config = dict(BASE_CONFIG)

@@ -83,6 +83,30 @@ class TestCombinators:
             combine()
 
 
+class TestRow:
+    """Only ``halfspace`` and ``simplex_face`` record their row, so that it
+    always describes the membership the engine's dual tilts toward."""
+
+    def test_the_leaves_record_their_row(self):
+        assert bs.halfspace([1, 0, 2], 0.5, "<=").row == ((1.0, 0.0, 2.0), 0.5, "<=")
+        assert bs.simplex_face(1, 0.25).row == (1, 0.25, ">=")
+        assert bs.intersection(bs.simplex_face(1, 0.25)).row is None
+
+    @pytest.mark.parametrize("build", [
+        lambda: bs.from_predicate(lambda x: x[0] >= 0.5, row=((1.0,), 0.5, ">=")),
+        lambda: bs.box([0.0], [1.0], row=((1.0,), 0.5, ">=")),
+        lambda: bs.halfspace([1.0], 0.5, row=((2.0,), 0.5, ">=")),
+    ], ids=["predicate", "box", "halfspace"])
+    def test_no_builder_takes_a_row(self, build):
+        with pytest.raises(TypeError, match="row"):
+            build()
+
+    def test_a_described_config_leaf_keeps_its_row(self):
+        spec = {"type": "halfspace", "coeffs": [1, 1], "rhs": 0.5, "description": "d"}
+        omega = bs.constraint_from_dict(spec)
+        assert (omega.description, omega.row) == ("d", ((1.0, 1.0), 0.5, ">="))
+
+
 class TestConstraintFromDict:
     def test_errors_name_the_json_path(self):
         spec = {"type": "any", "parts": [{"type": "coordinate", "index": 0, "bound": 0.5},

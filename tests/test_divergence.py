@@ -71,6 +71,13 @@ class TestPhiEval:
         gen = AnchoredKL(1.0)
         assert bs.phi_eval(gen, 1.0 - math.e) == pytest.approx(math.e)
 
+    @pytest.mark.parametrize("anchor", [-40.0, -800.0, -math.inf])
+    def test_anchor_whose_exponential_is_lost_against_one_rejected(self, anchor):
+        # 1 - e^anchor rounds to 1 below about -37.43: phi' at 1 was NaN
+        with pytest.raises(ValueError, match=f"anchor {anchor!r}: 1 - e\\^anchor rounds to 1"):
+            AnchoredKL(anchor)
+        assert AnchoredKL(-37.0).a < 1.0
+
     @pytest.mark.parametrize("anchor", [800.0, math.inf, math.nan])
     def test_anchor_whose_exponential_overflows_rejected(self, anchor):
         # e^anchor is no double past log(max double), about 709.78

@@ -289,8 +289,8 @@ class TestProxy:
     def test_no_finite_tilt_raises_naming_the_proxy(self):
         # every hit of {q_0 <= 0} has q_0 = 0, where the KL tilt is infinite
         cfg = bs.EstimatorConfig(n=100, L=10, seed=2, proxy=bs.ProxySpec(m_run=5))
-        with pytest.raises(RuntimeError, match=r"proxy search: none of its \d+ hits of "
-                                                "finite divergence has a finite tilt"):
+        with pytest.raises(RuntimeError, match=r"proxy search: Prepared.tilts refused every "
+                                                r"one of its \d+ refined hits"):
             engine.proxy_q_star(engine.prepare(PowerGamma(1.0), self.p,
                                                bs.simplex_face(0, 0.0, "<="), cfg, "simplex"),
                                 cfg)
@@ -573,6 +573,117 @@ class TestDeterministicModeAccuracy:
         cfg = bs.EstimatorConfig(n=1500, L=40_000, seed=14)
         est = bs.estimate_min_divergence(gen, P, omega, cfg, mode="deterministic")
         assert abs(est.value - ref) < 0.02 + 0.05 * ref
+
+
+class TestDual:
+    """A one-inequality leaf in deterministic mode takes its proxy and tilts
+    from the I-projection dual, with no draw: lam solves
+    sum_k p_k a_k Lambda'(lam a_k) = rhs, the tilts are lam a and the
+    dominating point is p Lambda'(lam a)."""
+
+    P = np.array([0.2, 0.3, 0.5])
+
+    def prepared(self, gen, omega, P=None, n=200):
+        cfg = bs.EstimatorConfig(n=n, L=10, seed=1)
+        return engine.prepare(gen, self.P if P is None else P, omega, cfg, "deterministic"), cfg
+
+    @pytest.mark.parametrize("gen", [PowerGamma(1.0), PowerGamma(-1.0)], ids=["kl", "neyman"])
+    def test_dominating_point_of_the_total(self, gen):
+        # {sum x >= 1.3}: equal ratios 1.3, so q* = 1.3 P and every tilt is phi'(1.3)
+        prepared, cfg = self.prepared(gen, bs.halfspace([1.0, 1.0, 1.0], 1.3, ">="))
+        proxy = engine.proxy_q_star(prepared, cfg)
+        tilt = float(gen.phi_prime(1.3))
+        assert proxy.q_star == pytest.approx(1.3 * self.P, rel=1e-9)
+        assert proxy.taus == pytest.approx(np.full(3, tilt), rel=1e-9)
+        assert prepared.dual.lam == pytest.approx(tilt, rel=1e-9)
+        assert proxy.draws_used == 0
+
+    def test_coordinate_face_and_an_upper_halfspace(self):
+        gen = PowerGamma(1.0)
+        prepared, cfg = self.prepared(gen, bs.simplex_face(0, 0.5, ">="))
+        proxy = engine.proxy_q_star(prepared, cfg)
+        assert proxy.q_star == pytest.approx([0.5, 0.3, 0.5], rel=1e-9)
+        assert proxy.taus == pytest.approx([math.log(2.5), 0.0, 0.0], rel=1e-9, abs=0)
+        prepared, cfg = self.prepared(gen, bs.halfspace([1.0, 1.0, 1.0], 0.7, "<="))
+        assert prepared.dual.lam == pytest.approx(-math.log(0.7), rel=1e-9)
+        assert engine.proxy_q_star(prepared, cfg).q_star == pytest.approx(0.7 * self.P, rel=1e-9)
+
+    def test_the_tilts_are_those_of_the_dominating_point(self):
+        # reference mass M = 2: the row tests A x with A = 2, so a = 2 c
+        P = np.array([0.4, 0.9, 0.7])
+        for g in (-1.0, 0.0, 0.5, 2.0, 3.0):
+            prepared, _ = self.prepared(PowerGamma(g), bs.halfspace([1.0, -0.5, 2.0], 1.9),
+                                        P=P)
+            dual = prepared.dual
+            assert dual.lam > 0
+            assert prepared.scale * (np.array([1.0, -0.5, 2.0]) @ dual.q_star) == \
+                pytest.approx(1.9, rel=1e-9)
+            assert prepared.tilts(dual.q_star) == pytest.approx(dual.taus, rel=1e-6, abs=1e-9)
+
+    def test_a_feasible_reference_is_not_tilted(self):
+        # p lies 0.1 inside, at z = -0.1 sqrt(200) standard deviations (the
+        # weights have variance 1): the term is -log Phibar(z), in value units
+        # -0.0819 / 200
+        prepared, cfg = self.prepared(PowerGamma(-1.0), bs.halfspace([1.0, 1.0, 1.0], 0.9))
+        assert prepared.dual.lam == 0.0
+        assert engine.proxy_q_star(prepared, cfg).q_star == pytest.approx(self.P, rel=1e-9)
+        est = engine.finalize(engine.is_estimate(prepared, cfg), "deterministic", prepared)
+        term = -math.log(0.5 * math.erfc(-0.1 * math.sqrt(200.0) / math.sqrt(2.0)))
+        assert est.bias_correction == pytest.approx(-term / 200, rel=1e-4)
+
+    @pytest.mark.parametrize("rhs", [1.0 - 1e-4, 1.0 + 1e-4])
+    def test_the_term_is_continuous_where_p_crosses_the_boundary(self, rhs):
+        # gamma = 2 over {sum x >= 1 +- 1e-4}: pi is about 1/2 on either side
+        # of p and the minimum is at most 5e-9, so the term is about log 2
+        # and the corrected value about 0 (uncorrected, log 2 / n)
+        cfg = bs.EstimatorConfig(n=200, L=2000, seed=1)
+        est = bs.estimate_min_divergence(PowerGamma(2.0), self.P,
+                                         bs.halfspace([1.0, 1.0, 1.0], rhs), cfg)
+        assert est.bias_correction == pytest.approx(-math.log(2.0) / 200, rel=0.01)
+        assert abs(est.value) < 1e-3
+
+    def test_the_uniform_term(self):
+        # log 2 at u = 0, then log(u sqrt(2 pi)) + 1/u^2 + O(1/u^4), with no
+        # jump where the series takes over from erfc at u = 30
+        term = engine._gaussian_tail_term
+        assert term(0.0) == pytest.approx(math.log(2.0), rel=1e-15)
+        for u in (10.0, 29.0, 31.0, 1e3):
+            assert term(u) - math.log(u * math.sqrt(2.0 * math.pi)) == \
+                pytest.approx(1.0 / u**2, rel=3.0 / u**2)
+        assert term(30.0 + 1e-9) - term(30.0 - 1e-9) == pytest.approx(2e-9 / 30.0, abs=1e-11)
+
+    def test_an_unreachable_set_is_an_error(self):
+        # binomial weights (generalized KL, alpha = -1/4) are at most 4
+        prepared, cfg = self.prepared(GeneralizedKL(-0.25), bs.halfspace([1.0, 1.0, 1.0], 5.0))
+        with pytest.raises(ValueError, match="no tilt reaches the set"):
+            engine.proxy_q_star(prepared, cfg)
+
+    @pytest.mark.parametrize("omega, mode", [
+        (bs.intersection(bs.halfspace([1.0, 1.0, 1.0], 1.3)), "deterministic"),
+        (bs.from_predicate(lambda x: x.sum() >= 1.3), "deterministic"),
+        (bs.simplex_face(0, 0.5), "simplex"),
+    ], ids=["intersection", "predicate", "simplex"])
+    def test_other_sets_and_modes_are_searched(self, omega, mode):
+        cfg = bs.EstimatorConfig(n=200, L=2000, seed=1)
+        prepared = engine.prepare(PowerGamma(-1.0), self.P, omega, cfg, mode)
+        assert prepared.dual is None
+        assert engine.proxy_q_star(prepared, cfg).draws_used > 0
+        est = engine.finalize(engine.is_estimate(prepared, cfg), "deterministic", prepared)
+        assert est.bias_correction is None
+
+    def test_the_correction_depends_on_the_set_only(self):
+        # a given q_star gets the term of the set; a lattice law gets none
+        omega = bs.halfspace([1.0, 1.0, 1.0], 1.3)
+        searched = bs.estimate_min_divergence(
+            PowerGamma(-1.0), self.P, omega, bs.EstimatorConfig(n=200, L=2000, seed=1))
+        given = bs.estimate_min_divergence(
+            PowerGamma(-1.0), self.P, omega, bs.EstimatorConfig(
+                n=200, L=2000, seed=1, proxy=bs.ProxySpec("given", q_star=1.25 * self.P)))
+        assert searched.bias_correction < 0
+        assert given.bias_correction == pytest.approx(searched.bias_correction, rel=1e-12)
+        lattice = bs.estimate_min_divergence(
+            PowerGamma(1.0), self.P, omega, bs.EstimatorConfig(n=200, L=2000, seed=1))
+        assert lattice.bias_correction is None
 
 
 class TestCustomGeneratorPath:

@@ -63,6 +63,11 @@ class TestSampleFacts:
         y = lw.ShiftedPoisson(-0.5).sample(rng, 50_000)
         assert np.all(y > 0)
 
+    def test_shifted_poisson_anchor_whose_exponential_is_lost_rejected(self):
+        # e^-800 is 0: the law would be a point mass at 1
+        with pytest.raises(ValueError, match="anchor -800.0: 1 - e\\^anchor rounds to 1"):
+            lw.ShiftedPoisson(-800.0)
+
     def test_shifted_poisson_anchor_whose_exponential_overflows_rejected(self):
         with pytest.raises(ValueError, match="e\\^anchor is not a finite double"):
             lw.ShiftedPoisson(800.0)
@@ -141,7 +146,7 @@ class TestTilting:
         tau = interior_tau(law)
         n_k = 4
         x = law.sample_tilted_block(tau, n_k, make_rng(17), 60_000)
-        target = n_k * law.log_mgf_deriv(tau)
+        target = n_k * float(law.log_mgf_slopes(tau)[0])
         se = float(x.std(ddof=1) / math.sqrt(x.size))
         assert abs(float(x.mean()) - target) < 5 * se + 1e-3, case.name
 
@@ -183,6 +188,43 @@ class TestTilting:
         x = law.sample_tilted_block(tau, 1, rng, 200_000)
         p_tilt = 0.5 / (0.5 + 0.5 * math.exp(2 * tau))
         assert float(np.mean(x == 0.0)) == pytest.approx(p_tilt, abs=0.004)
+
+
+class TestInverseGaussianDraws:
+    """At alpha = 1/2 the tilted stable block law is inverse Gaussian with
+    mean d / (2 sqrt(lam)) and shape d^2 / 2, drawn by ``Generator.wald``;
+    scipy's invgauss(mu, scale) is IG(mean mu * scale, shape scale)."""
+
+    @staticmethod
+    def invgauss(mean: float, shape: float):
+        return stats.invgauss(mu=mean / shape, scale=shape)
+
+    @pytest.mark.parametrize("nk", [1, 20, 400])
+    def test_tilted_stable_block_is_inverse_gaussian(self, nk):
+        law = lw.TiltedStable(-1.0, 1.0)  # d = n_k sqrt(2), lam = 1/2 - tau
+        tau = 0.3
+        x = law.sample_tilted_block(tau, nk, make_rng(nk), 20_000)
+        d, lam = nk * math.sqrt(2.0), 0.5 - tau
+        ks = stats.ks_1samp(x, self.invgauss(d / (2.0 * math.sqrt(lam)), d * d / 2.0).cdf)
+        assert ks.pvalue > 1e-3
+
+    def test_tilt_near_the_mgf_boundary(self):
+        # lam = 1e-4: mean 70.7 at shape 1, a heavy right tail
+        law = lw.TiltedStable(-1.0, 1.0)
+        x = law.sample_tilted_block(0.5 - 1e-4, 1, make_rng(5), 20_000)
+        ks = stats.ks_1samp(x, self.invgauss(math.sqrt(2.0) / 0.02, 1.0).cdf)
+        assert ks.pvalue > 1e-3
+
+    def test_modified_tilted_stable_is_an_affine_inverse_gaussian(self):
+        # W / beta - n_k (1 / beta - 1) with W the gamma = -1 law of scale
+        # c / beta^2 tilted by tau / beta
+        law, tau, nk = lw.ModTiltedStable(0.8, 1.0), 0.2, 20
+        x = law.sample_tilted_block(tau, nk, make_rng(9), 20_000)
+        base = law.base
+        d, lam = nk * base.stable_d, base.tilt_rate - tau / law.beta
+        w = self.invgauss(d / (2.0 * math.sqrt(lam)), d * d / 2.0)
+        ks = stats.ks_1samp(x, lambda v: w.cdf(law.beta * (v + nk * (1.0 / law.beta - 1.0))))
+        assert ks.pvalue > 1e-3
 
 
 class TestExtremeTilts:
@@ -325,5 +367,5 @@ class TestDistortedStable:
     def test_block_and_tilted_paths(self, rng):
         law = lw.DistortedStable(2.5, 1.0)
         x = law.sample_tilted_block(-0.3, 6, rng, 30_000)
-        target = 6 * law.log_mgf_deriv(-0.3)
+        target = 6 * float(law.log_mgf_slopes(-0.3)[0])
         assert float(x.mean()) == pytest.approx(target, abs=0.05)

@@ -28,10 +28,12 @@ reads the inversion's n, K and scale A from it.  Each pipeline prepares once.
 
 Bits: replication batch b draws from its own stream, keyed by (seed, phase,
 b), and every per-row sum over the K blocks (the row totals, the log
-weights, the halfspace leaves) is added column by column.  A seeded result
-is therefore the same whatever the thread count, the number of rows a sum
-is called on, or the memory layout of the block sums, which ``_block_sums``
-alone chooses.
+weights, the halfspace leaves) is added column by column.  Small batches
+share a pass, one buffer mapped and tested by one call, and each batch then
+reduces its own rows.  A seeded result is therefore the same whatever the
+thread count, the number of rows a sum is called on, which batches share a
+pass, or the memory layout of the block sums, which ``_block_sums`` and
+``_run_batches`` alone choose.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -92,6 +95,9 @@ _PROXY_CHUNK = 256
 _PROXY_COLLECT = 64
 # bisection levels of the push toward the reference tested per membership call
 _BISECT_LEVELS = 6
+# rows of a pass: consecutive batches drawn into one buffer and tested at once
+_PASS_ROWS = 4096
+_EPS = float(np.finfo(float).eps)
 
 
 def _rng(seed: int, *path: int) -> np.random.Generator:
@@ -275,16 +281,19 @@ def _row_divergences(gen: Generator, Q: np.ndarray, P: np.ndarray) -> np.ndarray
 
 
 def _block_sums(law: WeightLaw, sizes, taus: Optional[np.ndarray],
-                rng: np.random.Generator, size: int) -> np.ndarray:
+                rng: np.random.Generator, size: int,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
     """(size, K) draws of the block sums: block k sums ``sizes[k]`` i.i.d.
-    weights tilted by ``taus[k]``, or untilted when ``taus`` is None.
+    weights tilted by ``taus[k]``, or untilted when ``taus`` is None.  The
+    draws fill ``out``, rows of a pass buffer (see ``_run_batches``), or a
+    new array, which is returned.
 
-    The array is column-major: each law's draw fills contiguous memory, and
-    the row reductions after it read contiguous columns.  The layout is
-    decided here alone; every consumer sums a row column by column
-    (``constraints._dot_rows`` and ``_sum_rows``), so its bits depend
-    neither on the layout nor on the number of rows."""
-    sums = np.empty((len(sizes), size)).T
+    The arrays are column-major: each law's draw fills contiguous memory,
+    and the row reductions after it read contiguous columns.  The layout is
+    decided here and in ``_run_batches`` alone; every consumer sums a row
+    column by column (``constraints._dot_rows`` and ``_sum_rows``), so its
+    bits depend neither on the layout nor on the number of rows."""
+    sums = np.empty((len(sizes), size)).T if out is None else out
     for k, nk in enumerate(sizes):
         if taus is None:
             sums[:, k] = law.sample_block_sum(int(nk), rng, size)
@@ -310,49 +319,59 @@ class Dual:
     slack: float
 
 
-def _solve_dual(law: WeightLaw, p: np.ndarray, a: np.ndarray, rhs: float) -> float:
+def _solve_dual(law: WeightLaw, p: np.ndarray, a: np.ndarray, rhs: float):
     """The root lam >= 0 of g(lam) = sum_k p_k a_k Lambda'(lam a_k) - rhs,
-    which increases in lam (0 when g(0) >= 0), by Newton steps kept inside a
-    bracket and bisection where a step leaves it; ``ValueError`` when g
-    stays below 0 on the whole domain: the set lies beyond, or on the edge
-    of, what the weights reach."""
+    which increases in lam (0 when g(0) >= 0), with Lambda'(lam a) and
+    Lambda''(lam a); ``ValueError`` when g stays below 0 on the whole
+    domain: the set lies beyond, or on the edge of, what the weights reach.
+
+    The bracket's upper end is the first of guess * 2^j (j = 0, 1, ...),
+    with guess = -g(0) / g'(0) the root of the tangent at 0, where g is not
+    below 0; a finite cap lam_max of the domain holds the tries at
+    lam_max (1 - 2^-(j+1)) at most.  Newton steps from that try, kept inside
+    the bracket and bisecting where a step leaves it, stop where a step is
+    at most 4 ulps, and the last point stepped from is the root."""
     lo, hi = law.mgf_dom()
     # every lam a_k must stay inside ]lo, hi[
     caps = [hi / ak for ak in a if ak > 0] + [lo / ak for ak in a if ak < 0]
     lam_max = min(caps, default=INF)
+    pa, paa = p * a, p * a * a
 
     def g(lam: float):
         slope, curvature = law.log_mgf_slopes(lam * a)
-        return float(p @ (a * slope)) - rhs, float(p @ (a * a * curvature))
+        return float(pa @ slope) - rhs, float(paa @ curvature), slope, curvature
 
-    below, value = 0.0, g(0.0)[0]
+    value, deriv, *slopes = g(0.0)
     if value >= 0.0:  # p on the boundary of a strict inequality
-        return 0.0
-    tries = ([lam_max * (1.0 - 2.0**-j) for j in range(1, 41)] if math.isfinite(lam_max)
-             else [2.0**j for j in range(-10, 64)])
+        return 0.0, *slopes
+    guess = -value / deriv if deriv > 0.0 else 1.0
+    below = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # a bounded law's far tilts
-        for above in tries:
-            value = g(above)[0]
+        for j in range(40 if math.isfinite(lam_max) else 64):
+            lam = min(guess * 2.0**j, lam_max * (1.0 - 2.0 ** -(j + 1)))
+            value, deriv, *slopes = g(lam)
             if value >= 0.0 or not math.isfinite(value):
                 break
-            below = above
+            below = lam
     if not value >= 0.0:
         raise ValueError(f"no tilt reaches the set: sum_k p_k a_k Lambda'(lam a_k) stays "
                          f"below {rhs} for every lam in [0, {lam_max}[; the set lies "
                          "beyond, or on the edge of, what the weights reach")
-    lam = 0.5 * (below + above)
+    above = lam
     for _ in range(200):
-        value, deriv = g(lam)
         if value < 0.0:
             below = lam
         else:
             above = lam
         step = lam - value / deriv if deriv > 0.0 else math.nan
-        new = step if below < step < above else 0.5 * (below + above)
-        if abs(new - lam) <= 4.0 * np.finfo(float).eps * lam:
-            return new
+        # a step onto an end of the bracket is kept: g is exactly 0 there
+        new = step if below <= step <= above else 0.5 * (below + above)
+        tol = 4.0 * _EPS * new
+        if abs(new - lam) <= tol or above - below <= tol:
+            break
         lam = new
-    return lam
+        value, deriv, *slopes = g(lam)
+    return lam, *slopes
 
 
 @dataclass(frozen=True)
@@ -451,12 +470,13 @@ class Prepared:
             c = np.eye(K)[c]
         sign = 1.0 if op in (">=", ">") else -1.0
         a = sign * self.scale * np.asarray(c, dtype=float)
-        lam = 0.0 if feasible else _solve_dual(self.law, p, a, sign * rhs)
-        taus = lam * a
-        slope, curvature = self.law.log_mgf_slopes(taus)
+        if feasible:
+            lam, (slope, curvature) = 0.0, self.law.log_mgf_slopes(np.zeros(K))
+        else:
+            lam, slope, curvature = _solve_dual(self.law, p, a, sign * rhs)
         q_star = p * slope
-        return Dual(lam=lam, taus=taus, q_star=q_star, sigma2=float(p @ (a * a * curvature)),
-                    slack=float(a @ q_star) - sign * rhs)
+        return Dual(lam=lam, taus=lam * a, q_star=q_star,
+                    sigma2=float(p @ (a * a * curvature)), slack=float(a @ q_star) - sign * rhs)
 
 
 def prepare(gen: Optional[Generator], P, omega: ConstraintSet, config: EstimatorConfig,
@@ -498,14 +518,31 @@ def prepare(gen: Optional[Generator], P, omega: ConstraintSet, config: Estimator
     return Prepared(gen=gen, part=part, law=law, omega=omega, mode=mode, mass=mass)
 
 
+def _passes(batch_sizes: Sequence[int]) -> list:
+    """Consecutive batches grouped into passes of at most ``_PASS_ROWS``
+    rows, as ranges of batch indices; a larger batch is a pass alone."""
+    passes, start, rows = [], 0, 0
+    for b, size in enumerate(batch_sizes):
+        if b > start and rows + size > _PASS_ROWS:
+            passes.append(range(start, b))
+            start, rows = b, 0
+        rows += size
+    passes.append(range(start, len(batch_sizes)))
+    return passes
+
+
 def _run_batches(prepared: Prepared, config: EstimatorConfig,
                  taus: Optional[np.ndarray]) -> Estimate:
     """The estimate from ``config.batches`` batches, tilted by ``taus`` or
     untilted when it is None.
 
-    A batch without hits has log-mean -inf.  Batch b draws from its own
-    stream, keyed by (seed, phase, b), and reduces its own hits, so the
-    result is bit-identical for any thread count.
+    Batch b draws from its own stream, keyed by (seed, phase, b).  A pass
+    (``_passes``) draws its batches one after another into one column-major
+    buffer, maps and tests it in one call and takes its log weights in
+    another; each batch then reduces its own rows.  A batch without hits
+    has log-mean -inf.  Every per-row value is independent of the rows
+    beside it, so the result is bit-identical for any thread count, which
+    spreads the passes.
     """
     law, part = prepared.law, prepared.part
     if config.n != part.n:
@@ -518,26 +555,42 @@ def _run_batches(prepared: Prepared, config: EstimatorConfig,
         lam = np.array([float(law.log_mgf(float(t))) for t in taus])
         log_isf_offset = part.sizes @ lam
 
-    def one_batch(b: int):
-        size = batch_sizes[b]
-        if size == 0:
-            return -INF, 0
-        sums = _block_sums(law, part.sizes, taus, _rng(config.seed, _PHASE_MAIN, b), size)
-        _, member = prepared.coords_and_hits(sums, part.n, want_x=False)
-        hits = int(member.sum())
-        if hits == 0:
-            return -INF, 0
-        if taus is None:
-            log_sum = float(np.log(hits))
-        else:
-            log_sum = _log_sum_exp(log_isf_offset - _dot_rows(sums, taus)[member])
-        return log_sum - math.log(size), hits
+    K, starts = part.K, list(accumulate(batch_sizes, initial=0))
 
-    if config.threads > 1:
+    def one_pass(batches: range):
+        # batch b fills rows starts[b] to starts[b + 1] of the run, here
+        # counted from the pass's first row
+        first = starts[batches.start]
+        spans = [(b, starts[b] - first, starts[b + 1] - first) for b in batches]
+        sums = np.empty((K, spans[-1][2])).T
+        for b, lo, hi in spans:
+            if hi > lo:
+                _block_sums(law, part.sizes, taus, _rng(config.seed, _PHASE_MAIN, b), hi - lo,
+                            sums[lo:hi])
+        _, member = prepared.coords_and_hits(sums, part.n, want_x=False)
+        if taus is not None:
+            dots = _dot_rows(sums, taus)
+        results = []
+        for _, lo, hi in spans:
+            hit = member[lo:hi]
+            hits = int(np.count_nonzero(hit))
+            if hits == 0:
+                results.append((-INF, 0))
+                continue
+            if taus is None:
+                log_sum = float(np.log(hits))
+            else:
+                log_sum = _log_sum_exp(log_isf_offset - dots[lo:hi][hit])
+            results.append((log_sum - math.log(hi - lo), hits))
+        return results
+
+    passes = _passes(batch_sizes)
+    if config.threads > 1 and len(passes) > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(one_batch, range(B)))
+            per_pass = list(pool.map(one_pass, passes))
     else:
-        results = [one_batch(b) for b in range(B)]
+        per_pass = [one_pass(batches) for batches in passes]
+    results = [r for done in per_pass for r in done]
     est = _estimate_from_batches(
         np.array([m for m, _ in results]), np.array([h for _, h in results]),
         np.array(batch_sizes), config, part.n,

@@ -62,24 +62,13 @@ class WeightLaw:
 
     def log_mgf_slopes(self, z):
         """Lambda'(z) and Lambda''(z) of Lambda = ``log_mgf``, elementwise
-        over z inside int(dom MGF): Lambda' by a central difference of
-        Lambda at step 1e-6 max(1, |z|), Lambda'' by one of Lambda' at step
-        1e-5 max(1, |z|), each step cut to 1% of the distance from its
-        point to the boundary of the domain."""
-        z = np.asarray(z, dtype=float)
-        lo, hi = self.mgf_dom()
-
-        def steps(x, rel):
-            return np.minimum(rel * np.maximum(1.0, np.abs(x)),
-                              0.01 * np.minimum(x - lo, hi - x))
-
-        h = steps(z, 1e-5)
-        points = np.stack((z, z + h, z - h))
-        h1 = steps(points, 1e-6)
-        down, up = points - h1, points + h1
-        value = np.asarray(self.log_mgf(np.concatenate((down, up))), dtype=float)
-        slope = (value[len(points):] - value[:len(points)]) / (up - down)
-        return slope[0], (slope[1] - slope[2]) / (2.0 * h)
+        over z inside int(dom MGF), each law in closed form; NaN or +inf
+        outside the domain.  The dual of a one-inequality leaf in
+        deterministic mode (``engine.Prepared.dual``) needs them."""
+        raise NotImplementedError(
+            f"{type(self).__name__} has no log_mgf_slopes: a halfspace or coordinate leaf "
+            "in deterministic mode takes its tilts from the dual, which needs Lambda' "
+            "and Lambda''")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` exact draws of W."""
@@ -123,6 +112,15 @@ def _logistic(log_odds: float) -> float:
         return math.exp(log_odds)
 
 
+def _bernoulli(log_odds):
+    """The success probability p of log-odds t and the variance p (1 - p),
+    elementwise, from e^-|t| so that neither overflows nor cancels."""
+    t = np.asarray(log_odds, dtype=float)
+    e = np.exp(-np.abs(t))
+    p = np.where(t >= 0, 1.0, e) / (1.0 + e)
+    return p, e / (1.0 + e) ** 2
+
+
 def _tilted_poisson_mean(mean: float, tau: float, scale: float) -> float:
     """mean * e^(tau / scale), the Poisson mean of a block tilted by tau; a
     ValueError naming the tilt where it is not finite."""
@@ -145,6 +143,16 @@ def _log_mgf_power(scale: float, gamma: float, z) -> np.ndarray:
     ok = base > 0
     out[ok] = c / g * (base[ok] ** (g / (g - 1.0)) - 1.0)
     return out
+
+
+def _slopes_power(scale: float, gamma: float, z):
+    """Lambda' and Lambda'' of ``_log_mgf_power``: with b = 1 + (g-1) z / c,
+    Lambda' = b^(1/(g-1)) and Lambda'' = Lambda' / (c b); NaN where b <= 0."""
+    z = np.asarray(z, dtype=float)
+    base = 1.0 + (gamma - 1.0) / scale * z
+    base = np.where(base > 0, base, np.nan)
+    slope = base ** (1.0 / (gamma - 1.0))
+    return slope, slope / (scale * base)
 
 
 @dataclass(frozen=True)
@@ -179,6 +187,9 @@ class TiltedStable(WeightLaw):
 
     def log_mgf(self, z):
         return _log_mgf_power(self.scale, self.gamma, z)
+
+    def log_mgf_slopes(self, z):
+        return _slopes_power(self.scale, self.gamma, z)
 
     def sample_tilted_block(self, tau, nk, rng, size):
         self.check_tau(tau)
@@ -219,6 +230,9 @@ class CompoundPoissonGamma(WeightLaw):
     def log_mgf(self, z):
         return _log_mgf_power(self.scale, self.gamma, z)
 
+    def log_mgf_slopes(self, z):
+        return _slopes_power(self.scale, self.gamma, z)
+
     def sample_tilted_block(self, tau, nk, rng, size):
         self.check_tau(tau)
         g, c = self.gamma, self.scale
@@ -251,6 +265,9 @@ class DistortedStable(WeightLaw):
 
     def log_mgf(self, z):
         return _log_mgf_power(self.scale, self.gamma, z)
+
+    def log_mgf_slopes(self, z):
+        return _slopes_power(self.scale, self.gamma, z)
 
     def sample_tilted_block(self, tau, nk, rng, size):
         self.check_tau(tau)
@@ -309,6 +326,12 @@ class Gaussian(WeightLaw):
         z = np.asarray(z, dtype=float)
         return z**2 / (2.0 * self.scale) + z
 
+    def log_mgf_slopes(self, z):
+        # the power family at gamma = 2, whose b = 1 + z / c is Lambda'
+        # itself, here on all of R
+        z = np.asarray(z, dtype=float)
+        return 1.0 + z / self.scale, np.full(z.shape, 1.0 / self.scale)
+
     def sample_tilted_block(self, tau, nk, rng, size):
         mean = nk * (1.0 + tau / self.scale)
         return rng.normal(mean, math.sqrt(nk / self.scale), size=size)
@@ -335,6 +358,9 @@ class GammaLaw(WeightLaw):
         out[ok] = -self.scale * np.log1p(-z[ok] / self.scale)
         return out
 
+    def log_mgf_slopes(self, z):
+        return _slopes_power(self.scale, 0.0, z)
+
     def sample_tilted_block(self, tau, nk, rng, size):
         self.check_tau(tau)
         return rng.gamma(shape=nk * self.scale, scale=1.0 / (self.scale - tau), size=size)
@@ -356,6 +382,10 @@ class ScaledPoisson(WeightLaw):
     def log_mgf(self, z):
         z = np.asarray(z, dtype=float)
         return self.scale * np.expm1(z / self.scale)
+
+    def log_mgf_slopes(self, z):
+        slope = np.exp(np.asarray(z, dtype=float) / self.scale)
+        return slope, slope / self.scale
 
     def sample_tilted_block(self, tau, nk, rng, size):
         lam = _tilted_poisson_mean(nk * self.scale, tau, self.scale)
@@ -389,6 +419,10 @@ class ShiftedPoisson(WeightLaw):
         z = np.asarray(z, dtype=float)
         ec = math.exp(self.anchor)
         return self.scale * ec * np.expm1(z / self.scale) + z * (1.0 - ec)
+
+    def log_mgf_slopes(self, z):
+        ec, u = math.exp(self.anchor), np.asarray(z, dtype=float) / self.scale
+        return 1.0 + ec * np.expm1(u), ec * np.exp(u) / self.scale
 
     def sample_tilted_block(self, tau, nk, rng, size):
         ec = math.exp(self.anchor)
@@ -428,6 +462,14 @@ class ScaledNegBinomial(WeightLaw):
         ok = arg > 0
         out[ok] = -c / al * np.log(arg[ok])
         return out
+
+    def log_mgf_slopes(self, z):
+        # Lambda' = e^(z/c) / arg and Lambda'' = Lambda' (1 + alpha) / (c arg)
+        grow = np.exp(np.asarray(z, dtype=float) / self.scale)
+        arg = (1.0 + self.alpha) - self.alpha * grow
+        arg = np.where(arg > 0, arg, np.nan)
+        slope = grow / arg
+        return slope, slope * (1.0 + self.alpha) / (self.scale * arg)
 
     def _p_success(self, tau: float) -> float:
         return 1.0 - self.alpha / (1.0 + self.alpha) * math.exp(tau / self.scale)
@@ -470,6 +512,12 @@ class ScaledBinomial(WeightLaw):
         z = np.asarray(z, dtype=float)
         c, m = self.scale, float(self.m)
         return m * np.log((1.0 - c / m) + (c / m) * np.exp(z / c))
+
+    def log_mgf_slopes(self, z):
+        # the tilted success probability p: Lambda' = m p / c, Lambda'' = m p (1-p) / c^2
+        c, m = self.scale, float(self.m)
+        p, var = _bernoulli(np.asarray(z, dtype=float) / c + math.log(c / (m - c)))
+        return m / c * p, m / c**2 * var
 
     def _p_tilted(self, tau: float) -> float:
         c, m = self.scale, float(self.m)
@@ -520,6 +568,13 @@ class ModTiltedStable(WeightLaw):
         )
         return out
 
+    def log_mgf_slopes(self, z):
+        # with r = sqrt(1 - 2 b z / c): Lambda' = 1/(b r) - (1/b - 1), Lambda'' = 1/(c r^3)
+        b, c = self.beta, self.scale
+        arg = 1.0 - 2.0 * b * np.asarray(z, dtype=float) / c
+        root = np.sqrt(np.where(arg > 0, arg, np.nan))
+        return 1.0 / (b * root) - (1.0 / b - 1.0), 1.0 / (c * root**3)
+
     def sample_tilted_block(self, tau, nk, rng, size):
         self.check_tau(tau)
         w = self.base.sample_tilted_block(tau / self.beta, nk, rng, size)
@@ -554,6 +609,15 @@ class TwoPointLaw(WeightLaw):
         a = np.log(self.p) + self.z1 * z
         b = np.log1p(-self.p) + self.z2 * z
         return self.mult * np.logaddexp(a, b)
+
+    def log_mgf_slopes(self, z):
+        # q, the tilted probability of z2: Lambda' = z1 + (z2 - z1) q and
+        # Lambda'' = (z2 - z1)^2 q (1 - q) / mult
+        log_odds = (math.log1p(-self.p) - math.log(self.p)
+                    + (self.z2 - self.z1) * np.asarray(z, dtype=float) / self.mult)
+        q, var = _bernoulli(log_odds)
+        spread = self.z2 - self.z1
+        return self.z1 + spread * q, spread**2 * var / self.mult
 
     def sample_tilted_block(self, tau, nk, rng, size):
         t = tau / self.mult
@@ -606,6 +670,15 @@ class GenAsymLaplaceLaw(WeightLaw):
         ok = (z > -c * b2) & (z < c * b1) & (arg > 0)
         out[ok] = self.theta * z[ok] - c * al * np.log(arg[ok])
         return out
+
+    def log_mgf_slopes(self, z):
+        # arg = (u / (c beta1)) (v / (c beta2)) with u = c beta1 - z, v = c beta2 + z
+        z = np.asarray(z, dtype=float)
+        c, al = self.scale, self.alpha
+        u, v = c * self.beta1 - z, c * self.beta2 + z
+        inside = (u > 0) & (v > 0)
+        u, v = np.where(inside, u, np.nan), np.where(inside, v, np.nan)
+        return self.theta + c * al * (1.0 / u - 1.0 / v), c * al * (1.0 / u**2 + 1.0 / v**2)
 
     def sample_tilted_block(self, tau, nk, rng, size):
         self.check_tau(tau)

@@ -452,13 +452,12 @@ def hexes(values):
 class TestBatchKernelBits:
     """What a batch computes: its draws come from the stream (seed, 0, b),
     and each row's K-term sums (row total, log weight) round alike in
-    either memory layout and in a call of any number of rows."""
+    either memory layout, in a call of any number of rows and in a pass
+    shared with other batches."""
 
-    def test_a_batch_is_its_stream_reduced_by_hand(self, monkeypatch):
-        cfg = bs.EstimatorConfig(n=2000, L=3_200, seed=11, batches=10)
-        prepared = engine.prepare(PowerGamma(1.0), [0.2, 0.3, 0.5], bs.simplex_face(0, 0.5),
-                                  cfg, "simplex")
-        taus = engine.compute_taus(prepared, engine.proxy_q_star(prepared, cfg))
+    @staticmethod
+    def batches(monkeypatch, prepared, cfg, taus):
+        """The per-batch log-means, hits and sizes ``_run_batches`` reduces."""
         seen = {}
         real = engine._estimate_from_batches
 
@@ -468,6 +467,14 @@ class TestBatchKernelBits:
 
         monkeypatch.setattr(engine, "_estimate_from_batches", spy)
         engine._run_batches(prepared, cfg, taus)
+        return seen
+
+    def test_a_batch_is_its_stream_reduced_by_hand(self, monkeypatch):
+        cfg = bs.EstimatorConfig(n=2000, L=3_200, seed=11, batches=10)
+        prepared = engine.prepare(PowerGamma(1.0), [0.2, 0.3, 0.5], bs.simplex_face(0, 0.5),
+                                  cfg, "simplex")
+        taus = engine.compute_taus(prepared, engine.proxy_q_star(prepared, cfg))
+        seen = self.batches(monkeypatch, prepared, cfg, taus)
         law, sizes = prepared.law, prepared.part.sizes
         offset = sizes @ np.array([float(law.log_mgf(float(t))) for t in taus])
         for b, size in enumerate(seen["sizes"]):
@@ -478,31 +485,78 @@ class TestBatchKernelBits:
             log_mean = engine._log_sum_exp(log_w[member]) - math.log(size)
             assert float(seen["log_means"][b]).hex() == log_mean.hex()
 
+    @pytest.mark.parametrize("L", [2_000, 20_000])
+    def test_batches_sharing_a_pass_are_their_streams_reduced_by_hand(self, monkeypatch, L):
+        # the Neyman halfspace with its dual tilts: 32 batches of 62 or 63
+        # rows share one pass, or of 625 rows six to a pass, the passes
+        # spread over the threads
+        runs = []
+        for threads in (1, 2, 3):
+            cfg = bs.EstimatorConfig(n=200, L=L, seed=4, threads=threads)
+            prepared = engine.prepare(PowerGamma(-1.0), [0.2, 0.3, 0.5],
+                                      bs.halfspace([1.0, 1.0, 1.0], 1.3), cfg, "deterministic")
+            taus = prepared.dual.taus
+            runs.append(self.batches(monkeypatch, prepared, cfg, taus))
+        assert len(engine._passes(runs[0]["sizes"])) == (1 if L == 2_000 else 6)
+        for run in runs[1:]:
+            assert hexes(run["log_means"]) == hexes(runs[0]["log_means"])
+            assert np.array_equal(run["hits"], runs[0]["hits"])
+        law, sizes = prepared.law, prepared.part.sizes
+        offset = sizes @ np.array([float(law.log_mgf(float(t))) for t in taus])
+        for b, size in enumerate(runs[0]["sizes"]):
+            s = engine._block_sums(law, sizes, taus, engine._rng(4, 0, b), int(size))
+            x = s / 200
+            member = (x[:, 0] * 1.0 + x[:, 1] * 1.0) + x[:, 2] * 1.0 >= 1.3
+            log_w = offset - ((s[:, 0] * taus[0] + s[:, 1] * taus[1]) + s[:, 2] * taus[2])
+            assert runs[0]["hits"][b] == member.sum()
+            log_mean = engine._log_sum_exp(log_w[member]) - math.log(size)
+            assert float(runs[0]["log_means"][b]).hex() == log_mean.hex()
+
+    def test_passes_hold_whole_consecutive_batches(self):
+        assert engine._passes([62] * 32) == [range(0, 32)]
+        assert engine._passes([1_563, 1_563, 1_562, 1_562]) == [range(0, 2), range(2, 4)]
+        assert engine._passes([3_125] * 3) == [range(0, 1), range(1, 2), range(2, 3)]
+        assert engine._passes([5_000, 10, 10]) == [range(0, 1), range(1, 3)]
+
     @staticmethod
     def sums(K):
         return np.random.default_rng(K).random((4_000, K)) * 3.0
 
     @staticmethod
     def log_weights(monkeypatch, sums, taus):
-        """The log weights ``_run_batches`` reduces when its draws are ``sums``."""
+        """The log weights ``_run_batches`` reduces when every batch draws
+        ``sums``, and their fixed part sum_k n_k Lambda(tau_k)."""
         K = sums.shape[1]
         cfg = bs.EstimatorConfig(n=K, L=10 * len(sums), batches=10)
         prepared = engine.prepare(PowerGamma(1.0), np.full(K, 1.0 / K), bs.full_space(), cfg,
                                   "simplex")
         seen = []
-        monkeypatch.setattr(engine, "_block_sums", lambda *args: sums)
+
+        def draw(law, sizes, taus, rng, size, out):
+            out[...] = sums
+
+        monkeypatch.setattr(engine, "_block_sums", draw)
         monkeypatch.setattr(engine, "_log_sum_exp", lambda v: seen.append(v) or 0.0)
         engine._run_batches(prepared, cfg, taus)
-        return seen[0]
+        law = prepared.law
+        return seen[0], prepared.part.sizes @ np.array([float(law.log_mgf(t)) for t in taus])
 
     @pytest.mark.parametrize("K", [3, 20])
     def test_log_weights_ignore_layout_and_row_count(self, monkeypatch, K):
-        # BLAS's sums @ taus rounds some of these rows differently
+        # BLAS's sums @ taus rounds some of these rows differently; the
+        # column-major pass buffer must give the sum by hand over a
+        # row-major array, column by column
         sums, taus = self.sums(K), np.linspace(-0.9, 1.7, K)
-        c_order = hexes(self.log_weights(monkeypatch, np.ascontiguousarray(sums), taus))
-        assert hexes(self.log_weights(monkeypatch, np.asfortranarray(sums), taus)) == c_order
-        ones = [self.log_weights(monkeypatch, sums[i:i + 1], taus)[0] for i in range(300)]
-        assert hexes(ones) == c_order[:300]
+        c_order = np.ascontiguousarray(sums)
+        log_w, offset = self.log_weights(monkeypatch, c_order, taus)
+        dot = c_order[:, 0] * taus[0]
+        for k in range(1, K):
+            dot += c_order[:, k] * taus[k]
+        by_hand = hexes(offset - dot)
+        assert hexes(log_w) == by_hand
+        assert hexes(self.log_weights(monkeypatch, np.asfortranarray(sums), taus)[0]) == by_hand
+        ones = [self.log_weights(monkeypatch, sums[i:i + 1], taus)[0][0] for i in range(300)]
+        assert hexes(ones) == by_hand[:300]
 
     @pytest.mark.parametrize("K", [3, 20])
     def test_row_totals_ignore_layout_and_row_count(self, K):
@@ -597,6 +651,29 @@ class TestDual:
         assert proxy.taus == pytest.approx(np.full(3, tilt), rel=1e-9)
         assert prepared.dual.lam == pytest.approx(tilt, rel=1e-9)
         assert proxy.draws_used == 0
+
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0, 0.5, 1.0, 2.0, 3.0])
+    def test_newton_reaches_the_root_in_a_few_exact_steps(self, monkeypatch, gamma):
+        # exact cumulant slopes let Newton stop within a few ulps of the root
+        gen = PowerGamma(gamma)
+        prepared, _ = self.prepared(gen, bs.halfspace([1.0, 1.0, 1.0], 1.3, ">="))
+        calls = []
+        real = type(prepared.law).log_mgf_slopes
+        monkeypatch.setattr(type(prepared.law), "log_mgf_slopes",
+                            lambda law, z: calls.append(z) or real(law, z))
+        tilt = float(gen.phi_prime(1.3))
+        assert abs(prepared.dual.lam - tilt) <= 8 * np.spacing(tilt)
+        assert len(calls) <= 12
+
+    def test_a_law_without_slopes_is_refused_before_any_draw(self):
+        class NoSlopes(NoDrawLaw):
+            log_mgf_slopes = laws.WeightLaw.log_mgf_slopes
+
+        cfg = bs.EstimatorConfig(n=200, L=10, seed=1)
+        prepared = engine.prepare(PowerGamma(1.0), self.P, bs.halfspace([1.0, 1.0, 1.0], 1.3),
+                                  cfg, "deterministic", law=NoSlopes())
+        with pytest.raises(NotImplementedError, match="NoSlopes has no log_mgf_slopes"):
+            engine.is_estimate(prepared, cfg)
 
     def test_coordinate_face_and_an_upper_halfspace(self):
         gen = PowerGamma(1.0)

@@ -274,6 +274,57 @@ class TestLogMgfAndIsf:
         assert float(lw.log_mgf(lw.TiltedStable(-1.0, 1.0), 0.9)) == math.inf
 
 
+def central_slopes(law, z):
+    """The reference for ``log_mgf_slopes``: Lambda' by a central difference
+    of ``log_mgf`` at step 1e-6 max(1, |z|), Lambda'' by one of Lambda' at
+    step 1e-5 max(1, |z|), each step cut to 1% of the distance from its
+    point to the boundary of the domain."""
+    z = np.asarray(z, dtype=float)
+    lo, hi = law.mgf_dom()
+
+    def steps(x, rel):
+        return np.minimum(rel * np.maximum(1.0, np.abs(x)), 0.01 * np.minimum(x - lo, hi - x))
+
+    h = steps(z, 1e-5)
+    points = np.stack((z, z + h, z - h))
+    h1 = steps(points, 1e-6)
+    down, up = points - h1, points + h1
+    value = np.asarray(law.log_mgf(np.concatenate((down, up))), dtype=float)
+    slope = (value[len(points):] - value[:len(points)]) / (up - down)
+    return slope[0], (slope[1] - slope[2]) / (2.0 * h)
+
+
+class TestCumulantSlopes:
+    """Every law's closed-form Lambda' and Lambda'' against central
+    differences of its ``log_mgf``."""
+
+    @pytest.mark.parametrize("case", SOLVED_CASES, ids=lambda c: c.name)
+    def test_interior_points(self, case):
+        law = case.law
+        lo, hi = law.mgf_dom()
+        z = np.array([t for t in (-2.0, -0.7, -0.2, 0.0, 0.3, 0.45, 1.5)
+                      if lo + 0.05 < t < hi - 0.05])
+        slope, curvature = law.log_mgf_slopes(z)
+        ref_slope, ref_curvature = central_slopes(law, z)
+        assert slope == pytest.approx(ref_slope, rel=1e-8)
+        assert curvature == pytest.approx(ref_curvature, rel=1e-4)
+        assert float(law.log_mgf_slopes(0.0)[0]) == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("case", [c for c in SOLVED_CASES
+                                      if np.isfinite(c.law.mgf_dom()).any()],
+                             ids=lambda c: c.name)
+    def test_near_a_finite_edge(self, case):
+        # the reference's steps shrink to 1e-6 there, and its truncation
+        # error grows to about 1e-4 relative
+        law = case.law
+        z = np.array([edge - np.sign(edge) * 1e-4 for edge in law.mgf_dom()
+                      if math.isfinite(edge)])
+        slope, curvature = law.log_mgf_slopes(z)
+        ref_slope, ref_curvature = central_slopes(law, z)
+        assert slope == pytest.approx(ref_slope, rel=1e-3)
+        assert curvature == pytest.approx(ref_curvature, rel=1e-3)
+
+
 class TestLawForGenerator:
     @pytest.mark.parametrize("case", SOLVED_CASES, ids=lambda c: c.name)
     def test_round_trip_dispatch(self, case):

@@ -113,16 +113,11 @@ class BlockPartition:
     n: int
     sizes: np.ndarray
     p_tilde: np.ndarray
-    mode: str = "deterministic"  # "deterministic" | "empirical"
     exact: bool = True
 
     @property
     def K(self) -> int:
         return int(self.sizes.size)
-
-    def block_ranges(self):
-        offsets = np.concatenate(([0], np.cumsum(self.sizes)))
-        return [(int(offsets[k]), int(offsets[k + 1])) for k in range(self.K)]
 
 
 def partition(p_tilde, n: int) -> BlockPartition:
@@ -144,7 +139,7 @@ def partition(p_tilde, n: int) -> BlockPartition:
     if np.any(sizes < 1):
         raise ValueError("empty block; increase n")
     exact = bool(np.all(integral))
-    return BlockPartition(n=n, sizes=sizes, p_tilde=p, mode="deterministic", exact=exact)
+    return BlockPartition(n=n, sizes=sizes, p_tilde=p, exact=exact)
 
 
 def ingest_sample(observations: Sequence, categories: Optional[Sequence] = None) -> BlockPartition:
@@ -163,9 +158,7 @@ def ingest_sample(observations: Sequence, categories: Optional[Sequence] = None)
     n = int(counts.sum())
     if n != tally.total():
         raise ValueError("observations contain labels outside the category list")
-    return BlockPartition(
-        n=n, sizes=counts, p_tilde=counts / n, mode="empirical", exact=True
-    )
+    return BlockPartition(n=n, sizes=counts, p_tilde=counts / n, exact=True)
 
 
 @dataclass(frozen=True)
@@ -184,9 +177,9 @@ class ProxySpec:
     vector up to the boundary, polished by a local descent, and passed over
     when it has no valid tilt (``Prepared.tilts`` refuses it).  A poor proxy
     costs the estimator variance, never unbiasedness.  The same proxy gives
-    ``bounds_general`` its upper bound, D(Q*, P).  A one-inequality leaf in
-    deterministic mode is not searched: its dual gives the proxy
-    (``Prepared.dual``), so ``budget`` and ``m_run`` go unread there.
+    ``bounds_general`` its upper bound, D(Q*, P).  Only a set without a row
+    is searched: a one-inequality leaf, in every mode, takes the proxy of its
+    dual (``Prepared.dual``), so ``budget`` and ``m_run`` go unread there.
     """
 
     method: str = "search"
@@ -304,13 +297,13 @@ def _block_sums(law: WeightLaw, sizes, taus: Optional[np.ndarray],
 
 @dataclass(frozen=True)
 class Dual:
-    """The I-projection dual of a one-inequality set {<a, x> >= rhs} in
-    reduced coordinates (a set with <= turned around): lam >= 0 solves
-    sum_k p_k a_k Lambda'(lam a_k) = rhs, or is 0 when p itself is in the
-    set.  The tilts are tau = lam a, the dominating point is
-    q_star = p Lambda'(tau), sigma2 = sum_k p_k a_k^2 Lambda''(tau_k) is
-    the variance of <a, x> per unit n under the tilts, and
-    slack = <a, q_star> - rhs is how far p lies inside the set when lam = 0."""
+    """The I-projection dual of a one-inequality set {<a, s> >= rhs} of the
+    block sums per unit n, s = S / n (<= turned around): lam >= 0 solves
+    sum_k p_k a_k Lambda'(lam a_k) = rhs, or is 0 when p is in the set.  The
+    tilts are tau = lam a, q_star is s* = p Lambda'(tau) in reduced
+    coordinates, sigma2 = sum_k p_k a_k^2 Lambda''(tau_k) is the variance of
+    <a, s> per unit n under the tilts, and slack = <a, s*> - rhs is how far
+    p lies inside the set when lam = 0."""
 
     lam: float
     taus: np.ndarray
@@ -342,7 +335,7 @@ def _solve_dual(law: WeightLaw, p: np.ndarray, a: np.ndarray, rhs: float):
         return float(pa @ slope) - rhs, float(paa @ curvature), slope, curvature
 
     value, deriv, *slopes = g(0.0)
-    if value >= 0.0:  # p on the boundary of a strict inequality
+    if value >= 0.0:  # p in the set, or on the boundary of a strict one
         return 0.0, *slopes
     guess = -value / deriv if deriv > 0.0 else 1.0
     below = 0.0
@@ -457,26 +450,28 @@ class Prepared:
 
     @cached_property
     def dual(self) -> Optional[Dual]:
-        """The dual of a one-inequality leaf (``omega.row``) in deterministic
-        mode, solved once per frame; None for every other set and mode.
-        The row tests A x, so in reduced coordinates its coefficients are
-        a = A c."""
-        if self.mode != "deterministic" or self.omega.row is None:
+        """The dual of a one-inequality leaf (``omega.row``) in every mode,
+        solved once per frame; None for a set without a row.  The leaf
+        <c, A x> op rhs differs by mode only in its row of block sums S: on
+        x = S / n (deterministic) it is a = A c with its rhs, and on
+        x = S / sum S (simplex modes) the homogeneous <A c - rhs 1, S> op 0.
+        Its point s* maps to reduced coordinates as a row of block sums does."""
+        if self.omega.row is None:
             return None
         p, K = self.part.p_tilde, self.part.K
         c, rhs, op = self.omega.row
-        feasible = self.member(p)  # refuses a row of another width, as the batches would
+        self.member(p)  # refuses a row of another width, as the batches would
         if isinstance(c, (int, np.integer)):
             c = np.eye(K)[c]
         sign = 1.0 if op in (">=", ">") else -1.0
-        a = sign * self.scale * np.asarray(c, dtype=float)
-        if feasible:
-            lam, (slope, curvature) = 0.0, self.law.log_mgf_slopes(np.zeros(K))
-        else:
-            lam, slope, curvature = _solve_dual(self.law, p, a, sign * rhs)
-        q_star = p * slope
-        return Dual(lam=lam, taus=lam * a, q_star=q_star,
-                    sigma2=float(p @ (a * a * curvature)), slack=float(a @ q_star) - sign * rhs)
+        a, rhs = sign * self.scale * np.asarray(c, dtype=float), sign * rhs
+        if self.mode != "deterministic":
+            a, rhs = a - rhs, 0.0
+        lam, slope, curvature = _solve_dual(self.law, p, a, rhs)
+        point = p * slope
+        q_star, _ = self.coords_and_hits(point[None, :], 1.0)
+        return Dual(lam=lam, taus=lam * a, q_star=q_star[0],
+                    sigma2=float(p @ (a * a * curvature)), slack=float(a @ point) - rhs)
 
 
 def prepare(gen: Optional[Generator], P, omega: ConstraintSet, config: EstimatorConfig,
@@ -648,11 +643,11 @@ class ProxyResult:
 
 
 def proxy_q_star(prepared: Prepared, config: EstimatorConfig) -> ProxyResult:
-    """Find a tilt target inside the constraint set, in reduced
-    coordinates, with its tilts; a given ``q_star`` without valid tilts
-    raises ``ValueError`` before any batch is drawn.  A one-inequality leaf
-    in deterministic mode takes the dominating point and tilts of its dual
-    (``Prepared.dual``); every other set is searched."""
+    """Find a tilt target in the constraint set, in reduced coordinates,
+    with its tilts.  A given ``q_star`` comes first; one without valid tilts
+    raises ``ValueError`` before any batch is drawn.  Else a one-inequality
+    leaf, in every mode, takes the point and tilts of its dual
+    (``Prepared.dual``); only a set without a row is searched."""
     spec = config.proxy
     if prepared.gen is None:
         raise ValueError("the proxy needs the generator for its tilts")
@@ -975,12 +970,12 @@ def _gaussian_tail_term(u: float) -> float:
 
 
 def _bahadur_rao(prepared: Prepared) -> Optional[float]:
-    """The non-lattice Bahadur-Rao term of a one-inequality leaf in
-    deterministic mode (``Prepared.dual``), by which log pi falls short of
-    -n I: ``_gaussian_tail_term`` at u = lam sqrt(n sigma2), or, when p is
-    in the set (lam = 0), at u = -slack sqrt(n / sigma2).  None where the
-    law is discrete (a lattice law has another term), the row has no
-    spread, or there is no dual."""
+    """The non-lattice Bahadur-Rao term of a one-inequality leaf, in every
+    mode (``Prepared.dual``), by which log pi falls short of -n I:
+    ``_gaussian_tail_term`` at u = lam sqrt(n sigma2), or, when p is in the
+    set (lam = 0), at u = -slack sqrt(n / sigma2).  None where the law is
+    discrete (a lattice law has another term), the row has no spread, or
+    the set has no row."""
     dual = prepared.dual
     if dual is None or prepared.law.is_discrete or not dual.sigma2 > 0.0:
         return None
@@ -1061,10 +1056,12 @@ def bounds_general(gen: Generator, P, omega: ConstraintSet,
 
     Lower bound: the estimated inf over (Q, m) of D(m Q, P).  Upper bound:
     D(Q*, P) at the importance-sampling proxy Q*, which is also returned;
-    the one proxy search sets both the tilts and the upper bound.  The
-    searched proxies are feasible by construction; a given ``q_star``
-    outside the set raises ``ValueError``.  For power-type generators the
-    exact inversion collapses both bounds.
+    the one proxy sets both the tilts and the upper bound.  Only a given
+    ``q_star`` is tested: one outside the set raises ``ValueError``.  A
+    searched proxy is feasible by construction; a row's dual point lies on
+    its boundary, up to a rounding, and D is continuous, so D there is
+    still the infimum over the set.  For power-type generators the exact
+    inversion collapses both bounds.
     """
     if mode == "deterministic":
         raise ValueError(
@@ -1077,13 +1074,11 @@ def bounds_general(gen: Generator, P, omega: ConstraintSet,
     if omega.scale != 1.0:
         raise ValueError("general-divergence bounds run on probability-simplex sets")
     proxy = proxy_q_star(prepared, config)
-    if not prepared.member(proxy.q_star):
+    if config.proxy.method == "given" and not prepared.member(proxy.q_star):
         # a tilt target outside Omega costs the estimate only variance, but
         # D there is no upper bound on the minimum over Omega
-        raise ValueError(
-            f"the {config.proxy.method!r} proxy q_star is outside the constraint "
-            "set; the upper bound needs a feasible point"
-        )
+        raise ValueError("the 'given' proxy q_star is outside the constraint set; the "
+                         "upper bound needs a feasible point")
     est = finalize(is_estimate(prepared, config, q_star=proxy), "deterministic", prepared)
     lower = est.value
     upper = divergence(gen, proxy.q_star, prepared.part.p_tilde)

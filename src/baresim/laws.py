@@ -63,12 +63,11 @@ class WeightLaw:
     def log_mgf_slopes(self, z):
         """Lambda'(z) and Lambda''(z) of Lambda = ``log_mgf``, elementwise
         over z inside int(dom MGF), each law in closed form; NaN or +inf
-        outside the domain.  The dual of a one-inequality leaf in
-        deterministic mode (``engine.Prepared.dual``) needs them."""
+        outside the domain.  The dual of a one-inequality leaf
+        (``engine.Prepared.dual``) needs them, in every mode."""
         raise NotImplementedError(
             f"{type(self).__name__} has no log_mgf_slopes: a halfspace or coordinate leaf "
-            "in deterministic mode takes its tilts from the dual, which needs Lambda' "
-            "and Lambda''")
+            "takes its tilts from the dual, which needs Lambda' and Lambda''")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` exact draws of W."""
@@ -306,7 +305,12 @@ def _distorted_inverter(gamma: float, scale: float, tau: float, nk: int):
         lam0 = float(law.log_mgf(tau))
         return nk * (lam - lam0)
 
-    return stable.LatticeFreeInverter.build(log_cf, x_lo, x_hi)
+    try:
+        return stable.LatticeFreeInverter.build(log_cf, x_lo, x_hi)
+    except RuntimeError as exc:
+        raise RuntimeError(f"DistortedStable(gamma={gamma}, scale={scale}) cannot draw n_k = "
+                           f"{nk} weights at the tilt tau = {tau}, {tau - lo:.3g} above the "
+                           f"lower edge {lo:.6g} of its MGF domain: {exc}") from exc
 
 
 @dataclass(frozen=True)

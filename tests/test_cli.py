@@ -358,8 +358,8 @@ class TestEstimateCommand:
         assert payload["value"] == pytest.approx(0.223, abs=0.05)
 
     def test_bias_correction_is_reported(self, tmp_path):
-        # null where no term applies (simplex mode); the Neyman halfspace in
-        # deterministic mode reports its shift of the value
+        # null where no term applies (Poisson weights: a lattice law); the
+        # Neyman halfspace in deterministic mode reports its shift of the value
         out = tmp_path / "result.json"
         assert cli.main(["estimate", "--config", write_config(tmp_path, BASE_CONFIG),
                          "--out", str(out)]) == 0

@@ -58,20 +58,12 @@ class TestPartition:
         assert est.hits > 0
         assert not any("not integral" in w for w in est.warnings)
 
-    def test_block_ranges_cover(self):
-        part = engine.partition([0.2, 0.3, 0.5], 17)
-        ranges = part.block_ranges()
-        assert ranges[0][0] == 0 and ranges[-1][1] == 17
-        widths = [b - a for a, b in ranges]
-        assert widths == list(part.sizes)
-
 
 class TestIngestSample:
     def test_balanced(self):
         part = engine.ingest_sample(list("abab"))
         assert list(part.sizes) == [2, 2]
         assert np.allclose(part.p_tilde, [0.5, 0.5])
-        assert part.mode == "empirical"
 
     def test_counts(self):
         part = engine.ingest_sample(list("aaab"))
@@ -161,9 +153,14 @@ class TestNaive:
 
 
 class TestProxy:
+    """The search, on sets without a row: a one-inequality leaf takes the
+    dual instead, so each searched set here is its row-less form, such as
+    ``intersection(face)``.  A given q_star comes before the dual too."""
+
     def setup_method(self):
         self.p = np.array([0.2, 0.3, 0.5])
-        self.omega = bs.simplex_face(0, 0.5, ">=")
+        self.face = bs.simplex_face(0, 0.5, ">=")
+        self.omega = bs.intersection(self.face)
 
     def test_hit_run_membership(self):
         cfg = bs.EstimatorConfig(n=100, L=10, seed=2)
@@ -203,7 +200,7 @@ class TestProxy:
         # the face, and the polish reaches the closed-form minimum 2.0
         # (q_0 = .3, the other coordinates lowered in proportion to p)
         p = np.array([0.02, 0.18, 0.3, 0.5])
-        omega = bs.simplex_face(0, 0.3, ">=")
+        omega = bs.intersection(bs.simplex_face(0, 0.3, ">="))
         cfg = bs.EstimatorConfig(n=1000, L=10, seed=1)
         res = engine.proxy_q_star(
             engine.prepare(PowerGamma(2.0), p, omega, cfg, "simplex"), cfg)
@@ -238,7 +235,7 @@ class TestProxy:
             n=100, L=10, seed=2, proxy=bs.ProxySpec(method="given", q_star=q)
         )
         res = engine.proxy_q_star(
-            engine.prepare(PowerGamma(1.0), self.p, self.omega, cfg, "simplex"), cfg
+            engine.prepare(PowerGamma(1.0), self.p, self.face, cfg, "simplex"), cfg
         )
         assert np.allclose(res.q_star, q)
 
@@ -249,7 +246,7 @@ class TestProxy:
             method="given", q_star=np.array([0.5, 0.0, 0.5])))
         with pytest.raises(ValueError, match="tilt target ratios"):
             engine.proxy_q_star(
-                engine.prepare(PowerGamma(1.0), self.p, self.omega, cfg, "simplex",
+                engine.prepare(PowerGamma(1.0), self.p, self.face, cfg, "simplex",
                                law=NoDrawLaw()), cfg)
 
     def test_budget_exhaustion_raises(self):
@@ -276,7 +273,7 @@ class TestProxy:
         # q_0 = 0, where the KL tilt is infinite, and neither the push
         # toward the uniform reference nor the polish can leave q_0 = 0;
         # the next-ranked hit gives the proxy
-        omega = bs.halfspace(np.arange(1, 21), 13.0, ">=")
+        omega = bs.intersection(bs.halfspace(np.arange(1, 21), 13.0, ">="))
         cfg = bs.EstimatorConfig(n=10_000, L=2000, seed=3169191882)
         res = engine.proxy_q_star(
             engine.prepare(PowerGamma(1.0), np.full(20, 0.05), omega, cfg, "simplex"), cfg)
@@ -292,7 +289,8 @@ class TestProxy:
         with pytest.raises(RuntimeError, match=r"proxy search: Prepared.tilts refused every "
                                                 r"one of its \d+ refined hits"):
             engine.proxy_q_star(engine.prepare(PowerGamma(1.0), self.p,
-                                               bs.simplex_face(0, 0.0, "<="), cfg, "simplex"),
+                                               bs.intersection(bs.simplex_face(0, 0.0, "<=")),
+                                               cfg, "simplex"),
                                 cfg)
 
 
@@ -592,8 +590,9 @@ class TestEmpiricalMode:
         assert abs(est.value - ref) < 0.02 + 0.05 * ref
 
     def test_proxy_replication_trick(self):
+        # searched: a set without a row, where m_run is read
         part = engine.ingest_sample(list("aabbb" * 4))
-        omega = bs.simplex_face(0, 0.55, ">=")
+        omega = bs.intersection(bs.simplex_face(0, 0.55, ">="))
         cfg = bs.EstimatorConfig(
             n=part.n, L=2_000, seed=6, proxy=bs.ProxySpec(m_run=3 * part.n)
         )
@@ -630,10 +629,11 @@ class TestDeterministicModeAccuracy:
 
 
 class TestDual:
-    """A one-inequality leaf in deterministic mode takes its proxy and tilts
-    from the I-projection dual, with no draw: lam solves
+    """A one-inequality leaf takes its proxy and tilts from the I-projection
+    dual, with no draw, in every mode: lam solves
     sum_k p_k a_k Lambda'(lam a_k) = rhs, the tilts are lam a and the
-    dominating point is p Lambda'(lam a)."""
+    dominating point is p Lambda'(lam a), normalised in the simplex modes,
+    where the row is the homogeneous <A c - rhs 1, S> op 0."""
 
     P = np.array([0.2, 0.3, 0.5])
 
@@ -670,10 +670,11 @@ class TestDual:
             log_mgf_slopes = laws.WeightLaw.log_mgf_slopes
 
         cfg = bs.EstimatorConfig(n=200, L=10, seed=1)
-        prepared = engine.prepare(PowerGamma(1.0), self.P, bs.halfspace([1.0, 1.0, 1.0], 1.3),
-                                  cfg, "deterministic", law=NoSlopes())
-        with pytest.raises(NotImplementedError, match="NoSlopes has no log_mgf_slopes"):
-            engine.is_estimate(prepared, cfg)
+        for omega, mode in ((bs.halfspace([1.0, 1.0, 1.0], 1.3), "deterministic"),
+                            (bs.simplex_face(0, 0.5), "simplex")):
+            prepared = engine.prepare(PowerGamma(1.0), self.P, omega, cfg, mode, law=NoSlopes())
+            with pytest.raises(NotImplementedError, match="NoSlopes has no log_mgf_slopes"):
+                engine.is_estimate(prepared, cfg)
 
     def test_coordinate_face_and_an_upper_halfspace(self):
         gen = PowerGamma(1.0)
@@ -738,8 +739,8 @@ class TestDual:
     @pytest.mark.parametrize("omega, mode", [
         (bs.intersection(bs.halfspace([1.0, 1.0, 1.0], 1.3)), "deterministic"),
         (bs.from_predicate(lambda x: x.sum() >= 1.3), "deterministic"),
-        (bs.simplex_face(0, 0.5), "simplex"),
-    ], ids=["intersection", "predicate", "simplex"])
+        (bs.intersection(bs.simplex_face(0, 0.5)), "simplex"),
+    ], ids=["intersection", "predicate", "simplex_intersection"])
     def test_other_sets_and_modes_are_searched(self, omega, mode):
         cfg = bs.EstimatorConfig(n=200, L=2000, seed=1)
         prepared = engine.prepare(PowerGamma(-1.0), self.P, omega, cfg, mode)
@@ -747,6 +748,44 @@ class TestDual:
         assert engine.proxy_q_star(prepared, cfg).draws_used > 0
         est = engine.finalize(engine.is_estimate(prepared, cfg), "deterministic", prepared)
         assert est.bias_correction is None
+
+    @pytest.mark.parametrize("mode", ["simplex", "empirical"])
+    def test_a_row_takes_the_dual_in_every_mode(self, mode):
+        # KL over {q_0 >= .5} from (.2, .3, .5): the homogeneous row
+        # (.5, -.5, -.5) has lam = ln 4, so the tilts are (ln 2, -ln 2, -ln 2)
+        # and q* is the I-projection (.5, .1875, .3125)
+        ref = self.P if mode == "simplex" else engine.ingest_sample(
+            ["a"] * 200 + ["b"] * 300 + ["c"] * 500)
+        cfg = bs.EstimatorConfig(n=1000, L=10, seed=1)
+        prepared = engine.prepare(PowerGamma(1.0), ref, bs.simplex_face(0, 0.5), cfg, mode)
+        proxy = engine.proxy_q_star(prepared, cfg)
+        ln2 = math.log(2.0)
+        assert np.all(np.abs(proxy.taus - [ln2, -ln2, -ln2]) <= 4 * np.spacing(ln2))
+        assert proxy.q_star == pytest.approx([0.5, 0.1875, 0.3125], rel=1e-15, abs=0)
+        assert proxy.draws_used == 0
+        assert prepared.tilts(proxy.q_star) == pytest.approx(proxy.taus, rel=1e-12)
+
+    def test_two_point_bounds_at_the_dual_point(self):
+        # two-point weights on {0, 2}: D(q, p) is finite only where
+        # q_k / p_k <= 2.  At {q_0 >= .35} the dual's upper bound is the
+        # searched one's (0.0774227 at seed 1), or below it
+        cfg = bs.EstimatorConfig(n=200, L=2000, seed=1)
+        gen, face = TwoPoint(0.0, 2.0), bs.simplex_face(0, 0.35)
+        lower, upper, q_hat, est = engine.bounds_general(gen, self.P, face, cfg)
+        _, searched, _, _ = engine.bounds_general(gen, self.P, bs.intersection(face), cfg)
+        assert upper == pytest.approx(0.0774215, abs=1e-7)
+        assert upper <= searched <= upper + 2e-6
+        assert lower < upper and est.hits > 0
+        # at {q_0 >= .4} the normalised dual point misses the face by one
+        # rounding; D is continuous, so it still bounds the minimum
+        _, _, q_hat, _ = engine.bounds_general(gen, self.P, bs.simplex_face(0, 0.4), cfg)
+        assert abs(q_hat[0] - 0.4) <= 4 * np.spacing(0.4)
+        assert not bs.simplex_face(0, 0.4).contains_point(q_hat)
+        # q_0 >= .45 means q_0 / p_0 >= 2.25: the search finds no hit of finite
+        # D, while the dual still estimates the set and bounds it above by +inf
+        lower, upper, _, est = engine.bounds_general(gen, self.P, bs.simplex_face(0, 0.45), cfg)
+        assert upper == math.inf
+        assert math.isfinite(lower) and est.hits > 0
 
     def test_the_correction_depends_on_the_set_only(self):
         # a given q_star gets the term of the set; a lattice law gets none
@@ -803,7 +842,8 @@ class TestBoundsEmpirical:
         ref, _ = oracle.grid_min_divergence(gen, part.p_tilde, omega,
                                             resolution=0.01)
         assert lower <= ref + 2e-5 <= upper + 4e-5
-        assert omega.contains_point(q_hat)
+        # the dual point lies on the face, up to a rounding
+        assert abs(q_hat[0] - 0.6) <= 4 * np.spacing(0.6)
 
 
 class TestGeneratorCheck:
@@ -981,13 +1021,15 @@ class TestTargetCheck:
 class TestHitRunOutsideDomain:
     """Two-point weights on {0, 2}, so D(q, p) is finite only where
     q_k / p_k <= 2.  At the default run length 5 the blocks are (1, 1, 3),
-    and every short-run hit of {q_0 >= .35} has q_0 / p_0 in {5, 2.5}."""
+    and every short-run hit of {q_0 >= .35} has q_0 / p_0 in {5, 2.5}.  The
+    search runs on the face's row-less form; the face itself takes the dual
+    (``TestDual::test_two_point_bounds_at_the_dual_point``)."""
 
     P = np.array([0.2, 0.3, 0.5])
 
     def proxy(self, bound, m_run=None):
         cfg = bs.EstimatorConfig(n=200, L=2000, seed=1, proxy=bs.ProxySpec(m_run=m_run))
-        omega = bs.simplex_face(0, bound, ">=")
+        omega = bs.intersection(bs.simplex_face(0, bound, ">="))
         return engine.proxy_q_star(
             engine.prepare(TwoPoint(0.0, 2.0), self.P, omega, cfg, "simplex"), cfg)
 
@@ -1033,8 +1075,8 @@ class TestHitRunOutsideDomain:
 
 
 class TestBoundsSingleSearch:
-    """``bounds_general`` runs the one proxy search of ``is_estimate`` and
-    reports D at that proxy as its upper bound."""
+    """``bounds_general`` finds the one proxy of ``is_estimate`` (here the
+    dual's) and reports D at that proxy as its upper bound."""
 
     @pytest.mark.parametrize("mode", ["simplex", "empirical"])
     def test_upper_bound_at_the_proxy(self, mode, monkeypatch):

@@ -415,6 +415,16 @@ class TestDistortedStable:
         x = law.sample(rng, 20_000)
         assert float(x.mean()) == pytest.approx(1.0, abs=0.02)
 
+    def test_an_inversion_that_loses_mass_names_the_tilt(self, rng):
+        # 1e-4 above the lower edge -2/3 of the MGF domain the inversion
+        # fails; the error says which law, block and tilt
+        law = lw.DistortedStable(2.5, 1.0)
+        with pytest.raises(RuntimeError, match=(
+                r"DistortedStable\(gamma=2.5, scale=1.0\) cannot draw n_k = 2 weights at "
+                r"the tilt tau = -0.666566666667, 0.0001 above the lower edge "
+                r"-0.666667 of its MGF domain: characteristic-function inversion lost mass")):
+            law.sample_tilted_block(law.mgf_dom()[0] + 1e-4, 2, rng, 200)
+
     def test_block_and_tilted_paths(self, rng):
         law = lw.DistortedStable(2.5, 1.0)
         x = law.sample_tilted_block(-0.3, 6, rng, 30_000)

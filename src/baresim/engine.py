@@ -26,14 +26,17 @@ minimizer and corrects with the per-block factor
 ``Prepared``, which every stage below the pipelines takes; ``finalize``
 reads the inversion's n, K and scale A from it.  Each pipeline prepares once.
 
-Bits: replication batch b draws from its own stream, keyed by (seed, phase,
-b), and every per-row sum over the K blocks (the row totals, the log
-weights, the halfspace leaves) is added column by column.  Small batches
-share a pass, one buffer mapped and tested by one call, and each batch then
-reduces its own rows.  A seeded result is therefore the same whatever the
-thread count, the number of rows a sum is called on, which batches share a
-pass, or the memory layout of the block sums, which ``_block_sums`` and
-``_run_batches`` alone choose.
+Bits: the replication batches are grouped into passes of whole consecutive
+batches, at most ``_PASS_ROWS`` rows each, and a pass draws from its own
+stream, keyed by (seed, phase, b0) with b0 its first batch; a batch alone
+in its pass draws the stream (seed, phase, b).  The passes are a function
+of L and the batch count alone, so a change to ``_PASS_ROWS`` is a change
+of the stream.  Every per-row sum over the K blocks (the row totals, the
+log weights, the halfspace leaves) is added column by column.  A pass is
+one buffer mapped and tested by one call, and each batch then reduces its
+own rows.  A seeded result is therefore the same whatever the thread
+count, the number of rows a sum is called on, or the memory layout of the
+block sums, which ``_block_sums`` alone chooses.
 """
 
 from __future__ import annotations
@@ -95,7 +98,8 @@ _PROXY_CHUNK = 256
 _PROXY_COLLECT = 64
 # bisection levels of the push toward the reference tested per membership call
 _BISECT_LEVELS = 6
-# rows of a pass: consecutive batches drawn into one buffer and tested at once
+# rows of a pass: consecutive batches drawn from one stream into one buffer
+# and tested at once; the passes key the streams, so this sets the bits
 _PASS_ROWS = 4096
 _EPS = float(np.finfo(float).eps)
 
@@ -274,19 +278,19 @@ def _row_divergences(gen: Generator, Q: np.ndarray, P: np.ndarray) -> np.ndarray
 
 
 def _block_sums(law: WeightLaw, sizes, taus: Optional[np.ndarray],
-                rng: np.random.Generator, size: int,
-                out: Optional[np.ndarray] = None) -> np.ndarray:
+                rng: np.random.Generator, size: int) -> np.ndarray:
     """(size, K) draws of the block sums: block k sums ``sizes[k]`` i.i.d.
-    weights tilted by ``taus[k]``, or untilted when ``taus`` is None.  The
-    draws fill ``out``, rows of a pass buffer (see ``_run_batches``), or a
-    new array, which is returned.
+    weights tilted by ``taus[k]``, or untilted when ``taus`` is None, all
+    ``size`` rows of column k in one law call on ``rng``.  ``_run_batches``
+    calls it once per pass, so a pass's rows follow one another in each
+    block's draw.
 
-    The arrays are column-major: each law's draw fills contiguous memory,
+    The array is column-major: each law's draw fills contiguous memory,
     and the row reductions after it read contiguous columns.  The layout is
-    decided here and in ``_run_batches`` alone; every consumer sums a row
-    column by column (``constraints._dot_rows`` and ``_sum_rows``), so its
-    bits depend neither on the layout nor on the number of rows."""
-    sums = np.empty((len(sizes), size)).T if out is None else out
+    decided here alone; every consumer sums a row column by column
+    (``constraints._dot_rows`` and ``_sum_rows``), so its bits depend
+    neither on the layout nor on the number of rows."""
+    sums = np.empty((len(sizes), size)).T
     for k, nk in enumerate(sizes):
         if taus is None:
             sums[:, k] = law.sample_block_sum(int(nk), rng, size)
@@ -531,13 +535,15 @@ def _run_batches(prepared: Prepared, config: EstimatorConfig,
     """The estimate from ``config.batches`` batches, tilted by ``taus`` or
     untilted when it is None.
 
-    Batch b draws from its own stream, keyed by (seed, phase, b).  A pass
-    (``_passes``) draws its batches one after another into one column-major
-    buffer, maps and tests it in one call and takes its log weights in
-    another; each batch then reduces its own rows.  A batch without hits
-    has log-mean -inf.  Every per-row value is independent of the rows
-    beside it, so the result is bit-identical for any thread count, which
-    spreads the passes.
+    A pass (``_passes``) draws from one stream, keyed by (seed, phase, b0)
+    with b0 its first batch, into one column-major buffer, one law call per
+    block (``_block_sums``); it maps and tests the buffer in one call and
+    takes its log weights in another, and each batch then reduces its own
+    rows.  A batch alone in its pass thus draws the stream (seed, phase, b).
+    A batch without hits has log-mean -inf.  The passes depend only on the
+    batch sizes, so a change to ``_PASS_ROWS`` changes the stream, and every
+    per-row value is independent of the rows beside it, so the result is
+    bit-identical for any thread count, which spreads the passes.
     """
     law, part = prepared.law, prepared.part
     if config.n != part.n:
@@ -550,23 +556,20 @@ def _run_batches(prepared: Prepared, config: EstimatorConfig,
         lam = np.array([float(law.log_mgf(float(t))) for t in taus])
         log_isf_offset = part.sizes @ lam
 
-    K, starts = part.K, list(accumulate(batch_sizes, initial=0))
+    starts = list(accumulate(batch_sizes, initial=0))
 
     def one_pass(batches: range):
         # batch b fills rows starts[b] to starts[b + 1] of the run, here
         # counted from the pass's first row
         first = starts[batches.start]
-        spans = [(b, starts[b] - first, starts[b + 1] - first) for b in batches]
-        sums = np.empty((K, spans[-1][2])).T
-        for b, lo, hi in spans:
-            if hi > lo:
-                _block_sums(law, part.sizes, taus, _rng(config.seed, _PHASE_MAIN, b), hi - lo,
-                            sums[lo:hi])
+        spans = [(starts[b] - first, starts[b + 1] - first) for b in batches]
+        sums = _block_sums(law, part.sizes, taus, _rng(config.seed, _PHASE_MAIN, batches.start),
+                           spans[-1][1])
         _, member = prepared.coords_and_hits(sums, part.n, want_x=False)
         if taus is not None:
             dots = _dot_rows(sums, taus)
         results = []
-        for _, lo, hi in spans:
+        for lo, hi in spans:
             hit = member[lo:hi]
             hits = int(np.count_nonzero(hit))
             if hits == 0:
@@ -867,13 +870,20 @@ _TARGETS = ("deterministic", "divergence", "hellinger", "renyi", "modified_kl",
 
 
 def _check_target(target, gen: Optional[Generator] = None, K: Optional[int] = None,
-                  entropy_spec: Optional[EntropySpec] = None) -> None:
+                  entropy_spec: Optional[EntropySpec] = None,
+                  mode: Optional[str] = None) -> None:
     """Refuse a target that ``invert`` cannot map with this generator,
-    dimension and entropy spec; the pipelines call it before any draw."""
+    dimension, entropy spec and mode; the pipelines call it before any draw.
+    Deterministic mode estimates the rate itself, the minimum D over the
+    set, so "deterministic" is its only target."""
     if target not in _TARGETS:
         raise ValueError(f"unknown inversion target {target!r}")
     if target == "deterministic":
         return
+    if mode == "deterministic":
+        raise ValueError(f"target {target!r} needs mode 'simplex' or 'empirical': "
+                         "deterministic mode estimates the minimum itself, target "
+                         "'deterministic'")
     if not isinstance(gen, PowerGamma):
         raise ValueError(f"target {target!r} needs a power generator")
     if target in ("modified_kl", "shannon", "sm2") and gen.gamma != 1.0:
@@ -988,16 +998,16 @@ def _bahadur_rao(prepared: Prepared) -> Optional[float]:
 def finalize(est: Estimate, target, prepared: Prepared,
              entropy_spec: Optional[EntropySpec] = None) -> Estimate:
     """Fill in the inverted value and its delta-method stderr.  The
-    deterministic rate is the value itself, so that mode inverts at A = 1;
-    the simplex modes invert at the frame's scale A.  Where the set has a
-    Bahadur-Rao term (``_bahadur_rao``), it is added to log pi_hat before
-    the inversion, which removes the O(log n / n) finite-n bias of the
-    value; ``bias_correction`` reports the shift in value units."""
+    deterministic rate is the value itself, that mode's only target
+    (``_check_target``); the simplex modes invert at the frame's scale A.
+    Where the set has a Bahadur-Rao term (``_bahadur_rao``), it is added to
+    log pi_hat before the inversion, which removes the O(log n / n) finite-n
+    bias of the value; ``bias_correction`` reports the shift in value units."""
+    _check_target(target, prepared.gen, prepared.part.K, entropy_spec, prepared.mode)
     if est.hits == 0:
         est.value = INF
         return est
-    frame = dict(n=prepared.part.n, gen=prepared.gen, K=prepared.part.K,
-                 A=1.0 if prepared.mode == "deterministic" else prepared.scale,
+    frame = dict(n=prepared.part.n, gen=prepared.gen, K=prepared.part.K, A=prepared.scale,
                  entropy_spec=entropy_spec)
     term = _bahadur_rao(prepared)
     log_pi = est.log_pi_hat if term is None else est.log_pi_hat + term
@@ -1103,7 +1113,7 @@ def estimate_min_divergence(gen: Generator, P, omega: ConstraintSet,
     prepared = prepare(gen, P, omega, config, mode, law)
     if target is None:
         target = "deterministic" if mode == "deterministic" else "divergence"
-    _check_target(target, gen, prepared.part.K)
+    _check_target(target, gen, prepared.part.K, mode=mode)
     return finalize(is_estimate(prepared, config), target, prepared)
 
 

@@ -594,6 +594,10 @@ class TestTargetCheck:
         ({"target": "divergenz"}, "unknown inversion target 'divergenz'"),
         ({"generator": {"family": "power", "gamma": 0.5}, "target": "modified_kl"},
          "modified KL inversion needs gamma = 1"),
+        ({"mode": "deterministic", "target": "divergence"},
+         "target 'divergence' needs mode 'simplex' or 'empirical'"),
+        ({"mode": "deterministic", "target": "hellinger"},
+         "target 'hellinger' needs mode 'simplex' or 'empirical'"),
     ])
     def test_refused_before_any_draw(self, tmp_path, capsys, changes, message):
         config = BASE_CONFIG

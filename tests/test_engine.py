@@ -448,10 +448,10 @@ def hexes(values):
 
 
 class TestBatchKernelBits:
-    """What a batch computes: its draws come from the stream (seed, 0, b),
-    and each row's K-term sums (row total, log weight) round alike in
-    either memory layout, in a call of any number of rows and in a pass
-    shared with other batches."""
+    """What a batch computes: its pass draws the stream (seed, 0, b0), b0 the
+    pass's first batch, one law call per block, and each row's K-term sums
+    (row total, log weight) round alike in either memory layout, in a call
+    of any number of rows and in a pass shared with other batches."""
 
     @staticmethod
     def batches(monkeypatch, prepared, cfg, taus):
@@ -467,27 +467,50 @@ class TestBatchKernelBits:
         engine._run_batches(prepared, cfg, taus)
         return seen
 
+    @staticmethod
+    def by_hand(prepared, cfg, taus, sizes, member):
+        """Hits and log-means of every batch, each pass drawn by hand from
+        the stream (seed, 0, b0), one call per block, and then reduced batch
+        by batch; ``member`` tests the block sums."""
+        law, nks = prepared.law, prepared.part.sizes
+        offset = nks @ np.array([float(law.log_mgf(float(t))) for t in taus])
+        hits, log_means = [], []
+        for batches in engine._passes(sizes):
+            rng = engine._rng(cfg.seed, 0, batches.start)
+            rows = int(sum(sizes[b] for b in batches))
+            s = np.column_stack([law.sample_tilted_block(float(t), int(nk), rng, rows)
+                                 for t, nk in zip(taus, nks)])
+            lo = 0
+            for b in batches:
+                rows_b = s[lo:lo + int(sizes[b])]
+                lo += int(sizes[b])
+                hit = member(rows_b)
+                log_w = offset - ((rows_b[:, 0] * taus[0] + rows_b[:, 1] * taus[1])
+                                  + rows_b[:, 2] * taus[2])
+                hits.append(int(hit.sum()))
+                log_means.append(engine._log_sum_exp(log_w[hit]) - math.log(len(rows_b)))
+        return hits, hexes(log_means)
+
     def test_a_batch_is_its_stream_reduced_by_hand(self, monkeypatch):
-        cfg = bs.EstimatorConfig(n=2000, L=3_200, seed=11, batches=10)
+        # 5,000-row batches, each alone in its pass, so batch b draws the
+        # stream (seed, 0, b)
+        cfg = bs.EstimatorConfig(n=2000, L=50_000, seed=11, batches=10)
         prepared = engine.prepare(PowerGamma(1.0), [0.2, 0.3, 0.5], bs.simplex_face(0, 0.5),
                                   cfg, "simplex")
         taus = engine.compute_taus(prepared, engine.proxy_q_star(prepared, cfg))
         seen = self.batches(monkeypatch, prepared, cfg, taus)
-        law, sizes = prepared.law, prepared.part.sizes
-        offset = sizes @ np.array([float(law.log_mgf(float(t))) for t in taus])
-        for b, size in enumerate(seen["sizes"]):
-            s = engine._block_sums(law, sizes, taus, engine._rng(11, 0, b), int(size))
-            member = s[:, 0] / ((s[:, 0] + s[:, 1]) + s[:, 2]) >= 0.5
-            log_w = offset - ((s[:, 0] * taus[0] + s[:, 1] * taus[1]) + s[:, 2] * taus[2])
-            assert seen["hits"][b] == member.sum()
-            log_mean = engine._log_sum_exp(log_w[member]) - math.log(size)
-            assert float(seen["log_means"][b]).hex() == log_mean.hex()
+        assert engine._passes(seen["sizes"]) == [range(b, b + 1) for b in range(10)]
+        hits, log_means = self.by_hand(prepared, cfg, taus, seen["sizes"],
+                                       lambda s: s[:, 0] / ((s[:, 0] + s[:, 1]) + s[:, 2]) >= 0.5)
+        assert list(seen["hits"]) == hits
+        assert hexes(seen["log_means"]) == log_means
 
     @pytest.mark.parametrize("L", [2_000, 20_000])
     def test_batches_sharing_a_pass_are_their_streams_reduced_by_hand(self, monkeypatch, L):
         # the Neyman halfspace with its dual tilts: 32 batches of 62 or 63
         # rows share one pass, or of 625 rows six to a pass, the passes
-        # spread over the threads
+        # spread over the threads; a pass is one stream, keyed by its
+        # first batch
         runs = []
         for threads in (1, 2, 3):
             cfg = bs.EstimatorConfig(n=200, L=L, seed=4, threads=threads)
@@ -495,26 +518,35 @@ class TestBatchKernelBits:
                                       bs.halfspace([1.0, 1.0, 1.0], 1.3), cfg, "deterministic")
             taus = prepared.dual.taus
             runs.append(self.batches(monkeypatch, prepared, cfg, taus))
-        assert len(engine._passes(runs[0]["sizes"])) == (1 if L == 2_000 else 6)
+        passes = engine._passes(runs[0]["sizes"])
+        assert [p.start for p in passes] == ([0] if L == 2_000 else [0, 6, 12, 18, 24, 30])
         for run in runs[1:]:
             assert hexes(run["log_means"]) == hexes(runs[0]["log_means"])
             assert np.array_equal(run["hits"], runs[0]["hits"])
-        law, sizes = prepared.law, prepared.part.sizes
-        offset = sizes @ np.array([float(law.log_mgf(float(t))) for t in taus])
-        for b, size in enumerate(runs[0]["sizes"]):
-            s = engine._block_sums(law, sizes, taus, engine._rng(4, 0, b), int(size))
-            x = s / 200
-            member = (x[:, 0] * 1.0 + x[:, 1] * 1.0) + x[:, 2] * 1.0 >= 1.3
-            log_w = offset - ((s[:, 0] * taus[0] + s[:, 1] * taus[1]) + s[:, 2] * taus[2])
-            assert runs[0]["hits"][b] == member.sum()
-            log_mean = engine._log_sum_exp(log_w[member]) - math.log(size)
-            assert float(runs[0]["log_means"][b]).hex() == log_mean.hex()
+        hits, log_means = self.by_hand(
+            prepared, cfg, taus, runs[0]["sizes"],
+            lambda s: ((s[:, 0] / 200) * 1.0 + (s[:, 1] / 200) * 1.0) + (s[:, 2] / 200) * 1.0 >= 1.3)
+        assert list(runs[0]["hits"]) == hits
+        assert hexes(runs[0]["log_means"]) == log_means
 
     def test_passes_hold_whole_consecutive_batches(self):
         assert engine._passes([62] * 32) == [range(0, 32)]
         assert engine._passes([1_563, 1_563, 1_562, 1_562]) == [range(0, 2), range(2, 4)]
         assert engine._passes([3_125] * 3) == [range(0, 1), range(1, 2), range(2, 3)]
         assert engine._passes([5_000, 10, 10]) == [range(0, 1), range(1, 3)]
+
+    def test_single_batch_passes_keep_their_bits(self):
+        # the README example: 32 batches of 3,125 rows, each alone in its
+        # pass, so batch b draws the stream (1, 0, b), as it did when every
+        # batch was keyed by its own index, and the run keeps those bits
+        cfg = bs.EstimatorConfig(n=2000, L=100_000, seed=1)
+        assert engine._passes([3_125] * 32) == [range(b, b + 1) for b in range(32)]
+        est = bs.estimate_min_divergence(PowerGamma(1.0), [0.2, 0.3, 0.5],
+                                         bs.simplex_face(0, 0.5, ">="), cfg, mode="simplex",
+                                         target="divergence")
+        assert float(est.value).hex() == "0x1.cdf5d1c80fa70p-3"
+        assert float(est.log_pi_hat).hex() == "-0x1.93df3f18a2617p+8"
+        assert est.hits == 50_403
 
     @staticmethod
     def sums(K):
@@ -530,8 +562,10 @@ class TestBatchKernelBits:
                                   "simplex")
         seen = []
 
-        def draw(law, sizes, taus, rng, size, out):
-            out[...] = sums
+        def draw(law, sizes, taus, rng, size):
+            # a batch of len(sums) rows alone in its pass, or the ten
+            # one-row batches in one pass
+            return sums if size == len(sums) else np.repeat(sums, size, axis=0)
 
         monkeypatch.setattr(engine, "_block_sums", draw)
         monkeypatch.setattr(engine, "_log_sum_exp", lambda v: seen.append(v) or 0.0)
@@ -541,9 +575,9 @@ class TestBatchKernelBits:
 
     @pytest.mark.parametrize("K", [3, 20])
     def test_log_weights_ignore_layout_and_row_count(self, monkeypatch, K):
-        # BLAS's sums @ taus rounds some of these rows differently; the
-        # column-major pass buffer must give the sum by hand over a
-        # row-major array, column by column
+        # BLAS's sums @ taus rounds some of these rows differently; block
+        # sums in either layout must give the sum by hand over a row-major
+        # array, column by column
         sums, taus = self.sums(K), np.linspace(-0.9, 1.7, K)
         c_order = np.ascontiguousarray(sums)
         log_w, offset = self.log_weights(monkeypatch, c_order, taus)
@@ -1008,6 +1042,24 @@ class TestTargetCheck:
         with pytest.raises(ValueError, match=message):
             bs.estimate_min_divergence(gen, self.P, self.OMEGA, cfg, mode="simplex",
                                        target=target, law=NoDrawLaw())
+
+    @pytest.mark.parametrize("target", ["divergence", "hellinger", "renyi", "modified_kl"])
+    def test_deterministic_mode_takes_only_its_rate(self, target):
+        # the rate is the minimum D itself: mapped as a simplex-mode rate,
+        # "divergence" read 0.0542 and "hellinger" 1.0 here, for a rate of
+        # about 0.0527
+        cfg = bs.EstimatorConfig(n=200, L=2000, seed=1)
+        omega = bs.halfspace([1.0, 1.0, 1.0], 1.3)
+        message = f"target '{target}' needs mode 'simplex' or 'empirical'"
+        with pytest.raises(ValueError, match=message):
+            bs.estimate_min_divergence(PowerGamma(1.0), self.P, omega, cfg, mode="deterministic",
+                                       target=target, law=NoDrawLaw())
+        prepared = engine.prepare(PowerGamma(1.0), self.P, omega, cfg, "deterministic")
+        est = engine.is_estimate(prepared, cfg)
+        with pytest.raises(ValueError, match=message):
+            engine.finalize(est, target, prepared)
+        assert engine.finalize(est, "deterministic", prepared).value == pytest.approx(
+            0.052726, abs=0.003)
 
     def test_invert_shares_the_check(self):
         with pytest.raises(ValueError, match="unknown inversion target"):

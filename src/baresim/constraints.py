@@ -9,7 +9,8 @@ Builders cover halfspaces, boxes, affine equalities (with tolerance) and
 arbitrary intersections/unions, which is enough to express every
 constraint set used by the built-in problem reductions without executing
 user code; ``from_predicate`` wraps a row-wise Python callable as an
-escape hatch.
+escape hatch.  ``scaled`` maps a set through a diagonal change of
+coordinates and keeps a leaf's row.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "full_space",
     "empty_set",
     "from_predicate",
+    "scaled",
     "constraint_from_dict",
 ]
 
@@ -109,20 +111,17 @@ def _sum_rows(pts: np.ndarray) -> np.ndarray:
     return out
 
 
+_OPS = {">=": np.greater_equal, "<=": np.less_equal, ">": np.greater, "<": np.less}
+
+
 def halfspace(coeffs, rhs: float, op: str = ">=", **kw) -> ConstraintSet:
     """{x : <coeffs, x> op rhs} with op one of >=, <=, >, <."""
     c = np.asarray(coeffs, dtype=float)
-    ops = {
-        ">=": lambda v: v >= rhs,
-        "<=": lambda v: v <= rhs,
-        ">": lambda v: v > rhs,
-        "<": lambda v: v < rhs,
-    }
-    if op not in ops:
+    if op not in _OPS:
         raise ValueError(f"unknown comparison op {op!r}")
-    test = ops[op]
+    test = _OPS[op]
     return _with_row(ConstraintSet(
-        membership=lambda pts: test(_dot_rows(pts, c)),
+        membership=lambda pts: test(_dot_rows(pts, c), rhs),
         description=f"halfspace <c,x> {op} {rhs}",
         **kw,
     ), (tuple(c.tolist()), float(rhs), op))
@@ -158,15 +157,11 @@ def simplex_face(index: int, bound: float, op: str = ">=", **kw):
     """Convenience: one-coordinate halfspace {x : x_index op bound} with op
     one of >=, <=, and ``index`` an integer >= 0."""
     _check_int("index", index, 0)
-    ops = {
-        ">=": lambda v: v >= bound,
-        "<=": lambda v: v <= bound,
-    }
-    if op not in ops:
+    if op not in (">=", "<="):
         raise ValueError(f"unknown comparison op {op!r}")
-    test = ops[op]
+    test = _OPS[op]
     return _with_row(ConstraintSet(
-        membership=lambda pts: test(pts[:, index]),
+        membership=lambda pts: test(pts[:, index], bound),
         description=f"x[{index}] {op} {bound}",
         **kw,
     ), (index, float(bound), op))
@@ -224,6 +219,25 @@ def from_predicate(pred: Callable[[np.ndarray], bool], **kw) -> ConstraintSet:
         ),
         **kw,
     )
+
+
+def scaled(omega: ConstraintSet, d) -> ConstraintSet:
+    """{x : d * x in Omega}, d one factor per coordinate, with the scale,
+    regularity and description of ``omega``.  A one-inequality leaf of d's
+    width keeps its row as the halfspace (d * c, rhs, op), c = e_k for a
+    coordinate leaf k.  Any other set tests Omega at d * x, which refuses a
+    row of another width at the first test."""
+    d = np.asarray(d, dtype=float)
+    meta = {"scale": omega.scale, "regularity_asserted": omega.regularity_asserted,
+            "description": omega.description}
+    if omega.row is not None:
+        c, rhs, op = omega.row
+        if isinstance(c, (int, np.integer)):  # a coordinate past d fits no width
+            c = np.eye(d.size)[c] if c < d.size else ()
+        if len(c) == d.size:
+            leaf = halfspace(d * np.asarray(c, dtype=float), rhs, op)
+            return _with_row(replace(leaf, **meta), leaf.row)
+    return ConstraintSet(membership=lambda pts: omega.membership(pts * d), **meta)
 
 
 def constraint_from_dict(spec, path: str = "constraint") -> ConstraintSet:

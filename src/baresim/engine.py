@@ -51,7 +51,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .constraints import ConstraintSet, _dot_rows, _sum_rows
+from .constraints import ConstraintSet, _dot_rows, _sum_rows, scaled
 from .divergence import (
     Generator,
     PowerGamma,
@@ -232,8 +232,9 @@ class Estimate:
     hit_rate: float
     batch_log_means: np.ndarray
     warnings: list = field(default_factory=list)
-    #: what ``finalize``'s Bahadur-Rao term added to ``value`` (value units),
-    #: or None where no term applies; ``log_pi_hat`` stays uncorrected
+    #: what ``finalize``'s Bahadur-Rao and block-rounding terms added to
+    #: ``value`` (value units), or None where neither applies; ``log_pi_hat``
+    #: stays uncorrected
     bias_correction: Optional[float] = None
 
     @property
@@ -302,12 +303,13 @@ def _block_sums(law: WeightLaw, sizes, taus: Optional[np.ndarray],
 @dataclass(frozen=True)
 class Dual:
     """The I-projection dual of a one-inequality set {<a, s> >= rhs} of the
-    block sums per unit n, s = S / n (<= turned around): lam >= 0 solves
-    sum_k p_k a_k Lambda'(lam a_k) = rhs, or is 0 when p is in the set.  The
-    tilts are tau = lam a, q_star is s* = p Lambda'(tau) in reduced
-    coordinates, sigma2 = sum_k p_k a_k^2 Lambda''(tau_k) is the variance of
-    <a, s> per unit n under the tilts, and slack = <a, s*> - rhs is how far
-    p lies inside the set when lam = 0."""
+    block sums per unit n, s = S / n (<= turned around), at the frequencies
+    drawn, p = sizes / n: lam >= 0 solves sum_k p_k a_k Lambda'(lam a_k) =
+    rhs, or is 0 when p is in the set.  The row comes from ``Prepared.tested``,
+    already in reduced coordinates.  The tilts are tau = lam a, q_star is
+    s* = p Lambda'(tau) in reduced coordinates, sigma2 = sum_k p_k a_k^2
+    Lambda''(tau_k) is the variance of <a, s> per unit n under the tilts, and
+    slack = <a, s*> - rhs is how far p lies inside the set when lam = 0."""
 
     lam: float
     taus: np.ndarray
@@ -377,11 +379,11 @@ class Prepared:
 
     A row of block sums maps to reduced coordinates x: divided by the run
     length in deterministic mode, by its own total in the simplex modes.
-    The point tested against Omega is A * x, where the scale A is M_P (the
-    total of the deterministic reference vector) or ``omega.scale``.
-    ``mass`` is M_P in deterministic mode and 1 otherwise; it scales the
-    generator to M phi, and with it the weight law and the tilts.  Built
-    by ``prepare``."""
+    Every membership test takes x itself, against ``tested`` = {x : A x in
+    Omega}, where the scale A is M_P (the total of the deterministic
+    reference vector) or ``omega.scale``.  ``mass`` is M_P in deterministic
+    mode and 1 otherwise; it scales the generator to M phi, and with it the
+    weight law and the tilts.  Built by ``prepare``."""
 
     gen: Optional[Generator]
     part: BlockPartition
@@ -392,41 +394,37 @@ class Prepared:
 
     @property
     def scale(self) -> float:
-        """A: the factor from reduced coordinates to the tested points."""
+        """A: the factor from reduced coordinates to the points of Omega."""
         return self.mass if self.mode == "deterministic" else self.omega.scale
 
-    def coords_and_hits(self, sums: np.ndarray, denom: float, want_x: bool = True):
-        """Map block sums (rows) to reduced coordinates and test them.
+    @cached_property
+    def tested(self) -> ConstraintSet:
+        """Omega in reduced coordinates, {x : A x in Omega}, built once per
+        frame: a one-inequality leaf keeps its row there (``scaled``)."""
+        return scaled(self.omega, np.full(self.part.K, self.scale))
+
+    def coords_and_hits(self, sums: np.ndarray, denom: float):
+        """Map block sums (rows) to reduced coordinates x and test them.
 
         Returns (x, member).  Deterministic mode divides by ``denom``, the
         simplex modes by each row's total, summed column by column; a row
-        whose total is zero is NaN and never a member.  The tested points
-        are A * sums / divisor; with A = 1 they are x itself, bit for bit,
-        and are not computed twice.  ``oracle.exact_pi`` maps its enumerated
-        sums through this method too, so that both place a point on the
-        boundary alike.  With ``want_x`` false only the tested points are
-        computed, and x is None unless it is the tested points."""
-        A = self.scale
+        whose total is zero is NaN and never a member.  ``oracle.exact_pi``
+        maps its enumerated sums through this method too, so that both place
+        a point on the boundary alike."""
         if self.mode == "deterministic":
             divisor, ok = denom, True
         else:
             totals = _sum_rows(sums)
             divisor, ok = totals[:, None], totals != 0.0
         if np.all(ok):
-            x = sums / divisor if want_x or A == 1.0 else None
-            return x, self.omega.contains(x if A == 1.0 else A * sums / divisor)
-        member = np.zeros(len(sums), dtype=bool)
-        if ok.any():
-            member[ok] = self.omega.contains(A * sums[ok] / divisor[ok])
-        if not want_x:
-            return None, member
+            x = sums / divisor
+            return x, self.tested.contains(x)
         x = np.full_like(sums, np.nan)
         x[ok] = sums[ok] / divisor[ok]
+        member = np.zeros(len(sums), dtype=bool)
+        if ok.any():
+            member[ok] = self.tested.contains(x[ok])
         return x, member
-
-    def member(self, x: np.ndarray) -> bool:
-        """Whether one point in reduced coordinates lies in the set."""
-        return bool(self.omega.contains(self.scale * np.atleast_2d(x))[0])
 
     def rank(self, points: np.ndarray) -> np.ndarray:
         """Divergences D(A x, M p) of the rows x, used to rank candidate
@@ -454,21 +452,19 @@ class Prepared:
 
     @cached_property
     def dual(self) -> Optional[Dual]:
-        """The dual of a one-inequality leaf (``omega.row``) in every mode,
-        solved once per frame; None for a set without a row.  The leaf
-        <c, A x> op rhs differs by mode only in its row of block sums S: on
-        x = S / n (deterministic) it is a = A c with its rhs, and on
-        x = S / sum S (simplex modes) the homogeneous <A c - rhs 1, S> op 0.
-        Its point s* maps to reduced coordinates as a row of block sums does."""
-        if self.omega.row is None:
+        """The dual of a one-inequality leaf (the row of ``tested``) in every
+        mode, solved once per frame at the frequencies drawn, sizes / n; None
+        for a set without a row.  The leaf <c, x> op rhs differs by mode only
+        in its row of block sums S: on x = S / n (deterministic) it is a = c
+        with its rhs, and on x = S / sum S (simplex modes) the homogeneous
+        <c - rhs 1, S> op 0.  Its point s* maps to reduced coordinates as a
+        row of block sums does."""
+        if self.tested.row is None:
             return None
-        p, K = self.part.p_tilde, self.part.K
-        c, rhs, op = self.omega.row
-        self.member(p)  # refuses a row of another width, as the batches would
-        if isinstance(c, (int, np.integer)):
-            c = np.eye(K)[c]
+        p = self.part.sizes / self.part.n
+        c, rhs, op = self.tested.row
         sign = 1.0 if op in (">=", ">") else -1.0
-        a, rhs = sign * self.scale * np.asarray(c, dtype=float), sign * rhs
+        a, rhs = sign * np.asarray(c), sign * rhs
         if self.mode != "deterministic":
             a, rhs = a - rhs, 0.0
         lam, slope, curvature = _solve_dual(self.law, p, a, rhs)
@@ -565,7 +561,7 @@ def _run_batches(prepared: Prepared, config: EstimatorConfig,
         spans = [(starts[b] - first, starts[b + 1] - first) for b in batches]
         sums = _block_sums(law, part.sizes, taus, _rng(config.seed, _PHASE_MAIN, batches.start),
                            spans[-1][1])
-        _, member = prepared.coords_and_hits(sums, part.n, want_x=False)
+        _, member = prepared.coords_and_hits(sums, part.n)
         if taus is not None:
             dots = _dot_rows(sums, taus)
         results = []
@@ -593,7 +589,8 @@ def _run_batches(prepared: Prepared, config: EstimatorConfig,
         np.array([m for m, _ in results]), np.array([h for _, h in results]),
         np.array(batch_sizes), config, part.n,
     )
-    if not part.exact and prepared.mode == "deterministic":
+    if (not part.exact and prepared.mode == "deterministic"
+            and (prepared.gen is None or prepared.tested.row is None)):
         est.warnings.append(
             "n * p_k not integral: floor-and-remainder blocks add O(1/n) bias"
         )
@@ -690,7 +687,7 @@ def _refine_toward_reference(prepared: Prepared, q: np.ndarray) -> np.ndarray:
     tests the midpoints of every path through the next levels, and the
     walk down the tree then takes the path that one-step bisection takes."""
     p = prepared.part.p_tilde
-    if prepared.member(p):
+    if prepared.tested.contains_point(p):
         return p.copy()
     t_feasible, t_not = 0.0, 1.0  # q + t * (p - q)
     nodes = 2**_BISECT_LEVELS - 1
@@ -702,7 +699,7 @@ def _refine_toward_reference(prepared: Prepared, q: np.ndarray) -> np.ndarray:
             lo, hi = bounds[i]
             ts[i] = t = 0.5 * (lo + hi)
             bounds += [(t, hi), (lo, t)]
-        inside = prepared.omega.contains(prepared.scale * (q + ts[:, None] * (p - q)))
+        inside = prepared.tested.contains(q + ts[:, None] * (p - q))
         i = 0
         for _ in range(_BISECT_LEVELS):
             if inside[i]:
@@ -746,7 +743,7 @@ def _polish_proxy(prepared: Prepared, q: np.ndarray, rounds: int = 5) -> np.ndar
                 rows = np.arange(len(ys))
                 if pairwise:  # the coordinate giving mass may not fall below 0
                     rows = rows[~(ys[steps[start:] < 0] < 0)]
-                rows = rows[prepared.omega.contains(prepared.scale * ys[rows])]
+                rows = rows[prepared.tested.contains(ys[rows])]
                 vals, inside = _phi_rows(prepared.gen, ys[rows], p)
                 offset, start = start, len(steps)
                 for r, v in zip(rows[inside], vals[inside]):
@@ -995,6 +992,20 @@ def _bahadur_rao(prepared: Prepared) -> Optional[float]:
     return _gaussian_tail_term(u)
 
 
+def _block_rounding(prepared: Prepared) -> Optional[float]:
+    """The minimum at p less the one at the blocks drawn, p~ = sizes / n, to
+    first order (envelope theorem): M sum_k g_k (p_k - p~_k) with
+    g_k = phi(r_k) - r_k phi'(r_k) at the dual's r = s* / p~.  None where it
+    does not apply."""
+    part, gen = prepared.part, prepared.gen
+    if part.exact or prepared.mode != "deterministic" or gen is None or prepared.dual is None:
+        return None
+    drawn = part.sizes / part.n
+    r = prepared.dual.q_star / drawn
+    g = np.asarray(gen.phi(r), dtype=float) - r * np.asarray(gen.phi_prime(r), dtype=float)
+    return prepared.mass * float(g @ (part.p_tilde - drawn))
+
+
 def finalize(est: Estimate, target, prepared: Prepared,
              entropy_spec: Optional[EntropySpec] = None) -> Estimate:
     """Fill in the inverted value and its delta-method stderr.  The
@@ -1002,7 +1013,9 @@ def finalize(est: Estimate, target, prepared: Prepared,
     (``_check_target``); the simplex modes invert at the frame's scale A.
     Where the set has a Bahadur-Rao term (``_bahadur_rao``), it is added to
     log pi_hat before the inversion, which removes the O(log n / n) finite-n
-    bias of the value; ``bias_correction`` reports the shift in value units."""
+    bias of the value; where the blocks round n p (``_block_rounding``), that
+    O(1/n) shift is added to the value.  ``bias_correction`` reports what the
+    two terms add, in value units."""
     _check_target(target, prepared.gen, prepared.part.K, entropy_spec, prepared.mode)
     if est.hits == 0:
         est.value = INF
@@ -1013,7 +1026,10 @@ def finalize(est: Estimate, target, prepared: Prepared,
     log_pi = est.log_pi_hat if term is None else est.log_pi_hat + term
     est.value = invert(target, log_pi, **frame)
     est.stderr = _delta_stderr(target, log_pi, est.stderr_log_pi, **frame)
-    if term is not None:
+    shift = _block_rounding(prepared)
+    if shift is not None:
+        est.value += shift
+    if term is not None or shift is not None:
         est.bias_correction = est.value - invert(target, est.log_pi_hat, **frame)
     return est
 
@@ -1084,7 +1100,7 @@ def bounds_general(gen: Generator, P, omega: ConstraintSet,
     if omega.scale != 1.0:
         raise ValueError("general-divergence bounds run on probability-simplex sets")
     proxy = proxy_q_star(prepared, config)
-    if config.proxy.method == "given" and not prepared.member(proxy.q_star):
+    if config.proxy.method == "given" and not prepared.tested.contains_point(proxy.q_star):
         # a tilt target outside Omega costs the estimate only variance, but
         # D there is no upper bound on the minimum over Omega
         raise ValueError("the 'given' proxy q_star is outside the constraint set; the "

@@ -126,9 +126,9 @@ def exact_pi(law: WeightLaw, part: BlockPartition, omega: ConstraintSet,
         reps = int(np.prod([supports[j][0].size for j in range(k + 1, K)]))
         tile = int(np.prod([supports[j][0].size for j in range(k)]))
         probs *= np.tile(np.repeat(pk, reps), tile)
-    # the estimator's own map from block sums to tested points
+    # the estimator's own map from block sums to the points it tests
     frame = Prepared(gen=None, part=part, law=law, omega=omega, mode=mode, mass=mass)
-    _, member = frame.coords_and_hits(sums, part.n, want_x=False)
+    _, member = frame.coords_and_hits(sums, part.n)
     total = float(probs[member].sum())
     return total, tail_total
 

@@ -168,22 +168,15 @@ class QuadraticReduction:
 
 def reduce_quadratic(inst: SeparableQuadratic) -> QuadraticReduction:
     """Rewrite the separable quadratic as offset + D_{phi_2}(Q, P) with
-    q_k = -c2_k x_k, p_k = c2_k^2 / (2 c3_k)."""
+    q_k = -c2_k x_k, p_k = c2_k^2 / (2 c3_k).  The reduced set is the user's
+    set in q coordinates, {q : -q / c2 in Omega} (``constraints.scaled``), so
+    a halfspace keeps its row and takes the engine's dual."""
     c2, c3 = inst.c2, inst.c3
     P = c2**2 / (2.0 * c3)
     offset = float(np.sum(inst.c1 - c2**2 / (4.0 * c3)))
-
-    def member(pts: np.ndarray) -> np.ndarray:
-        return inst.omega.contains(pts / (-c2))
-
-    omega = ConstraintSet(
-        membership=member,
-        scale=inst.omega.scale,
-        regularity_asserted=inst.omega.regularity_asserted,
-        description=f"quadratic-reduced({inst.omega.description})",
-    )
     return QuadraticReduction(
-        gen=PowerGamma(2.0, 1.0), P=P, omega=omega, offset=offset, c2=c2
+        gen=PowerGamma(2.0, 1.0), P=P, omega=cs.scaled(inst.omega, -1.0 / c2),
+        offset=offset, c2=c2,
     )
 
 

@@ -107,6 +107,50 @@ class TestRow:
         assert (omega.description, omega.row) == ("d", ((1.0, 1.0), 0.5, ">="))
 
 
+class TestScaled:
+    """``scaled(omega, d)`` is {x : d * x in Omega}: a one-inequality leaf
+    keeps its row, any other set tests Omega at d * x."""
+
+    D = np.array([2.0, -0.5, 1.5])  # mixed signs
+
+    @pytest.mark.parametrize("omega", [
+        *(bs.halfspace([1.0, 2.0, -1.0], 0.25, op) for op in (">=", "<=", ">", "<")),
+        bs.simplex_face(1, -0.2, "<="),
+        bs.box([-0.5, -0.4, -np.inf], [1.0, 0.3, 0.9]),
+        bs.union(bs.simplex_face(0, 0.6), bs.box([-1.0, -1.0, -1.0], [0.0, 0.0, 0.5])),
+        bs.from_predicate(lambda x: x[0] * x[1] >= -0.1),
+    ], ids=["ge", "le", "gt", "lt", "coordinate", "box", "union", "predicate"])
+    def test_membership_is_omega_at_d_x(self, omega):
+        pts = np.random.default_rng(6).uniform(-1.0, 1.0, size=(400, 3))
+        mapped = constraints.scaled(omega, self.D)
+        inside = mapped.contains(pts)
+        assert np.array_equal(inside, omega.contains(pts * self.D))
+        assert 0 < inside.sum() < len(pts)
+        assert (mapped.scale, mapped.description) == (omega.scale, omega.description)
+
+    def test_a_leaf_keeps_its_row(self):
+        face = constraints.scaled(bs.simplex_face(1, 0.25, "<="), self.D)
+        assert face.row == ((0.0, -0.5, 0.0), 0.25, "<=")
+        half = constraints.scaled(bs.halfspace([1.0, 2.0, -1.0], 0.5, ">"), self.D)
+        assert half.row == ((2.0, -1.0, -1.5), 0.5, ">")
+
+    @pytest.mark.parametrize("omega", [
+        bs.intersection(bs.simplex_face(0, 0.5)), bs.box([0.0] * 3, [1.0] * 3),
+        bs.from_predicate(lambda x: x.sum() >= 1.0),
+    ], ids=["intersection", "box", "predicate"])
+    def test_a_set_without_a_row_stays_without(self, omega):
+        assert constraints.scaled(omega, self.D).row is None
+
+    @pytest.mark.parametrize("omega", [bs.halfspace([1.0], 0.5), bs.simplex_face(3, 0.5)],
+                             ids=["halfspace", "coordinate"])
+    def test_a_row_of_another_width_is_refused(self, omega):
+        # not broadcast to a row of width 3: it fails its first test
+        mapped = constraints.scaled(omega, self.D)
+        assert mapped.row is None
+        with pytest.raises(ValueError, match="cannot test points of width K=3"):
+            mapped.contains(np.ones((2, 3)))
+
+
 class TestConstraintFromDict:
     def test_errors_name_the_json_path(self):
         spec = {"type": "any", "parts": [{"type": "coordinate", "index": 0, "bound": 0.5},

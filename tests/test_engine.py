@@ -1260,12 +1260,12 @@ def one_row_refine(prepared, q):
     """The push toward the reference vector one membership test per
     bisection step: the reference for ``engine._refine_toward_reference``."""
     p = prepared.part.p_tilde
-    if prepared.member(p):
+    if prepared.tested.contains_point(p):
         return p.copy()
     t_feasible, t_not = 0.0, 1.0
     for _ in range(60):
         t = 0.5 * (t_feasible + t_not)
-        if prepared.member(q + t * (p - q)):
+        if prepared.tested.contains_point(q + t * (p - q)):
             t_feasible = t
         else:
             t_not = t
@@ -1300,7 +1300,7 @@ def one_row_polish(prepared, q, rounds=5):
                     y[i] += h
                 if j is not None:
                     y[j] -= h
-                if (pairwise and y[j] < 0) or not prepared.member(y):
+                if (pairwise and y[j] < 0) or not prepared.tested.contains_point(y):
                     continue
                 val = objective(y)
                 if val < best - 1e-14:
@@ -1362,7 +1362,7 @@ class TestBatchedSearchMatchesOneRow:
                     q = p * np.exp(rng.normal(0.0, 0.5, size=K))
                 else:
                     q = rng.dirichlet(np.full(K, 2.0))
-                if prepared.member(q):
+                if prepared.tested.contains_point(q):
                     out.append((prepared, q))
                     break
         return out

@@ -85,15 +85,17 @@ def _with_row(out: ConstraintSet, row: Optional[tuple]) -> ConstraintSet:
     return out
 
 
-def _dot_rows(pts: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _dot_rows(pts: np.ndarray, c: np.ndarray, cols=None) -> np.ndarray:
     """<c, x> of every row, summed column by column over the nonzero
-    coefficients: unlike BLAS's ``pts @ c``, a row rounds alike in either
-    memory layout and in a call of any size, and a sparse c (a transport
-    marginal) costs only its nonzero columns."""
+    coefficients, ``cols`` when the caller found them once: unlike BLAS's
+    ``pts @ c``, a row rounds alike in either memory layout and in a call
+    of any size, and a sparse c (a transport marginal, a zero tilt) costs
+    only its nonzero columns."""
     if pts.shape[1] != c.size:
         raise ValueError(f"{c.size} coefficients for points of width {pts.shape[1]}")
-    cols = np.flatnonzero(c)
-    out = pts[:, cols[0]] * c[cols[0]] if cols.size else np.zeros(len(pts))
+    if cols is None:
+        cols = np.flatnonzero(c).tolist()
+    out = pts[:, cols[0]] * c[cols[0]] if cols else np.zeros(len(pts))
     for k in cols[1:]:
         out += pts[:, k] * c[k]
     return out
@@ -119,9 +121,9 @@ def halfspace(coeffs, rhs: float, op: str = ">=", **kw) -> ConstraintSet:
     c = np.asarray(coeffs, dtype=float)
     if op not in _OPS:
         raise ValueError(f"unknown comparison op {op!r}")
-    test = _OPS[op]
+    test, cols = _OPS[op], np.flatnonzero(c).tolist()
     return _with_row(ConstraintSet(
-        membership=lambda pts: test(_dot_rows(pts, c), rhs),
+        membership=lambda pts: test(_dot_rows(pts, c, cols), rhs),
         description=f"halfspace <c,x> {op} {rhs}",
         **kw,
     ), (tuple(c.tolist()), float(rhs), op))
@@ -146,8 +148,9 @@ def affine_equality(coeffs, rhs: float, tol: float = 1e-9, **kw) -> ConstraintSe
     if not tol > 0:
         raise ValueError(f"tol must be > 0 (got {tol!r})")
     c = np.asarray(coeffs, dtype=float)
+    cols = np.flatnonzero(c).tolist()
     return ConstraintSet(
-        membership=lambda pts: np.abs(_dot_rows(pts, c) - rhs) <= tol,
+        membership=lambda pts: np.abs(_dot_rows(pts, c, cols) - rhs) <= tol,
         description=f"affine <c,x> = {rhs} (tol {tol})",
         **kw,
     )

@@ -232,9 +232,9 @@ class Estimate:
     hit_rate: float
     batch_log_means: np.ndarray
     warnings: list = field(default_factory=list)
-    #: what ``finalize``'s Bahadur-Rao and block-rounding terms added to
-    #: ``value`` (value units), or None where neither applies; ``log_pi_hat``
-    #: stays uncorrected
+    #: what ``finalize``'s Bahadur-Rao and block-rounding terms, both added
+    #: to log pi_hat before the one inversion, move ``value`` by (value
+    #: units), or None where neither applies; ``log_pi_hat`` stays uncorrected
     bias_correction: Optional[float] = None
 
     @property
@@ -278,13 +278,13 @@ def _row_divergences(gen: Generator, Q: np.ndarray, P: np.ndarray) -> np.ndarray
     return out
 
 
-def _block_sums(law: WeightLaw, sizes, taus: Optional[np.ndarray],
-                rng: np.random.Generator, size: int) -> np.ndarray:
+def _block_sums(law: WeightLaw, sizes, taus: np.ndarray, rng: np.random.Generator,
+                size: int) -> np.ndarray:
     """(size, K) draws of the block sums: block k sums ``sizes[k]`` i.i.d.
-    weights tilted by ``taus[k]``, or untilted when ``taus`` is None, all
-    ``size`` rows of column k in one law call on ``rng``.  ``_run_batches``
-    calls it once per pass, so a pass's rows follow one another in each
-    block's draw.
+    weights tilted by ``taus[k]``, all ``size`` rows of column k in one
+    ``sample_tilted_block`` call on ``rng``; a zero tilt draws the weights
+    untilted (``WeightLaw.sample_block_sum``).  ``_run_batches`` calls it
+    once per pass, so a pass's rows follow one another in each block's draw.
 
     The array is column-major: each law's draw fills contiguous memory,
     and the row reductions after it read contiguous columns.  The layout is
@@ -292,11 +292,8 @@ def _block_sums(law: WeightLaw, sizes, taus: Optional[np.ndarray],
     (``constraints._dot_rows`` and ``_sum_rows``), so its bits depend
     neither on the layout nor on the number of rows."""
     sums = np.empty((len(sizes), size)).T
-    for k, nk in enumerate(sizes):
-        if taus is None:
-            sums[:, k] = law.sample_block_sum(int(nk), rng, size)
-        else:
-            sums[:, k] = law.sample_tilted_block(float(taus[k]), int(nk), rng, size)
+    for k, (tau, nk) in enumerate(zip(taus, sizes)):
+        sums[:, k] = law.sample_tilted_block(float(tau), int(nk), rng, size)
     return sums
 
 
@@ -526,20 +523,23 @@ def _passes(batch_sizes: Sequence[int]) -> list:
     return passes
 
 
-def _run_batches(prepared: Prepared, config: EstimatorConfig,
-                 taus: Optional[np.ndarray]) -> Estimate:
-    """The estimate from ``config.batches`` batches, tilted by ``taus`` or
-    untilted when it is None.
+def _run_batches(prepared: Prepared, config: EstimatorConfig, taus: np.ndarray) -> Estimate:
+    """The estimate from ``config.batches`` batches tilted by ``taus``; the
+    zero tilt is the untilted run (``naive_estimate``).
 
     A pass (``_passes``) draws from one stream, keyed by (seed, phase, b0)
     with b0 its first batch, into one column-major buffer, one law call per
     block (``_block_sums``); it maps and tests the buffer in one call and
-    takes its log weights in another, and each batch then reduces its own
-    rows.  A batch alone in its pass thus draws the stream (seed, phase, b).
-    A batch without hits has log-mean -inf.  The passes depend only on the
-    batch sizes, so a change to ``_PASS_ROWS`` changes the stream, and every
-    per-row value is independent of the rows beside it, so the result is
-    bit-identical for any thread count, which spreads the passes.
+    takes its log weights sum_k n_k Lambda(tau_k) - <tau, S> in another,
+    whose fixed part comes from one ``log_mgf`` call on the tilts, and
+    each batch then reduces its own rows.  A batch alone in its pass thus
+    draws the stream (seed, phase, b).  A batch without hits has log-mean
+    -inf.  The passes depend only on the batch sizes, so a change to
+    ``_PASS_ROWS`` changes the stream, and every per-row value is
+    independent of the rows beside it, so the result is bit-identical for
+    any thread count, which spreads the passes.  The "not integral"
+    warning goes with a rounded partition that ``finalize`` cannot correct
+    (``_block_rounding``): without a generator or without a row.
     """
     law, part = prepared.law, prepared.part
     if config.n != part.n:
@@ -547,10 +547,8 @@ def _run_batches(prepared: Prepared, config: EstimatorConfig,
     B = config.batches
     base, rem = divmod(config.L, B)
     batch_sizes = [base + (1 if b < rem else 0) for b in range(B)]
-    if taus is not None:
-        # sum_k n_k Lambda(tau_k), the part of every log ISF that is fixed
-        lam = np.array([float(law.log_mgf(float(t))) for t in taus])
-        log_isf_offset = part.sizes @ lam
+    # sum_k n_k Lambda(tau_k), the part of every log ISF that is fixed
+    log_isf_offset = part.sizes @ np.asarray(law.log_mgf(taus), dtype=float)
 
     starts = list(accumulate(batch_sizes, initial=0))
 
@@ -562,8 +560,9 @@ def _run_batches(prepared: Prepared, config: EstimatorConfig,
         sums = _block_sums(law, part.sizes, taus, _rng(config.seed, _PHASE_MAIN, batches.start),
                            spans[-1][1])
         _, member = prepared.coords_and_hits(sums, part.n)
-        if taus is not None:
-            dots = _dot_rows(sums, taus)
+        # zero tilts are skipped, so the untilted run's log weights are
+        # its offset, exactly 0 where Lambda(0) is
+        dots = _dot_rows(sums, taus)
         results = []
         for lo, hi in spans:
             hit = member[lo:hi]
@@ -571,10 +570,7 @@ def _run_batches(prepared: Prepared, config: EstimatorConfig,
             if hits == 0:
                 results.append((-INF, 0))
                 continue
-            if taus is None:
-                log_sum = float(np.log(hits))
-            else:
-                log_sum = _log_sum_exp(log_isf_offset - dots[lo:hi][hit])
+            log_sum = _log_sum_exp(log_isf_offset - dots[lo:hi][hit])
             results.append((log_sum - math.log(hi - lo), hits))
         return results
 
@@ -589,8 +585,7 @@ def _run_batches(prepared: Prepared, config: EstimatorConfig,
         np.array([m for m, _ in results]), np.array([h for _, h in results]),
         np.array(batch_sizes), config, part.n,
     )
-    if (not part.exact and prepared.mode == "deterministic"
-            and (prepared.gen is None or prepared.tested.row is None)):
+    if not part.exact and (prepared.gen is None or prepared.tested.row is None):
         est.warnings.append(
             "n * p_k not integral: floor-and-remainder blocks add O(1/n) bias"
         )
@@ -631,8 +626,10 @@ def _estimate_from_batches(batch_log_means, batch_hits, batch_sizes,
 
 def naive_estimate(prepared: Prepared, config: EstimatorConfig) -> Estimate:
     """Plain frequency estimator of the hitting probability (poor hit rate
-    for rare sets; kept as the importance-sampling baseline)."""
-    return _run_batches(prepared, config, None)
+    for rare sets; kept as the importance-sampling baseline): the batches
+    at the zero tilt, whose draws are untilted and whose log weights are
+    sum_k n_k Lambda(0), 0 for a law whose Lambda(0) rounds to 0."""
+    return _run_batches(prepared, config, np.zeros(prepared.part.K))
 
 
 @dataclass(frozen=True)
@@ -768,7 +765,7 @@ def _short_runs(prepared: Prepared, spec: ProxySpec):
     m_run = int(sizes.sum())
 
     def draw(rng: np.random.Generator):
-        sums = _block_sums(prepared.law, sizes, None, rng, _PROXY_CHUNK)
+        sums = _block_sums(prepared.law, sizes, np.zeros(sizes.size), rng, _PROXY_CHUNK)
         return prepared.coords_and_hits(sums, m_run)
 
     return draw
@@ -993,17 +990,17 @@ def _bahadur_rao(prepared: Prepared) -> Optional[float]:
 
 
 def _block_rounding(prepared: Prepared) -> Optional[float]:
-    """The minimum at p less the one at the blocks drawn, p~ = sizes / n, to
-    first order (envelope theorem): M sum_k g_k (p_k - p~_k) with
-    g_k = phi(r_k) - r_k phi'(r_k) at the dual's r = s* / p~.  None where it
-    does not apply."""
+    """log pi at p less log pi at the blocks drawn, p~ = sizes / n, to first
+    order (envelope theorem: the set does not depend on p), in every mode:
+    -n M sum_k g_k (p_k - p~_k) with g_k = phi(r_k) - r_k phi'(r_k) at the
+    dual's ratios r = Lambda'(tau), the dominating point over p~.  None for
+    exact blocks, without a generator, or for a set without a row."""
     part, gen = prepared.part, prepared.gen
-    if part.exact or prepared.mode != "deterministic" or gen is None or prepared.dual is None:
+    if part.exact or gen is None or prepared.dual is None:
         return None
-    drawn = part.sizes / part.n
-    r = prepared.dual.q_star / drawn
+    r, _ = prepared.law.log_mgf_slopes(prepared.dual.taus)
     g = np.asarray(gen.phi(r), dtype=float) - r * np.asarray(gen.phi_prime(r), dtype=float)
-    return prepared.mass * float(g @ (part.p_tilde - drawn))
+    return -part.n * prepared.mass * float(g @ (part.p_tilde - part.sizes / part.n))
 
 
 def finalize(est: Estimate, target, prepared: Prepared,
@@ -1011,25 +1008,23 @@ def finalize(est: Estimate, target, prepared: Prepared,
     """Fill in the inverted value and its delta-method stderr.  The
     deterministic rate is the value itself, that mode's only target
     (``_check_target``); the simplex modes invert at the frame's scale A.
-    Where the set has a Bahadur-Rao term (``_bahadur_rao``), it is added to
-    log pi_hat before the inversion, which removes the O(log n / n) finite-n
-    bias of the value; where the blocks round n p (``_block_rounding``), that
-    O(1/n) shift is added to the value.  ``bias_correction`` reports what the
-    two terms add, in value units."""
+    The Bahadur-Rao term (``_bahadur_rao``), which removes the
+    O(log n / n) finite-n bias, and the block-rounding term
+    (``_block_rounding``), which moves the estimate from the frequencies
+    drawn to p, are added to log pi_hat where they apply, and the sum is
+    inverted once.  ``bias_correction`` reports what the two terms add, in
+    value units."""
     _check_target(target, prepared.gen, prepared.part.K, entropy_spec, prepared.mode)
     if est.hits == 0:
         est.value = INF
         return est
     frame = dict(n=prepared.part.n, gen=prepared.gen, K=prepared.part.K, A=prepared.scale,
                  entropy_spec=entropy_spec)
-    term = _bahadur_rao(prepared)
-    log_pi = est.log_pi_hat if term is None else est.log_pi_hat + term
+    terms = [t for t in (_bahadur_rao(prepared), _block_rounding(prepared)) if t is not None]
+    log_pi = est.log_pi_hat + sum(terms)
     est.value = invert(target, log_pi, **frame)
     est.stderr = _delta_stderr(target, log_pi, est.stderr_log_pi, **frame)
-    shift = _block_rounding(prepared)
-    if shift is not None:
-        est.value += shift
-    if term is not None or shift is not None:
+    if terms:
         est.bias_correction = est.value - invert(target, est.log_pi_hat, **frame)
     return est
 

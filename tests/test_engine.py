@@ -145,11 +145,33 @@ class TestNaive:
         tol = 6 * math.sqrt(share * (1 - share) / cfg.L)
         assert est.hit_rate == pytest.approx(share, abs=tol)
 
-    def test_nonintegral_blocks_warn(self):
+    @pytest.mark.parametrize("mode", ["deterministic", "simplex"])
+    def test_nonintegral_blocks_warn(self, mode):
+        # a set without a row has no rounding term: both modes round n p
+        # alike, so both warn
         cfg = bs.EstimatorConfig(n=10, L=200, seed=0)
+        P = np.array([1.0, 2.0]) / (1.0 if mode == "deterministic" else 3.0)
         est = engine.naive_estimate(engine.prepare(
-            PowerGamma(1.0), np.array([1.0, 2.0]), bs.full_space(), cfg, "deterministic"), cfg)
+            PowerGamma(1.0), P, bs.full_space(), cfg, mode), cfg)
         assert any("not integral" in w for w in est.warnings)
+
+    @pytest.mark.parametrize("mode, gen, omega, n, log_pi, hits", [
+        pytest.param("simplex", PowerGamma(1.0), bs.simplex_face(0, 0.3), 100,
+                     "-0x1.2ab0dffc2ea90p+2", 188, id="readme_face"),
+        pytest.param("deterministic", PowerGamma(-1.0), bs.halfspace([1.0, 1.0, 1.0], 1.05),
+                     200, "-0x1.74b329f6d86d0p+0", 4_664, id="neyman_halfspace"),
+        pytest.param("deterministic", PowerGamma(0.5), bs.box([0.25, 0.0, 0.0], [1.0] * 3),
+                     200, "-0x1.5df83801a77bep+1", 1_299, id="hellinger_box"),
+    ])
+    def test_the_zero_tilt_keeps_the_untilted_bits(self, mode, gen, omega, n, log_pi, hits):
+        # the naive run is the zero tilt: its draws are the untilted ones and
+        # its log weights sum_k n_k Lambda(0) are exactly 0 for these laws, so
+        # every hit weighs 1 and the bits are those of counting the hits
+        cfg = bs.EstimatorConfig(n=n, L=20_000, seed=3)
+        est = engine.naive_estimate(
+            engine.prepare(gen, [0.2, 0.3, 0.5], omega, cfg, mode), cfg)
+        assert float(est.log_pi_hat).hex() == log_pi
+        assert est.hits == hits
 
 
 class TestProxy:
@@ -798,6 +820,27 @@ class TestDual:
         assert proxy.q_star == pytest.approx([0.5, 0.1875, 0.3125], rel=1e-15, abs=0)
         assert proxy.draws_used == 0
         assert prepared.tilts(proxy.q_star) == pytest.approx(proxy.taus, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2001, 2000])
+    def test_a_simplex_row_moves_rounded_blocks_to_p(self, n):
+        # KL over {q_0 >= .5} at n = 2001 draws blocks 400/600/1001, so
+        # p - p~ = (.2, .3, -.5) / 2001.  For KL g_k = 1 - r_k, with the
+        # ratios r = e^tau about (2, .5, .5): the term -n sum_k g_k
+        # (p_k - p~_k) is about 0.3 on log pi.  Poisson weights are a lattice
+        # law, with no Bahadur-Rao term, so bias_correction is this term
+        # alone, and it replaces the warning; at n = 2000 the blocks are exact
+        cfg = bs.EstimatorConfig(n=n, L=2000, seed=1)
+        prepared = engine.prepare(PowerGamma(1.0), self.P, bs.simplex_face(0, 0.5), cfg,
+                                  "simplex")
+        est = engine.finalize(engine.is_estimate(prepared, cfg), "divergence", prepared)
+        assert not any("not integral" in w for w in est.warnings)
+        if n == 2000:
+            assert engine._block_rounding(prepared) is None and est.bias_correction is None
+            return
+        term = engine._block_rounding(prepared)
+        assert term == pytest.approx(0.3, rel=1e-3)
+        assert est.bias_correction is not None
+        assert est.value == engine.invert("divergence", est.log_pi_hat + term, n, PowerGamma(1.0))
 
     def test_two_point_bounds_at_the_dual_point(self):
         # two-point weights on {0, 2}: D(q, p) is finite only where

@@ -31,12 +31,17 @@ batches, at most ``_PASS_ROWS`` rows each, and a pass draws from its own
 stream, keyed by (seed, phase, b0) with b0 its first batch; a batch alone
 in its pass draws the stream (seed, phase, b).  The passes are a function
 of L and the batch count alone, so a change to ``_PASS_ROWS`` is a change
-of the stream.  Every per-row sum over the K blocks (the row totals, the
-log weights, the halfspace leaves) is added column by column.  A pass is
-one buffer mapped and tested by one call, and each batch then reduces its
-own rows.  A seeded result is therefore the same whatever the thread
-count, the number of rows a sum is called on, or the memory layout of the
-block sums, which ``_block_sums`` alone chooses.
+of the stream.  A pass draws one column per class of blocks that share a
+row coefficient and a tilt (``Prepared.classes``): a row with repeated
+coefficients, as a coordinate face or a sum halfspace, draws fewer columns
+than blocks, which changed its stream when the classes came in, while a
+set without a row or a row whose coefficients all differ draws one column
+per block and keeps its bits.  Every per-row sum over the columns (the row
+totals, the log weights, the halfspace leaves) is added column by column.
+A pass is one buffer mapped and tested by one call, and each batch then
+reduces its own rows.  A seeded result is therefore the same whatever the
+thread count, the number of rows a sum is called on, or the memory layout
+of the block sums, which ``_block_sums`` alone chooses.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .constraints import ConstraintSet, _dot_rows, _sum_rows, scaled
+from .constraints import ConstraintSet, _dot_rows, _sum_rows, halfspace, scaled
 from .divergence import (
     Generator,
     PowerGamma,
@@ -280,11 +285,14 @@ def _row_divergences(gen: Generator, Q: np.ndarray, P: np.ndarray) -> np.ndarray
 
 def _block_sums(law: WeightLaw, sizes, taus: np.ndarray, rng: np.random.Generator,
                 size: int) -> np.ndarray:
-    """(size, K) draws of the block sums: block k sums ``sizes[k]`` i.i.d.
+    """(size, C) draws of block sums: column k sums ``sizes[k]`` i.i.d.
     weights tilted by ``taus[k]``, all ``size`` rows of column k in one
     ``sample_tilted_block`` call on ``rng``; a zero tilt draws the weights
     untilted (``WeightLaw.sample_block_sum``).  ``_run_batches`` calls it
-    once per pass, so a pass's rows follow one another in each block's draw.
+    once per pass with one column per class of blocks (``Prepared.classes``),
+    a class's pooled size and its one tilt, so a pass's rows follow one
+    another in each class's draw; with one class per block, C = K and
+    column k is block k.
 
     The array is column-major: each law's draw fills contiguous memory,
     and the row reductions after it read contiguous columns.  The layout is
@@ -400,14 +408,44 @@ class Prepared:
         frame: a one-inequality leaf keeps its row there (``scaled``)."""
         return scaled(self.omega, np.full(self.part.K, self.scale))
 
-    def coords_and_hits(self, sums: np.ndarray, denom: float):
-        """Map block sums (rows) to reduced coordinates x and test them.
+    @cached_property
+    def classes(self) -> tuple:
+        """The K blocks split into classes of equal ``tested.row``
+        coefficient, tuples of block indices in first-block order, found
+        once per frame; one class per block for a set without a row.  A hit
+        and its weight depend on the blocks of a row only through <c, S> and
+        sum S, so the blocks of one class at one tilt are exchangeable and
+        their sums add, in law, to one block sum of the pooled size: the
+        batches draw one column per class (``_run_batches``)."""
+        row = self.tested.row
+        if row is None:
+            return tuple((k,) for k in range(self.part.K))
+        groups = {}
+        for k, c in enumerate(row[0]):
+            groups.setdefault(c, []).append(k)
+        return tuple(tuple(g) for g in groups.values())
+
+    def pooled(self, classes: tuple) -> ConstraintSet:
+        """``tested`` over columns that pool the blocks of ``classes``: the
+        set itself for one class per block, else the row's halfspace over
+        the classes' coefficients, every block of a class sharing one."""
+        if len(classes) == self.part.K:
+            return self.tested
+        c, rhs, op = self.tested.row
+        return halfspace([c[g[0]] for g in classes], rhs, op)
+
+    def coords_and_hits(self, sums: np.ndarray, denom: float,
+                        tested: Optional[ConstraintSet] = None):
+        """Map block sums (rows) to reduced coordinates x and test them
+        against ``tested``, by default the frame's set over the K blocks.
 
         Returns (x, member).  Deterministic mode divides by ``denom``, the
         simplex modes by each row's total, summed column by column; a row
         whose total is zero is NaN and never a member.  ``oracle.exact_pi``
         maps its enumerated sums through this method too, so that both place
         a point on the boundary alike."""
+        if tested is None:
+            tested = self.tested
         if self.mode == "deterministic":
             divisor, ok = denom, True
         else:
@@ -415,12 +453,12 @@ class Prepared:
             divisor, ok = totals[:, None], totals != 0.0
         if np.all(ok):
             x = sums / divisor
-            return x, self.tested.contains(x)
+            return x, tested.contains(x)
         x = np.full_like(sums, np.nan)
         x[ok] = sums[ok] / divisor[ok]
         member = np.zeros(len(sums), dtype=bool)
         if ok.any():
-            member[ok] = self.tested.contains(x[ok])
+            member[ok] = tested.contains(x[ok])
         return x, member
 
     def rank(self, points: np.ndarray) -> np.ndarray:
@@ -523,22 +561,42 @@ def _passes(batch_sizes: Sequence[int]) -> list:
     return passes
 
 
+def _tilt_classes(classes: tuple, taus: np.ndarray) -> tuple:
+    """``classes`` split wherever the tilts inside one differ, as a given
+    proxy can make them, in first-block order: each block of a class drawn
+    as one column must share its tilt."""
+    t = taus.tolist()
+    out = []
+    for cls in classes:
+        by_tau = {}
+        for k in cls:
+            by_tau.setdefault(t[k], []).append(k)
+        out += [tuple(g) for g in by_tau.values()]
+    return tuple(sorted(out)) if len(out) > len(classes) else classes
+
+
 def _run_batches(prepared: Prepared, config: EstimatorConfig, taus: np.ndarray) -> Estimate:
     """The estimate from ``config.batches`` batches tilted by ``taus``; the
     zero tilt is the untilted run (``naive_estimate``).
 
     A pass (``_passes``) draws from one stream, keyed by (seed, phase, b0)
     with b0 its first batch, into one column-major buffer, one law call per
-    block (``_block_sums``); it maps and tests the buffer in one call and
-    takes its log weights sum_k n_k Lambda(tau_k) - <tau, S> in another,
-    whose fixed part comes from one ``log_mgf`` call on the tilts, and
-    each batch then reduces its own rows.  A batch alone in its pass thus
-    draws the stream (seed, phase, b).  A batch without hits has log-mean
-    -inf.  The passes depend only on the batch sizes, so a change to
-    ``_PASS_ROWS`` changes the stream, and every per-row value is
+    class of blocks (``Prepared.classes``, split where the tilts differ):
+    a class's column is one block sum of its pooled size N_j at its one
+    tilt tau_j (``_block_sums``).  It tests the buffer in one call against
+    the row over the classes' coefficients (``Prepared.pooled``) and takes
+    its log weights sum_j N_j Lambda(tau_j) - <tau, S> in another, whose
+    fixed part comes from one ``log_mgf`` call on the class tilts, and each
+    batch then reduces its own rows.  A set without a row, or a row whose
+    coefficients all differ, has one class per block, so its pass draws
+    every block and keeps the bits it had before the classes, which changed
+    the stream of rows with repeated coefficients.  A batch alone in its
+    pass draws the stream (seed, phase, b).  A batch without hits has
+    log-mean -inf.  The passes depend only on the batch sizes, so a change
+    to ``_PASS_ROWS`` changes the stream, and every per-row value is
     independent of the rows beside it, so the result is bit-identical for
-    any thread count, which spreads the passes.  The "not integral"
-    warning goes with a rounded partition that ``finalize`` cannot correct
+    any thread count, which spreads the passes.  The "not integral" warning
+    goes with a rounded partition that ``finalize`` cannot correct
     (``_block_rounding``): without a generator or without a row.
     """
     law, part = prepared.law, prepared.part
@@ -547,8 +605,15 @@ def _run_batches(prepared: Prepared, config: EstimatorConfig, taus: np.ndarray) 
     B = config.batches
     base, rem = divmod(config.L, B)
     batch_sizes = [base + (1 if b < rem else 0) for b in range(B)]
-    # sum_k n_k Lambda(tau_k), the part of every log ISF that is fixed
-    log_isf_offset = part.sizes @ np.asarray(law.log_mgf(taus), dtype=float)
+    classes = _tilt_classes(prepared.classes, taus)
+    tested = prepared.pooled(classes)
+    if len(classes) < part.K:
+        sizes = np.array([part.sizes[list(cls)].sum() for cls in classes])
+        taus = taus[[cls[0] for cls in classes]]
+    else:
+        sizes = part.sizes
+    # sum_j N_j Lambda(tau_j), the part of every log ISF that is fixed
+    log_isf_offset = sizes @ np.asarray(law.log_mgf(taus), dtype=float)
 
     starts = list(accumulate(batch_sizes, initial=0))
 
@@ -557,9 +622,9 @@ def _run_batches(prepared: Prepared, config: EstimatorConfig, taus: np.ndarray) 
         # counted from the pass's first row
         first = starts[batches.start]
         spans = [(starts[b] - first, starts[b + 1] - first) for b in batches]
-        sums = _block_sums(law, part.sizes, taus, _rng(config.seed, _PHASE_MAIN, batches.start),
+        sums = _block_sums(law, sizes, taus, _rng(config.seed, _PHASE_MAIN, batches.start),
                            spans[-1][1])
-        _, member = prepared.coords_and_hits(sums, part.n)
+        _, member = prepared.coords_and_hits(sums, part.n, tested)
         # zero tilts are skipped, so the untilted run's log weights are
         # its offset, exactly 0 where Lambda(0) is
         dots = _dot_rows(sums, taus)

@@ -609,10 +609,14 @@ class TwoPointLaw(WeightLaw):
         return (-INF, INF)
 
     def log_mgf(self, z):
-        z = np.asarray(z, dtype=float) / self.mult
-        a = np.log(self.p) + self.z1 * z
-        b = np.log1p(-self.p) + self.z2 * z
-        return self.mult * np.logaddexp(a, b)
+        # log(p e^(z1 t) + (1 - p) e^(z2 t)) = z2 t + log1p(p expm1(-d)) for
+        # t >= 0 and z1 t + log1p((1 - p) expm1(d)) for t < 0, d = (z2 - z1) t:
+        # log1p of the tilted mass, exactly 0 at t = 0 and never overflowing
+        t = np.asarray(z, dtype=float) / self.mult
+        up = t >= 0
+        shift = np.where(up, self.z2, self.z1) * t
+        mass = np.where(up, self.p, (1.0 - self.z1) / (self.z2 - self.z1))
+        return self.mult * (shift + np.log1p(mass * np.expm1(-(self.z2 - self.z1) * np.abs(t))))
 
     def log_mgf_slopes(self, z):
         # q, the tilted probability of z2: Lambda' = z1 + (z2 - z1) q and

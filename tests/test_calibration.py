@@ -52,7 +52,7 @@ def test_pi_coverage_control():
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 3(c)")
 def test_pi_coverage_union():
     # two symmetric faces: the proxy tilts toward one piece only, so the
-    # estimate misses the other piece's half of π (z about -21)
+    # estimate misses the other piece's half of π (z = -24.8 at seed 1)
     omega = bs.union(bs.simplex_face(0, 0.6, ">="), bs.simplex_face(1, 0.6, ">="))
     z = pi_z_score(omega)
     assert abs(z) <= 3.0
@@ -64,7 +64,9 @@ def test_pi_coverage_union():
 
 def test_pi_coverage_neyman_deterministic():
     # the total of n IG(1, 1) weights (gamma = -1) is IG(n, n^2), and a hit
-    # is a total of at least 1.3 n: log π = -9.3676; |z| <= 2.63 over seeds 1-11
+    # is a total of at least 1.3 n: log π = -9.3676; the one class of the
+    # three blocks draws that total itself: z = 0.50 at seed 1 and |z| <= 1.04
+    # over seeds 1-11
     n = 200
     log_pi = stats.invgauss.logsf(1.3 * n, mu=1.0 / n, scale=float(n) ** 2)
     z = z_score(PowerGamma(-1.0), np.array([0.2, 0.3, 0.5]),
@@ -78,12 +80,29 @@ def test_pi_coverage_kl_empirical():
     # S_2 with S_0 ~ Poisson(400) and S_1 + S_2 ~ Poisson(1600), summed in log
     # space over S_1 + S_2 = j (the all-zero row, mass e^-2000, counts as a
     # hit here and never in the estimator; it is far below rounding):
-    # log π = -403.9155; |z| <= 1.86 over seeds 1-11
+    # log π = -403.9155; the batches draw S_0 and S_1 + S_2, the face's two
+    # classes: z = 1.14 at seed 1 and |z| <= 1.88 over seeds 1-11
     j = np.arange(4001)
     log_pi = special.logsumexp(stats.poisson.logpmf(j, 1600) + stats.poisson.logsf(j - 1, 400))
     sample = engine.ingest_sample(["a"] * 400 + ["b"] * 600 + ["c"] * 1000)
     z = z_score(PowerGamma(1.0), sample, bs.simplex_face(0, 0.5, ">="),
                 bs.EstimatorConfig(n=2000, L=100_000, seed=1), "empirical", log_pi)
+    assert abs(z) <= 3.0
+
+
+def test_pi_coverage_coordinate_face_at_k_200():
+    # KL over {q_0 >= 1/32} from the uniform P, K = 200, n = 4000: the batches
+    # draw the face's two classes, S_0 ~ Poisson(20) and the pooled S_rest ~
+    # Poisson(3980).  A hit is S_rest <= 31 S_0 with S_0 > 0; the bound is
+    # dyadic, so S_0 / (32 S_0) rounds to it exactly and a tie is a hit in
+    # the estimator as in this sum.  log π = -127.4205; z = 0.63 at seed 1 and
+    # |z| <= 2.96 over seeds 1-10
+    n, n0 = 4000, 20
+    s0 = np.arange(1, 2001)
+    log_pi = special.logsumexp(stats.poisson.logpmf(s0, n0)
+                               + stats.poisson.logcdf(31 * s0, n - n0))
+    z = z_score(PowerGamma(1.0), np.full(200, 1.0 / 200), bs.simplex_face(0, 1.0 / 32, ">="),
+                bs.EstimatorConfig(n=n, L=10_000, seed=1), "simplex", log_pi)
     assert abs(z) <= 3.0
 
 
@@ -138,7 +157,7 @@ def value_z_score(gen, P, omega, config, mode: str, truth: float) -> float:
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 4")
 def test_value_coverage_readme_example():
     # KL over {q_0 >= .5} from P = (.2, .3, .5): the minimum is log 1.25;
-    # the finite-n bias is 63.5 stderr at seed 1, as Poisson weights are a
+    # the finite-n bias is 71.5 stderr at seed 1, as Poisson weights are a
     # lattice law, which has no term yet
     z = value_z_score(PowerGamma(1.0), [0.2, 0.3, 0.5], bs.simplex_face(0, 0.5, ">="),
                       bs.EstimatorConfig(n=2000, L=10_000, seed=1), "simplex", math.log(1.25))
@@ -148,8 +167,8 @@ def test_value_coverage_readme_example():
 def test_value_coverage_neyman_deterministic():
     # Neyman chi-square (gamma = -1) over {sum x >= 1.3}: equal ratios
     # q_k / p_k = 1.3 are optimal, so the minimum is phi(1.3).  The
-    # Bahadur-Rao term leaves an O(1/n) bias of about 0.7 stderr: z is 0.73
-    # at seed 1 and -0.21 to 2.03 over seeds 1-20 (10.7 to 32.7 over seeds
+    # Bahadur-Rao term leaves an O(1/n) bias of under one stderr: z is 0.12
+    # at seed 1 and -0.65 to 2.14 over seeds 1-20 (44.4 to 64.8 over seeds
     # 1-3 without the term)
     g, x = -1.0, 1.3
     truth = (x**g - g * x + g - 1.0) / (g * (g - 1.0))
@@ -200,8 +219,8 @@ def test_bahadur_rao_follows_the_gaussian_truth(n):
 
 
 def test_value_coverage_gaussian_halfspace():
-    # the same set under gamma = 2 through the whole pipeline: z = -1.04 at
-    # seed 1, and |z| <= 1.56 over seeds 1-10
+    # the same set under gamma = 2 through the whole pipeline: z = -0.81 at
+    # seed 1, and |z| <= 2.16 over seeds 1-10
     z = value_z_score(PowerGamma(2.0), NEYMAN_P, bs.halfspace([1.0, 1.0, 1.0], 1.3, ">="),
                       bs.EstimatorConfig(n=200, L=2000, seed=1), "deterministic", 0.045)
     assert abs(z) <= 3.0
@@ -211,11 +230,11 @@ def test_value_coverage_gaussian_simplex_face():
     # gamma = 2 over {q_0 >= .5} in simplex mode: the minimum is at
     # q* = (.5, .1875, .3125), D = 0.28125.  On x = S / sum S the face is the
     # homogeneous row <(.5, -.5, -.5), S> >= 0, whose dual gives the
-    # Bahadur-Rao term: z = -1.42 at seed 1 and |z| <= 1.42 over seeds 1-10
-    # (46.7 at seed 1 without the term).  At n = 997 and 2001 the blocks
+    # Bahadur-Rao term: z = -0.98 at seed 1 and |z| <= 2.46 over seeds 1-10
+    # (36.9 at seed 1 without the term).  At n = 997 and 2001 the blocks
     # round n p, which the rounding term moves back to p: gamma = 0 and 2
-    # read z = 1.61, 1.02, 0.42 and 0.57 (39.3, 15.4, 24.6 and 10.5 without
-    # it), and |z| <= 1.86 over gamma in {-1, 0, 1/2, 2, 3} and seeds 1-3
+    # read z = -0.47, -0.26, 0.43 and 0.66 (36.3, 14.6, 31.2 and 13.4 without
+    # it), and |z| <= 2.16 over gamma in {-1, 0, 1/2, 2, 3} and seeds 1-3
     q_star = np.array([0.5, 0.1875, 0.3125])
     runs = [(2.0, 200, 2000)] + [(g, n, 100_000) for g in (0.0, 2.0) for n in (997, 2001)]
     for gamma, n, L in runs:
@@ -229,7 +248,7 @@ def test_value_coverage_renyi_entropy_extremum():
     # the largest Renyi entropy of order 2 over {q_0 >= .5}, K = 3, is at
     # (.5, .25, .25): the uniform reference at n = 1000 rounds to blocks
     # 333/333/334, and the rounding term holds for the entropy target as for
-    # any other: z = 0.17 at seed 1 (-20.7 without it)
+    # any other: z = 0.02 at seed 1 (-18.0 without it)
     spec, q_star = renyi_entropy(2.0), np.array([0.5, 0.25, 0.25])
     est = bs.estimate_entropy_extremum(spec, 3, bs.simplex_face(0, 0.5, ">="),
                                        bs.EstimatorConfig(n=1000, L=100_000, seed=1))

@@ -157,21 +157,33 @@ class TestNaive:
 
     @pytest.mark.parametrize("mode, gen, omega, n, log_pi, hits", [
         pytest.param("simplex", PowerGamma(1.0), bs.simplex_face(0, 0.3), 100,
-                     "-0x1.2ab0dffc2ea90p+2", 188, id="readme_face"),
+                     "-0x1.27b2baec5cda7p+2", 197, id="readme_face"),
         pytest.param("deterministic", PowerGamma(-1.0), bs.halfspace([1.0, 1.0, 1.0], 1.05),
-                     200, "-0x1.74b329f6d86d0p+0", 4_664, id="neyman_halfspace"),
+                     200, "-0x1.73b6b97854978p+0", 4_682, id="neyman_halfspace"),
         pytest.param("deterministic", PowerGamma(0.5), bs.box([0.25, 0.0, 0.0], [1.0] * 3),
                      200, "-0x1.5df83801a77bep+1", 1_299, id="hellinger_box"),
     ])
     def test_the_zero_tilt_keeps_the_untilted_bits(self, mode, gen, omega, n, log_pi, hits):
         # the naive run is the zero tilt: its draws are the untilted ones and
-        # its log weights sum_k n_k Lambda(0) are exactly 0 for these laws, so
-        # every hit weighs 1 and the bits are those of counting the hits
+        # its log weights sum_j N_j Lambda(0) are exactly 0 for these laws, so
+        # every hit weighs 1 and the bits are those of counting the hits.
+        # The face draws its classes {0} and {1, 2}, the sum halfspace its one
+        # class, and the box, without a row, one column per block
         cfg = bs.EstimatorConfig(n=n, L=20_000, seed=3)
         est = engine.naive_estimate(
             engine.prepare(gen, [0.2, 0.3, 0.5], omega, cfg, mode), cfg)
         assert float(est.log_pi_hat).hex() == log_pi
         assert est.hits == hits
+
+    def test_a_naive_two_point_run_counts_its_hits(self):
+        # two-point weights have Lambda(0) = 0 exactly, so every hit weighs 1:
+        # the full space gives log 1 and a face the log of its hit rate
+        gen, cfg = TwoPoint(0.5, 2.5), bs.EstimatorConfig(n=100, L=100_000, seed=0)
+        for omega in (bs.full_space(), bs.simplex_face(0, 0.3)):
+            est = engine.naive_estimate(
+                engine.prepare(gen, [0.2, 0.3, 0.5], omega, cfg, "simplex"), cfg)
+            assert 0 < est.hits
+            assert est.log_pi_hat == math.log(est.hits / est.L)
 
 
 class TestProxy:
@@ -471,9 +483,10 @@ def hexes(values):
 
 class TestBatchKernelBits:
     """What a batch computes: its pass draws the stream (seed, 0, b0), b0 the
-    pass's first batch, one law call per block, and each row's K-term sums
-    (row total, log weight) round alike in either memory layout, in a call
-    of any number of rows and in a pass shared with other batches."""
+    pass's first batch, one law call per class of blocks, and each row's sums
+    over the columns (row total, log weight) round alike in either memory
+    layout, in a call of any number of rows and in a pass shared with other
+    batches."""
 
     @staticmethod
     def batches(monkeypatch, prepared, cfg, taus):
@@ -490,49 +503,53 @@ class TestBatchKernelBits:
         return seen
 
     @staticmethod
-    def by_hand(prepared, cfg, taus, sizes, member):
+    def by_hand(prepared, cfg, taus, sizes, member, tau_dot):
         """Hits and log-means of every batch, each pass drawn by hand from
-        the stream (seed, 0, b0), one call per block, and then reduced batch
-        by batch; ``member`` tests the block sums."""
+        the stream (seed, 0, b0), one call per class of blocks at its pooled
+        size and its one tilt, and then reduced batch by batch; ``member``
+        tests the class sums and ``tau_dot`` gives <tau, S> over them."""
         law, nks = prepared.law, prepared.part.sizes
-        offset = nks @ np.array([float(law.log_mgf(float(t))) for t in taus])
+        pooled = [int(sum(nks[k] for k in cls)) for cls in prepared.classes]
+        class_taus = [float(taus[cls[0]]) for cls in prepared.classes]
+        offset = np.array(pooled) @ np.array([float(law.log_mgf(t)) for t in class_taus])
         hits, log_means = [], []
         for batches in engine._passes(sizes):
             rng = engine._rng(cfg.seed, 0, batches.start)
             rows = int(sum(sizes[b] for b in batches))
-            s = np.column_stack([law.sample_tilted_block(float(t), int(nk), rng, rows)
-                                 for t, nk in zip(taus, nks)])
+            s = np.column_stack([law.sample_tilted_block(t, nk, rng, rows)
+                                 for t, nk in zip(class_taus, pooled)])
             lo = 0
             for b in batches:
                 rows_b = s[lo:lo + int(sizes[b])]
                 lo += int(sizes[b])
                 hit = member(rows_b)
-                log_w = offset - ((rows_b[:, 0] * taus[0] + rows_b[:, 1] * taus[1])
-                                  + rows_b[:, 2] * taus[2])
+                log_w = offset - tau_dot(rows_b, class_taus)
                 hits.append(int(hit.sum()))
                 log_means.append(engine._log_sum_exp(log_w[hit]) - math.log(len(rows_b)))
         return hits, hexes(log_means)
 
     def test_a_batch_is_its_stream_reduced_by_hand(self, monkeypatch):
         # 5,000-row batches, each alone in its pass, so batch b draws the
-        # stream (seed, 0, b)
+        # stream (seed, 0, b); the face's classes are {0} and {1, 2}
         cfg = bs.EstimatorConfig(n=2000, L=50_000, seed=11, batches=10)
         prepared = engine.prepare(PowerGamma(1.0), [0.2, 0.3, 0.5], bs.simplex_face(0, 0.5),
                                   cfg, "simplex")
+        assert prepared.classes == ((0,), (1, 2))
         taus = engine.compute_taus(prepared, engine.proxy_q_star(prepared, cfg))
         seen = self.batches(monkeypatch, prepared, cfg, taus)
         assert engine._passes(seen["sizes"]) == [range(b, b + 1) for b in range(10)]
         hits, log_means = self.by_hand(prepared, cfg, taus, seen["sizes"],
-                                       lambda s: s[:, 0] / ((s[:, 0] + s[:, 1]) + s[:, 2]) >= 0.5)
+                                       lambda s: s[:, 0] / (s[:, 0] + s[:, 1]) >= 0.5,
+                                       lambda s, t: s[:, 0] * t[0] + s[:, 1] * t[1])
         assert list(seen["hits"]) == hits
         assert hexes(seen["log_means"]) == log_means
 
     @pytest.mark.parametrize("L", [2_000, 20_000])
     def test_batches_sharing_a_pass_are_their_streams_reduced_by_hand(self, monkeypatch, L):
-        # the Neyman halfspace with its dual tilts: 32 batches of 62 or 63
-        # rows share one pass, or of 625 rows six to a pass, the passes
-        # spread over the threads; a pass is one stream, keyed by its
-        # first batch
+        # the Neyman halfspace with its dual tilts, one class of all three
+        # blocks: 32 batches of 62 or 63 rows share one pass, or of 625 rows
+        # six to a pass, the passes spread over the threads; a pass is one
+        # stream, keyed by its first batch
         runs = []
         for threads in (1, 2, 3):
             cfg = bs.EstimatorConfig(n=200, L=L, seed=4, threads=threads)
@@ -540,14 +557,15 @@ class TestBatchKernelBits:
                                       bs.halfspace([1.0, 1.0, 1.0], 1.3), cfg, "deterministic")
             taus = prepared.dual.taus
             runs.append(self.batches(monkeypatch, prepared, cfg, taus))
+        assert prepared.classes == ((0, 1, 2),)
         passes = engine._passes(runs[0]["sizes"])
         assert [p.start for p in passes] == ([0] if L == 2_000 else [0, 6, 12, 18, 24, 30])
         for run in runs[1:]:
             assert hexes(run["log_means"]) == hexes(runs[0]["log_means"])
             assert np.array_equal(run["hits"], runs[0]["hits"])
-        hits, log_means = self.by_hand(
-            prepared, cfg, taus, runs[0]["sizes"],
-            lambda s: ((s[:, 0] / 200) * 1.0 + (s[:, 1] / 200) * 1.0) + (s[:, 2] / 200) * 1.0 >= 1.3)
+        hits, log_means = self.by_hand(prepared, cfg, taus, runs[0]["sizes"],
+                                       lambda s: (s[:, 0] / 200) * 1.0 >= 1.3,
+                                       lambda s, t: s[:, 0] * t[0])
         assert list(runs[0]["hits"]) == hits
         assert hexes(runs[0]["log_means"]) == log_means
 
@@ -560,15 +578,16 @@ class TestBatchKernelBits:
     def test_single_batch_passes_keep_their_bits(self):
         # the README example: 32 batches of 3,125 rows, each alone in its
         # pass, so batch b draws the stream (1, 0, b), as it did when every
-        # batch was keyed by its own index, and the run keeps those bits
+        # batch was keyed by its own index; each pass draws the face's two
+        # classes, {0} and {1, 2}, and the run keeps these bits
         cfg = bs.EstimatorConfig(n=2000, L=100_000, seed=1)
         assert engine._passes([3_125] * 32) == [range(b, b + 1) for b in range(32)]
         est = bs.estimate_min_divergence(PowerGamma(1.0), [0.2, 0.3, 0.5],
                                          bs.simplex_face(0, 0.5, ">="), cfg, mode="simplex",
                                          target="divergence")
-        assert float(est.value).hex() == "0x1.cdf5d1c80fa70p-3"
-        assert float(est.log_pi_hat).hex() == "-0x1.93df3f18a2617p+8"
-        assert est.hits == 50_403
+        assert float(est.value).hex() == "0x1.cdfc6694c0d50p-3"
+        assert float(est.log_pi_hat).hex() == "-0x1.93e46026fc3fbp+8"
+        assert est.hits == 50_384
 
     @staticmethod
     def sums(K):
@@ -629,6 +648,75 @@ class TestBatchKernelBits:
             assert hexes(coords(layout(sums)).ravel()) == by_hand
         ones = np.vstack([coords(sums[i:i + 1]) for i in range(300)])
         assert hexes(ones.ravel()) == by_hand[:300 * K]
+
+
+class TestClasses:
+    """The blocks of a row drawn as one column per class of equal coefficient
+    and tilt (``Prepared.classes``); every other set draws one per block."""
+
+    @staticmethod
+    def frame(omega, K=3, mode="simplex"):
+        cfg = bs.EstimatorConfig(n=20 * K)
+        return engine.prepare(PowerGamma(1.0), np.full(K, 1.0 / K), omega, cfg, mode)
+
+    def test_a_coordinate_face_is_two_classes_in_first_block_order(self):
+        assert self.frame(bs.simplex_face(2, 0.3), K=6).classes == ((0, 1, 3, 4, 5), (2,))
+        assert self.frame(bs.simplex_face(0, 0.3), K=6).classes == ((0,), (1, 2, 3, 4, 5))
+
+    def test_a_sum_halfspace_is_one_class(self):
+        omega = bs.halfspace([1.0, 1.0, 1.0], 1.3)
+        assert self.frame(omega, mode="deterministic").classes == ((0, 1, 2),)
+
+    def test_distinct_coefficients_and_sets_without_a_row_are_one_class_per_block(self):
+        face = bs.simplex_face(0, 0.5)
+        for omega in (bs.halfspace([1.0, 2.0, 3.0], 1.5), bs.intersection(face),
+                      bs.union(face, bs.simplex_face(1, 0.5)),
+                      bs.from_predicate(lambda x: x[0] >= 0.5)):
+            assert self.frame(omega).classes == ((0,), (1,), (2,))
+
+    def test_tilts_that_differ_split_a_class(self):
+        classes = ((0, 2), (1, 3, 4))
+        taus = np.array([0.1, 0.2, 0.1, 0.3, 0.2])
+        assert engine._tilt_classes(classes, taus) == ((0, 2), (1, 4), (3,))
+        assert engine._tilt_classes(classes, np.array([0.1, 0.2, 0.1, 0.2, 0.2])) is classes
+
+    @staticmethod
+    def law_calls(monkeypatch, gen, omega, mode, L, proxy=None):
+        """The block size of every law call of one estimate at n = 2000."""
+        cfg = bs.EstimatorConfig(n=2000, L=L, seed=1, **({"proxy": proxy} if proxy else {}))
+        prepared = engine.prepare(gen, [0.2, 0.3, 0.5], omega, cfg, mode)
+        law_type, calls = type(prepared.law), []
+        real = law_type.sample_tilted_block
+
+        def spy(self, tau, nk, rng, size):
+            calls.append(nk)
+            return real(self, tau, nk, rng, size)
+
+        monkeypatch.setattr(law_type, "sample_tilted_block", spy)
+        assert engine.is_estimate(prepared, cfg).hits > 0
+        return calls
+
+    @pytest.mark.parametrize("L, passes", [(2_000, 1), (100_000, 32)])
+    def test_one_law_call_per_class_per_pass(self, monkeypatch, L, passes):
+        # 32 batches of 62 or 63 rows share one pass; of 3,125 rows, each
+        # is alone in its pass
+        calls = self.law_calls(monkeypatch, PowerGamma(1.0), bs.simplex_face(0, 0.5),
+                               "simplex", L)
+        assert calls == [400, 1600] * passes
+        calls = self.law_calls(monkeypatch, PowerGamma(-1.0),
+                               bs.halfspace([1.0, 1.0, 1.0], 1.05), "deterministic", L)
+        assert calls == [2000] * passes
+
+    def test_distinct_coefficients_and_split_tilts_draw_every_block(self, monkeypatch):
+        blocks = [400, 600, 1000]
+        calls = self.law_calls(monkeypatch, PowerGamma(1.0), bs.halfspace([1.0, 2.0, 3.0], 2.5),
+                               "deterministic", 2_000)
+        assert calls == blocks
+        # a given q_star whose tilts differ on blocks 1 and 2 splits their class
+        proxy = bs.ProxySpec("given", q_star=np.array([0.5, 0.2, 0.3]))
+        calls = self.law_calls(monkeypatch, PowerGamma(1.0), bs.simplex_face(0, 0.5),
+                               "simplex", 2_000, proxy)
+        assert calls == blocks
 
 
 class TestEmpiricalMode:

@@ -262,6 +262,18 @@ class TestLogMgfAndIsf:
             assert float(lw.log_mgf(case.law, 0.0)) == pytest.approx(0.0, abs=1e-12)
             assert isf_block(case.law, 0.0, 3, 1.7) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("mult", [1, 2, 3])
+    def test_two_point_log_mgf_is_exactly_zero_at_zero(self, mult):
+        # log p + log(1/p) is not 0 in floating point; log1p of the tilted
+        # mass is, so an untilted run weighs every hit exactly 1
+        law = lw.TwoPointLaw(0.5, 2.5, mult)
+        assert law.log_mgf(np.zeros(1)).tolist() == [0.0]
+        assert float(law.log_mgf(0.0)) == 0.0
+        z = np.array([-40.0, -1.0, -1e-9, 1e-9, 1.0, 40.0, 1e4])
+        t = z / mult
+        by_hand = mult * np.logaddexp(math.log(law.p) + 0.5 * t, math.log1p(-law.p) + 2.5 * t)
+        assert np.allclose(law.log_mgf(z), by_hand, rtol=1e-14, atol=1e-15)
+
     def test_gamma_log_mgf(self):
         assert float(lw.log_mgf(lw.GammaLaw(1.0), 0.5)) == pytest.approx(math.log(2.0))
 

@@ -38,10 +38,12 @@ than blocks, which changed its stream when the classes came in, while a
 set without a row or a row whose coefficients all differ draws one column
 per block and keeps its bits.  Every per-row sum over the columns (the row
 totals, the log weights, the halfspace leaves) is added column by column.
-A pass is one buffer mapped and tested by one call, and each batch then
-reduces its own rows.  A seeded result is therefore the same whatever the
-thread count, the number of rows a sum is called on, or the memory layout
-of the block sums, which ``_block_sums`` alone chooses.
+A pass is one buffer mapped and tested by one call, and its batches
+reduce their hits in one segmented call (``_pass_log_means``) in which
+each batch keeps its own pairwise sum, so a batch's log-mean has the bits
+``_log_sum_exp`` gives its hits alone.  A seeded result is therefore the
+same whatever the thread count, the number of rows a sum is called on, or
+the memory layout of the block sums, which ``_block_sums`` alone chooses.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -252,7 +253,9 @@ class Estimate:
 
 
 def _log_sum_exp(v: np.ndarray) -> float:
-    """log(sum(exp(v))) of a nonempty 1-d array with a finite maximum.
+    """log(sum(exp(v))) of a nonempty 1-d array with a finite maximum: the
+    reduction of a batch alone in its pass, of the batch log-means, and the
+    bit reference of ``_pass_log_means``.
 
     Shifted by the maximum, whose copies are counted apart and the rest
     added through log1p, the arithmetic of ``scipy.special.logsumexp``
@@ -263,6 +266,50 @@ def _log_sum_exp(v: np.ndarray) -> float:
     rest = np.exp(v - top)
     rest[at_top] = 0.0
     return float(np.log1p(rest.sum() / count) + np.log(count) + top)
+
+
+def _pass_log_means(log_w: np.ndarray, member: np.ndarray, sizes: Sequence[int]):
+    """The log-means and hit counts, as arrays, of the consecutive batches
+    of ``sizes`` rows that share a pass: ``member`` marks the pass's hits
+    and ``log_w`` holds their log weights in row order.  A batch without
+    hits has log-mean -inf.
+
+    A lone batch goes through ``_log_sum_exp``, cheaper than the segmented
+    calls on one batch.  Several reduce in one segmented pass with
+    ``_log_sum_exp``'s arithmetic: ``reduceat`` counts each batch's hits,
+    its maximum and the ties at it, one ``exp`` shifts every hit, and each
+    batch's shifted weights are added by their own ``ndarray.sum``, numpy's
+    pairwise sum over exactly the elements ``_log_sum_exp`` adds
+    (``np.add.reduceat`` adds in sequence, which moves last bits), so every
+    batch keeps its bits."""
+    if len(sizes) == 1:
+        hits = len(log_w)
+        log_mean = _log_sum_exp(log_w) - math.log(sizes[0]) if hits else -INF
+        return np.array([log_mean]), np.array([hits])
+    rows = np.array(sizes)
+    # a batch of no rows (L below the batch count) gets no index: reduceat
+    # reads one row at an index equal to the next and refuses one at the end
+    full = rows > 0
+    hits = np.zeros(len(rows), dtype=np.intp)
+    hits[full] = np.add.reduceat(member, (np.cumsum(rows) - rows)[full], dtype=np.intp)
+    log_means = np.full(len(rows), -INF)
+    has = hits > 0
+    if not has.any():
+        return log_means, hits
+    n = hits[has]
+    ends = np.cumsum(n)
+    starts = ends - n
+    top = np.maximum.reduceat(log_w, starts)
+    tops = np.repeat(top, n)
+    at_top = log_w == tops
+    count = np.add.reduceat(at_top, starts, dtype=np.intp)
+    rest = np.exp(log_w - tops)
+    rest[at_top] = 0.0
+    total = np.array([rest[lo:hi].sum() for lo, hi in zip(starts.tolist(), ends.tolist())])
+    # math.log, as a lone batch takes it: np.log rounds some integers apart
+    log_size = np.array([math.log(size) for size in rows[has].tolist()])
+    log_means[has] = np.log1p(total / count) + np.log(count) + top - log_size
+    return log_means, hits
 
 
 def _phi_rows(gen: Generator, Q: np.ndarray, P: np.ndarray):
@@ -586,8 +633,9 @@ def _run_batches(prepared: Prepared, config: EstimatorConfig, taus: np.ndarray) 
     tilt tau_j (``_block_sums``).  It tests the buffer in one call against
     the row over the classes' coefficients (``Prepared.pooled``) and takes
     its log weights sum_j N_j Lambda(tau_j) - <tau, S> in another, whose
-    fixed part comes from one ``log_mgf`` call on the class tilts, and each
-    batch then reduces its own rows.  A set without a row, or a row whose
+    fixed part comes from one ``log_mgf`` call on the class tilts; its
+    batches then reduce their hits in one call (``_pass_log_means``), each
+    by its own pairwise sum.  A set without a row, or a row whose
     coefficients all differ, has one class per block, so its pass draws
     every block and keeps the bits it had before the classes, which changed
     the stream of rows with repeated coefficients.  A batch alone in its
@@ -615,29 +663,15 @@ def _run_batches(prepared: Prepared, config: EstimatorConfig, taus: np.ndarray) 
     # sum_j N_j Lambda(tau_j), the part of every log ISF that is fixed
     log_isf_offset = sizes @ np.asarray(law.log_mgf(taus), dtype=float)
 
-    starts = list(accumulate(batch_sizes, initial=0))
-
     def one_pass(batches: range):
-        # batch b fills rows starts[b] to starts[b + 1] of the run, here
-        # counted from the pass's first row
-        first = starts[batches.start]
-        spans = [(starts[b] - first, starts[b + 1] - first) for b in batches]
+        pass_sizes = batch_sizes[batches.start:batches.stop]
         sums = _block_sums(law, sizes, taus, _rng(config.seed, _PHASE_MAIN, batches.start),
-                           spans[-1][1])
+                           sum(pass_sizes))
         _, member = prepared.coords_and_hits(sums, part.n, tested)
         # zero tilts are skipped, so the untilted run's log weights are
         # its offset, exactly 0 where Lambda(0) is
         dots = _dot_rows(sums, taus)
-        results = []
-        for lo, hi in spans:
-            hit = member[lo:hi]
-            hits = int(np.count_nonzero(hit))
-            if hits == 0:
-                results.append((-INF, 0))
-                continue
-            log_sum = _log_sum_exp(log_isf_offset - dots[lo:hi][hit])
-            results.append((log_sum - math.log(hi - lo), hits))
-        return results
+        return _pass_log_means(log_isf_offset - dots[member], member, pass_sizes)
 
     passes = _passes(batch_sizes)
     if config.threads > 1 and len(passes) > 1:
@@ -645,11 +679,8 @@ def _run_batches(prepared: Prepared, config: EstimatorConfig, taus: np.ndarray) 
             per_pass = list(pool.map(one_pass, passes))
     else:
         per_pass = [one_pass(batches) for batches in passes]
-    results = [r for done in per_pass for r in done]
-    est = _estimate_from_batches(
-        np.array([m for m, _ in results]), np.array([h for _, h in results]),
-        np.array(batch_sizes), config, part.n,
-    )
+    log_means, hits = (np.concatenate(parts) for parts in zip(*per_pass))
+    est = _estimate_from_batches(log_means, hits, np.array(batch_sizes), config, part.n)
     if not part.exact and (prepared.gen is None or prepared.tested.row is None):
         est.warnings.append(
             "n * p_k not integral: floor-and-remainder blocks add O(1/n) bias"
@@ -675,12 +706,12 @@ def _estimate_from_batches(batch_log_means, batch_hits, batch_sizes,
     has_hits = batch_hits > 0
     log_sums = batch_log_means[has_hits] + np.log(batch_sizes[has_hits])
     log_pi = _log_sum_exp(log_sums) - math.log(L)
-    # batch-means stderr on a relative scale, safe against underflow
-    finite = batch_log_means[np.isfinite(batch_log_means)]
+    # batch-means stderr on a relative scale, safe against underflow; a
+    # batch log-mean is finite, or -inf where the batch has no hits
     ref = float(np.max(batch_log_means))
-    rel = np.exp(np.where(np.isfinite(batch_log_means), batch_log_means, -INF) - ref)
+    rel = np.exp(batch_log_means - ref)
     rel_se = float(rel.std(ddof=1) / math.sqrt(len(rel)) / rel.mean())
-    if len(finite) < len(batch_log_means):
+    if not has_hits.all():
         warnings.append("some batches had zero hits; stderr is rough")
     return Estimate(
         log_pi_hat=log_pi, value=math.nan, hits=hits, stderr=math.nan,

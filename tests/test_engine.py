@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import baresim as bs
 from baresim import engine, laws, oracle, problems
@@ -575,6 +577,31 @@ class TestBatchKernelBits:
         assert engine._passes([3_125] * 3) == [range(0, 1), range(1, 2), range(2, 3)]
         assert engine._passes([5_000, 10, 10]) == [range(0, 1), range(1, 3)]
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(st.just(0), st.integers(1, 700)), min_size=2, max_size=40),
+           st.lists(st.sampled_from(["none", "all", "some"]), min_size=40, max_size=40),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_pass_kernel_is_log_sum_exp_batch_by_batch(self, sizes, kinds, lattice, seed):
+        # batches of no rows (L below the batch count), of no hits and of
+        # hits only; integer log weights tie at a batch's maximum, as a
+        # lattice law's do, and batches above 128 hits split the pairwise sum
+        rng = np.random.default_rng(seed)
+        member = np.concatenate([
+            np.full(size, kind == "all") if kind != "some" else rng.random(size) < 0.6
+            for size, kind in zip(sizes, kinds)])
+        log_w = (rng.integers(-3, 4, len(member)).astype(float) if lattice
+                 else rng.normal(-40.0, 6.0, len(member)))
+        log_means, hits = engine._pass_log_means(log_w[member], member, sizes)
+        want_means, want_hits, lo = [], [], 0
+        for size in sizes:
+            hit = member[lo:lo + size]
+            want_hits.append(int(hit.sum()))
+            want_means.append(engine._log_sum_exp(log_w[lo:lo + size][hit]) - math.log(size)
+                              if hit.any() else -math.inf)
+            lo += size
+        assert list(hits) == want_hits
+        assert hexes(log_means) == hexes(want_means)
+
     def test_single_batch_passes_keep_their_bits(self):
         # the README example: 32 batches of 3,125 rows, each alone in its
         # pass, so batch b draws the stream (1, 0, b), as it did when every
@@ -595,7 +622,8 @@ class TestBatchKernelBits:
 
     @staticmethod
     def log_weights(monkeypatch, sums, taus):
-        """The log weights ``_run_batches`` reduces when every batch draws
+        """The log weights of the first pass's hits, every row here, that
+        ``_run_batches`` hands the pass reduction when every pass draws
         ``sums``, and their fixed part sum_k n_k Lambda(tau_k)."""
         K = sums.shape[1]
         cfg = bs.EstimatorConfig(n=K, L=10 * len(sums), batches=10)
@@ -609,7 +637,9 @@ class TestBatchKernelBits:
             return sums if size == len(sums) else np.repeat(sums, size, axis=0)
 
         monkeypatch.setattr(engine, "_block_sums", draw)
-        monkeypatch.setattr(engine, "_log_sum_exp", lambda v: seen.append(v) or 0.0)
+        reduce = engine._pass_log_means
+        monkeypatch.setattr(engine, "_pass_log_means",
+                            lambda log_w, *rest: seen.append(log_w) or reduce(log_w, *rest))
         engine._run_batches(prepared, cfg, taus)
         law = prepared.law
         return seen[0], prepared.part.sizes @ np.array([float(law.log_mgf(t)) for t in taus])

@@ -16,6 +16,7 @@ coordinates and keeps a leaf's row.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -116,9 +117,20 @@ def _sum_rows(pts: np.ndarray) -> np.ndarray:
 _OPS = {">=": np.greater_equal, "<=": np.less_equal, ">": np.greater, "<": np.less}
 
 
+def _finite(name: str, values) -> np.ndarray:
+    """``values`` as floats, or ``ValueError`` when one is NaN or infinite."""
+    arr = np.asarray(values, dtype=float)
+    # in Python: a numpy reduction costs more than the whole test at small K
+    if not all(map(math.isfinite, arr.ravel().tolist())):
+        raise ValueError(f"{name} must be finite (got {values!r})")
+    return arr
+
+
 def halfspace(coeffs, rhs: float, op: str = ">=", **kw) -> ConstraintSet:
-    """{x : <coeffs, x> op rhs} with op one of >=, <=, >, <."""
-    c = np.asarray(coeffs, dtype=float)
+    """{x : <coeffs, x> op rhs} with op one of >=, <=, >, <; coefficients
+    and rhs finite."""
+    c = _finite("coeffs", coeffs)
+    _finite("rhs", rhs)
     if op not in _OPS:
         raise ValueError(f"unknown comparison op {op!r}")
     test, cols = _OPS[op], np.flatnonzero(c).tolist()
@@ -130,9 +142,11 @@ def halfspace(coeffs, rhs: float, op: str = ">=", **kw) -> ConstraintSet:
 
 
 def box(lower, upper, **kw) -> ConstraintSet:
-    """Componentwise bounds; entries may be -inf/inf."""
+    """Componentwise bounds; entries may be -inf/inf, not NaN."""
     lo = np.asarray(lower, dtype=float)
     hi = np.asarray(upper, dtype=float)
+    if np.isnan(lo).any() or np.isnan(hi).any():
+        raise ValueError("box bounds must not be NaN; -inf/inf leave a side open")
     if np.any(lo > hi):
         raise ValueError("lower bound exceeds upper bound")
     return ConstraintSet(
@@ -143,11 +157,13 @@ def box(lower, upper, **kw) -> ConstraintSet:
 
 
 def affine_equality(coeffs, rhs: float, tol: float = 1e-9, **kw) -> ConstraintSet:
-    """{x : |<coeffs, x> - rhs| <= tol}; the tolerance keeps membership
-    stable under the floating-point block-sum arithmetic."""
+    """{x : |<coeffs, x> - rhs| <= tol}, coefficients and rhs finite; the
+    tolerance keeps membership stable under the floating-point block-sum
+    arithmetic."""
     if not tol > 0:
         raise ValueError(f"tol must be > 0 (got {tol!r})")
-    c = np.asarray(coeffs, dtype=float)
+    c = _finite("coeffs", coeffs)
+    _finite("rhs", rhs)
     cols = np.flatnonzero(c).tolist()
     return ConstraintSet(
         membership=lambda pts: np.abs(_dot_rows(pts, c, cols) - rhs) <= tol,
@@ -158,8 +174,9 @@ def affine_equality(coeffs, rhs: float, tol: float = 1e-9, **kw) -> ConstraintSe
 
 def simplex_face(index: int, bound: float, op: str = ">=", **kw):
     """Convenience: one-coordinate halfspace {x : x_index op bound} with op
-    one of >=, <=, and ``index`` an integer >= 0."""
+    one of >=, <=, ``index`` an integer >= 0 and ``bound`` finite."""
     _check_int("index", index, 0)
+    _finite("bound", bound)
     if op not in (">=", "<="):
         raise ValueError(f"unknown comparison op {op!r}")
     test = _OPS[op]

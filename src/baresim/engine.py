@@ -31,10 +31,10 @@ batches, at most ``_PASS_ROWS`` rows each, and a pass draws from its own
 stream, keyed by (seed, phase, b0) with b0 its first batch; a batch alone
 in its pass draws the stream (seed, phase, b).  The passes are a function
 of L and the batch count alone, so a change to ``_PASS_ROWS`` is a change
-of the stream.  A pass draws one column per class of blocks that share a
-row coefficient and a tilt (``Prepared.classes``): a row with repeated
+of the stream.  A pass draws one column per group of blocks that share a
+row coefficient and a tilt (``_columns``): a row with repeated
 coefficients, as a coordinate face or a sum halfspace, draws fewer columns
-than blocks, which changed its stream when the classes came in, while a
+than blocks, which changed its stream when the pooling came in, while a
 set without a row or a row whose coefficients all differ draws one column
 per block and keeps its bits.  Every per-row sum over the columns (the row
 totals, the log weights, the halfspace leaves) is added column by column.
@@ -162,6 +162,9 @@ def ingest_sample(observations: Sequence, categories: Optional[Sequence] = None)
         raise ValueError("no observations")
     if categories is None:
         categories = sorted(tally)
+    twice = [c for c, k in Counter(categories).items() if k > 1]
+    if twice:
+        raise ValueError(f"the category list names {twice[0]!r} more than once")
     counts = np.array([tally.get(c, 0) for c in categories], dtype=int)
     if np.any(counts == 0):
         raise ValueError("every category must occur at least once")
@@ -336,9 +339,9 @@ def _block_sums(law: WeightLaw, sizes, taus: np.ndarray, rng: np.random.Generato
     weights tilted by ``taus[k]``, all ``size`` rows of column k in one
     ``sample_tilted_block`` call on ``rng``; a zero tilt draws the weights
     untilted (``WeightLaw.sample_block_sum``).  ``_run_batches`` calls it
-    once per pass with one column per class of blocks (``Prepared.classes``),
-    a class's pooled size and its one tilt, so a pass's rows follow one
-    another in each class's draw; with one class per block, C = K and
+    once per pass with one column per group of blocks (``_columns``), a
+    group's pooled size and its one tilt, so a pass's rows follow one
+    another in each group's draw; with one group per block, C = K and
     column k is block k.
 
     The array is column-major: each law's draw fills contiguous memory,
@@ -454,32 +457,6 @@ class Prepared:
         """Omega in reduced coordinates, {x : A x in Omega}, built once per
         frame: a one-inequality leaf keeps its row there (``scaled``)."""
         return scaled(self.omega, np.full(self.part.K, self.scale))
-
-    @cached_property
-    def classes(self) -> tuple:
-        """The K blocks split into classes of equal ``tested.row``
-        coefficient, tuples of block indices in first-block order, found
-        once per frame; one class per block for a set without a row.  A hit
-        and its weight depend on the blocks of a row only through <c, S> and
-        sum S, so the blocks of one class at one tilt are exchangeable and
-        their sums add, in law, to one block sum of the pooled size: the
-        batches draw one column per class (``_run_batches``)."""
-        row = self.tested.row
-        if row is None:
-            return tuple((k,) for k in range(self.part.K))
-        groups = {}
-        for k, c in enumerate(row[0]):
-            groups.setdefault(c, []).append(k)
-        return tuple(tuple(g) for g in groups.values())
-
-    def pooled(self, classes: tuple) -> ConstraintSet:
-        """``tested`` over columns that pool the blocks of ``classes``: the
-        set itself for one class per block, else the row's halfspace over
-        the classes' coefficients, every block of a class sharing one."""
-        if len(classes) == self.part.K:
-            return self.tested
-        c, rhs, op = self.tested.row
-        return halfspace([c[g[0]] for g in classes], rhs, op)
 
     def coords_and_hits(self, sums: np.ndarray, denom: float,
                         tested: Optional[ConstraintSet] = None):
@@ -608,18 +585,28 @@ def _passes(batch_sizes: Sequence[int]) -> list:
     return passes
 
 
-def _tilt_classes(classes: tuple, taus: np.ndarray) -> tuple:
-    """``classes`` split wherever the tilts inside one differ, as a given
-    proxy can make them, in first-block order: each block of a class drawn
-    as one column must share its tilt."""
-    t = taus.tolist()
-    out = []
-    for cls in classes:
-        by_tau = {}
-        for k in cls:
-            by_tau.setdefault(t[k], []).append(k)
-        out += [tuple(g) for g in by_tau.values()]
-    return tuple(sorted(out)) if len(out) > len(classes) else classes
+def _columns(prepared: Prepared, taus: np.ndarray):
+    """The columns a pass draws for the tilts ``taus``: block k joins the
+    group keyed by its ``tested.row`` coefficient and its tilt, (c_k,
+    tau_k), groups in first-block order; for a set without a row, the key
+    is k alone.  A hit and its weight depend on the blocks of a row only
+    through <c, S> and sum S, so the blocks of a group are exchangeable and
+    their sums add, in law, to one block sum of the pooled size.
+
+    Returns the pooled sizes, one tilt per group, and the set the columns
+    are tested against: ``prepared.tested`` itself when every group is one
+    block, else the row's halfspace over the groups' coefficients."""
+    row, sizes = prepared.tested.row, prepared.part.sizes
+    keys = range(len(sizes)) if row is None else zip(row[0], taus.tolist())
+    groups = {}
+    for k, key in enumerate(keys):
+        groups.setdefault(key, []).append(k)
+    if len(groups) == len(sizes):
+        return sizes, taus, prepared.tested
+    firsts = [g[0] for g in groups.values()]
+    c, rhs, op = row
+    return (np.array([sizes[g].sum() for g in groups.values()]), taus[firsts],
+            halfspace([c[k] for k in firsts], rhs, op))
 
 
 def _run_batches(prepared: Prepared, config: EstimatorConfig, taus: np.ndarray) -> Estimate:
@@ -628,19 +615,18 @@ def _run_batches(prepared: Prepared, config: EstimatorConfig, taus: np.ndarray) 
 
     A pass (``_passes``) draws from one stream, keyed by (seed, phase, b0)
     with b0 its first batch, into one column-major buffer, one law call per
-    class of blocks (``Prepared.classes``, split where the tilts differ):
-    a class's column is one block sum of its pooled size N_j at its one
-    tilt tau_j (``_block_sums``).  It tests the buffer in one call against
-    the row over the classes' coefficients (``Prepared.pooled``) and takes
-    its log weights sum_j N_j Lambda(tau_j) - <tau, S> in another, whose
-    fixed part comes from one ``log_mgf`` call on the class tilts; its
-    batches then reduce their hits in one call (``_pass_log_means``), each
-    by its own pairwise sum.  A set without a row, or a row whose
-    coefficients all differ, has one class per block, so its pass draws
-    every block and keeps the bits it had before the classes, which changed
-    the stream of rows with repeated coefficients.  A batch alone in its
-    pass draws the stream (seed, phase, b).  A batch without hits has
-    log-mean -inf.  The passes depend only on the batch sizes, so a change
+    group of blocks of equal row coefficient and tilt (``_columns``, found
+    once per run): a group's column is one block sum of its pooled size N_j
+    at its one tilt tau_j (``_block_sums``).  It tests the buffer in one
+    call against the row over the groups' coefficients and takes its log
+    weights sum_j N_j Lambda(tau_j) - <tau, S> in another, whose fixed part
+    comes from one ``log_mgf`` call on the group tilts; its batches then
+    reduce their hits in one call (``_pass_log_means``), each by its own
+    pairwise sum.  A set without a row, or a row whose coefficients all
+    differ, has one group per block, so its pass draws every block and
+    keeps the bits it had before the pooling, which changed the stream of
+    rows with repeated coefficients.  A batch alone in its pass draws the
+    stream (seed, phase, b).  A batch without hits has log-mean -inf.  The passes depend only on the batch sizes, so a change
     to ``_PASS_ROWS`` changes the stream, and every per-row value is
     independent of the rows beside it, so the result is bit-identical for
     any thread count, which spreads the passes.  The "not integral" warning
@@ -653,13 +639,7 @@ def _run_batches(prepared: Prepared, config: EstimatorConfig, taus: np.ndarray) 
     B = config.batches
     base, rem = divmod(config.L, B)
     batch_sizes = [base + (1 if b < rem else 0) for b in range(B)]
-    classes = _tilt_classes(prepared.classes, taus)
-    tested = prepared.pooled(classes)
-    if len(classes) < part.K:
-        sizes = np.array([part.sizes[list(cls)].sum() for cls in classes])
-        taus = taus[[cls[0] for cls in classes]]
-    else:
-        sizes = part.sizes
+    sizes, taus, tested = _columns(prepared, taus)
     # sum_j N_j Lambda(tau_j), the part of every log ISF that is fixed
     log_isf_offset = sizes @ np.asarray(law.log_mgf(taus), dtype=float)
 

@@ -52,8 +52,9 @@ def as_bool(value, where: str) -> bool:
 
 
 def as_number(value, where: str) -> float:
-    """A JSON number as a float; a bool is not a number."""
-    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number as a float; a bool is not a number, nor is NaN, which
+    Python's ``json`` reads though JSON has no such number."""
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool) and value == value
     return float(_expect(value, where, ok, "a number"))
 
 

@@ -2,18 +2,15 @@
 monotone derivative description.
 
 Given a smooth strictly increasing ``F`` on ``]a_F, b_F[`` and an anchor
-``c`` in the interior of its range, we build
-
-    Lambda(z) = int_0^z F^{-1}(u + c) du + z (1 - F^{-1}(c))
-
-on ``]lambda_-, lambda_+[ = int(range F) - c`` and the convex conjugate
-
-    phi(t) = z_t * t - Lambda(z_t),   z_t = F(t + F^{-1}(c) - 1) - c
-
-on ``]t_-, t_+[ = 1 + ]a_F, b_F[ - F^{-1}(c)``, extended affinely beyond
-finite endpoints with slopes lambda_-/lambda_+.  ``F^{-1}`` is computed by
-bracketed bisection with Newton polish; the integral by adaptive
-quadrature.
+``c`` in the interior of its range, the generator is the integral of its
+derivative phi'(u) = F(u + F^{-1}(c) - 1) - c from 1, on ``[t_-, t_+] = 1 +
+[a_F, b_F] - F^{-1}(c)``: one adaptive quadrature, +inf where it diverges
+at an end, extended affinely beyond a finite end with slope
+lambda_-/lambda_+, the limit of phi' there.  Its conjugate, the cumulant
+function on ``]lambda_-, lambda_+[ = int(range F) - c``, follows by the
+Legendre identity (Rockafellar, *Convex Analysis*, 1970, section 26):
+Lambda(z) = z t - phi(t) at t = Lambda'(z) = F^{-1}(z + c) + 1 - F^{-1}(c),
+one inversion of ``F`` (bracketed root finding) and one quadrature.
 """
 
 from __future__ import annotations
@@ -29,15 +26,7 @@ __all__ = ["GeneratorSpec", "CumulantFunction", "build_lambda", "build_phi",
 
 _GRID_SIZE = 512
 _INV_TOL = 1e-12
-_QUAD_TOL = 1e-10
-
-
-def _finite_window(lo: float, hi: float, pad: float = 1e-8) -> Tuple[float, float]:
-    """A finite working window inside ]lo, hi[ (log-spaced growth toward
-    infinite endpoints)."""
-    left = lo + pad * max(1.0, abs(lo)) if math.isfinite(lo) else -1e8
-    right = hi - pad * max(1.0, abs(hi)) if math.isfinite(hi) else 1e8
-    return left, right
+_QUAD_TOL = 1e-12
 
 
 def _build_grid(lo: float, hi: float) -> np.ndarray:
@@ -184,51 +173,43 @@ class GeneratorSpec:
     # phi / phi_prime in the CustomGenerator protocol ------------------------
 
     def phi(self, t):
-        lam = build_lambda(self)
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.empty(t_arr.shape)
         for i, ti in enumerate(t_arr):
-            out[i] = _phi_at(self, lam, float(ti))
+            out[i] = _phi_at(self, float(ti))
         return out
 
     def phi_prime(self, t):
-        f_inv_c = self._f_inv_c
+        shift = self._f_inv_c - 1.0
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.full(t_arr.shape, np.nan)
         t_lo, t_hi = self.t_sc
         inside = (t_arr > t_lo) & (t_arr < t_hi)
         for i in np.nonzero(inside)[0]:
-            out[i] = float(self.F(t_arr[i] + f_inv_c - 1.0)) - self.c
+            out[i] = float(self.F(t_arr[i] + shift)) - self.c
         return out
 
 
 def _endpoint_limit(F, endpoint: float, side: str) -> float:
     """One-sided limit of F at a domain endpoint: evaluate along a geometric
     approach (far to near) and detect divergence from the residual drift."""
-    if side == "lower":
-        if math.isfinite(endpoint):
-            offs = np.logspace(-6, -12, 7) * max(1.0, abs(endpoint))
-            ts = endpoint + offs
-        else:
-            ts = -np.logspace(6, 12, 7)
+    sign = 1.0 if side == "lower" else -1.0  # the direction into the domain
+    if math.isfinite(endpoint):
+        ts = endpoint + sign * np.logspace(-6, -12, 7) * max(1.0, abs(endpoint))
     else:
-        if math.isfinite(endpoint):
-            offs = np.logspace(-6, -12, 7) * max(1.0, abs(endpoint))
-            ts = endpoint - offs
-        else:
-            ts = np.logspace(6, 12, 7)
+        ts = -sign * np.logspace(6, 12, 7)
     vals = []
     for t in ts:
         try:
             v = float(F(t))
         except (OverflowError, ValueError):
-            v = -math.inf if side == "lower" else math.inf
+            v = -sign * math.inf
         vals.append(v)
     v_near, v_prev = vals[-1], vals[-2]
     if not math.isfinite(v_near) or abs(v_near) > 1e30:
-        return -math.inf if side == "lower" else math.inf
+        return -sign * math.inf
     if abs(v_near - v_prev) > 1e-4 * max(1.0, abs(v_near)):
-        return -math.inf if side == "lower" else math.inf
+        return -sign * math.inf
     return v_near
 
 
@@ -250,19 +231,10 @@ class CumulantFunction:
 
     def _at(self, z: float) -> float:
         if not (self.lam_lo < z < self.lam_hi):
-            if z == 0.0:
-                return 0.0
-            return math.inf
-        from scipy import integrate
-
+            return 0.0 if z == 0.0 else math.inf
         spec = self.spec
-        shift = 1.0 - spec._f_inv_c
-
-        def integrand(u: float) -> float:
-            return spec.F_inverse(u + spec.c)
-
-        val, _ = integrate.quad(integrand, 0.0, z, epsabs=_QUAD_TOL, epsrel=1e-9, limit=200)
-        return val + z * shift
+        s = spec.F_inverse(z + spec.c)
+        return z * (s - (spec._f_inv_c - 1.0)) - _integral(spec, s)
 
     def derivative(self, z: float) -> float:
         return self.spec.F_inverse(z + self.spec.c) + 1.0 - self.spec._f_inv_c
@@ -274,31 +246,57 @@ def build_lambda(spec: GeneratorSpec) -> CumulantFunction:
     return CumulantFunction(spec, lo, hi)
 
 
-def _phi_at(spec: GeneratorSpec, lam: CumulantFunction, t: float) -> float:
+def _integral(spec: GeneratorSpec, s: float) -> float:
+    """int_{F^{-1}(c)}^s (F(u) - c) du for s in [a_F, b_F] (an s past an end
+    by rounding is that end), which is phi at t = s + 1 - F^{-1}(c), by one
+    ``quad`` in v >= 0: u's distance to the end of ]a_F, b_F[ on s's side
+    shrinks as e^-v (a finite end, reached at v = +inf) or its distance from
+    F^{-1}(c) grows as e^v - 1 (an infinite end), so an integrand steep near
+    an end or spread wide is smooth in v.  The integral can diverge only at
+    an end, +inf where ``quad`` flags it; inside, a flag warns of an F
+    rounded near the end, and the value is quad's best."""
+    from scipy import integrate
+
+    F, c, start = spec.F, spec.c, spec._f_inv_c
+    if s == start or not math.isfinite(s):
+        return 0.0 if s == start else abs(s)  # phi(+-inf) = +inf; NaN stays
+
+    def f(u: float) -> float:  # F - c, infinite where F overflows near an end
+        try:
+            return F(u) - c
+        except (OverflowError, ZeroDivisionError):
+            return math.copysign(math.inf, u - start)
+
+    end = spec.a_F if s < start else spec.b_F
+    if math.isfinite(end):
+        span = start - end
+        v_s = math.log(span / (s - end)) if (s - end) * span > 0 else math.inf
+
+        def integrand(v: float) -> float:
+            w = span * math.exp(-v)  # u = end + w; where it rounds onto the end, ~0
+            return 0.0 if end + w == end else -f(end + w) * w
+    else:
+        sign, v_s = math.copysign(1.0, end), math.log1p(abs(s - start))
+
+        def integrand(v: float) -> float:
+            w = math.expm1(v)
+            return f(start + sign * w) * sign * (w + 1.0)
+
+    with np.errstate(all="ignore"):  # an F driven to overflow at a divergent end
+        val, _, _, *flag = integrate.quad(integrand, 0.0, v_s, epsabs=_QUAD_TOL,
+                                          epsrel=_QUAD_TOL, full_output=1)
+    return val if math.isfinite(val) and not (flag and v_s == math.inf) else math.inf
+
+
+def _phi_at(spec: GeneratorSpec, t: float) -> float:
+    """phi(t): the integral of phi' from 1 on [t_-, t_+], affine beyond a
+    finite end with slope lambda_-/lambda_+, +inf where that is infinite."""
     t_lo, t_hi = spec.t_sc
-    lam_lo, lam_hi = spec.lambda_dom
-    f_inv_c = spec._f_inv_c
-    if t_lo < t < t_hi:
-        z_t = float(spec.F(t + f_inv_c - 1.0)) - spec.c
-        if z_t == 0.0:
-            return 0.0
-        return z_t * t - lam._at(z_t)
-    # endpoint values: one-sided Richardson extrapolation from two offsets
-    if t == t_lo or t == t_hi:
-        sign = 1.0 if t == t_lo else -1.0
-        h = 1e-6 * max(1.0, abs(t))
-        v1 = _phi_at(spec, lam, t + sign * h)
-        v2 = _phi_at(spec, lam, t + sign * h / 2.0)
-        if not (math.isfinite(v1) and math.isfinite(v2)) or abs(v2) > 1e30:
-            return math.inf
-        return 2.0 * v2 - v1
-    if t < t_lo:
-        if not math.isfinite(lam_lo):
-            return math.inf
-        return _phi_at(spec, lam, t_lo) + lam_lo * (t - t_lo)
-    if not math.isfinite(lam_hi):
-        return math.inf
-    return _phi_at(spec, lam, t_hi) + lam_hi * (t - t_hi)
+    if t < t_lo or t > t_hi:
+        end, slope = (t_lo, spec.lambda_dom[0]) if t < t_lo else (t_hi, spec.lambda_dom[1])
+        return _phi_at(spec, end) + slope * (t - end) if math.isfinite(slope) else math.inf
+    s = spec.a_F if t == t_lo else spec.b_F if t == t_hi else t + (spec._f_inv_c - 1.0)
+    return _integral(spec, s)
 
 
 def build_phi(spec: GeneratorSpec):
@@ -319,7 +317,8 @@ def legendre_transform(f: Callable[[float], float], domain: Tuple[float, float])
     from scipy import optimize
 
     lo, hi = domain
-    w_lo, w_hi = _finite_window(lo, hi, pad=1e-10)
+    w_lo = lo + 1e-10 * max(1.0, abs(lo)) if math.isfinite(lo) else -1e8
+    w_hi = hi - 1e-10 * max(1.0, abs(hi)) if math.isfinite(hi) else 1e8
 
     def conjugate(t: float) -> float:
         big = 1e100  # finite stand-in for +inf, keeps the 1-d optimizer happy

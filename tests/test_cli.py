@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from baresim import cli, engine
+from baresim import cli, engine, jsonread
 from baresim.engine import EstimatorConfig
 
 from conftest import NoDrawLaw
@@ -626,6 +626,32 @@ class TestConfigRules:
         assert re.search(rf"\b{key}\b", err), err
 
 
+class TestNaNInput:
+    """NaN is not a JSON number, though Python's json reads it: a config
+    error (exit 2) that names its path, before any draw."""
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        monkeypatch.setattr(engine, "law_for_generator", lambda *args, **kw: NoDrawLaw())
+
+    @pytest.mark.parametrize("constraint, path", [
+        ({"type": "box", "lower": [float("nan"), 0.0, 0.0], "upper": [1.0, 1.0, 1.0]},
+         "constraint/lower/0"),
+        ({"type": "halfspace", "coeffs": [1.0, 1.0, 1.0], "rhs": float("nan")},
+         "constraint/rhs"),
+    ], ids=["box-bound", "halfspace-rhs"])
+    def test_nan_is_a_config_error(self, tmp_path, capsys, constraint, path):
+        config = {**BASE_CONFIG, "constraint": constraint}
+        code = cli.main(["estimate", "--config", write_config(tmp_path, config)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG, err
+        assert f"{path}: must be a number (got nan)" in err
+
+    def test_as_number_refuses_nan(self):
+        with pytest.raises(jsonread.ConfigError, match="estimator/L: must be a number"):
+            jsonread.as_number(float("nan"), "estimator/L")
+
+
 class TestTopLevelKeys:
     """Each estimation command refuses, before any draw, a top-level key it
     does not read."""
@@ -782,3 +808,75 @@ class TestValidateCommand:
         monkeypatch.setattr(subprocess, "run", pytest.fail)
         assert cli.main(["validate"]) == cli.EXIT_VALIDATION
         assert "acceptance suite not found" in capsys.readouterr().err
+
+
+# the configs of the CI workflow's same_on_two_threads step, run there at L =
+# 2,000 unless given: the README run (dual tilts of a lattice law; at 20,000,
+# six 625-row batches share each pass and their Poisson log weights tie at
+# each batch's maximum), empirical mode over 3 and 12 categories (the face's
+# pooled columns of unequal size), the quadratic command (its reduction keeps
+# the halfspace's row), bounds with a two-point generator, a gamma = 2 face
+# (a continuous law: the Bahadur-Rao term) at n = 200 and 2001 (the rounded
+# blocks add the block-rounding term), the README face as an "all" of one
+# part (a searched proxy) and the Neyman halfspace (inverse-Gaussian draws)
+_TRACE = {"output": {"trace": "trace.csv"}}
+_README = {"generator": {"family": "power", "gamma": 1.0},
+           "reference_vector": [0.2, 0.3, 0.5], "mode": "simplex", "target": "divergence",
+           "constraint": {"type": "coordinate", "index": 0, "bound": 0.5, "op": ">="},
+           "estimator": {"n": 2000, "L": 100000, "seed": 1}, **_TRACE}
+_EMPIRICAL = {"generator": {"family": "power", "gamma": 1.0}, "data_file": "labels.txt",
+              "mode": "empirical", "target": "divergence",
+              "constraint": {"type": "coordinate", "index": 0, "bound": 0.5, "op": ">="},
+              "estimator": {"n": 200, "seed": 1}, **_TRACE}
+_GAUSSIAN_FACE = {**_README, "generator": {"family": "power", "gamma": 2.0},
+                  "estimator": {"n": 200, "seed": 1}}
+THREAD_CONFIGS = {
+    "run": _README,
+    "empirical": _EMPIRICAL,
+    "empirical12": {**_EMPIRICAL, "data_file": "labels12.txt",
+                    "constraint": {**_EMPIRICAL["constraint"], "bound": 0.05},
+                    "estimator": {"n": 780, "seed": 1}},
+    "quadratic": {"c1": [0.25, 1.0, 2.25], "c2": [-1.0, -2.0, -3.0], "c3": [1.0, 1.0, 1.0],
+                  "constraint": {"type": "halfspace", "coeffs": [1.0, 1.0, 1.0], "rhs": 3.15},
+                  "estimator": {"n": 4000, "seed": 1}, **_TRACE},
+    "two_point": {"generator": {"family": "two_point", "z1": 0.0, "z2": 2.0},
+                  "reference_vector": [0.2, 0.3, 0.5], "mode": "simplex",
+                  "constraint": {"type": "coordinate", "index": 0, "bound": 0.35, "op": ">="},
+                  "estimator": {"n": 100, "seed": 1}, **_TRACE},
+    "gaussian_face": _GAUSSIAN_FACE,
+    "gaussian_face_2001": {**_GAUSSIAN_FACE, "estimator": {"n": 2001, "seed": 1}},
+    "searched": {**_README, "constraint": {"type": "all", "parts": [_README["constraint"]]},
+                 "estimator": {"n": 2000, "seed": 1}},
+    "neyman": {"generator": {"family": "power", "gamma": -1.0},
+               "reference_vector": [0.2, 0.3, 0.5], "mode": "deterministic",
+               "target": "deterministic",
+               "constraint": {"type": "halfspace", "coeffs": [1.0, 1.0, 1.0], "rhs": 1.3},
+               "estimator": {"n": 200, "seed": 1}, **_TRACE},
+}
+
+
+@pytest.mark.parametrize("command, name, L", [
+    ("estimate", "run", 2_000), ("estimate", "run", 20_000), ("estimate", "empirical", 2_000),
+    ("quadratic", "quadratic", 2_000), ("bounds", "two_point", 2_000),
+    ("estimate", "gaussian_face", 2_000), ("estimate", "gaussian_face_2001", 2_000),
+    ("estimate", "searched", 2_000), ("estimate", "neyman", 2_000),
+    ("estimate", "neyman", 20_000), ("estimate", "empirical12", 20_000),
+])
+def test_same_bytes_on_one_and_two_threads(tmp_path, monkeypatch, command, name, L):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "labels.txt").write_text("\n".join(["a"] * 40 + ["b"] * 60 + ["c"] * 100) + "\n")
+    (tmp_path / "labels12.txt").write_text(
+        "\n".join(f"c{k:02d}" for k in range(12) for _ in range(10 * (k + 1))) + "\n")
+    config = write_config(tmp_path, THREAD_CONFIGS[name])
+    runs, trace = [], tmp_path / "trace.csv"
+    for threads in (1, 2):
+        out = tmp_path / f"result{threads}.json"
+        assert cli.main([command, "--config", config, "--L", str(L),
+                         "--threads", str(threads), "--out", str(out)]) == cli.EXIT_OK
+        runs.append((out.read_bytes(), trace.read_bytes()))
+        trace.unlink()
+    assert runs[0] == runs[1]
+    result = json.loads(runs[0][0])
+    assert result["hits"] > 0
+    if name == "gaussian_face_2001":
+        assert result["bias_correction"] is not None

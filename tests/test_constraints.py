@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,34 @@ class TestAffineEquality:
     def test_tolerance_must_be_positive(self, tol):
         with pytest.raises(ValueError, match="tol must be > 0"):
             bs.affine_equality([1.0, 1.0], 1.0, tol=tol)
+
+
+class TestNonFiniteInput:
+    """A NaN or infinite coefficient, rhs or bound is refused when the set
+    is built, before any draw; a box keeps its infinite bounds."""
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda: bs.halfspace([1.0, math.nan], 0.5), "coeffs"),
+        (lambda: bs.halfspace([1.0, math.inf], 0.5), "coeffs"),
+        (lambda: bs.halfspace([1.0, 1.0], math.nan), "rhs"),
+        (lambda: bs.affine_equality([math.nan, 1.0], 0.5), "coeffs"),
+        (lambda: bs.affine_equality([1.0, 1.0], -math.inf), "rhs"),
+        (lambda: bs.simplex_face(0, math.nan), "bound"),
+    ], ids=["halfspace-nan-coeff", "halfspace-inf-coeff", "halfspace-nan-rhs",
+            "affine-nan-coeff", "affine-inf-rhs", "face-nan-bound"])
+    def test_non_finite_is_refused(self, build, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            build()
+
+    @pytest.mark.parametrize("lower, upper", [([math.nan, 0.0], [1.0, 1.0]),
+                                              ([0.0, 0.0], [1.0, math.nan])])
+    def test_box_refuses_nan(self, lower, upper):
+        with pytest.raises(ValueError, match="box bounds must not be NaN"):
+            bs.box(lower, upper)
+
+    def test_box_keeps_infinite_bounds(self):
+        omega = bs.box([-math.inf, 0.0], [math.inf, 1.0])
+        assert omega.contains(np.array([[5.0, 0.5], [5.0, 1.5]])).tolist() == [True, False]
 
 
 class TestColumnSum:

@@ -505,14 +505,15 @@ class TestBatchKernelBits:
         return seen
 
     @staticmethod
-    def by_hand(prepared, cfg, taus, sizes, member, tau_dot):
+    def by_hand(prepared, cfg, taus, classes, sizes, member, tau_dot):
         """Hits and log-means of every batch, each pass drawn by hand from
-        the stream (seed, 0, b0), one call per class of blocks at its pooled
-        size and its one tilt, and then reduced batch by batch; ``member``
-        tests the class sums and ``tau_dot`` gives <tau, S> over them."""
+        the stream (seed, 0, b0), one call per class of blocks (``classes``,
+        tuples of block indices) at its pooled size and its one tilt, and
+        then reduced batch by batch; ``member`` tests the class sums and
+        ``tau_dot`` gives <tau, S> over them."""
         law, nks = prepared.law, prepared.part.sizes
-        pooled = [int(sum(nks[k] for k in cls)) for cls in prepared.classes]
-        class_taus = [float(taus[cls[0]]) for cls in prepared.classes]
+        pooled = [int(sum(nks[k] for k in cls)) for cls in classes]
+        class_taus = [float(taus[cls[0]]) for cls in classes]
         offset = np.array(pooled) @ np.array([float(law.log_mgf(t)) for t in class_taus])
         hits, log_means = [], []
         for batches in engine._passes(sizes):
@@ -536,11 +537,10 @@ class TestBatchKernelBits:
         cfg = bs.EstimatorConfig(n=2000, L=50_000, seed=11, batches=10)
         prepared = engine.prepare(PowerGamma(1.0), [0.2, 0.3, 0.5], bs.simplex_face(0, 0.5),
                                   cfg, "simplex")
-        assert prepared.classes == ((0,), (1, 2))
         taus = engine.compute_taus(prepared, engine.proxy_q_star(prepared, cfg))
         seen = self.batches(monkeypatch, prepared, cfg, taus)
         assert engine._passes(seen["sizes"]) == [range(b, b + 1) for b in range(10)]
-        hits, log_means = self.by_hand(prepared, cfg, taus, seen["sizes"],
+        hits, log_means = self.by_hand(prepared, cfg, taus, ((0,), (1, 2)), seen["sizes"],
                                        lambda s: s[:, 0] / (s[:, 0] + s[:, 1]) >= 0.5,
                                        lambda s, t: s[:, 0] * t[0] + s[:, 1] * t[1])
         assert list(seen["hits"]) == hits
@@ -559,13 +559,12 @@ class TestBatchKernelBits:
                                       bs.halfspace([1.0, 1.0, 1.0], 1.3), cfg, "deterministic")
             taus = prepared.dual.taus
             runs.append(self.batches(monkeypatch, prepared, cfg, taus))
-        assert prepared.classes == ((0, 1, 2),)
         passes = engine._passes(runs[0]["sizes"])
         assert [p.start for p in passes] == ([0] if L == 2_000 else [0, 6, 12, 18, 24, 30])
         for run in runs[1:]:
             assert hexes(run["log_means"]) == hexes(runs[0]["log_means"])
             assert np.array_equal(run["hits"], runs[0]["hits"])
-        hits, log_means = self.by_hand(prepared, cfg, taus, runs[0]["sizes"],
+        hits, log_means = self.by_hand(prepared, cfg, taus, ((0, 1, 2),), runs[0]["sizes"],
                                        lambda s: (s[:, 0] / 200) * 1.0 >= 1.3,
                                        lambda s, t: s[:, 0] * t[0])
         assert list(runs[0]["hits"]) == hits
@@ -681,34 +680,54 @@ class TestBatchKernelBits:
 
 
 class TestClasses:
-    """The blocks of a row drawn as one column per class of equal coefficient
-    and tilt (``Prepared.classes``); every other set draws one per block."""
+    """The blocks of a row drawn as one column per group of equal coefficient
+    and tilt (``engine._columns``); every other set draws one per block."""
 
     @staticmethod
-    def frame(omega, K=3, mode="simplex"):
-        cfg = bs.EstimatorConfig(n=20 * K)
-        return engine.prepare(PowerGamma(1.0), np.full(K, 1.0 / K), omega, cfg, mode)
+    def groups(omega, K=3, mode="simplex", taus=None):
+        """The groups ``_columns`` pools, in column order, read off the
+        pooled sizes: block k holds 10 * 2^k draws, so a sum of sizes names
+        its blocks."""
+        p = 2.0 ** np.arange(K)
+        cfg = bs.EstimatorConfig(n=10 * int(p.sum()))
+        prepared = engine.prepare(PowerGamma(1.0), p / p.sum(), omega, cfg, mode)
+        taus = np.zeros(K) if taus is None else np.asarray(taus, dtype=float)
+        sizes, _, tested = engine._columns(prepared, taus)
+        groups = tuple(tuple(k for k in range(K) if int(size) // 10 >> k & 1) for size in sizes)
+        assert (tested is prepared.tested) == (len(groups) == K)
+        return groups
 
     def test_a_coordinate_face_is_two_classes_in_first_block_order(self):
-        assert self.frame(bs.simplex_face(2, 0.3), K=6).classes == ((0, 1, 3, 4, 5), (2,))
-        assert self.frame(bs.simplex_face(0, 0.3), K=6).classes == ((0,), (1, 2, 3, 4, 5))
+        assert self.groups(bs.simplex_face(2, 0.3), K=6) == ((0, 1, 3, 4, 5), (2,))
+        assert self.groups(bs.simplex_face(0, 0.3), K=6) == ((0,), (1, 2, 3, 4, 5))
 
     def test_a_sum_halfspace_is_one_class(self):
         omega = bs.halfspace([1.0, 1.0, 1.0], 1.3)
-        assert self.frame(omega, mode="deterministic").classes == ((0, 1, 2),)
+        assert self.groups(omega, mode="deterministic") == ((0, 1, 2),)
 
     def test_distinct_coefficients_and_sets_without_a_row_are_one_class_per_block(self):
         face = bs.simplex_face(0, 0.5)
         for omega in (bs.halfspace([1.0, 2.0, 3.0], 1.5), bs.intersection(face),
                       bs.union(face, bs.simplex_face(1, 0.5)),
                       bs.from_predicate(lambda x: x[0] >= 0.5)):
-            assert self.frame(omega).classes == ((0,), (1,), (2,))
+            assert self.groups(omega) == ((0,), (1,), (2,))
 
     def test_tilts_that_differ_split_a_class(self):
-        classes = ((0, 2), (1, 3, 4))
-        taus = np.array([0.1, 0.2, 0.1, 0.3, 0.2])
-        assert engine._tilt_classes(classes, taus) == ((0, 2), (1, 4), (3,))
-        assert engine._tilt_classes(classes, np.array([0.1, 0.2, 0.1, 0.2, 0.2])) is classes
+        omega = bs.halfspace([1.0, 2.0, 1.0, 2.0, 2.0], 1.5)
+        taus = [0.1, 0.2, 0.1, 0.3, 0.2]
+        assert self.groups(omega, K=5, mode="deterministic", taus=taus) == ((0, 2), (1, 4), (3,))
+        assert self.groups(omega, K=5, mode="deterministic",
+                           taus=[0.1, 0.2, 0.1, 0.2, 0.2]) == ((0, 2), (1, 3, 4))
+
+    def test_a_group_is_drawn_at_its_tilt_against_the_row_over_its_coefficients(self):
+        p = np.full(5, 0.2)
+        cfg = bs.EstimatorConfig(n=100)
+        prepared = engine.prepare(PowerGamma(1.0), p, bs.halfspace([1.0, 2.0, 1.0, 2.0, 2.0], 1.5),
+                                  cfg, "deterministic")
+        sizes, taus, tested = engine._columns(prepared, np.array([0.1, 0.2, 0.1, 0.3, 0.2]))
+        assert list(sizes) == [40, 40, 20]
+        assert list(taus) == [0.1, 0.2, 0.3]
+        assert tested.row == ((1.0, 2.0, 2.0), 1.5, ">=")
 
     @staticmethod
     def law_calls(monkeypatch, gen, omega, mode, L, proxy=None):
@@ -750,6 +769,10 @@ class TestClasses:
 
 
 class TestEmpiricalMode:
+    def test_a_category_named_twice_is_refused(self):
+        with pytest.raises(ValueError, match="names 'a' more than once"):
+            engine.ingest_sample(list("aab"), categories=["a", "a", "b"])
+
     def test_estimates_empirical_divergence(self):
         rng = make_rng(77)
         labels = ["a", "b", "c"]

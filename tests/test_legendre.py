@@ -5,7 +5,8 @@ import pytest
 
 import baresim as bs
 from baresim import laws as lw
-from baresim.legendre import GeneratorSpec, build_lambda, build_phi, legendre_transform
+from baresim.legendre import (GeneratorSpec, _integral, build_lambda, build_phi,
+                              legendre_transform)
 
 from cases import SOLVED_CASES
 
@@ -98,7 +99,7 @@ class TestBuildPhi:
         lo, hi = spec.phi_dom
         assert lo == pytest.approx(1.0 - math.e, abs=1e-6)
         assert hi == INF
-        assert float(spec.phi(1.0 - math.e)[0]) == pytest.approx(math.e, abs=1e-4)
+        assert float(spec.phi(1.0 - math.e)[0]) == pytest.approx(math.e, abs=1e-12)
 
     @pytest.mark.parametrize("case", SOLVED_CASES, ids=lambda c: c.name)
     def test_matches_closed_form(self, case):
@@ -108,6 +109,17 @@ class TestBuildPhi:
         ref = case.gen.phi(ts)
         assert np.allclose(built, ref, atol=1e-8), case.name
 
+    @pytest.mark.parametrize("case", SOLVED_CASES, ids=lambda c: c.name)
+    def test_matches_closed_form_at_and_beyond_finite_ends(self, case):
+        # phi at an end is the integral of phi' up to it: +inf where that
+        # diverges (gamma <= 0, the blended chi-square at -1), exact where
+        # not; beyond, affine or +inf
+        spec = case.spec()
+        t_lo, t_hi = spec.t_sc
+        for t in [t for t in (t_lo, t_lo - 0.5, t_hi, t_hi + 0.5) if math.isfinite(t)]:
+            built, ref = float(spec.phi(t)[0]), float(case.gen.phi(np.array([t]))[0])
+            assert built == ref == INF or built == pytest.approx(ref, abs=1e-12), (case.name, t)
+
     def test_affine_tail_for_unbounded_generator(self):
         # gamma = 3: finite affine continuation below zero
         case = next(c for c in SOLVED_CASES if c.name == "power gamma=3")
@@ -116,6 +128,45 @@ class TestBuildPhi:
             assert float(phi.phi(np.array([t]))[0]) == pytest.approx(
                 float(case.gen.phi(np.array([t]))[0]), abs=1e-6
             )
+
+
+    @pytest.mark.parametrize("case", SOLVED_CASES, ids=lambda c: c.name)
+    def test_matches_closed_form_near_finite_ends(self, case):
+        # up to 1e-14 inside an end, where phi' is steep or singular; the
+        # blended chi-square's own phi' loses digits near -1, where its
+        # t - 1 rounds, so it is held to 1e-4 of its end
+        spec = case.spec()
+        depths = (1e-2, 1e-4) if case.name == "blended chi-square" else (1e-2, 1e-6, 1e-10, 1e-14)
+        for end, inward in zip(spec.t_sc, (1.0, -1.0)):
+            for t in [end + inward * d for d in depths if math.isfinite(end)]:
+                built, ref = float(spec.phi(t)[0]), float(case.gen.phi(np.array([t]))[0])
+                assert built == pytest.approx(ref, rel=1e-12), (case.name, t)
+
+    def test_a_point_rounded_past_an_end_is_the_end(self):
+        # a t just inside t_- can map to an s just outside ]a_F, b_F[, as
+        # t + F^{-1}(c) - 1 rounds
+        spec = GeneratorSpec(F=lambda t: math.log(t) if t > 0 else -INF,
+                             a_F=0.0, b_F=INF, c=1.0)
+        past = math.nextafter(spec.a_F, -INF)
+        assert _integral(spec, past) == _integral(spec, spec.a_F)
+        assert _integral(spec, past) == pytest.approx(math.e, abs=1e-12)
+
+    def test_divergence_at_an_end_that_quad_flags_is_infinite(self):
+        # phi' = F = 1 - 2 / (t + 1): phi(t) = t - 1 - 2 log((t + 1) / 2)
+        # diverges at -1, where u + 1 rounds before F can overflow, so quad
+        # returns a finite value and flags it; 1e-10 inside, that rounding
+        # of F's argument costs some digits
+        spec = GeneratorSpec(F=lambda t: 1.0 - 2.0 / (t + 1.0), a_F=-1.0, b_F=INF)
+        assert float(spec.phi(-1.0)[0]) == INF
+        t = -1.0 + 1e-10
+        ref = t - 1.0 - 2.0 * math.log((t + 1.0) / 2.0)
+        assert float(spec.phi(t)[0]) == pytest.approx(ref, rel=1e-8)
+
+    def test_reverse_kl_is_infinite_at_a_zero_entry(self):
+        # built gamma = 0, phi(t) = t - 1 - log t: phi(0) = +inf
+        spec = GeneratorSpec(F=lambda t: 1.0 - 1.0 / t if t > 0 else -INF,
+                             a_F=0.0, b_F=INF, c=0.0)
+        assert bs.divergence(bs.CustomGenerator(spec), [0.0, 0.5, 0.5], [0.2, 0.3, 0.5]) == INF
 
 
 class TestLegendreTransform:

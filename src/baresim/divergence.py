@@ -117,10 +117,6 @@ class Generator:
     def phi_prime(self, t):
         raise NotImplementedError
 
-    def phi_curvature_at_one(self) -> float:
-        h = 1e-5
-        return (self.phi_prime(1.0 + h) - self.phi_prime(1.0 - h)) / (2 * h)
-
     def scaled(self, factor: float) -> "Generator":
         """Generator of ``factor * phi``; raises when the family is not closed
         under positive scaling."""

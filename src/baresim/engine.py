@@ -44,6 +44,9 @@ each batch keeps its own pairwise sum, so a batch's log-mean has the bits
 ``_log_sum_exp`` gives its hits alone.  A seeded result is therefore the
 same whatever the thread count, the number of rows a sum is called on, or
 the memory layout of the block sums, which ``_block_sums`` alone chooses.
+The batches draw in phase 0.  The tilt search of a set without a row
+(``_ladder``) draws before them, on one thread, level j from the stream
+(seed, 1, j).
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -96,12 +99,9 @@ INF = math.inf
 
 _PHASE_MAIN = 0
 _PHASE_PROXY = 1
-_PHASE_GAUSSIAN = 2
 
-# proxy search: candidates drawn per chunk, and the hits of finite
-# divergence a stage collects before it ranks them
-_PROXY_CHUNK = 256
-_PROXY_COLLECT = 64
+# rows of block sums each level of the proxy search draws
+_LADDER_ROWS = 2048
 # bisection levels of the push toward the reference tested per membership call
 _BISECT_LEVELS = 6
 # rows of a pass: consecutive batches drawn from one stream into one buffer
@@ -176,29 +176,22 @@ def ingest_sample(observations: Sequence, categories: Optional[Sequence] = None)
 
 @dataclass(frozen=True)
 class ProxySpec:
-    """How to find the tilt target Q*.
+    """How to find the tilts and the proxy point Q*.
 
     method "given": use ``q_star`` (original/user coordinates), which this
-    method alone takes and needs.
-    method "search": stage 1 draws short xi-runs of length ``m_run``
-    (default: the smallest run with nonempty blocks) at the reference
-    frequencies; only when they give no usable point, stage 2 draws Gaussian
-    candidates N(p, p / (M phi''(1))).  Each stage draws chunks of 256
-    candidates until it holds 64 hits of finite divergence or has drawn
-    ``budget`` candidates, rounded up to a whole chunk.  The hits are tried
-    from the divergence-smallest up: each is pushed toward the reference
-    vector up to the boundary, polished by a local descent, and passed over
-    when it has no valid tilt (``Prepared.tilts`` refuses it).  A poor proxy
-    costs the estimator variance, never unbiasedness.  The same proxy gives
-    ``bounds_general`` its upper bound, D(Q*, P).  Only a set without a row
-    is searched: a one-inequality leaf, in every mode, takes the proxy of its
-    dual (``Prepared.dual``), so ``budget`` and ``m_run`` go unread there.
+    method alone takes and needs; its tilts are (M phi)' at its ratios
+    (``Prepared.tilts``).
+    method "search": a one-inequality leaf, in every mode, takes the tilts
+    and point of its dual (``Prepared.dual``); a set without a row is
+    searched by a cross-entropy ladder of doubling run lengths in the tilt
+    family (``_ladder``), whose proxy point is its last level's best hit,
+    pushed toward the reference vector and polished.  A poor tilt costs the
+    estimator variance, never unbiasedness.  The proxy point gives
+    ``bounds_general`` its upper bound, D(Q*, P).
     """
 
     method: str = "search"
     q_star: Optional[np.ndarray] = None
-    budget: int = 200_000
-    m_run: Optional[int] = None
 
     def __post_init__(self):
         if self.method not in ("given", "search"):
@@ -206,9 +199,6 @@ class ProxySpec:
         if (self.q_star is None) == (self.method == "given"):
             raise ValueError("proxy method 'given' needs q_star" if self.q_star is None
                              else "proxy method 'search' takes no q_star")
-        _check_int("budget", self.budget, 1)
-        if self.m_run is not None:
-            _check_int("m_run", self.m_run, 1)
 
 
 @dataclass(frozen=True)
@@ -315,21 +305,15 @@ def _pass_log_means(log_w: np.ndarray, member: np.ndarray, sizes: Sequence[int])
     return log_means, hits
 
 
-def _phi_rows(gen: Generator, Q: np.ndarray, P: np.ndarray):
-    """phi(Q / P) for every row of Q by one ``phi`` call on the flattened
-    ratios, and which rows stay inside dom phi (no value +inf)."""
-    vals = np.asarray(gen.phi((Q / P).ravel()), dtype=float).reshape(Q.shape)
-    return vals, ~np.isinf(vals).any(axis=1)
-
-
 def _row_divergences(gen: Generator, Q: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """``_divergence_positive`` of every row of Q: +inf where a ratio leaves
-    dom phi, else the row summed as one ``np.dot``, so that each value
-    equals the one-row result bit for bit."""
-    vals, inside = _phi_rows(gen, Q, P)
+    """``_divergence_positive`` of every row of Q, from one ``phi`` call on
+    the flattened ratios: +inf where a ratio leaves dom phi, else the row
+    summed column by column (``_dot_rows``), so that each value has the
+    bits of the one-row call."""
+    vals = np.asarray(gen.phi((Q / P).ravel()), dtype=float).reshape(Q.shape)
+    inside = ~np.isinf(vals).any(axis=1)
     out = np.full(len(Q), INF)
-    for i in np.flatnonzero(inside):
-        out[i] = np.dot(P, vals[i])
+    out[inside] = _dot_rows(vals[inside], P)
     return out
 
 
@@ -711,7 +695,7 @@ def naive_estimate(prepared: Prepared, config: EstimatorConfig) -> Estimate:
 @dataclass(frozen=True)
 class ProxyResult:
     q_star: np.ndarray  # normalized (simplex modes) or Omega/M coordinates
-    taus: np.ndarray  # the checked tilts at q_star, ``Prepared.tilts(q_star)``
+    taus: np.ndarray  # the checked tilts: given, the dual's or the ladder's
     draws_used: int = 0
 
 
@@ -720,7 +704,7 @@ def proxy_q_star(prepared: Prepared, config: EstimatorConfig) -> ProxyResult:
     with its tilts.  A given ``q_star`` comes first; one without valid tilts
     raises ``ValueError`` before any batch is drawn.  Else a one-inequality
     leaf, in every mode, takes the point and tilts of its dual
-    (``Prepared.dual``); only a set without a row is searched."""
+    (``Prepared.dual``); only a set without a row is searched (``_ladder``)."""
     spec = config.proxy
     if prepared.gen is None:
         raise ValueError("the proxy needs the generator for its tilts")
@@ -732,22 +716,63 @@ def proxy_q_star(prepared: Prepared, config: EstimatorConfig) -> ProxyResult:
         return ProxyResult(q_star=q, taus=prepared.tilts(q))
     if prepared.dual is not None:
         return ProxyResult(q_star=prepared.dual.q_star, taus=prepared.dual.taus)
-    used = hits = finite = 0
-    stages = ((_PHASE_PROXY, lambda: _short_runs(prepared, spec)),
-              (_PHASE_GAUSSIAN, lambda: _gaussian_candidates(prepared)))
-    for phase, build in stages:
-        proxy, stage_used, stage_hits, stage_finite = _search(prepared, config, build(), phase)
-        used, hits, finite = used + stage_used, hits + stage_hits, finite + stage_finite
-        if proxy is not None:
-            return replace(proxy, draws_used=used)
-    raise RuntimeError(
-        f"proxy search: Prepared.tilts refused every one of its {finite} refined hits "
-        "of finite divergence: their tilts lie outside int(dom MGF), or they have no "
-        "m*; supply q_star" if finite else
-        f"proxy search: all {hits} hits lie where D(q, p) is infinite; the constraint "
-        "set may not meet the domain of D; supply q_star" if hits else
-        f"proxy search exhausted its budget: no hit of the constraint set in {used} "
-        "draws; the set is too rare; raise the budget, change m_run, or supply q_star")
+    return _ladder(prepared, config.seed)
+
+
+def _ladder(prepared: Prepared, seed: int) -> ProxyResult:
+    """The searched tilts: a cross-entropy ladder in the tilt family.
+
+    Level j draws ``_LADDER_ROWS`` rows of block sums of sizes
+    ceil(2^j p_k / max p), tilted by the tilts so far, on the stream (seed,
+    ``_PHASE_PROXY``, j); the last level draws the frame's own blocks.  Each
+    level sets tau_k = M phi'((s_k + 1) / (n_k + 1)), the closed-form
+    cross-entropy update: s is the mean block sum of its hits weighted by
+    exp(-<tau, S>), their likelihood ratio against the untilted run up to a
+    constant, or the sums of its lowest-D hit when that mean is no member
+    (a union, a predicate); the 1 is one more weight at the untilted mean,
+    which keeps every ratio inside the weights' support.  A level without a
+    hit, or whose tilts leave int(dom MGF), keeps the tilts it drew with.
+    The longer runs find the rarer sets, each from the tilts of the last.
+
+    The proxy point, D at which ``bounds_general`` reports, is the last
+    level's lowest-D hit pushed toward the reference vector and polished;
+    the tilts do not pass through it.  ``RuntimeError`` when the last level
+    has no hit."""
+    part, law = prepared.part, prepared.law
+    lo, hi = law.mgf_dom()
+    shape = part.p_tilde / part.p_tilde.max()
+    levels = [np.ceil(2.0**j * shape).astype(int)
+              for j in range(math.ceil(math.log2(part.sizes.max())))] + [part.sizes]
+    taus = np.zeros(part.K)
+    for j, sizes in enumerate(levels):
+        sums = _block_sums(law, sizes, taus, _rng(seed, _PHASE_PROXY, j), _LADDER_ROWS)
+        x, member = prepared.coords_and_hits(sums, sizes.sum())
+        hits = np.flatnonzero(member)
+        if hits.size == 0:
+            continue
+        log_w = -_dot_rows(sums[hits], taus)
+        w = np.exp(log_w - log_w.max())
+        target = w @ sums[hits] / w.sum()
+        if not prepared.coords_and_hits(target[None, :], sizes.sum())[1][0]:
+            target = sums[_best(prepared, x, hits)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = prepared.mass * np.asarray(
+                prepared.gen.phi_prime((target + 1.0) / (sizes + 1.0)), dtype=float)
+        if np.all((lo < new) & (new < hi)):
+            taus = new
+    if hits.size == 0:
+        raise RuntimeError(f"proxy search: no hit of the constraint set in {_LADDER_ROWS} "
+                           f"runs of the length n = {part.n}; the set may be empty or too "
+                           "rare to find; supply q_star")
+    q_star = x[_best(prepared, x, hits)]
+    q_star = _polish_proxy(prepared, _refine_toward_reference(prepared, q_star))
+    return ProxyResult(q_star=q_star, taus=taus, draws_used=len(levels) * _LADDER_ROWS)
+
+
+def _best(prepared: Prepared, x: np.ndarray, hits: np.ndarray) -> int:
+    """The row of the lowest-D hit among the rows ``hits`` of ``x``, the
+    first in draw order on a tie."""
+    return int(hits[np.argmin(prepared.rank(x[hits]))])
 
 
 def _refine_toward_reference(prepared: Prepared, q: np.ndarray) -> np.ndarray:
@@ -817,73 +842,14 @@ def _polish_proxy(prepared: Prepared, q: np.ndarray, rounds: int = 5) -> np.ndar
                 if pairwise:  # the coordinate giving mass may not fall below 0
                     rows = rows[~(ys[steps[start:] < 0] < 0)]
                 rows = rows[prepared.tested.contains(ys[rows])]
-                vals, inside = _phi_rows(prepared.gen, ys[rows], p)
+                vals = _row_divergences(prepared.gen, ys[rows], p)
                 offset, start = start, len(steps)
-                for r, v in zip(rows[inside], vals[inside]):
-                    val = float(np.dot(p, v))
+                for r, val in zip(rows.tolist(), vals.tolist()):
                     if val < best - 1e-14:
                         x, best, improved, start = ys[r], val, True, offset + r + 1
                         break
         h /= 2.0
     return x
-
-
-def _short_runs(prepared: Prepared, spec: ProxySpec):
-    """Stage 1 candidates: short untilted runs at the reference frequencies,
-    the best hit rate.  In empirical mode a run at least as long as the
-    sample replicates the observations, so its length is a multiple of n."""
-    part = prepared.part
-    m_run = spec.m_run if spec.m_run is not None else int(math.ceil(max(1.0 / part.p_tilde)))
-    if prepared.mode == "empirical" and m_run >= part.n:
-        sizes = part.sizes * math.ceil(m_run / part.n)
-    else:
-        sizes = partition(part.p_tilde, max(m_run, part.K)).sizes
-    m_run = int(sizes.sum())
-
-    def draw(rng: np.random.Generator):
-        sums = _block_sums(prepared.law, sizes, np.zeros(sizes.size), rng, _PROXY_CHUNK)
-        return prepared.coords_and_hits(sums, m_run)
-
-    return draw
-
-
-def _gaussian_candidates(prepared: Prepared):
-    """Stage 2 candidates: N(p, p / (M phi''(1))), the Gaussian matched to the
-    curvature of exp(-M D(q, p)) at the reference vector."""
-    p = prepared.part.p_tilde
-    sd = np.sqrt(p / (prepared.mass * prepared.gen.phi_curvature_at_one()))
-
-    def draw(rng: np.random.Generator):
-        return prepared.coords_and_hits(rng.normal(p, sd, size=(_PROXY_CHUNK, p.size)), 1.0)
-
-    return draw
-
-
-def _search(prepared: Prepared, config: EstimatorConfig, draw, phase: int):
-    """One proxy search stage: chunk c is ``draw(rng)`` on the stream
-    (seed, phase, c), candidates in reduced coordinates and their membership.
-    Returns the proxy (draws not yet counted) or None, the draws, hits and
-    finite-D hits.  A refined hit with no valid tilt, as a boundary point
-    with a zero coordinate where phi' is infinite, is passed over."""
-    used = hits = 0
-    found = []  # (rank, hit) of every hit of finite divergence
-    while used < config.proxy.budget and len(found) < _PROXY_COLLECT:
-        cand, member = draw(_rng(config.seed, phase, used // _PROXY_CHUNK))
-        used += _PROXY_CHUNK
-        rows = np.flatnonzero(member)
-        hits += rows.size
-        # a hit of infinite (or NaN) divergence is never a proxy
-        found += [(r, cand[i]) for r, i in zip(prepared.rank(cand[rows]), rows) if r < INF]
-    # lowest divergence first, ties in draw order
-    found.sort(key=lambda h: h[0])
-    for _, q in found:
-        refined = _polish_proxy(prepared, _refine_toward_reference(prepared, q))
-        try:
-            taus = prepared.tilts(refined)
-        except ValueError:
-            continue
-        return ProxyResult(q_star=refined, taus=taus), used, hits, len(found)
-    return None, used, hits, len(found)
 
 
 def _m_minimizer(gen: Generator, q: np.ndarray, p: np.ndarray) -> float:

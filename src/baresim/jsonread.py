@@ -1,6 +1,6 @@
 """Typed reads of a parsed JSON config.
 
-Each reader takes a value and its JSON path (``estimator/proxy/budget``)
+Each reader takes a value and its JSON path (``estimator/proxy/q_star``)
 and returns the value as the Python type the builders pass on, or raises
 ``ConfigError`` naming the path.  These hold the JSON type rules only; a
 range or choice rule lives in the constructor of the object it constrains.

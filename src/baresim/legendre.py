@@ -158,16 +158,16 @@ class GeneratorSpec:
         t_hi = self._grid[0]
         t_lo = t_hi - max(1.0, abs(t_hi))
         while t_lo > self.a_F and self.F(t_lo) > x:
-            t_hi = t_lo
-            t_lo = self.a_F + 0.5 * (t_lo - self.a_F) if math.isfinite(self.a_F) else 2 * t_lo - t_hi
+            t_lo, t_hi = (self.a_F + 0.5 * (t_lo - self.a_F) if math.isfinite(self.a_F)
+                          else 2 * t_lo - t_hi), t_lo
         return max(t_lo, self.a_F + 1e-300), t_hi
 
     def _widen_up(self, x: float) -> Tuple[float, float]:
         t_lo = self._grid[-1]
         t_hi = t_lo + max(1.0, abs(t_lo))
         while t_hi < self.b_F and self.F(t_hi) < x:
-            t_lo = t_hi
-            t_hi = self.b_F - 0.5 * (self.b_F - t_hi) if math.isfinite(self.b_F) else 2 * t_hi - t_lo
+            t_lo, t_hi = t_hi, (self.b_F - 0.5 * (self.b_F - t_hi) if math.isfinite(self.b_F)
+                                else 2 * t_hi - t_lo)
         return t_lo, min(t_hi, self.b_F - 1e-300)
 
     # phi / phi_prime in the CustomGenerator protocol ------------------------
@@ -192,7 +192,11 @@ class GeneratorSpec:
 
 def _endpoint_limit(F, endpoint: float, side: str) -> float:
     """One-sided limit of F at a domain endpoint: evaluate along a geometric
-    approach (far to near) and detect divergence from the residual drift."""
+    approach (far to near) and detect divergence from the residual drift.
+    A finite limit is Aitken's delta-squared of the last three probes when
+    their two differences shrink, exact where F nears its limit
+    geometrically along the probes (a power of the distance to the end);
+    else the nearest probe."""
     sign = 1.0 if side == "lower" else -1.0  # the direction into the domain
     if math.isfinite(endpoint):
         ts = endpoint + sign * np.logspace(-6, -12, 7) * max(1.0, abs(endpoint))
@@ -210,6 +214,9 @@ def _endpoint_limit(F, endpoint: float, side: str) -> float:
         return -sign * math.inf
     if abs(v_near - v_prev) > 1e-4 * max(1.0, abs(v_near)):
         return -sign * math.inf
+    d_prev, d_near = v_prev - vals[-3], v_near - v_prev
+    if abs(d_near) < abs(d_prev):
+        return v_near - d_near * d_near / (d_near - d_prev)
     return v_near
 
 

@@ -278,6 +278,7 @@ RULE_ROWS = [
      [0.5, 0.25, 0.25], 'q_star'),
     ('estimator/proxy/q_star: given needs one', 'estimate', 'estimator/proxy/method',
      'given', 'q_star'),
+    # the search's former counts are no settings: refused by name, whatever the value
     ('estimator/proxy/budget: type', 'estimate', 'estimator/proxy/budget', 1.5, 'budget'),
     ('estimator/proxy/budget: minimum', 'estimate', 'estimator/proxy/budget', 0, 'budget'),
     ('estimator/proxy/m_run: type', 'estimate', 'estimator/proxy/m_run', 1.5, 'm_run'),
@@ -420,12 +421,11 @@ class TestEstimateCommand:
 
     def test_estimator_settings_are_converted(self):
         est = {"n": 50, "L": 300, "seed": 4, "batches": 12, "threads": 2,
-               "proxy": {"method": "given", "q_star": [1, 2], "budget": 10, "m_run": None}}
+               "proxy": {"method": "given", "q_star": [1, 2]}}
         config = cli._config_from_dict({"estimator": est}, None)
         assert (config.n, config.L, config.seed, config.batches, config.threads) == (
             50, 300, 4, 12, 2)
-        assert config.proxy.method == "given" and config.proxy.budget == 10
-        assert config.proxy.m_run is None
+        assert config.proxy.method == "given"
         assert config.proxy.q_star.dtype == float and list(config.proxy.q_star) == [1.0, 2.0]
 
     def test_integral_floats_become_ints(self):
@@ -446,6 +446,8 @@ class TestEstimateCommand:
         ({"n": 400, "bisection_tol": 1e-10}, "estimator", "bisection_tol"),
         ({"n": 400, "thread": 2}, "estimator", "thread"),
         ({"n": 400, "proxy": {"budjet": 10}}, "estimator/proxy", "budjet"),
+        ({"n": 400, "proxy": {"budget": 200_000}}, "estimator/proxy", "budget"),
+        ({"n": 400, "proxy": {"m_run": 5}}, "estimator/proxy", "m_run"),
     ])
     def test_unknown_estimator_key_is_a_config_error(self, tmp_path, capsys, estimator,
                                                      path, key):

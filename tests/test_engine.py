@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -206,35 +207,12 @@ class TestProxy:
         assert self.omega.contains_point(res.q_star)
         assert res.q_star.sum() == pytest.approx(1.0, abs=1e-9)
 
-    def no_short_run_hit(self, monkeypatch):
-        # stage 1 draws chunks that never hit, so the Gaussian stage runs
-        chunk = engine._PROXY_CHUNK
-        monkeypatch.setattr(engine, "_short_runs", lambda prepared, spec: lambda rng: (
-            np.zeros((chunk, 3)), np.zeros(chunk, dtype=bool)))
-
-    def test_gaussian_stage_quadratic(self, monkeypatch):
-        self.no_short_run_hit(monkeypatch)
-        cfg = bs.EstimatorConfig(n=100, L=10, seed=2)
-        res = engine.proxy_q_star(
-            engine.prepare(PowerGamma(2.0), self.p, self.omega, cfg, "simplex"), cfg
-        )
-        assert self.omega.contains_point(res.q_star)
-        assert res.draws_used > cfg.proxy.budget
-
-    def test_gaussian_stage_kl(self, monkeypatch):
-        self.no_short_run_hit(monkeypatch)
-        cfg = bs.EstimatorConfig(n=100, L=10, seed=2)
-        res = engine.proxy_q_star(
-            engine.prepare(PowerGamma(1.0), self.p, self.omega, cfg, "simplex"), cfg
-        )
-        assert self.omega.contains_point(res.q_star)
-        assert np.all(res.q_star > 0)
-
-    def test_gaussian_stage_finds_what_short_runs_miss(self):
-        # block 0 holds one weight of a run of 50, so short runs almost never
-        # reach q_0 >= .3 and exhaust their budget; the Gaussian stage finds
-        # the face, and the polish reaches the closed-form minimum 2.0
-        # (q_0 = .3, the other coordinates lowered in proportion to p)
+    def test_the_ladder_reaches_a_face_of_a_small_block(self):
+        # block 0 holds 2% of the weights, so an untilted run of the frame's
+        # length almost never reaches q_0 >= .3; the ladder's runs double
+        # from one weight a block, each tilted by the last, and the polish
+        # reaches the closed-form minimum 2.0 (q_0 = .3, the other
+        # coordinates lowered in proportion to p)
         p = np.array([0.02, 0.18, 0.3, 0.5])
         omega = bs.intersection(bs.simplex_face(0, 0.3, ">="))
         cfg = bs.EstimatorConfig(n=1000, L=10, seed=1)
@@ -243,27 +221,36 @@ class TestProxy:
         assert omega.contains_point(res.q_star)
         assert bs.divergence(PowerGamma(2.0), res.q_star, p) <= 2.0 + 1e-3
 
-    def test_gaussian_stage_not_built_when_short_runs_hit(self, monkeypatch):
-        def fail(prepared):
-            pytest.fail("the Gaussian stage was built")
+    @pytest.mark.parametrize("gen", [PowerGamma(1.0), GeneralizedKL(1.0, 1.0)],
+                             ids=["kl", "generalized_kl"])
+    def test_a_searched_solve_calls_neither_tilts_nor_the_m_equation(self, gen, monkeypatch):
+        # the ladder tilts the unnormalised block sums themselves: its tilts
+        # pass through no point, so no m* is solved for
+        def fail(*args, **kwargs):
+            pytest.fail("a searched solve took tilts at a point")
 
-        monkeypatch.setattr(engine, "_gaussian_candidates", fail)
+        monkeypatch.setattr(engine.Prepared, "tilts", fail)
+        monkeypatch.setattr(engine, "solve_m_equation", fail)
         cfg = bs.EstimatorConfig(n=2000, L=2000, seed=1)
-        est = bs.estimate_min_divergence(PowerGamma(1.0), self.p, self.omega, cfg,
-                                         mode="simplex", target="divergence")
+        if isinstance(gen, PowerGamma):
+            est = bs.estimate_min_divergence(gen, self.p, self.omega, cfg,
+                                             mode="simplex", target="divergence")
+        else:
+            est = engine.bounds_general(gen, self.p, self.omega, cfg)[3]
         assert est.hits > 0
 
-    def test_tilts_computed_once_per_solve(self, monkeypatch):
-        # the search checks the proxy's tilts and the proxy carries them
-        calls = []
-        tilts = engine.Prepared.tilts
-        monkeypatch.setattr(engine.Prepared, "tilts",
-                            lambda prepared, q: calls.append(q) or tilts(prepared, q))
-        cfg = bs.EstimatorConfig(n=2000, L=2000, seed=1)
-        est = bs.estimate_min_divergence(PowerGamma(1.0), self.p, self.omega, cfg,
-                                         mode="simplex", target="divergence")
-        assert est.hits > 0
-        assert len(calls) == 1
+    def test_a_searched_run_is_the_same_on_any_thread_count(self):
+        # the ladder draws alone, before the batches, so its tilts and the
+        # run they tilt keep their bits however the passes spread
+        runs = [bs.estimate_min_divergence(PowerGamma(1.0), self.p, self.omega,
+                                           bs.EstimatorConfig(n=200, L=20_000, seed=5,
+                                                              threads=threads),
+                                           mode="simplex") for threads in (1, 2, 3)]
+        assert runs[0].hits > 0
+        for est in runs[1:]:
+            assert est.value.hex() == runs[0].value.hex()
+            assert est.hits == runs[0].hits
+            assert np.array_equal(est.batch_log_means, runs[0].batch_log_means)
 
     def test_given_q_star(self):
         q = np.array([0.5, 0.25, 0.25])
@@ -286,10 +273,11 @@ class TestProxy:
                                law=NoDrawLaw()), cfg)
 
     def test_budget_exhaustion_raises(self):
-        cfg = bs.EstimatorConfig(
-            n=100, L=10, seed=2, proxy=bs.ProxySpec(budget=512)
-        )
-        with pytest.raises(RuntimeError):
+        # the ladder draws a fixed 2048 runs a level: an empty set leaves its
+        # last level without a hit, and the error names the run length
+        cfg = bs.EstimatorConfig(n=100, L=10, seed=2)
+        with pytest.raises(RuntimeError, match=r"no hit of the constraint set in 2048 runs "
+                                                r"of the length n = 100"):
             engine.proxy_q_star(
                 engine.prepare(PowerGamma(1.0), self.p, bs.empty_set(), cfg, "simplex"), cfg
             )
@@ -319,15 +307,16 @@ class TestProxy:
         truth = 2.899898  # Shannon entropy of the Gibbs law with mean 13
         assert abs(rep.value - truth) <= 0.02 + 0.05 * truth
 
-    def test_no_finite_tilt_raises_naming_the_proxy(self):
-        # every hit of {q_0 <= 0} has q_0 = 0, where the KL tilt is infinite
-        cfg = bs.EstimatorConfig(n=100, L=10, seed=2, proxy=bs.ProxySpec(m_run=5))
-        with pytest.raises(RuntimeError, match=r"proxy search: Prepared.tilts refused every "
-                                                r"one of its \d+ refined hits"):
-            engine.proxy_q_star(engine.prepare(PowerGamma(1.0), self.p,
-                                               bs.intersection(bs.simplex_face(0, 0.0, "<=")),
-                                               cfg, "simplex"),
-                                cfg)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_a_face_of_zero_coordinates_covers_its_pi(self, seed):
+        # every hit of {q_0 <= 0} has q_0 = 0, where the KL tilt at a point
+        # is infinite; the ladder's "+1" keeps its tilt finite, and the
+        # estimate covers the exact pi = P(Poisson(20) = 0) = e^-20
+        cfg = bs.EstimatorConfig(n=100, L=10_000, seed=seed)
+        omega = bs.intersection(bs.simplex_face(0, 0.0, "<="))
+        est = engine.is_estimate(engine.prepare(PowerGamma(1.0), self.p, omega, cfg,
+                                                "simplex"), cfg)
+        assert abs(est.log_pi_hat + 20.0) <= 3.0 * est.stderr_log_pi
 
 
 class TestInvert:
@@ -787,12 +776,11 @@ class TestEmpiricalMode:
         assert abs(est.value - ref) < 0.02 + 0.05 * ref
 
     def test_proxy_replication_trick(self):
-        # searched: a set without a row, where m_run is read
+        # searched: a set without a row, whose ladder ends on the sample's
+        # own blocks, so no run needs to replicate the observations
         part = engine.ingest_sample(list("aabbb" * 4))
         omega = bs.intersection(bs.simplex_face(0, 0.55, ">="))
-        cfg = bs.EstimatorConfig(
-            n=part.n, L=2_000, seed=6, proxy=bs.ProxySpec(m_run=3 * part.n)
-        )
+        cfg = bs.EstimatorConfig(n=part.n, L=2_000, seed=6)
         est = bs.estimate_min_divergence(PowerGamma(1.0), part, omega, cfg,
                                          mode="empirical", target="divergence")
         assert est.hits > 0
@@ -1184,8 +1172,13 @@ class TestConstructorRules:
     @pytest.mark.parametrize("name, value", [("budget", 0), ("budget", 2.5),
                                              ("m_run", 0), ("m_run", 1.5)])
     def test_proxy_counts(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+        # the search draws a fixed ladder: the counts it once took are no
+        # settings, refused by name whatever their value
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
             bs.ProxySpec(**{name: value})
+
+    def test_proxy_settings_are_the_method_and_its_point(self):
+        assert [f.name for f in dataclasses.fields(bs.ProxySpec)] == ["method", "q_star"]
 
     def test_given_proxy_needs_its_point(self):
         with pytest.raises(ValueError, match="proxy method 'given' needs q_star"):
@@ -1194,9 +1187,6 @@ class TestConstructorRules:
     def test_searched_proxy_takes_no_point(self):
         with pytest.raises(ValueError, match="proxy method 'search' takes no q_star"):
             bs.ProxySpec(q_star=np.array([0.5, 0.25, 0.25]))
-
-    def test_proxy_run_length_may_be_left_out(self):
-        assert bs.ProxySpec(m_run=None).m_run is None
 
     @pytest.mark.parametrize("K", [0, 2.5, True])
     def test_entropy_dimension(self, K, monkeypatch):
@@ -1256,58 +1246,31 @@ class TestTargetCheck:
 
 class TestHitRunOutsideDomain:
     """Two-point weights on {0, 2}, so D(q, p) is finite only where
-    q_k / p_k <= 2.  At the default run length 5 the blocks are (1, 1, 3),
-    and every short-run hit of {q_0 >= .35} has q_0 / p_0 in {5, 2.5}.  The
-    search runs on the face's row-less form; the face itself takes the dual
-    (``TestDual::test_two_point_bounds_at_the_dual_point``)."""
+    q_k / p_k <= 2.  The search runs on the face's row-less form; the face
+    itself takes the dual (``TestDual::test_two_point_bounds_at_the_dual_point``)."""
 
     P = np.array([0.2, 0.3, 0.5])
+    GEN = TwoPoint(0.0, 2.0)
+    CFG = bs.EstimatorConfig(n=200, L=2000, seed=1)
 
-    def proxy(self, bound, m_run=None):
-        cfg = bs.EstimatorConfig(n=200, L=2000, seed=1, proxy=bs.ProxySpec(m_run=m_run))
-        omega = bs.intersection(bs.simplex_face(0, bound, ">="))
-        return engine.proxy_q_star(
-            engine.prepare(TwoPoint(0.0, 2.0), self.P, omega, cfg, "simplex"), cfg)
-
-    def test_the_error_says_where_the_hits_lie(self):
-        # q_0 >= .45 means q_0 / p_0 >= 2.25: the set misses dom D, and no
-        # budget or run length can help
-        with pytest.raises(RuntimeError, match=r"all \d+ hits lie where D\(q, p\) is "
-                                                r"infinite; the constraint set may not "
-                                                r"meet the domain of D") as err:
-            self.proxy(0.45)
-        assert "m_run" not in str(err.value)
-
-    def test_the_gaussian_stage_finds_a_proxy(self):
-        q = self.proxy(0.35).q_star
-        assert q[0] >= 0.35 and np.all(q / self.P <= 2.0)
+    def test_the_searched_set_bounds_like_its_face(self):
+        # q_0 >= .45 means q_0 / p_0 >= 2.25: the set misses dom D, so no
+        # hit bounds it above, while the ladder's tilts, which pass through
+        # no point, still estimate it as the face's dual does
+        face = bs.simplex_face(0, 0.45, ">=")
+        lower, upper, _, est = engine.bounds_general(self.GEN, self.P, bs.intersection(face),
+                                                     self.CFG)
+        face_lower, _, _, face_est = engine.bounds_general(self.GEN, self.P, face, self.CFG)
+        assert upper == math.inf
+        assert abs(lower - face_lower) <= 3.0 * math.hypot(est.stderr, face_est.stderr)
 
     def test_a_longer_run_finds_a_proxy(self):
-        q = self.proxy(0.35, m_run=20).q_star
+        # the ladder's runs lengthen to the frame's, whose hits of {q_0 >= .35}
+        # include points of finite D
+        omega = bs.intersection(bs.simplex_face(0, 0.35, ">="))
+        q = engine.proxy_q_star(
+            engine.prepare(self.GEN, self.P, omega, self.CFG, "simplex"), self.CFG).q_star
         assert q[0] >= 0.35 and np.all(q / self.P <= 2.0)
-
-    def test_a_failing_search_ranks_each_chunk_at_once(self, monkeypatch):
-        # both stages run to their budgets over some 80,000 hits of infinite
-        # D; each chunk's hits are ranked by one phi call, and none is
-        # refined
-        calls = {"chunks": 0, "phi": 0}
-        rng, phi = engine._rng, TwoPoint.phi
-
-        def counted_rng(*args):
-            calls["chunks"] += 1
-            return rng(*args)
-
-        def counted_phi(gen, t):
-            calls["phi"] += 1
-            return phi(gen, t)
-
-        monkeypatch.setattr(engine, "_rng", counted_rng)
-        monkeypatch.setattr(TwoPoint, "phi", counted_phi)
-        with pytest.raises(RuntimeError, match=r"all \d+ hits lie where D\(q, p\) is "
-                                                "infinite"):
-            self.proxy(0.45)
-        assert calls["chunks"] == 2 * math.ceil(bs.ProxySpec().budget / engine._PROXY_CHUNK)
-        assert 0 < calls["phi"] <= calls["chunks"]
 
 
 class TestBoundsSingleSearch:

@@ -72,6 +72,20 @@ class TestBuildLambda:
         d2 = (lam(h / 2) - lam(-h / 2)) / h
         assert (4 * d2 - d1) / 3 == pytest.approx(1.0, abs=1e-9), case.name
 
+    @pytest.mark.parametrize("case", SOLVED_CASES, ids=lambda c: c.name)
+    def test_domain_ends_are_the_laws(self, case):
+        # the ends are F's limits, extrapolated from the probes nearest them:
+        # built gamma = 1/2 read 1.999998 for 2, generalized KL log 2 - 1e-12
+        for built, law in zip(case.spec().lambda_dom, case.law.mgf_dom()):
+            assert built == law or abs(built - law) <= 1e-13 * abs(law)
+
+    def test_finite_just_below_its_upper_end(self):
+        # built gamma = 1/2: Lambda(z) = 4 / (2 - z) - 2 up to lambda_+ = 2,
+        # and F^-1 widens its bracket far past the grid to reach it
+        case = next(c for c in SOLVED_CASES if c.name == "power gamma=0.5")
+        z = 1.9999985
+        assert build_lambda(case.spec())(z) == pytest.approx(4.0 / (2.0 - z) - 2.0, rel=1e-6)
+
     def test_anchor_outside_range_rejected(self):
         with pytest.raises(ValueError):
             GeneratorSpec(F=lambda t: 1.0 - 1.0 / t if t > 0 else -INF,

@@ -1264,6 +1264,28 @@ class TestHitRunOutsideDomain:
         assert upper == math.inf
         assert abs(lower - face_lower) <= 3.0 * math.hypot(est.stderr, face_est.stderr)
 
+    def test_the_gaussian_stage_finds_a_proxy(self, monkeypatch):
+        # the ladder's two shortest levels, blocks (1, 1, 1) and (1, 2, 2),
+        # are short runs like those the Gaussian stage once followed: each of
+        # their hits of {q_0 >= .35} has q_0 / p_0 >= 2.5, outside dom D.
+        # The levels after them still end at a proxy of finite D
+        omega = bs.intersection(bs.simplex_face(0, 0.35, ">="))
+        prepared = engine.prepare(self.GEN, self.P, omega, self.CFG, "simplex")
+        levels, block_sums = [], engine._block_sums
+
+        def recorded(law, sizes, *args):
+            levels.append((list(sizes), block_sums(law, sizes, *args)))
+            return levels[-1][1]
+
+        monkeypatch.setattr(engine, "_block_sums", recorded)
+        q = engine.proxy_q_star(prepared, self.CFG).q_star
+        assert [sizes for sizes, _ in levels[:2]] == [[1, 1, 1], [1, 2, 2]]
+        for sizes, sums in levels[:2]:
+            x, member = prepared.coords_and_hits(sums, sum(sizes))
+            assert member.any()
+            assert np.all(np.isinf(prepared.rank(x[member])))
+        assert q[0] >= 0.35 and np.all(q / self.P <= 2.0)
+
     def test_a_longer_run_finds_a_proxy(self):
         # the ladder's runs lengthen to the frame's, whose hits of {q_0 >= .35}
         # include points of finite D

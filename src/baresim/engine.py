@@ -46,7 +46,8 @@ same whatever the thread count, the number of rows a sum is called on, or
 the memory layout of the block sums, which ``_block_sums`` alone chooses.
 The batches draw in phase 0.  The tilt search of a set without a row
 (``_ladder``) draws before them, on one thread, level j from the stream
-(seed, 1, j).
+(seed, 1, j); the ray that scales its tilts (``_ray``) draws nothing.  A
+searched proxy point, like a dual's, is the tilted mean of its own tilts.
 """
 
 from __future__ import annotations
@@ -102,8 +103,8 @@ _PHASE_PROXY = 1
 
 # rows of block sums each level of the proxy search draws
 _LADDER_ROWS = 2048
-# bisection levels of the push toward the reference tested per membership call
-_BISECT_LEVELS = 6
+# tilts along the searched ray tested per membership call
+_RAY_POINTS = 64
 # rows of a pass: consecutive batches drawn from one stream into one buffer
 # and tested at once; the passes key the streams, so this sets the bits
 _PASS_ROWS = 4096
@@ -184,9 +185,10 @@ class ProxySpec:
     method "search": a one-inequality leaf, in every mode, takes the tilts
     and point of its dual (``Prepared.dual``); a set without a row is
     searched by a cross-entropy ladder of doubling run lengths in the tilt
-    family (``_ladder``), whose proxy point is its last level's best hit,
-    pushed toward the reference vector and polished.  A poor tilt costs the
-    estimator variance, never unbiasedness.  The proxy point gives
+    family (``_ladder``), whose last tilts give a direction, and a
+    draw-free ray along it (``_ray``) their length.  Either way the proxy
+    point is the tilted mean of its own tilts, in the set.  A poor tilt
+    costs the estimator variance, never unbiasedness.  The proxy point gives
     ``bounds_general`` its upper bound, D(Q*, P).
     """
 
@@ -695,7 +697,7 @@ def naive_estimate(prepared: Prepared, config: EstimatorConfig) -> Estimate:
 @dataclass(frozen=True)
 class ProxyResult:
     q_star: np.ndarray  # normalized (simplex modes) or Omega/M coordinates
-    taus: np.ndarray  # the checked tilts: given, the dual's or the ladder's
+    taus: np.ndarray  # the checked tilts: given, the dual's or the ray's
     draws_used: int = 0
 
 
@@ -704,7 +706,8 @@ def proxy_q_star(prepared: Prepared, config: EstimatorConfig) -> ProxyResult:
     with its tilts.  A given ``q_star`` comes first; one without valid tilts
     raises ``ValueError`` before any batch is drawn.  Else a one-inequality
     leaf, in every mode, takes the point and tilts of its dual
-    (``Prepared.dual``); only a set without a row is searched (``_ladder``)."""
+    (``Prepared.dual``); only a set without a row is searched (``_ladder``
+    and its ray)."""
     spec = config.proxy
     if prepared.gen is None:
         raise ValueError("the proxy needs the generator for its tilts")
@@ -720,25 +723,32 @@ def proxy_q_star(prepared: Prepared, config: EstimatorConfig) -> ProxyResult:
 
 
 def _ladder(prepared: Prepared, seed: int) -> ProxyResult:
-    """The searched tilts: a cross-entropy ladder in the tilt family.
+    """The searched tilts and point: a cross-entropy ladder in the tilt
+    family finds a direction, and the ray along it (``_ray``) its length.
 
-    Level j draws ``_LADDER_ROWS`` rows of block sums of sizes
-    ceil(2^j p_k / max p), tilted by the tilts so far, on the stream (seed,
-    ``_PHASE_PROXY``, j); the last level draws the frame's own blocks.  Each
-    level sets tau_k = M phi'((s_k + 1) / (n_k + 1)), the closed-form
-    cross-entropy update: s is the mean block sum of its hits weighted by
-    exp(-<tau, S>), their likelihood ratio against the untilted run up to a
-    constant, or the sums of its lowest-D hit when that mean is no member
-    (a union, a predicate); the 1 is one more weight at the untilted mean,
-    which keeps every ratio inside the weights' support.  A level without a
-    hit, or whose tilts leave int(dom MGF), keeps the tilts it drew with.
-    The longer runs find the rarer sets, each from the tilts of the last.
+    A set that holds the untilted mean (``_ray_points`` at lam = 0) is its
+    own proxy, with zero tilts and no draw.  Else level j draws
+    ``_LADDER_ROWS`` rows of block sums of sizes ceil(2^j p_k / max p),
+    tilted by the tilts so far, on the stream (seed, ``_PHASE_PROXY``, j);
+    the last level draws the frame's own blocks.  Each level sets tau_k =
+    M phi'((s_k + 1) / (n_k + 1)), the closed-form cross-entropy update: s
+    is the mean block sum of its hits weighted by exp(-<tau, S>), their
+    likelihood ratio against the untilted run up to a constant, or the sums
+    of its lowest-D hit when that mean is no member (a union, a predicate);
+    the 1 is one more weight at the untilted mean, which keeps every ratio
+    inside the weights' support.  A level without a hit, or whose tilts
+    leave int(dom MGF), keeps the tilts it drew with.  The longer runs find
+    the rarer sets, each from the tilts of the last.
 
-    The proxy point, D at which ``bounds_general`` reports, is the last
-    level's lowest-D hit pushed toward the reference vector and polished;
-    the tilts do not pass through it.  ``RuntimeError`` when the last level
-    has no hit."""
+    The last level's tilts d are a direction only: the proxy point is the
+    tilted mean of its own tilts lam* d, as a dual's is, at the first lam*
+    in ]0, 2] whose mean is a member.  Where no such lam is found, the
+    ladder's tilts stay and the point is the last level's lowest-D hit;
+    ``RuntimeError`` when that level has no hit either."""
     part, law = prepared.part, prepared.law
+    x0, inside = _ray_points(prepared, np.zeros(part.K), np.zeros(1))
+    if inside[0]:
+        return ProxyResult(q_star=x0[0], taus=np.zeros(part.K))
     lo, hi = law.mgf_dom()
     shape = part.p_tilde / part.p_tilde.max()
     levels = [np.ceil(2.0**j * shape).astype(int)
@@ -760,13 +770,16 @@ def _ladder(prepared: Prepared, seed: int) -> ProxyResult:
                 prepared.gen.phi_prime((target + 1.0) / (sizes + 1.0)), dtype=float)
         if np.all((lo < new) & (new < hi)):
             taus = new
+    draws = len(levels) * _LADDER_ROWS
+    ray = _ray(prepared, taus)
+    if ray is not None:
+        _, lam, q_star = ray
+        return ProxyResult(q_star=q_star, taus=lam * taus, draws_used=draws)
     if hits.size == 0:
         raise RuntimeError(f"proxy search: no hit of the constraint set in {_LADDER_ROWS} "
                            f"runs of the length n = {part.n}; the set may be empty or too "
                            "rare to find; supply q_star")
-    q_star = x[_best(prepared, x, hits)]
-    q_star = _polish_proxy(prepared, _refine_toward_reference(prepared, q_star))
-    return ProxyResult(q_star=q_star, taus=taus, draws_used=len(levels) * _LADDER_ROWS)
+    return ProxyResult(q_star=x[_best(prepared, x, hits)], taus=taus, draws_used=draws)
 
 
 def _best(prepared: Prepared, x: np.ndarray, hits: np.ndarray) -> int:
@@ -775,81 +788,39 @@ def _best(prepared: Prepared, x: np.ndarray, hits: np.ndarray) -> int:
     return int(hits[np.argmin(prepared.rank(x[hits]))])
 
 
-def _refine_toward_reference(prepared: Prepared, q: np.ndarray) -> np.ndarray:
-    """Bisect the segment from a feasible point toward the reference vector,
-    keeping feasibility; the divergence is convex along the segment and
-    decreases toward the reference, so the crossing point improves the
-    proxy.
-
-    60 bisection steps, ``_BISECT_LEVELS`` per membership call: each call
-    tests the midpoints of every path through the next levels, and the
-    walk down the tree then takes the path that one-step bisection takes."""
-    p = prepared.part.p_tilde
-    if prepared.tested.contains_point(p):
-        return p.copy()
-    t_feasible, t_not = 0.0, 1.0  # q + t * (p - q)
-    nodes = 2**_BISECT_LEVELS - 1
-    for _ in range(60 // _BISECT_LEVELS):
-        # heap order: node i bisects bounds[i]; a feasible midpoint moves
-        # on to child 2i+1, an infeasible one to child 2i+2
-        bounds, ts = [(t_feasible, t_not)], np.empty(nodes)
-        for i in range(nodes):
-            lo, hi = bounds[i]
-            ts[i] = t = 0.5 * (lo + hi)
-            bounds += [(t, hi), (lo, t)]
-        inside = prepared.tested.contains(q + ts[:, None] * (p - q))
-        i = 0
-        for _ in range(_BISECT_LEVELS):
-            if inside[i]:
-                t_feasible, i = ts[i], 2 * i + 1
-            else:
-                t_not, i = ts[i], 2 * i + 2
-    return q + t_feasible * (p - q)
+def _ray_points(prepared: Prepared, d: np.ndarray, lams: np.ndarray):
+    """The tilted means p~ Lambda'(lam d), p~ = sizes / n, of the tilts
+    ``lams`` along ``d``, mapped to reduced coordinates as ``Prepared.dual``
+    maps its point, with their membership: (x, member), one row per lam.  A
+    mean that leaves the reals, its tilts outside the law's domain, is no
+    member."""
+    p = prepared.part.sizes / prepared.part.n
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope, _ = prepared.law.log_mgf_slopes(lams[:, None] * d)
+        x, member = prepared.coords_and_hits(p * slope, 1.0)
+    return x, member & np.isfinite(x).all(axis=1)
 
 
-def _polish_proxy(prepared: Prepared, q: np.ndarray, rounds: int = 5) -> np.ndarray:
-    """Feasibility-constrained local descent of the divergence around a
-    proxy point: approximates the dominating point, which controls the
-    importance-sampling variance (a rough proxy stays unbiased but noisy).
-    Simplex modes move mass pairwise (sum preserved); the deterministic
-    mode moves single coordinates.
+def _ray(prepared: Prepared, d: np.ndarray):
+    """The first lam in ]0, 2] at which the tilted mean along ``d``
+    (``_ray_points``) is a member, by no draw: (below, lam, x(lam)), with
+    below < lam no member.  Each membership call tests ``_RAY_POINTS`` tilts
+    spread over the bracket ]below, lam], the first over ]0, 2], and narrows
+    it to the first member and the non-member just before it, until it spans
+    at most 4 ulps.  None where none of the first call's tilts is a member.
 
-    A sweep tries the moves in order and takes each one that improves.  The
-    moves left in a sweep are tested from the current point at once, by one
-    membership and one phi call; the first improving one is taken and the
-    sweep resumes after it, the path of trying them one at a time."""
-    p = prepared.part.p_tilde
-    best = float(_row_divergences(prepared.gen, q[None, :], p)[0])
-    if not math.isfinite(best):
-        return q
-    x, h = q.copy(), 0.05
-    K = x.size
-    eye = np.eye(K)
-    pairwise = prepared.mode != "deterministic"
-    # move m adds h * steps[m]: mass moved from one coordinate to another,
-    # or one coordinate raised or lowered
-    if pairwise:
-        steps = np.array([eye[i] - eye[j] for i in range(K) for j in range(K) if i != j])
-    else:
-        steps = np.vstack((eye, -eye))
-    for _ in range(rounds):
-        improved = True
-        while improved:
-            improved, start = False, 0
-            while start < len(steps):
-                ys = x + h * steps[start:]
-                rows = np.arange(len(ys))
-                if pairwise:  # the coordinate giving mass may not fall below 0
-                    rows = rows[~(ys[steps[start:] < 0] < 0)]
-                rows = rows[prepared.tested.contains(ys[rows])]
-                vals = _row_divergences(prepared.gen, ys[rows], p)
-                offset, start = start, len(steps)
-                for r, val in zip(rows.tolist(), vals.tolist()):
-                    if val < best - 1e-14:
-                        x, best, improved, start = ys[r], val, True, offset + r + 1
-                        break
-        h /= 2.0
-    return x
+    The cap at twice the ladder's own tilts keeps the ray where Lambda' is
+    representable: far out, a Poisson Lambda' underflows to 0, and a set
+    such as {q_0 <= 0} would take the false member for its point."""
+    below, above, point = 0.0, 2.0, None
+    while above - below > 4.0 * _EPS * above:
+        lams = np.linspace(below, above, _RAY_POINTS + 1)[1:]
+        x, member = _ray_points(prepared, d, lams)
+        if not member.any():
+            return None
+        i = int(np.argmax(member))
+        below, above, point = (lams[i - 1] if i else below), lams[i], x[i]
+    return below, above, point
 
 
 def _m_minimizer(gen: Generator, q: np.ndarray, p: np.ndarray) -> float:
@@ -1055,13 +1026,17 @@ def finalize(est: Estimate, target, prepared: Prepared,
     (``_block_rounding``), which moves the estimate from the frequencies
     drawn to p, are added to log pi_hat where they apply, and the sum is
     inverted once.  ``bias_correction`` reports what the two terms add, in
-    value units."""
+    value units.  A set without a row gets neither term, and a warning that
+    its value carries the bias."""
     _check_target(target, prepared.gen, prepared.part.K, entropy_spec, prepared.mode)
     if est.hits == 0:
         est.value = INF
         return est
     frame = dict(n=prepared.part.n, gen=prepared.gen, K=prepared.part.K, A=prepared.scale,
                  entropy_spec=entropy_spec)
+    if prepared.tested.row is None:
+        est.warnings.append("a set without a row gets no finite-n term: its value carries "
+                            "the O(log n / n) finite-n bias")
     terms = [t for t in (_bahadur_rao(prepared), _block_rounding(prepared)) if t is not None]
     log_pi = est.log_pi_hat + sum(terms)
     est.value = invert(target, log_pi, **frame)

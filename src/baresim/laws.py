@@ -64,10 +64,12 @@ class WeightLaw:
         """Lambda'(z) and Lambda''(z) of Lambda = ``log_mgf``, elementwise
         over z inside int(dom MGF), each law in closed form; NaN or +inf
         outside the domain.  The dual of a one-inequality leaf
-        (``engine.Prepared.dual``) needs them, in every mode."""
+        (``engine.Prepared.dual``) needs them, in every mode, and so does the
+        ray of a searched set (``engine._ray``)."""
         raise NotImplementedError(
             f"{type(self).__name__} has no log_mgf_slopes: a halfspace or coordinate leaf "
-            "takes its tilts from the dual, which needs Lambda' and Lambda''")
+            "takes its tilts from the dual, and any other set from a ray of tilted means, "
+            "which need Lambda' and Lambda''")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` exact draws of W."""

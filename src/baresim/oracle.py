@@ -19,6 +19,9 @@ __all__ = ["grid_min_divergence", "exact_pi", "golden_min", "simplex_grid"]
 
 INF = math.inf
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# block-sum tuples ``exact_pi`` enumerates at most (K = 3: 96 MB of sums); the
+# calibration suite's largest enumeration is 1.9e6
+_MAX_TUPLES = 4_000_000
 
 
 def simplex_grid(K: int, resolution: float) -> np.ndarray:
@@ -103,7 +106,9 @@ def exact_pi(law: WeightLaw, part: BlockPartition, omega: ConstraintSet,
     of block-sum tuples, truncated with certified tail mass.
 
     Returns (probability, certified_tail).  The truth lies within
-    [probability, probability + certified_tail].
+    [probability, probability + certified_tail].  ``ValueError``, before
+    any tuple is built, where the product of the block support sizes
+    exceeds ``_MAX_TUPLES``.
     """
     if not law.is_discrete:
         raise ValueError("exact enumeration needs a countable-support law")
@@ -118,6 +123,10 @@ def exact_pi(law: WeightLaw, part: BlockPartition, omega: ConstraintSet,
         tail_total += tail
     if tail_total > tail_bound:
         raise ValueError("truncation budget exceeded; raise tail_bound")
+    counts = [s[0].size for s in supports]
+    if math.prod(counts) > _MAX_TUPLES:
+        raise ValueError(f"exact enumeration of block supports of sizes {counts} is "
+                         f"{math.prod(counts)} tuples, more than {_MAX_TUPLES}")
     grids = np.meshgrid(*[s[0] for s in supports], indexing="ij")
     sums = np.stack([g.reshape(-1) for g in grids], axis=1)
     probs = np.ones(sums.shape[0])

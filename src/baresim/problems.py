@@ -159,9 +159,6 @@ class QuadraticReduction:
     offset: float
     c2: np.ndarray
 
-    def to_original(self, q) -> np.ndarray:
-        return -np.asarray(q, dtype=float) / self.c2
-
     def to_reduced(self, x) -> np.ndarray:
         return -self.c2 * np.asarray(x, dtype=float)
 

@@ -52,8 +52,9 @@ def test_pi_coverage_control():
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_pi_coverage_searched_face(seed):
     # the control's face as a set without a row, intersection(face): the
-    # search's cross-entropy ladder finds the tilts, |z| <= 1.70 over seeds
-    # 1-8 (2.43 with the short-run search it replaced)
+    # search's cross-entropy ladder finds the direction of the tilts and the
+    # ray their length, |z| <= 1.62 over seeds 1-8 (1.70 with the ladder's
+    # own tilts, 2.43 with the short-run search before it)
     z = pi_z_score(bs.intersection(bs.simplex_face(0, 0.6, ">=")), seed)
     assert abs(z) <= 3.0
 
@@ -61,7 +62,8 @@ def test_pi_coverage_searched_face(seed):
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 3(c)")
 def test_pi_coverage_union():
     # two symmetric faces: the proxy tilts toward one piece only, so the
-    # estimate misses the other piece's half of π (z = -24.8 at seed 1)
+    # estimate misses the other piece's half of π (z = -24.7, -31.8
+    # and -26.3 at seeds 1-3)
     omega = bs.union(bs.simplex_face(0, 0.6, ">="), bs.simplex_face(1, 0.6, ">="))
     z = pi_z_score(omega)
     assert abs(z) <= 3.0

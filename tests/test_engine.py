@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 import baresim as bs
 from baresim import engine, laws, oracle, problems
 from baresim.divergence import (
-    GenAsymLaplace, GeneralizedKL, PowerGamma, TwoPoint, _divergence_positive, min_over_m_closed,
-    modified_kl, modified_rev_kl,
+    GenAsymLaplace, GeneralizedKL, PowerGamma, TwoPoint, min_over_m_closed, modified_kl,
+    modified_rev_kl,
 )
 from baresim.entropy import entropy, renyi_entropy, shannon, sharma_mittal2
 
@@ -210,9 +210,10 @@ class TestProxy:
     def test_the_ladder_reaches_a_face_of_a_small_block(self):
         # block 0 holds 2% of the weights, so an untilted run of the frame's
         # length almost never reaches q_0 >= .3; the ladder's runs double
-        # from one weight a block, each tilted by the last, and the polish
-        # reaches the closed-form minimum 2.0 (q_0 = .3, the other
-        # coordinates lowered in proportion to p)
+        # from one weight a block, each tilted by the last, and the ray along
+        # its last tilts ends within 1e-3 of the closed-form minimum 2.0
+        # (q_0 = .3, the other coordinates lowered in proportion to p): 2.7e-4
+        # above it at this seed
         p = np.array([0.02, 0.18, 0.3, 0.5])
         omega = bs.intersection(bs.simplex_face(0, 0.3, ">="))
         cfg = bs.EstimatorConfig(n=1000, L=10, seed=1)
@@ -283,7 +284,7 @@ class TestProxy:
             )
 
     def test_refined_proxy_near_projection(self):
-        # for the KL face instance the refined proxy should approach the
+        # for the KL face instance the ray's point should approach the
         # I-projection (0.5, 0.1875, 0.3125)
         cfg = bs.EstimatorConfig(n=100, L=10, seed=4)
         res = engine.proxy_q_star(
@@ -294,9 +295,9 @@ class TestProxy:
 
     def test_zero_coordinate_hit_is_passed_over(self):
         # with this seed the best-ranked hit lies on sum k q_k = 13 with
-        # q_0 = 0, where the KL tilt is infinite, and neither the push
-        # toward the uniform reference nor the polish can leave q_0 = 0;
-        # the next-ranked hit gives the proxy
+        # q_0 = 0, where the KL tilt at a point is infinite; the proxy is no
+        # hit but the tilted mean of the ladder's finite tilts, e^tau > 0 in
+        # every coordinate
         omega = bs.intersection(bs.halfspace(np.arange(1, 21), 13.0, ">="))
         cfg = bs.EstimatorConfig(n=10_000, L=2000, seed=3169191882)
         res = engine.proxy_q_star(
@@ -855,8 +856,10 @@ class TestDual:
             log_mgf_slopes = laws.WeightLaw.log_mgf_slopes
 
         cfg = bs.EstimatorConfig(n=200, L=10, seed=1)
+        # a searched set too: its ray's tilted means need Lambda'
         for omega, mode in ((bs.halfspace([1.0, 1.0, 1.0], 1.3), "deterministic"),
-                            (bs.simplex_face(0, 0.5), "simplex")):
+                            (bs.simplex_face(0, 0.5), "simplex"),
+                            (bs.intersection(bs.simplex_face(0, 0.5)), "simplex")):
             prepared = engine.prepare(PowerGamma(1.0), self.P, omega, cfg, mode, law=NoSlopes())
             with pytest.raises(NotImplementedError, match="NoSlopes has no log_mgf_slopes"):
                 engine.is_estimate(prepared, cfg)
@@ -933,6 +936,20 @@ class TestDual:
         assert engine.proxy_q_star(prepared, cfg).draws_used > 0
         est = engine.finalize(engine.is_estimate(prepared, cfg), "deterministic", prepared)
         assert est.bias_correction is None
+        assert any("no finite-n term" in w for w in est.warnings)
+
+    @pytest.mark.parametrize("searched", [False, True], ids=["row", "intersection"])
+    def test_a_set_without_a_row_warns_of_its_bias(self, searched):
+        # the README face: its row takes the finite-n terms that apply (none,
+        # Poisson weights being a lattice law) and no warning; as
+        # intersection(face) it gets no term and says so
+        face = bs.simplex_face(0, 0.5)
+        est = bs.estimate_min_divergence(PowerGamma(1.0), self.P,
+                                         bs.intersection(face) if searched else face,
+                                         bs.EstimatorConfig(n=2000, L=2000, seed=1),
+                                         mode="simplex", target="divergence")
+        warned = [w for w in est.warnings if "no finite-n term" in w]
+        assert len(warned) == (1 if searched else 0), est.warnings
 
     @pytest.mark.parametrize("mode", ["simplex", "empirical"])
     def test_a_row_takes_the_dual_in_every_mode(self, mode):
@@ -1425,67 +1442,12 @@ class TestSimplexTwoPointExact:
         assert abs(est.pi_hat - pi_exact) < 3.5 * se
 
 
-def one_row_refine(prepared, q):
-    """The push toward the reference vector one membership test per
-    bisection step: the reference for ``engine._refine_toward_reference``."""
-    p = prepared.part.p_tilde
-    if prepared.tested.contains_point(p):
-        return p.copy()
-    t_feasible, t_not = 0.0, 1.0
-    for _ in range(60):
-        t = 0.5 * (t_feasible + t_not)
-        if prepared.tested.contains_point(q + t * (p - q)):
-            t_feasible = t
-        else:
-            t_not = t
-    return q + t_feasible * (p - q)
+class TestRay:
+    """A searched set's point is the tilted mean of its own tilts, as a
+    dual's is: the ray along the ladder's direction d stops at the first
+    lam in ]0, 2] whose mean p~ Lambda'(lam d) is a member, by no draw."""
 
-
-def one_row_polish(prepared, q, rounds=5):
-    """The polish one move, one membership test and one divergence at a
-    time: the reference for ``engine._polish_proxy``."""
-
-    def objective(x):
-        return _divergence_positive(prepared.gen, x, prepared.part.p_tilde)
-
-    best = objective(q)
-    if not math.isfinite(best):
-        return q
-    x = q.copy()
-    K = x.size
-    h = 0.05
-    pairwise = prepared.mode != "deterministic"
-    if pairwise:
-        moves = [(i, j) for i in range(K) for j in range(K) if i != j]
-    else:
-        moves = [(i, None) for i in range(K)] + [(None, i) for i in range(K)]
-    for _ in range(rounds):
-        improved = True
-        while improved:
-            improved = False
-            for i, j in moves:
-                y = x.copy()
-                if i is not None:
-                    y[i] += h
-                if j is not None:
-                    y[j] -= h
-                if (pairwise and y[j] < 0) or not prepared.tested.contains_point(y):
-                    continue
-                val = objective(y)
-                if val < best - 1e-14:
-                    x, best = y, val
-                    improved = True
-        h /= 2.0
-    return x
-
-
-class TestBatchedSearchMatchesOneRow:
-    """The push toward the reference and the polish test many points per
-    membership call; they must take the path of testing one point at a
-    time, to the bit: a point's membership does not depend on the other
-    points of the call, for halfspaces too."""
-
-    PAIRS = 15  # (start point, set) pairs per mode and set kind
+    PAIRS = 15  # (member point, set) pairs per mode and set kind
 
     @staticmethod
     def random_set(kind, rng, ref):
@@ -1538,11 +1500,68 @@ class TestBatchedSearchMatchesOneRow:
 
     @pytest.mark.parametrize("mode", ["deterministic", "simplex"])
     @pytest.mark.parametrize("kind", ["box", "face", "union", "predicate", "halfspace"])
-    def test_refine_and_polish(self, mode, kind):
+    def test_the_ray_ends_at_its_first_member(self, mode, kind):
+        # along the tilts of a member q the mean at lam = 1 is about q, so
+        # the ray finds a member; its point is one, and the bracket's lower
+        # end, at most 4 ulps below, is not
         for prepared, q in self.pairs(mode, kind):
-            refined = engine._refine_toward_reference(prepared, q)
-            expected = one_row_refine(prepared, q)
-            polished = engine._polish_proxy(prepared, refined)
-            expected_polished = one_row_polish(prepared, refined)
-            assert [v.hex() for v in refined] == [v.hex() for v in expected]
-            assert [v.hex() for v in polished] == [v.hex() for v in expected_polished]
+            d = prepared.tilts(q)
+            below, lam, point = engine._ray(prepared, d)
+            assert 0.0 <= below < lam <= 2.0
+            assert lam - below <= 4 * np.finfo(float).eps * lam
+            assert prepared.tested.contains_point(point)
+            x, member = engine._ray_points(prepared, d, np.array([below, lam]))
+            assert not member[0] and member[1]
+            assert np.array_equal(x[1], point)
+
+    @pytest.mark.parametrize("gen, omega, mode, n, a", [
+        (PowerGamma(1.0), bs.simplex_face(0, 0.5), "simplex", 2000, [0.5, -0.5, -0.5]),
+        (PowerGamma(-1.0), bs.halfspace([1.0, 1.0, 1.0], 1.3), "deterministic", 200,
+         [1.0, 1.0, 1.0]),
+        (PowerGamma(2.0), bs.simplex_face(0, 0.5), "simplex", 200, [0.5, -0.5, -0.5]),
+    ], ids=["readme_face", "neyman", "gaussian_face"])
+    def test_on_a_one_row_set_the_ray_is_the_dual(self, gen, omega, mode, n, a):
+        # along the row a of the dual (the simplex face's homogeneous row
+        # c - rhs 1), the ray on intersection(row) stops at the dual's lam
+        # and point
+        cfg = bs.EstimatorConfig(n=n, L=10, seed=1)
+        dual = engine.prepare(gen, [0.2, 0.3, 0.5], omega, cfg, mode).dual
+        searched = engine.prepare(gen, [0.2, 0.3, 0.5], bs.intersection(omega), cfg, mode)
+        _, lam, point = engine._ray(searched, np.array(a))
+        assert lam == pytest.approx(dual.lam, rel=1e-12, abs=0)
+        assert point == pytest.approx(dual.q_star, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("omega, mode", [
+        (bs.intersection(bs.simplex_face(0, 0.1)), "simplex"),
+        (bs.from_predicate(lambda x: x.sum() >= 0.9), "deterministic"),
+    ], ids=["face", "predicate"])
+    def test_a_searched_set_that_holds_p_draws_nothing(self, omega, mode):
+        cfg = bs.EstimatorConfig(n=200, L=10, seed=1)
+        prepared = engine.prepare(PowerGamma(1.0), [0.2, 0.3, 0.5], omega, cfg, mode,
+                                  law=NoDrawLaw())
+        proxy = engine.proxy_q_star(prepared, cfg)
+        assert proxy.draws_used == 0
+        assert np.array_equal(proxy.taus, np.zeros(3))
+        assert proxy.q_star == pytest.approx([0.2, 0.3, 0.5], rel=1e-15)
+
+    def test_the_readme_face_as_a_predicate_reaches_its_minimum(self):
+        # a predicate hides the face's row from everything but membership;
+        # the ray's point lies 2.4e-7 above log 1.25 at this seed
+        cfg = bs.EstimatorConfig(n=2000, L=10, seed=1)
+        P = np.array([0.2, 0.3, 0.5])
+        omega = bs.from_predicate(lambda x: x[0] >= 0.5)
+        proxy = engine.proxy_q_star(engine.prepare(PowerGamma(1.0), P, omega, cfg, "simplex"),
+                                    cfg)
+        assert omega.contains_point(proxy.q_star)
+        assert 0.0 <= bs.divergence(PowerGamma(1.0), proxy.q_star, P) - math.log(1.25) <= 1e-3
+
+    def test_a_ray_without_a_member_keeps_the_ladder(self):
+        # every member of {q_0 <= 0} has q_0 = 0, which a tilted Poisson mean
+        # never reaches: the ladder's tilts stay, its lowest-D hit the point
+        cfg = bs.EstimatorConfig(n=100, L=10, seed=1)
+        omega = bs.intersection(bs.simplex_face(0, 0.0, "<="))
+        prepared = engine.prepare(PowerGamma(1.0), [0.2, 0.3, 0.5], omega, cfg, "simplex")
+        proxy = engine.proxy_q_star(prepared, cfg)
+        assert engine._ray(prepared, proxy.taus) is None
+        assert proxy.q_star[0] == 0.0 and omega.contains_point(proxy.q_star)
+        assert proxy.draws_used > 0

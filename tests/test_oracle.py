@@ -133,6 +133,17 @@ class TestExactPi:
         with pytest.raises(ValueError):
             oracle.exact_pi(laws.Gaussian(1.0), part, bs.full_space())
 
+    def test_a_product_too_large_is_refused_before_it_is_built(self, monkeypatch):
+        # the README face at n = 2000: Poisson(400), (600) and (1000) supports
+        # of 559, 792 and 1,174 sums make 5.2e8 tuples, tens of GB
+        def fail(*args, **kwargs):
+            pytest.fail("the product of the supports was built")
+
+        monkeypatch.setattr(oracle.np, "meshgrid", fail)
+        with pytest.raises(ValueError, match=r"block supports of sizes \[559, 792, 1174\]"):
+            oracle.exact_pi(laws.ScaledPoisson(1.0), engine.partition([0.2, 0.3, 0.5], 2000),
+                            bs.simplex_face(0, 0.5), mode="simplex")
+
 
 class TestSimplexGrid:
     def test_counts_and_sums(self):

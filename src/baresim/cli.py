@@ -337,7 +337,11 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if proc.returncode == 0 else EXIT_VALIDATION
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first call: building it
+    costs some twenty times what parsing does, and parsing leaves it as it
+    was, so every call of ``main`` shares it."""
     parser = argparse.ArgumentParser(
         prog="baresim",
         description="Constrained divergence minimization by rare-event simulation",
@@ -369,14 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quick", action="store_true")
     p.set_defaults(fn=_cmd_validate)
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of this process, built on the first call: building it
-    costs some twenty times what parsing does, and parsing leaves it as it
-    was, so every call of ``main`` shares it."""
-    return build_parser()
 
 
 def main(argv=None) -> int:

@@ -85,12 +85,12 @@ def check_nonneg_vector(values) -> np.ndarray:
     return arr
 
 
-def check_prob_vector(values, tol: float = 1e-12) -> np.ndarray:
-    """Validate a probability vector: entries >= 0, sum 1 within ``tol``."""
+def check_prob_vector(values) -> np.ndarray:
+    """Validate a probability vector: entries >= 0, sum 1 within 1e-12."""
     arr = _as_1d(values, "probability vector")
     if np.any(arr < 0):
         raise ValueError("probability vector must have nonnegative entries")
-    if abs(float(arr.sum()) - 1.0) > tol:
+    if abs(float(arr.sum()) - 1.0) > 1e-12:
         raise ValueError(f"probability vector must sum to 1 (got {arr.sum():.15g})")
     return arr
 

@@ -30,8 +30,8 @@ Bits: the replication batches are grouped into passes of whole consecutive
 batches, at most ``_PASS_ROWS`` rows each, and a pass draws from its own
 stream, keyed by (seed, phase, b0) with b0 its first batch; a batch alone
 in its pass draws the stream (seed, phase, b).  The passes are a function
-of L and the batch count alone, so a change to ``_PASS_ROWS`` is a change
-of the stream.  A pass draws one column per group of blocks that share a
+of L alone, so a change to ``_BATCHES`` or ``_PASS_ROWS`` is a change of
+the stream.  A pass draws one column per group of blocks that share a
 row coefficient and a tilt (``_columns``): a row with repeated
 coefficients, as a coordinate face or a sum halfspace, draws fewer columns
 than blocks, which changed its stream when the pooling came in, while a
@@ -71,7 +71,7 @@ from .divergence import (
     min_over_m_closed,
     normalize_bs1,
 )
-from .entropy import EntropySpec
+from .entropy import EntropySpec, _from_moment, _order
 from .laws import WeightLaw, law_for_generator
 
 __all__ = [
@@ -105,6 +105,8 @@ _PHASE_PROXY = 1
 _LADDER_ROWS = 2048
 # tilts along the searched ray tested per membership call
 _RAY_POINTS = 64
+# batches of a run, whose log-means give the batch-means stderr
+_BATCHES = 32
 # rows of a pass: consecutive batches drawn from one stream into one buffer
 # and tested at once; the passes key the streams, so this sets the bits
 _PASS_ROWS = 4096
@@ -205,16 +207,19 @@ class ProxySpec:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
+    """The settings of a run: the run length n, the L replications, split
+    into ``_BATCHES`` batches, the seed of every stream, how the tilts are
+    found, and the threads that spread the passes.  The passes and streams
+    follow from L and the seed alone; the threads change no bit."""
+
     n: int
     L: int = 10_000
     seed: int = 0
     proxy: ProxySpec = field(default_factory=ProxySpec)
-    batches: int = 32
     threads: int = 1
 
     def __post_init__(self):
-        # at least 10 batches for the batch-means stderr
-        for name, least in (("n", 1), ("L", 1), ("seed", 0), ("batches", 10), ("threads", 1)):
+        for name, least in (("n", 1), ("L", 1), ("seed", 0), ("threads", 1)):
             _check_int(name, getattr(self, name), least)
 
 
@@ -596,8 +601,8 @@ def _columns(prepared: Prepared, taus: np.ndarray):
 
 
 def _run_batches(prepared: Prepared, config: EstimatorConfig, taus: np.ndarray) -> Estimate:
-    """The estimate from ``config.batches`` batches tilted by ``taus``; the
-    zero tilt is the untilted run (``naive_estimate``).
+    """The estimate from ``_BATCHES`` batches tilted by ``taus``; the zero
+    tilt is the untilted run (``naive_estimate``).
 
     A pass (``_passes``) draws from one stream, keyed by (seed, phase, b0)
     with b0 its first batch, into one column-major buffer, one law call per
@@ -612,19 +617,20 @@ def _run_batches(prepared: Prepared, config: EstimatorConfig, taus: np.ndarray) 
     differ, has one group per block, so its pass draws every block and
     keeps the bits it had before the pooling, which changed the stream of
     rows with repeated coefficients.  A batch alone in its pass draws the
-    stream (seed, phase, b).  A batch without hits has log-mean -inf.  The passes depend only on the batch sizes, so a change
-    to ``_PASS_ROWS`` changes the stream, and every per-row value is
-    independent of the rows beside it, so the result is bit-identical for
-    any thread count, which spreads the passes.  The "not integral" warning
-    goes with a rounded partition that ``finalize`` cannot correct
-    (``_block_rounding``): without a generator or without a row.
+    stream (seed, phase, b).  A batch without hits has log-mean -inf.
+
+    The batch sizes, and with them the passes, depend only on L, so a
+    change to ``_BATCHES`` or ``_PASS_ROWS`` changes the stream.  Every
+    per-row value is independent of the rows beside it, so the result is
+    bit-identical for any thread count, which spreads the passes.  The "not
+    integral" warning goes with a rounded partition that ``finalize`` cannot
+    correct (``_block_rounding``): without a generator or without a row.
     """
     law, part = prepared.law, prepared.part
     if config.n != part.n:
         raise ValueError(f"config n={config.n} differs from the frame's n={part.n}")
-    B = config.batches
-    base, rem = divmod(config.L, B)
-    batch_sizes = [base + (1 if b < rem else 0) for b in range(B)]
+    base, rem = divmod(config.L, _BATCHES)
+    batch_sizes = [base + (1 if b < rem else 0) for b in range(_BATCHES)]
     sizes, taus, tested = _columns(prepared, taus)
     # sum_j N_j Lambda(tau_j), the part of every log ISF that is fixed
     log_isf_offset = sizes @ np.asarray(law.log_mgf(taus), dtype=float)
@@ -871,9 +877,8 @@ def _power_divergence_from_rate(gamma: float, scale: float, A: float, r: float) 
     )
 
 
-_ENTROPY_TARGETS = ("power_sum", "renyi_entropy", "shannon", "sm2", "entropy")
 _TARGETS = ("deterministic", "divergence", "hellinger", "renyi", "modified_kl",
-           "modified_rev_kl") + _ENTROPY_TARGETS
+            "modified_rev_kl", "entropy")
 
 
 def _check_target(target, gen: Optional[Generator] = None, K: Optional[int] = None,
@@ -882,7 +887,8 @@ def _check_target(target, gen: Optional[Generator] = None, K: Optional[int] = No
     """Refuse a target that ``invert`` cannot map with this generator,
     dimension, entropy spec and mode; the pipelines call it before any draw.
     Deterministic mode estimates the rate itself, the minimum D over the
-    set, so "deterministic" is its only target."""
+    set, so "deterministic" is its only target.  The entropy target needs
+    the generator whose gamma is the spec's order (``entropy._order``)."""
     if target not in _TARGETS:
         raise ValueError(f"unknown inversion target {target!r}")
     if target == "deterministic":
@@ -893,18 +899,19 @@ def _check_target(target, gen: Optional[Generator] = None, K: Optional[int] = No
                          "'deterministic'")
     if not isinstance(gen, PowerGamma):
         raise ValueError(f"target {target!r} needs a power generator")
-    if target in ("modified_kl", "shannon", "sm2") and gen.gamma != 1.0:
+    if target == "modified_kl" and gen.gamma != 1.0:
         raise ValueError("modified KL inversion needs gamma = 1")
     if target == "modified_rev_kl" and gen.gamma != 0.0:
         raise ValueError("modified reverse KL inversion needs gamma = 0")
-    if target in _ENTROPY_TARGETS and K is None:
-        raise ValueError("entropy targets need the dimension K")
-    kind = getattr(entropy_spec, "kind", None)
-    if target == "sm2" and kind != "sm2":
-        raise ValueError("sm2 inversion needs its entropy spec")
-    if target == "entropy" and kind not in ("power", "log"):
-        raise ValueError("the entropy target needs a power or log entropy spec; "
-                         "shannon and sm2 specs use their named targets")
+    if target != "entropy":
+        return
+    if entropy_spec is None:
+        raise ValueError("the entropy target needs its entropy spec")
+    if K is None:
+        raise ValueError("the entropy target needs the dimension K")
+    if _order(entropy_spec) != gen.gamma:
+        raise ValueError(f"the {entropy_spec.kind} entropy spec inverts the power divergence "
+                         f"of gamma = {_order(entropy_spec)}, not gamma = {gen.gamma}")
 
 
 def invert(target, log_pi_hat: float, n: int, gen: Optional[Generator] = None,
@@ -914,9 +921,12 @@ def invert(target, log_pi_hat: float, n: int, gen: Optional[Generator] = None,
 
     Targets: "deterministic" (also the inf-over-m value for general
     generators), "divergence", "hellinger", "renyi", "modified_kl",
-    "modified_rev_kl", "power_sum", "renyi_entropy", "shannon", "sm2",
-    "entropy" (with ``entropy_spec``); ``_check_target`` refuses a target
-    that does not fit the generator.
+    "modified_rev_kl" and "entropy".  The entropy target takes an
+    ``entropy_spec`` of any kind, the dimension K and the uniform reference
+    vector: the optimal moment, sum q log q = mod_kl - A log K (gamma = 1) or
+    sum q^gamma = K^(1-gamma) times the Hellinger integral, goes through
+    ``entropy._from_moment``.  ``_check_target`` refuses a target that does
+    not fit the generator, and an entropy spec of another order.
     """
     _check_target(target, gen, K, entropy_spec)
     if log_pi_hat == -INF:
@@ -943,19 +953,8 @@ def invert(target, log_pi_hat: float, n: int, gen: Optional[Generator] = None,
         return mod_kl()
     if target == "modified_rev_kl":
         return _power_divergence_from_rate(0.0, c, A, r) / c + 1.0 - A
-    if target == "shannon":
-        return A * math.log(K) - mod_kl()
-    if target == "sm2":
-        y = mod_kl() - A * math.log(K)  # optimal sum q log q
-        return (math.exp((entropy_spec.s - 1.0) * y) - 1.0) / (1.0 - entropy_spec.s)
-    psum = K ** (1.0 - g) * hellinger()
-    if target == "power_sum":
-        return psum
-    if target == "renyi_entropy":
-        return math.log(psum) / (1.0 - g)
-    if entropy_spec.kind == "power":
-        return entropy_spec.c1 * (psum**entropy_spec.c2 - entropy_spec.c3)
-    return entropy_spec.c4 / entropy_spec.fprime0 * math.log(psum)
+    moment = mod_kl() - A * math.log(K) if g == 1.0 else K ** (1.0 - g) * hellinger()
+    return _from_moment(entropy_spec, moment)
 
 
 def _delta_stderr(target, log_pi: float, stderr_log_pi: float, **frame) -> float:
@@ -1026,15 +1025,19 @@ def finalize(est: Estimate, target, prepared: Prepared,
     (``_block_rounding``), which moves the estimate from the frequencies
     drawn to p, are added to log pi_hat where they apply, and the sum is
     inverted once.  ``bias_correction`` reports what the two terms add, in
-    value units.  A set without a row gets neither term, and a warning that
-    its value carries the bias."""
-    _check_target(target, prepared.gen, prepared.part.K, entropy_spec, prepared.mode)
+    value units.  A set without a row gets neither term, and, unless it
+    holds the untilted mean p~ = sizes / n (where ``_ladder`` draws
+    nothing and pi tends to 1), a warning that its value carries the bias."""
+    part = prepared.part
+    _check_target(target, prepared.gen, part.K, entropy_spec, prepared.mode)
     if est.hits == 0:
         est.value = INF
         return est
-    frame = dict(n=prepared.part.n, gen=prepared.gen, K=prepared.part.K, A=prepared.scale,
+    frame = dict(n=part.n, gen=prepared.gen, K=part.K, A=prepared.scale,
                  entropy_spec=entropy_spec)
-    if prepared.tested.row is None:
+    # p~ is the untilted mean: every law's weights have mean one
+    if (prepared.tested.row is None
+            and not prepared.coords_and_hits((part.sizes / part.n)[None, :], 1.0)[1][0]):
         est.warnings.append("a set without a row gets no finite-n term: its value carries "
                             "the O(log n / n) finite-n bias")
     terms = [t for t in (_bahadur_rao(prepared), _block_rounding(prepared)) if t is not None]
@@ -1050,10 +1053,11 @@ def finalize(est: Estimate, target, prepared: Prepared,
 # bounds for generators without a closed-form inversion
 
 
-def solve_m_equation(gen: Generator, Q, P, tol: float = 1e-10) -> float:
+def solve_m_equation(gen: Generator, Q, P) -> float:
     """Unique root of psi(m) = sum_{q_k > 0} q_k phi'(m q_k / p_k) = 0 by
     bisection on the part of [min p_k/q_k, max p_k/q_k], where psi goes
-    from <= 0 to >= 0, that keeps every m q_k / p_k in ]t_sc-, t_sc+[."""
+    from <= 0 to >= 0, that keeps every m q_k / p_k in ]t_sc-, t_sc+[, to
+    a bracket of 1e-10 relative width."""
     Q = np.asarray(Q, dtype=float)
     P = np.asarray(P, dtype=float)
     if np.any(Q < 0) or not np.any(Q > 0) or np.any(P <= 0):
@@ -1080,7 +1084,7 @@ def solve_m_equation(gen: Generator, Q, P, tol: float = 1e-10) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol * max(1.0, abs(lo)):
+        if hi - lo <= 1e-10 * max(1.0, abs(lo)):
             break
     return 0.5 * (lo + hi)
 
@@ -1148,11 +1152,9 @@ def estimate_min_divergence(gen: Generator, P, omega: ConstraintSet,
 def estimate_entropy_extremum(spec: EntropySpec, K: int, omega: ConstraintSet,
                               config: EstimatorConfig) -> Estimate:
     """Constrained entropy extremum over Omega in A * simplex, via the
-    uniform reference vector."""
+    uniform reference vector and the power generator of the spec's order;
+    the value is the "entropy" target's."""
     _check_int("K", K, 1)
-    if spec.kind in ("shannon", "sm2"):
-        gen, target = PowerGamma(1.0, 1.0), spec.kind
-    else:
-        gen, target = PowerGamma(spec.gamma, 1.0), "entropy"
-    prepared = prepare(gen, np.full(K, 1.0 / K), omega, config, "simplex")
-    return finalize(is_estimate(prepared, config), target, prepared, entropy_spec=spec)
+    prepared = prepare(PowerGamma(_order(spec), 1.0), np.full(K, 1.0 / K), omega, config,
+                       "simplex")
+    return finalize(is_estimate(prepared, config), "entropy", prepared, entropy_spec=spec)

@@ -3,7 +3,10 @@
 One parametrized evaluator covers the power-sum families
 ``c1 * ((sum q^gamma)^c2 - c3)`` and ``(c4/f'(0)) * log (sum q^gamma)``;
 named presets pin the classical indices to their parameters.  Shannon-type
-families go through ``sum q log q``.
+families go through ``sum q log q``.  Each family is a function of its
+moment, sum q^gamma or sum q log q (``_from_moment``), which the
+estimator inverts from the minimum of the power divergence of order
+``_order`` from the uniform reference vector.
 """
 
 from __future__ import annotations
@@ -78,20 +81,32 @@ def _q_log_q(Q: np.ndarray) -> float:
     return float(np.dot(Q[pos], np.log(Q[pos])))
 
 
+def _order(spec: EntropySpec) -> float:
+    """The gamma of the power divergence whose minimum gives the moment of
+    ``spec``: its own gamma for sum q^gamma, 1 (KL) for sum q log q."""
+    return 1.0 if spec.kind in ("shannon", "sm2") else spec.gamma
+
+
+def _from_moment(spec: EntropySpec, moment: float) -> float:
+    """The entropy ``spec`` of a vector whose moment is ``moment``: sum
+    q^gamma for the kinds power and log, sum q log q for shannon and sm2."""
+    if spec.kind == "power":
+        return spec.c1 * (moment**spec.c2 - spec.c3)
+    if spec.kind == "log":
+        return spec.c4 / spec.fprime0 * math.log(moment)
+    if spec.kind == "shannon":
+        return -moment
+    return (math.exp((spec.s - 1.0) * moment) - 1.0) / (1.0 - spec.s)
+
+
 def entropy(spec: EntropySpec, Q) -> float:
     """Evaluate the entropy family ``spec`` at a nonnegative vector Q
     (mass A = sum Q need not be 1)."""
     Q = _as_1d(Q, "Q")
     if np.any(Q < 0) or not np.any(Q > 0):
         raise ValueError("Q must be nonnegative with positive total mass")
-    if spec.kind == "power":
-        return spec.c1 * (_power_sum(spec.gamma, Q) ** spec.c2 - spec.c3)
-    if spec.kind == "log":
-        return spec.c4 / spec.fprime0 * math.log(_power_sum(spec.gamma, Q))
-    if spec.kind == "shannon":
-        return -_q_log_q(Q)
-    # sm2
-    return (math.exp((spec.s - 1.0) * _q_log_q(Q)) - 1.0) / (1.0 - spec.s)
+    moment = _q_log_q(Q) if _order(spec) == 1.0 else _power_sum(spec.gamma, Q)
+    return _from_moment(spec, moment)
 
 
 # named presets ---------------------------------------------------------------

@@ -278,21 +278,35 @@ class DistortedStable(WeightLaw):
         return inverter.sample(rng, size)
 
 
+# log-mass of each tail left outside the window of ``_distorted_inverter``
+_LOG_TAIL = math.log(1e-16)
+
+
 @lru_cache(maxsize=128)
 def _distorted_inverter(gamma: float, scale: float, tau: float, nk: int):
+    """The inverse-CDF sampler of a block sum of ``nk`` weights tilted by
+    ``tau``.  Its window starts at the mean -+ 8 sd and widens by 1.4 until
+    the Chernoff bound -n_k I(x / n_k) on the log-mass beyond each end is at
+    most ``_LOG_TAIL``, in closed form: I(y) = phi(y) - tau y + Lambda(tau)
+    is the rate of one tilted weight, with phi the conjugate of Lambda, the
+    power generator (affine below 0); 5% of the span is added on each side."""
     law = DistortedStable(gamma, scale)
-    lo, hi = law.mgf_dom()
-
-    def lam_total(z: float) -> float:
-        val = float(law.log_mgf(z + tau)) - float(law.log_mgf(tau))
-        return nk * val
-
+    lo, _ = law.mgf_dom()
+    phi, lam0 = PowerGamma(gamma, scale).phi, float(law.log_mgf(tau))
     slope, curvature = law.log_mgf_slopes(tau)
     mean = nk * float(slope)
     sd = math.sqrt(max(nk * float(curvature), 1e-12))
-    x_lo, x_hi = stable.chernoff_quantile(
-        lam_total, lo - tau, INF, mean, sd
-    )
+
+    def edge(sign: float) -> float:
+        x = mean + sign * 8 * sd
+        for _ in range(200):
+            y = x / nk
+            if -nk * (float(phi(y)) - tau * y + lam0) <= _LOG_TAIL:
+                break
+            x = mean + (x - mean) * 1.4
+        return x
+
+    x_lo, x_hi = edge(-1.0), edge(1.0)
     span = x_hi - x_lo
     x_lo -= 0.05 * span
     x_hi += 0.05 * span
@@ -304,7 +318,6 @@ def _distorted_inverter(gamma: float, scale: float, tau: float, nk: int):
         zc = tau + 1j * u
         base = 1.0 + (g - 1.0) * zc / scale
         lam = scale / g * (base**a - 1.0)
-        lam0 = float(law.log_mgf(tau))
         return nk * (lam - lam0)
 
     try:

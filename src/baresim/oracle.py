@@ -22,6 +22,9 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # block-sum tuples ``exact_pi`` enumerates at most (K = 3: 96 MB of sums); the
 # calibration suite's largest enumeration is 1.9e6
 _MAX_TUPLES = 4_000_000
+# rounds of ``_local_refine``'s descent, its step halved after each from half
+# a grid cell
+_REFINE_ROUNDS = 14
 
 
 def simplex_grid(K: int, resolution: float) -> np.ndarray:
@@ -39,15 +42,14 @@ def simplex_grid(K: int, resolution: float) -> np.ndarray:
 
 
 def _local_refine(objective: Callable[[np.ndarray], float], x0: np.ndarray,
-                  member: Callable[[np.ndarray], bool], step: float,
-                  rounds: int = 3, scale: float = 1.0) -> Tuple[np.ndarray, float]:
-    """Coordinate-pair descent on the mass-``scale`` slice around the best
-    grid cell; keeps the component sum fixed."""
+                  member: Callable[[np.ndarray], bool], step: float) -> Tuple[np.ndarray, float]:
+    """Coordinate-pair descent around the best grid cell, in steps halved
+    ``_REFINE_ROUNDS`` times; keeps the component sum fixed."""
     x = x0.copy()
     best = objective(x)
     K = x.size
     h = step
-    for _ in range(rounds):
+    for _ in range(_REFINE_ROUNDS):
         improved = True
         while improved:
             improved = False
@@ -70,8 +72,7 @@ def _local_refine(objective: Callable[[np.ndarray], float], x0: np.ndarray,
 
 def grid_min_divergence(gen: Generator, P, omega: ConstraintSet,
                         resolution: float = 0.01,
-                        objective: Optional[Callable[[np.ndarray], float]] = None,
-                        refine_rounds: int = 14):
+                        objective: Optional[Callable[[np.ndarray], float]] = None):
     """Exhaustive scan of the (scaled) probability simplex intersected with
     Omega, refined by local coordinate descent at the best cell.
 
@@ -92,10 +93,8 @@ def grid_min_divergence(gen: Generator, P, omega: ConstraintSet,
     vals = np.array([objective(q) for q in cand])
     i = int(np.argmin(vals))
     best_q, best = cand[i], float(vals[i])
-    best_q, best = _local_refine(
-        objective, best_q, lambda q: omega.contains_point(q),
-        step=resolution * A / 2.0, rounds=refine_rounds, scale=A,
-    )
+    best_q, best = _local_refine(objective, best_q, lambda q: omega.contains_point(q),
+                                 step=resolution * A / 2.0)
     return best, best_q
 
 

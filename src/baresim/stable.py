@@ -31,8 +31,10 @@ __all__ = [
     "sample_positive_stable",
     "sample_tilted_positive_stable",
     "LatticeFreeInverter",
-    "chernoff_quantile",
 ]
+
+# grid points of the characteristic-function inversion
+_CF_POINTS = 2**16
 
 
 def sample_positive_stable(alpha: float, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -88,39 +90,6 @@ def sample_tilted_positive_stable(
 # generic sampling by characteristic-function inversion
 
 
-def chernoff_quantile(
-    log_mgf: Callable[[float], float],
-    z_lo: float,
-    z_hi: float,
-    mean: float,
-    sd: float,
-    log_mass: float = math.log(1e-16),
-) -> tuple[float, float]:
-    """Certified (lo, hi) range outside which each tail carries log-mass
-    below ``log_mass``, from the Chernoff bound inf_z Lambda(z) - z*x."""
-    from scipy import optimize
-
-    def bound(x: float, lo: float, hi: float) -> float:
-        res = optimize.minimize_scalar(
-            lambda z: log_mgf(z) - z * x, bounds=(lo, hi), method="bounded"
-        )
-        return float(res.fun)
-
-    z_eps_hi = min(z_hi * 0.999999 if math.isfinite(z_hi) else 1e6, 1e6)
-    z_eps_lo = max(z_lo * 0.999999 if math.isfinite(z_lo) else -1e6, -1e6)
-    hi = mean + 8 * sd
-    for _ in range(200):
-        if bound(hi, 1e-12, z_eps_hi) <= log_mass:
-            break
-        hi = mean + (hi - mean) * 1.4
-    lo = mean - 8 * sd
-    for _ in range(200):
-        if bound(lo, z_eps_lo, -1e-12) <= log_mass:
-            break
-        lo = mean - (mean - lo) * 1.4
-    return lo, hi
-
-
 @dataclass(frozen=True)
 class LatticeFreeInverter:
     """Inverse-CDF sampler for a continuous law given its characteristic
@@ -131,16 +100,14 @@ class LatticeFreeInverter:
 
     @staticmethod
     def build(
-        log_cf: Callable[[np.ndarray], np.ndarray],
-        x_lo: float,
-        x_hi: float,
-        n_points: int = 2**16,
+        log_cf: Callable[[np.ndarray], np.ndarray], x_lo: float, x_hi: float
     ) -> "LatticeFreeInverter":
-        """``log_cf`` maps a real frequency array u to log E[exp(i u X)]."""
+        """``log_cf`` maps a real frequency array u to log E[exp(i u X)]; the
+        density is inverted on ``_CF_POINTS`` points of [x_lo, x_hi[."""
         span = x_hi - x_lo
-        dx = span / n_points
-        du = 2.0 * math.pi / (n_points * dx)
-        j = np.arange(n_points)
+        dx = span / _CF_POINTS
+        du = 2.0 * math.pi / (_CF_POINTS * dx)
+        j = np.arange(_CF_POINTS)
         u = j * du
         phi = np.exp(log_cf(u))
         # trapezoid weight at the origin

@@ -93,11 +93,18 @@ code = cli.main(["estimate", "--config", str(work / "run.json"),
                  "--out", str(work / "out.json")])
 stages["cli_estimate_empirical"] = (
     loaded() if code == 0 else dict.fromkeys(LIBS, [f"exit code {code}"]))
+
+# gamma = 3: distorted stable weights, drawn by inverting their
+# characteristic function over a window found in closed form
+baresim.estimate_min_divergence(
+    baresim.PowerGamma(3.0), np.array([0.2, 0.3, 0.5]),
+    baresim.halfspace([1.0, 1.0, 1.0], 1.3, ">="), config, mode="deterministic")
+stages["distorted_stable_deterministic"] = loaded()
 print(json.dumps(stages))
 """
 
 COLD_START_STAGES = ["import", "power_deterministic", "separable_quadratic",
-                     "cli_estimate_empirical"]
+                     "cli_estimate_empirical", "distorted_stable_deterministic"]
 
 
 @pytest.fixture(scope="module")

@@ -265,8 +265,6 @@ RULE_ROWS = [
     ('estimator/L: type', 'estimate', 'estimator/L', 1.5, 'L'),
     ('estimator/L: minimum', 'estimate', 'estimator/L', 0, 'L'),
     ('estimator/seed: type', 'estimate', 'estimator/seed', 1.5, 'seed'),
-    ('estimator/batches: type', 'estimate', 'estimator/batches', 1.5, 'batches'),
-    ('estimator/batches: minimum', 'estimate', 'estimator/batches', 9, 'batches'),
     ('estimator/threads: type', 'estimate', 'estimator/threads', 1.5, 'threads'),
     ('estimator/threads: minimum', 'estimate', 'estimator/threads', 0, 'threads'),
     ('estimator/proxy: type', 'estimate', 'estimator/proxy', [1], 'proxy'),
@@ -283,6 +281,9 @@ RULE_ROWS = [
     ('estimator/proxy/budget: minimum', 'estimate', 'estimator/proxy/budget', 0, 'budget'),
     ('estimator/proxy/m_run: type', 'estimate', 'estimator/proxy/m_run', 1.5, 'm_run'),
     ('estimator/proxy/m_run: minimum', 'estimate', 'estimator/proxy/m_run', 0, 'm_run'),
+    # nor is the former batch count, now a constant of the engine
+    ('estimator/batches: type', 'estimate', 'estimator/batches', 1.5, 'batches'),
+    ('estimator/batches: minimum', 'estimate', 'estimator/batches', 9, 'batches'),
     ('estimator/proxy: additionalProperties', 'estimate', 'estimator/proxy/bogus_key',
      1, 'bogus_key'),
     ('estimator: required n', 'estimate', 'estimator/n', DELETE, 'n'),
@@ -420,11 +421,10 @@ class TestEstimateCommand:
         assert cli._config_from_dict({"estimator": {"n": 50}}, None) == EstimatorConfig(n=50)
 
     def test_estimator_settings_are_converted(self):
-        est = {"n": 50, "L": 300, "seed": 4, "batches": 12, "threads": 2,
+        est = {"n": 50, "L": 300, "seed": 4, "threads": 2,
                "proxy": {"method": "given", "q_star": [1, 2]}}
         config = cli._config_from_dict({"estimator": est}, None)
-        assert (config.n, config.L, config.seed, config.batches, config.threads) == (
-            50, 300, 4, 12, 2)
+        assert (config.n, config.L, config.seed, config.threads) == (50, 300, 4, 2)
         assert config.proxy.method == "given"
         assert config.proxy.q_star.dtype == float and list(config.proxy.q_star) == [1.0, 2.0]
 
@@ -600,6 +600,10 @@ class TestTargetCheck:
          "target 'divergence' needs mode 'simplex' or 'empirical'"),
         ({"mode": "deterministic", "target": "hellinger"},
          "target 'hellinger' needs mode 'simplex' or 'empirical'"),
+        # the entropies are the entropy-max command's: as a target of its own,
+        # "shannon" read 0.866 here, from P = (.2, .3, .5) rather than the
+        # uniform reference, against the face's maximum entropy 1.0397
+        ({"target": "shannon"}, "unknown inversion target 'shannon'"),
     ])
     def test_refused_before_any_draw(self, tmp_path, capsys, changes, message):
         config = BASE_CONFIG

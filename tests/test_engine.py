@@ -12,7 +12,10 @@ from baresim.divergence import (
     GenAsymLaplace, GeneralizedKL, PowerGamma, TwoPoint, min_over_m_closed, modified_kl,
     modified_rev_kl,
 )
-from baresim.entropy import entropy, renyi_entropy, shannon, sharma_mittal2
+from baresim.entropy import (
+    _order, arimoto, entropy, gamma_norm, havrda_charvat, hill_number, patil_taillie,
+    renyi_entropy, shannon, sharma_mittal1, sharma_mittal2,
+)
 
 from conftest import NoDrawLaw, make_rng
 
@@ -199,7 +202,7 @@ class TestProxy:
         self.face = bs.simplex_face(0, 0.5, ">=")
         self.omega = bs.intersection(self.face)
 
-    def test_hit_run_membership(self):
+    def test_the_searched_point_is_a_member(self):
         cfg = bs.EstimatorConfig(n=100, L=10, seed=2)
         res = engine.proxy_q_star(
             engine.prepare(PowerGamma(1.0), self.p, self.omega, cfg, "simplex"), cfg
@@ -334,7 +337,8 @@ class TestInvert:
         assert val == pytest.approx(0.5)
 
     def test_shannon_trivial(self):
-        val = engine.invert("shannon", 0.0, 10, gen=PowerGamma(1.0, 1.0), A=1.0, K=4)
+        val = engine.invert("entropy", 0.0, 10, gen=PowerGamma(1.0, 1.0), A=1.0, K=4,
+                            entropy_spec=shannon())
         assert val == pytest.approx(math.log(4))
 
     def test_domain_failure(self):
@@ -355,11 +359,10 @@ class TestInvert:
         assert r == pytest.approx(math.log(h) / 2.0)
 
     def test_entropy_family_round_trip(self):
-        from baresim.entropy import havrda_charvat
-
+        # the optimal sum q^gamma is K^(1-gamma) times the Hellinger integral
         gen = PowerGamma(2.0, 1.0)
         lp, n, K = -10.0, 50, 3
-        psum = engine.invert("power_sum", lp, n, gen=gen, A=1.0, K=K)
+        psum = K ** (1.0 - 2.0) * engine.invert("hellinger", lp, n, gen=gen, A=1.0)
         val = engine.invert("entropy", lp, n, gen=gen, A=1.0, K=K,
                             entropy_spec=havrda_charvat(2.0))
         assert val == pytest.approx((psum - 1.0) / (2.0 ** (1 - 2.0) - 1.0))
@@ -368,13 +371,14 @@ class TestInvert:
     @pytest.mark.parametrize("target, gamma, spec, truth", [
         ("modified_kl", 1.0, None, modified_kl),
         ("modified_rev_kl", 0.0, None, modified_rev_kl),
-        ("sm2", 1.0, sharma_mittal2(0.5), lambda Q, P: entropy(sharma_mittal2(0.5), Q)),
-        ("renyi_entropy", 2.0, None, lambda Q, P: entropy(renyi_entropy(2.0), Q)),
-        ("entropy", 0.5, renyi_entropy(0.5), lambda Q, P: entropy(renyi_entropy(0.5), Q)),
-    ])
+    ] + [("entropy", _order(spec), spec, lambda Q, P, spec=spec: entropy(spec, Q))
+         for spec in (sharma_mittal2(0.5), renyi_entropy(2.0), renyi_entropy(0.5), shannon(),
+                      gamma_norm(3.0), hill_number(-1.0), havrda_charvat(2.0), arimoto(2.0),
+                      sharma_mittal1(3.0, 0.5), patil_taillie(1.0))])
     def test_targets_at_mass_a_round_trip(self, target, gamma, spec, truth, A):
         # the rate at Q of mass A is inf over m of D(m Q, P), in closed form;
-        # the entropy targets take the uniform reference vector
+        # every entropy preset goes through the entropy target, at the
+        # generator of its order and the uniform reference vector
         K, n = 4, 23
         Q = A * make_rng(K).dirichlet(np.full(K, 2.0))
         if target in ("modified_kl", "modified_rev_kl"):
@@ -524,12 +528,12 @@ class TestBatchKernelBits:
     def test_a_batch_is_its_stream_reduced_by_hand(self, monkeypatch):
         # 5,000-row batches, each alone in its pass, so batch b draws the
         # stream (seed, 0, b); the face's classes are {0} and {1, 2}
-        cfg = bs.EstimatorConfig(n=2000, L=50_000, seed=11, batches=10)
+        cfg = bs.EstimatorConfig(n=2000, L=160_000, seed=11)
         prepared = engine.prepare(PowerGamma(1.0), [0.2, 0.3, 0.5], bs.simplex_face(0, 0.5),
                                   cfg, "simplex")
         taus = engine.compute_taus(prepared, engine.proxy_q_star(prepared, cfg))
         seen = self.batches(monkeypatch, prepared, cfg, taus)
-        assert engine._passes(seen["sizes"]) == [range(b, b + 1) for b in range(10)]
+        assert engine._passes(seen["sizes"]) == [range(b, b + 1) for b in range(32)]
         hits, log_means = self.by_hand(prepared, cfg, taus, ((0,), (1, 2)), seen["sizes"],
                                        lambda s: s[:, 0] / (s[:, 0] + s[:, 1]) >= 0.5,
                                        lambda s, t: s[:, 0] * t[0] + s[:, 1] * t[1])
@@ -615,14 +619,14 @@ class TestBatchKernelBits:
         ``_run_batches`` hands the pass reduction when every pass draws
         ``sums``, and their fixed part sum_k n_k Lambda(tau_k)."""
         K = sums.shape[1]
-        cfg = bs.EstimatorConfig(n=K, L=10 * len(sums), batches=10)
+        cfg = bs.EstimatorConfig(n=K, L=engine._BATCHES * len(sums))
         prepared = engine.prepare(PowerGamma(1.0), np.full(K, 1.0 / K), bs.full_space(), cfg,
                                   "simplex")
         seen = []
 
         def draw(law, sizes, taus, rng, size):
-            # a batch of len(sums) rows alone in its pass, or the ten
-            # one-row batches in one pass
+            # a batch of len(sums) rows alone in its pass, or the 32 one-row
+            # batches in one pass
             return sums if size == len(sums) else np.repeat(sums, size, axis=0)
 
         monkeypatch.setattr(engine, "_block_sums", draw)
@@ -938,18 +942,21 @@ class TestDual:
         assert est.bias_correction is None
         assert any("no finite-n term" in w for w in est.warnings)
 
-    @pytest.mark.parametrize("searched", [False, True], ids=["row", "intersection"])
-    def test_a_set_without_a_row_warns_of_its_bias(self, searched):
+    @pytest.mark.parametrize("omega, warns", [
+        (bs.simplex_face(0, 0.5), False),
+        (bs.intersection(bs.simplex_face(0, 0.5)), True),
+        (bs.intersection(bs.simplex_face(0, 0.1)), False),
+    ], ids=["row", "intersection", "intersection_holding_p"])
+    def test_a_set_without_a_row_warns_of_its_bias(self, omega, warns):
         # the README face: its row takes the finite-n terms that apply (none,
         # Poisson weights being a lattice law) and no warning; as
-        # intersection(face) it gets no term and says so
-        face = bs.simplex_face(0, 0.5)
-        est = bs.estimate_min_divergence(PowerGamma(1.0), self.P,
-                                         bs.intersection(face) if searched else face,
+        # intersection(face) it gets no term and says so.  A set that holds
+        # p~ has no such bias: {q_0 >= .1} reads about 0 at a hit rate near 1
+        est = bs.estimate_min_divergence(PowerGamma(1.0), self.P, omega,
                                          bs.EstimatorConfig(n=2000, L=2000, seed=1),
                                          mode="simplex", target="divergence")
         warned = [w for w in est.warnings if "no finite-n term" in w]
-        assert len(warned) == (1 if searched else 0), est.warnings
+        assert len(warned) == (1 if warns else 0), est.warnings
 
     @pytest.mark.parametrize("mode", ["simplex", "empirical"])
     def test_a_row_takes_the_dual_in_every_mode(self, mode):
@@ -1165,14 +1172,14 @@ class TestConstructorRules:
     """The range and choice rules of the estimator settings hold at
     construction, for the library as for the CLI."""
 
-    @pytest.mark.parametrize("name", ["n", "L", "batches", "threads", "seed"])
+    @pytest.mark.parametrize("name", ["n", "L", "threads", "seed"])
     @pytest.mark.parametrize("value", [10.5, "12", True, None])
     def test_counts_must_be_integers(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             bs.EstimatorConfig(**{"n": 100, name: value})
 
-    @pytest.mark.parametrize("name, value", [("n", 0), ("L", 0), ("batches", 9),
-                                             ("threads", 0), ("threads", -2), ("seed", -1)])
+    @pytest.mark.parametrize("name, value", [("n", 0), ("L", 0), ("threads", 0),
+                                             ("threads", -2), ("seed", -1)])
     def test_count_ranges(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be an integer >="):
             bs.EstimatorConfig(**{"n": 100, name: value})
@@ -1180,6 +1187,14 @@ class TestConstructorRules:
     def test_numpy_integers_are_integers(self):
         cfg = bs.EstimatorConfig(n=np.int64(100), L=np.int32(500), threads=np.int64(2))
         assert (cfg.n, cfg.L, cfg.threads) == (100, 500, 2)
+
+    @pytest.mark.parametrize("value", [32, 10, 9.5])
+    def test_the_batch_count_is_no_setting(self, value):
+        # every run splits its L rows into engine._BATCHES batches
+        with pytest.raises(TypeError, match="unexpected keyword argument 'batches'"):
+            bs.EstimatorConfig(n=100, batches=value)
+        assert [f.name for f in dataclasses.fields(bs.EstimatorConfig)] == [
+            "n", "L", "seed", "proxy", "threads"]
 
     def test_proxy_method_is_one_of_two(self):
         for method in ("grid", "hit_run", "density"):
@@ -1225,8 +1240,8 @@ class TestTargetCheck:
         (PowerGamma(1.0), "divergenz", "unknown inversion target 'divergenz'"),
         (PowerGamma(0.5), "modified_kl", "modified KL inversion needs gamma = 1"),
         (PowerGamma(1.0), "modified_rev_kl", "modified reverse KL inversion needs gamma = 0"),
-        (PowerGamma(1.0), "sm2", "sm2 inversion needs its entropy spec"),
-        (PowerGamma(2.0), "entropy", "the entropy target needs a power or log entropy spec"),
+        (PowerGamma(1.0), "sm2", "unknown inversion target 'sm2'"),
+        (PowerGamma(2.0), "entropy", "the entropy target needs its entropy spec"),
     ])
     def test_refused_before_any_draw(self, gen, target, message):
         cfg = bs.EstimatorConfig(n=1000, L=20_000, seed=1)
@@ -1257,11 +1272,45 @@ class TestTargetCheck:
             engine.invert("divergenz", -10.0, 100, gen=PowerGamma(1.0))
         with pytest.raises(ValueError, match="needs a power generator"):
             engine.invert("hellinger", -10.0, 100, gen=GeneralizedKL(1.0))
-        with pytest.raises(ValueError, match="entropy targets need the dimension K"):
-            engine.invert("power_sum", -10.0, 100, gen=PowerGamma(2.0))
+        with pytest.raises(ValueError, match="the entropy target needs the dimension K"):
+            engine.invert("entropy", -10.0, 100, gen=PowerGamma(2.0),
+                          entropy_spec=havrda_charvat(2.0))
+
+    @pytest.mark.parametrize("target", ["power_sum", "renyi_entropy", "shannon", "sm2"])
+    def test_an_entropy_is_no_target_of_its_own(self, target):
+        # the entropies go through "entropy" and their spec; "shannon" over
+        # P = (.2, .3, .5) once read the KL minimum from P as an entropy
+        message = f"unknown inversion target '{target}'"
+        cfg = bs.EstimatorConfig(n=1000, L=20_000, seed=1)
+        with pytest.raises(ValueError, match=message):
+            engine.invert(target, -10.0, 100, gen=PowerGamma(1.0), K=3,
+                          entropy_spec=sharma_mittal2(0.5))
+        with pytest.raises(ValueError, match=message):
+            bs.estimate_min_divergence(PowerGamma(1.0), self.P, self.OMEGA, cfg, mode="simplex",
+                                       target=target, law=NoDrawLaw())
+        prepared = engine.prepare(PowerGamma(1.0), self.P, self.OMEGA, cfg, "simplex",
+                                  law=NoDrawLaw())
+        est = engine._estimate_from_batches(np.zeros(32), np.ones(32, dtype=int),
+                                            np.full(32, 10), cfg, 1000)
+        with pytest.raises(ValueError, match=message):
+            engine.finalize(est, target, prepared, entropy_spec=shannon())
+
+    def test_an_entropy_spec_of_another_order_is_refused(self):
+        # Renyi of order .5 over {q_0 >= .5} from the uniform K = 3 reference
+        # read -1.96 from a gamma = 2 run, against the face's maximum 1.0696
+        # from a gamma = .5 run (n = 2000, L = 2e4, seed 1)
+        with pytest.raises(ValueError, match="inverts the power divergence of gamma = 0.5, "
+                                             "not gamma = 2.0"):
+            engine.invert("entropy", -10.0, 100, gen=PowerGamma(2.0), K=3,
+                          entropy_spec=renyi_entropy(0.5))
+        with pytest.raises(ValueError, match="of gamma = 1.0, not gamma = 0.5"):
+            engine.invert("entropy", -10.0, 100, gen=PowerGamma(0.5), K=3,
+                          entropy_spec=shannon())
+        assert math.isfinite(engine.invert("entropy", -10.0, 100, gen=PowerGamma(0.5), K=3,
+                                           entropy_spec=renyi_entropy(0.5)))
 
 
-class TestHitRunOutsideDomain:
+class TestSearchOutsideDomain:
     """Two-point weights on {0, 2}, so D(q, p) is finite only where
     q_k / p_k <= 2.  The search runs on the face's row-less form; the face
     itself takes the dual (``TestDual::test_two_point_bounds_at_the_dual_point``)."""

@@ -149,6 +149,8 @@ def _config_from_dict(spec: dict, overrides) -> EstimatorConfig:
 def _load_reference(spec: dict):
     ref = field(spec, "reference_vector", as_numbers, None)
     data_file = field(spec, "data_file", as_string, None)
+    if ref is not None and data_file is not None:
+        raise ConfigError("data_file: a config takes reference_vector or data_file, not both")
     if ref is not None:
         return _construct(check_nonneg_vector, "reference_vector", ref), None
     if data_file is not None:
@@ -310,7 +312,7 @@ def _cmd_sample_law(args) -> int:
     if gen is None:
         gen = PowerGamma(float(args.gamma), 1.0)
     law = laws.law_for_generator(gen)
-    draws = law.sample(engine._rng(args.seed), args.count)
+    draws = law.sample_tilted_block(0.0, 1, engine._rng(args.seed), args.count)
     payload = {
         "law": type(law).__name__,
         "mean": float(draws.mean()),

@@ -1,9 +1,10 @@
 """Constraint sets: vectorized membership predicates over R^K.
 
 A constraint set carries a membership function evaluated on rows of an
-(L, K) array, a scale A (the total mass of the affine slice the set lives
-on, used by the simplex-mode inversion), and a user assertion that the set
-is regular (closure of its interior).  Regularity is never machine-checked.
+(L, K) array and a scale A (the total mass of the affine slice the set
+lives on, used by the simplex-mode inversion).  The estimators need the set
+regular (the closure of its interior); that is the caller's to ensure and
+is never machine-checked.
 
 Builders cover halfspaces, boxes, affine equalities (with tolerance) and
 arbitrary intersections/unions, which is enough to express every
@@ -24,8 +25,7 @@ import numpy as np
 
 from .divergence import _check_int
 from .jsonread import (
-    ConfigError, as_bool, as_integer, as_list, as_number, as_numbers, as_object, as_string,
-    field,
+    ConfigError, as_integer, as_list, as_number, as_numbers, as_object, as_string, field,
 )
 
 __all__ = [
@@ -49,14 +49,12 @@ class ConstraintSet:
     """Membership predicate for Omega, with scale metadata.
 
     ``membership`` maps an (L, K) array to an (L,) boolean array.  The
-    caller asserts regularity (cl(Omega) = cl(int(Omega)) in the relevant
-    topology); a False assertion is allowed but the large-deviation limit
-    backing the estimators is then unsupported.
+    large-deviation limit backing the estimators holds for a regular set,
+    cl(Omega) = cl(int(Omega)) in the relevant topology.
     """
 
     membership: Callable[[np.ndarray], np.ndarray]
     scale: float = 1.0
-    regularity_asserted: bool = True
     description: str = ""
     #: (c, rhs, op) of a one-inequality leaf {x : <c, x> op rhs}: set by
     #: ``halfspace`` (c a tuple of floats) and ``simplex_face`` (c the
@@ -226,7 +224,6 @@ def empty_set(**kw) -> ConstraintSet:
     return ConstraintSet(
         membership=lambda pts: np.zeros(pts.shape[0], dtype=bool),
         description="empty set",
-        regularity_asserted=False,
         **kw,
     )
 
@@ -242,14 +239,13 @@ def from_predicate(pred: Callable[[np.ndarray], bool], **kw) -> ConstraintSet:
 
 
 def scaled(omega: ConstraintSet, d) -> ConstraintSet:
-    """{x : d * x in Omega}, d one factor per coordinate, with the scale,
-    regularity and description of ``omega``.  A one-inequality leaf of d's
+    """{x : d * x in Omega}, d one factor per coordinate, with the scale
+    and description of ``omega``.  A one-inequality leaf of d's
     width keeps its row as the halfspace (d * c, rhs, op), c = e_k for a
     coordinate leaf k.  Any other set tests Omega at d * x, which refuses a
     row of another width at the first test."""
     d = np.asarray(d, dtype=float)
-    meta = {"scale": omega.scale, "regularity_asserted": omega.regularity_asserted,
-            "description": omega.description}
+    meta = {"scale": omega.scale, "description": omega.description}
     if omega.row is not None:
         c, rhs, op = omega.row
         if isinstance(c, (int, np.integer)):  # a coordinate past d fits no width
@@ -269,7 +265,7 @@ def constraint_from_dict(spec, path: str = "constraint") -> ConstraintSet:
     {"type": "affine_eq", "coeffs": [...], "rhs": r, "tol": 1e-9},
     {"type": "coordinate", "index": k, "bound": b, "op": ">="}.
     Combinators: {"type": "all"/"any", "parts": [...]}.
-    Optional top-level keys: "scale", "regularity_asserted", "description".
+    Optional top-level keys: "scale", "description".
     A key that the form's type does not read is an error.
     """
     spec = as_object(spec, path)
@@ -279,10 +275,7 @@ def constraint_from_dict(spec, path: str = "constraint") -> ConstraintSet:
         used.add(key)
         return field(spec, key, read, *default, path=path)
 
-    meta = {
-        "scale": get("scale", as_number, 1.0),
-        "regularity_asserted": get("regularity_asserted", as_bool, True),
-    }
+    meta = {"scale": get("scale", as_number, 1.0)}
     description = get("description", as_string, None)
     kind = get("type", as_string)
     if kind == "halfspace":

@@ -98,16 +98,14 @@ def check_prob_vector(values) -> np.ndarray:
 class Generator:
     """Base class for divergence generators.
 
-    Subclasses provide ``phi``/``phi_prime`` on the interior of the
-    effective domain ``]a, b[`` plus the endpoints of the conjugate's
-    domain ``]lambda_minus, lambda_plus[``.  ``phi_prime`` is defined on
-    ``]t_sc_minus, t_sc_plus[``, where ``engine.solve_m_equation`` keeps m q/p.
+    Subclasses provide ``phi`` and ``phi_prime`` on the interior of the
+    effective domain ``]a, b[``, where ``engine.solve_m_equation`` keeps
+    m q/p, plus the ends of the conjugate's domain ``]lambda_minus,
+    lambda_plus[``, the limits of ``phi_prime`` at a and b.
     """
 
     a: float
     b: float
-    t_sc_minus: float
-    t_sc_plus: float
     lambda_minus: float
     lambda_plus: float
 
@@ -115,11 +113,6 @@ class Generator:
         raise NotImplementedError
 
     def phi_prime(self, t):
-        raise NotImplementedError
-
-    def scaled(self, factor: float) -> "Generator":
-        """Generator of ``factor * phi``; raises when the family is not closed
-        under positive scaling."""
         raise NotImplementedError
 
 
@@ -178,14 +171,6 @@ class PowerGamma(Generator):
         return INF
 
     @property
-    def t_sc_minus(self) -> float:
-        return -INF if self.gamma == 2.0 else 0.0
-
-    @property
-    def t_sc_plus(self) -> float:
-        return INF
-
-    @property
     def lambda_minus(self) -> float:
         if self.gamma > 2.0:
             return -self.scale / (self.gamma - 1.0)
@@ -215,9 +200,6 @@ class PowerGamma(Generator):
             out[~pos] = -c / (g - 1.0)
         return out
 
-    def scaled(self, factor: float) -> "PowerGamma":
-        return PowerGamma(self.gamma, self.scale * factor)
-
 
 @dataclass(frozen=True)
 class GeneralizedKL(Generator):
@@ -242,8 +224,6 @@ class GeneralizedKL(Generator):
     def b(self) -> float:
         return INF if self.alpha > 0 else -1.0 / self.alpha
 
-    t_sc_minus = property(lambda self: self.a)
-    t_sc_plus = property(lambda self: self.b)
 
     @property
     def lambda_minus(self) -> float:
@@ -278,9 +258,6 @@ class GeneralizedKL(Generator):
         out[interior] = c * np.log((1.0 + al) * tp / (1.0 + al * tp))
         return out
 
-    def scaled(self, factor: float) -> "GeneralizedKL":
-        return GeneralizedKL(self.alpha, self.scale * factor)
-
 
 @dataclass(frozen=True)
 class AnchoredKL(Generator):
@@ -303,8 +280,6 @@ class AnchoredKL(Generator):
     def b(self) -> float:
         return INF
 
-    t_sc_minus = property(lambda self: self.a)
-    t_sc_plus = property(lambda self: self.b)
     lambda_minus = property(lambda self: -INF)
     lambda_plus = property(lambda self: INF)
 
@@ -326,9 +301,6 @@ class AnchoredKL(Generator):
         interior = t > self.a
         out[interior] = self.scale * (np.log(t[interior] + ec - 1.0) - self.anchor)
         return out
-
-    def scaled(self, factor: float) -> "AnchoredKL":
-        return AnchoredKL(self.anchor, self.scale * factor)
 
 
 @dataclass(frozen=True)
@@ -353,8 +325,6 @@ class BlendedWeightChiSq(Generator):
     def b(self) -> float:
         return INF
 
-    t_sc_minus = property(lambda self: self.a)
-    t_sc_plus = property(lambda self: self.b)
     lambda_minus = property(lambda self: -INF)
     lambda_plus = property(lambda self: self.scale / (2.0 * self.beta))
 
@@ -378,9 +348,6 @@ class BlendedWeightChiSq(Generator):
         out[interior] = self.scale / (2.0 * self.beta) * (1.0 - denom**-2)
         return out
 
-    def scaled(self, factor: float) -> "BlendedWeightChiSq":
-        return BlendedWeightChiSq(self.beta, self.scale * factor)
-
 
 @dataclass(frozen=True)
 class TwoPoint(Generator):
@@ -394,14 +361,8 @@ class TwoPoint(Generator):
         if not (self.z1 < 1.0 < self.z2):
             raise ValueError("need z1 < 1 < z2")
 
-    @property
-    def p(self) -> float:
-        return (self.z2 - 1.0) / (self.z2 - self.z1)
-
     a = property(lambda self: self.z1)
     b = property(lambda self: self.z2)
-    t_sc_minus = property(lambda self: self.z1)
-    t_sc_plus = property(lambda self: self.z2)
     lambda_minus = property(lambda self: -INF)
     lambda_plus = property(lambda self: INF)
 
@@ -430,14 +391,6 @@ class TwoPoint(Generator):
         )
         return out
 
-    def scaled(self, factor: float) -> "TwoPoint":
-        if abs(factor - 1.0) > 1e-9:
-            raise ValueError(
-                "two-point generators cannot be rescaled by a non-unit factor; "
-                "normalize the reference vector instead"
-            )
-        return self
-
 
 @dataclass(frozen=True)
 class GenAsymLaplace(Generator):
@@ -456,8 +409,6 @@ class GenAsymLaplace(Generator):
 
     a = property(lambda self: -INF)
     b = property(lambda self: INF)
-    t_sc_minus = property(lambda self: -INF)
-    t_sc_plus = property(lambda self: INF)
     lambda_minus = property(lambda self: -self.scale * self.beta2)
     lambda_plus = property(lambda self: self.scale * self.beta1)
 
@@ -506,9 +457,6 @@ class GenAsymLaplace(Generator):
         )
         return out
 
-    def scaled(self, factor: float) -> "GenAsymLaplace":
-        return GenAsymLaplace(self.alpha, self.beta1, self.beta2, self.scale * factor)
-
 
 @dataclass(frozen=True)
 class CustomGenerator(Generator):
@@ -519,8 +467,6 @@ class CustomGenerator(Generator):
 
     a = property(lambda self: self.spec.phi_dom[0])
     b = property(lambda self: self.spec.phi_dom[1])
-    t_sc_minus = property(lambda self: self.spec.t_sc[0])
-    t_sc_plus = property(lambda self: self.spec.t_sc[1])
     lambda_minus = property(lambda self: self.spec.lambda_dom[0])
     lambda_plus = property(lambda self: self.spec.lambda_dom[1])
 
@@ -529,12 +475,6 @@ class CustomGenerator(Generator):
 
     def phi_prime(self, t):
         return self.spec.phi_prime(t)
-
-    def scaled(self, factor: float) -> "CustomGenerator":
-        raise ValueError(
-            "custom generators cannot be rescaled automatically; supply a "
-            "rescaled GeneratorSpec (and sampler) instead"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -753,9 +693,10 @@ def sundaresan(nu1: float, Q, P) -> float:
     return escort_renyi(nu1, 1.0, Q, P)
 
 
-def min_over_m_closed(gen: PowerGamma, Q, P, A: float | None = None):
+def min_over_m_closed(gen: PowerGamma, Q, P):
     """Closed form of ``inf_{m != 0} D_{c*phi_gamma}(m Q, P)`` and its
-    minimizer, for Q with component sum A (A < 0 admissible when gamma = 2).
+    minimizer, for Q with component sum A = sum(Q) (A < 0 admissible when
+    gamma = 2).
 
     Returns ``(value, m)`` with ``m = (H_gamma/A)^(1/(1-gamma))`` for
     gamma not in {0, 1}, ``m = exp(-I/A)`` for gamma = 1 and ``m = 1/A``
@@ -768,11 +709,7 @@ def min_over_m_closed(gen: PowerGamma, Q, P, A: float | None = None):
     if Q.shape != P.shape:
         raise ValueError("Q and P must have the same length")
     g, c = gen.gamma, gen.scale
-    total = float(Q.sum())
-    if A is None:
-        A = total
-    elif abs(A - total) > 1e-9 * max(1.0, abs(total)):
-        raise ValueError(f"A={A} does not match sum(Q)={total}")
+    A = float(Q.sum())
     if A < 0 and g != 2.0:
         raise ValueError("negative total mass is admissible only for gamma = 2")
     if A == 0:

@@ -328,8 +328,8 @@ def _block_sums(law: WeightLaw, sizes, taus: np.ndarray, rng: np.random.Generato
                 size: int) -> np.ndarray:
     """(size, C) draws of block sums: column k sums ``sizes[k]`` i.i.d.
     weights tilted by ``taus[k]``, all ``size`` rows of column k in one
-    ``sample_tilted_block`` call on ``rng``; a zero tilt draws the weights
-    untilted (``WeightLaw.sample_block_sum``).  ``_run_batches`` calls it
+    ``sample_tilted_block`` call on ``rng``, the one sampler every law
+    has; a zero tilt draws the weights untilted.  ``_run_batches`` calls it
     once per pass with one column per group of blocks (``_columns``), a
     group's pooled size and its one tilt, so a pass's rows follow one
     another in each group's draw; with one group per block, C = K and
@@ -1056,8 +1056,8 @@ def finalize(est: Estimate, target, prepared: Prepared,
 def solve_m_equation(gen: Generator, Q, P) -> float:
     """Unique root of psi(m) = sum_{q_k > 0} q_k phi'(m q_k / p_k) = 0 by
     bisection on the part of [min p_k/q_k, max p_k/q_k], where psi goes
-    from <= 0 to >= 0, that keeps every m q_k / p_k in ]t_sc-, t_sc+[, to
-    a bracket of 1e-10 relative width."""
+    from <= 0 to >= 0, that keeps every m q_k / p_k in ]a, b[, to a
+    bracket of 1e-10 relative width."""
     Q = np.asarray(Q, dtype=float)
     P = np.asarray(P, dtype=float)
     if np.any(Q < 0) or not np.any(Q > 0) or np.any(P <= 0):
@@ -1074,10 +1074,10 @@ def solve_m_equation(gen: Generator, Q, P) -> float:
     hi = float(np.max(P / Q))
     if lo == hi:
         return lo
-    # every m q_k / p_k lies in ]t_sc-, t_sc+[ iff t_sc- max(p/q) < m < t_sc+ min(p/q)
-    lo, hi = max(lo, gen.t_sc_minus * hi), min(hi, gen.t_sc_plus * lo)
+    # every m q_k / p_k lies in ]a, b[ iff a max(p/q) < m < b min(p/q)
+    lo, hi = max(lo, gen.a * hi), min(hi, gen.b * lo)
     if not lo < hi:
-        raise ValueError("no m keeps every ratio m q_k / p_k inside ]t_sc-, t_sc+[")
+        raise ValueError("no m keeps every ratio m q_k / p_k inside ]a, b[")
     for _ in range(400):
         mid = 0.5 * (lo + hi)
         if psi(mid) < 0:

@@ -47,10 +47,6 @@ def as_string(value, where: str) -> str:
     return _expect(value, where, isinstance(value, str), "a string")
 
 
-def as_bool(value, where: str) -> bool:
-    return _expect(value, where, isinstance(value, bool), "true or false")
-
-
 def as_number(value, where: str) -> float:
     """A JSON number as a float; a bool is not a number, nor is NaN, which
     Python's ``json`` reads though JSON has no such number."""

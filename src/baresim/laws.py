@@ -71,20 +71,12 @@ class WeightLaw:
             "takes its tilts from the dual, and any other set from a ray of tilted means, "
             "which need Lambda' and Lambda''")
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` exact draws of W."""
-        return self.sample_block_sum(1, rng, size)
-
-    def sample_block_sum(self, nk: int, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` draws of the sum of ``nk`` i.i.d. copies of W: the
-        untilted (tau = 0) case of ``sample_tilted_block``."""
-        return self.sample_tilted_block(0.0, nk, rng, size)
-
     def sample_tilted_block(
         self, tau: float, nk: int, rng: np.random.Generator, size: int
     ) -> np.ndarray:
         """``size`` draws of the nk-fold block sum under the exponential
-        tilt dU propto exp(tau * v) dzeta, from the closed-form convolution."""
+        tilt dU propto exp(tau * v) dzeta, from the closed-form convolution;
+        tau = 0 gives untilted draws, and nk = 1 draws of W itself."""
         raise NotImplementedError
 
     def check_tau(self, tau: float) -> float:
@@ -201,8 +193,8 @@ class TiltedStable(WeightLaw):
 
 @dataclass(frozen=True)
 class CompoundPoissonGamma(WeightLaw):
-    """Poisson(theta) many Gamma(shape, rate) summands; matches the power
-    generator with gamma in ]0,1[.  Atom at zero, otherwise positive."""
+    """Poisson(scale / gamma) many Gamma(shape, rate) summands; matches the
+    power generator with gamma in ]0,1[.  Atom at zero, otherwise positive."""
 
     gamma: float
     scale: float = 1.0
@@ -212,10 +204,6 @@ class CompoundPoissonGamma(WeightLaw):
             raise ValueError("gamma must lie in ]0,1[")
         if not (self.scale > 0):
             raise ValueError("scale must be > 0")
-
-    @property
-    def theta(self) -> float:
-        return self.scale / self.gamma
 
     @property
     def rate(self) -> float:

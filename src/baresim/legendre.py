@@ -180,10 +180,16 @@ class GeneratorSpec:
         return out
 
     def phi_prime(self, t):
+        """phi'(t) = F(t + F^{-1}(c) - 1) - c on ]t_-, t_+[, and lambda_- at
+        or below t_-, lambda_+ at or above t_+: the slopes of phi's affine
+        pieces (``_phi_at``).  NaN where that slope is infinite: phi is +inf
+        beyond such an end."""
         shift = self._f_inv_c - 1.0
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.full(t_arr.shape, np.nan)
         t_lo, t_hi = self.t_sc
+        lam_lo, lam_hi = self.lambda_dom
+        out = np.where(t_arr <= t_lo, lam_lo, np.where(t_arr >= t_hi, lam_hi, np.nan))
+        out[np.isinf(out)] = np.nan
         inside = (t_arr > t_lo) & (t_arr < t_hi)
         for i in np.nonzero(inside)[0]:
             out[i] = float(self.F(t_arr[i] + shift)) - self.c
@@ -242,9 +248,6 @@ class CumulantFunction:
         spec = self.spec
         s = spec.F_inverse(z + spec.c)
         return z * (s - (spec._f_inv_c - 1.0)) - _integral(spec, s)
-
-    def derivative(self, z: float) -> float:
-        return self.spec.F_inverse(z + self.spec.c) + 1.0 - self.spec._f_inv_c
 
 
 def build_lambda(spec: GeneratorSpec) -> CumulantFunction:
@@ -367,7 +370,7 @@ def check_mean_one(law, n_samples: int, z_grid, seed: int = 0) -> dict:
     from .engine import _rng
     from .laws import log_mgf
 
-    draws = law.sample(_rng(seed), n_samples)
+    draws = law.sample_tilted_block(0.0, 1, _rng(seed), n_samples)
     mean = float(draws.mean())
     mean_se = float(draws.std(ddof=1) / math.sqrt(n_samples))
     entries = []

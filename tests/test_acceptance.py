@@ -42,8 +42,8 @@ def interior_lambda_grid(law, m):
 
 
 def interior_t_grid(gen, m):
-    lo = gen.t_sc_minus if math.isfinite(gen.t_sc_minus) else -2.0
-    hi = gen.t_sc_plus if math.isfinite(gen.t_sc_plus) else 4.0
+    lo = gen.a if math.isfinite(gen.a) else -2.0
+    hi = gen.b if math.isfinite(gen.b) else 4.0
     span = hi - lo
     return np.linspace(lo + 0.05 * span, hi - 0.05 * span, m)
 
@@ -81,7 +81,7 @@ def test_criterion_2_law_suite():
     for i, case in enumerate(SOLVED_CASES):
         law = case.law
         rng = make_rng(1000 + i)
-        x = law.sample(rng, 1_000_000)
+        x = law.sample_tilted_block(0.0, 1, rng, 1_000_000)
         se = float(x.std(ddof=1) / math.sqrt(x.size))
         if abs(float(x.mean()) - 1.0) > 4.0 * se:
             failures.append(f"{case.name}: mean {x.mean():.5f} off by >4 sigma")
@@ -100,9 +100,9 @@ def test_criterion_2_law_suite():
                 )
         # convolution consistency at n_k in {2, 5, 20}
         for j, n_k in enumerate((2, 5, 20)):
-            blk = law.sample_block_sum(n_k, make_rng(2000 + 10 * i + j), 100_000)
+            blk = law.sample_tilted_block(0.0, n_k, make_rng(2000 + 10 * i + j), 100_000)
             summed = sum(
-                law.sample(make_rng(3000 + 100 * i + 10 * j + r), 100_000)
+                law.sample_tilted_block(0.0, 1, make_rng(3000 + 100 * i + 10 * j + r), 100_000)
                 for r in range(n_k)
             )
             ks = stats.ks_2samp(np.round(blk, 8), np.round(summed, 8))
@@ -126,7 +126,7 @@ def test_criterion_3_lemma5_suite():
         A = float(rng.uniform(0.5, 2.0))
         Q = np.maximum(A * rng.dirichlet(np.ones(K) * 3), 1e-4)
         gen = PowerGamma(g, c)
-        val, m = bs.min_over_m_closed(gen, Q, P, A=float(Q.sum()))
+        val, m = bs.min_over_m_closed(gen, Q, P)
         _, f_gold = oracle.golden_min(
             lambda mm: bs.divergence(gen, mm * Q, P), (1e-4, 50.0), tol=1e-12
         )
@@ -381,8 +381,8 @@ def test_criterion_10_determinism():
     )
     draws_same = True
     for i, case in enumerate(SOLVED_CASES):
-        x = case.law.sample(make_rng(900 + i), 256)
-        y = case.law.sample(make_rng(900 + i), 256)
+        x = case.law.sample_tilted_block(0.0, 1, make_rng(900 + i), 256)
+        y = case.law.sample_tilted_block(0.0, 1, make_rng(900 + i), 256)
         draws_same &= bool(np.array_equal(x, y))
     ok = same_estimate and draws_same
     report(10, ok, f"same-seed reruns bit-identical: estimates={same_estimate}, "

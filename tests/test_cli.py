@@ -157,8 +157,9 @@ RULE_ROWS = [
     ('constraint/parts: type', 'estimate', 'constraint', {'type': 'all', 'parts': 5}, 'parts'),
     ('constraint/scale: type', 'estimate', 'constraint',
      {'type': 'coordinate', 'index': 0, 'bound': 0.5, 'scale': 'x'}, 'scale'),
+    # the former regularity assertion is no setting: refused by name, whatever the value
     ('constraint/regularity_asserted: type', 'estimate', 'constraint',
-     {'type': 'coordinate', 'index': 0, 'bound': 0.5, 'regularity_asserted': 'false'},
+     {'type': 'coordinate', 'index': 0, 'bound': 0.5, 'regularity_asserted': False},
      'regularity_asserted'),
     ('constraint/description: type', 'estimate', 'constraint',
      {'type': 'coordinate', 'index': 0, 'bound': 0.5, 'description': 5}, 'description'),
@@ -216,7 +217,7 @@ RULE_ROWS = [
      'scale'),
     ('constraint/parts/0/regularity_asserted: type', 'estimate', 'constraint',
      {'type': 'all', 'parts': [
-         {'type': 'coordinate', 'index': 0, 'bound': 0.5, 'regularity_asserted': 'false'}]},
+         {'type': 'coordinate', 'index': 0, 'bound': 0.5, 'regularity_asserted': True}]},
      'regularity_asserted'),
     ('constraint/parts/0/description: type', 'estimate', 'constraint',
      {'type': 'all', 'parts': [
@@ -255,7 +256,7 @@ RULE_ROWS = [
     ('side/scale: type', 'transport', 'side',
      {'type': 'coordinate', 'index': 0, 'bound': 0.5, 'scale': 'x'}, 'scale'),
     ('side/regularity_asserted: type', 'transport', 'side',
-     {'type': 'coordinate', 'index': 0, 'bound': 0.5, 'regularity_asserted': 'false'},
+     {'type': 'coordinate', 'index': 0, 'bound': 0.5, 'regularity_asserted': False},
      'regularity_asserted'),
     ('side/description: type', 'transport', 'side',
      {'type': 'coordinate', 'index': 0, 'bound': 0.5, 'description': 5}, 'description'),
@@ -560,6 +561,14 @@ class TestModeMismatch:
         assert code == cli.EXIT_CONFIG
         assert "empirical mode needs an ingest_sample partition" in err
 
+    @pytest.mark.parametrize("command", ["estimate", "bounds"])
+    def test_reference_vector_and_data_file(self, tmp_path, capsys, command):
+        # two references are refused, not one of them dropped
+        cfg = self.data_config(tmp_path, reference_vector=[0.2, 0.3, 0.5])
+        code, err = self.run(cfg, capsys, command)
+        assert code == cli.EXIT_CONFIG
+        assert "takes reference_vector or data_file, not both" in err
+
     def test_deterministic_mode_with_data_file(self, tmp_path, capsys):
         cfg = self.data_config(tmp_path, mode="deterministic", target="deterministic")
         code, err = self.run(cfg, capsys)
@@ -784,6 +793,19 @@ class TestOtherCommands:
         payload = json.loads(out.read_text())
         assert payload["law"] == "ScaledPoisson"
         assert len(payload["draws"]) == 20
+
+    def test_sample_law_draws_keep_their_bits(self, tmp_path):
+        # seed 0's first five untilted DistortedStable(3) weights, pinned
+        # bit for bit
+        out = tmp_path / "draws.json"
+        code = cli.main(["sample-law", "--gamma", "3", "--count", "5", "--seed", "0",
+                         "--out", str(out)])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["law"] == "DistortedStable"
+        assert [float(x).hex() for x in payload["draws"]] == [
+            "0x1.438ae332209f5p+0", "0x1.9c334a04586e8p-2", "0x1.bc501e71f93bbp-1",
+            "-0x1.f259a5ba3fdb6p-3", "0x1.bd7f166b78701p-1"]
 
     def test_sample_law_rejects_zero_count(self, tmp_path, capsys):
         out = tmp_path / "draws.json"

@@ -217,5 +217,5 @@ class TestConstraintFromDict:
         {"type": "any", "parts": [{"type": "coordinate", "index": 1, "bound": 0.5}]},
     ])
     def test_every_key_a_type_reads_is_accepted(self, spec):
-        common = {"scale": 1.0, "regularity_asserted": True, "description": "d"}
+        common = {"scale": 1.0, "description": "d"}
         assert bs.constraint_from_dict({**spec, **common}).description == "d"

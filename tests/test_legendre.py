@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import baresim as bs
-from baresim import laws as lw
+from baresim import engine, laws as lw
+from baresim.divergence import PowerGamma
 from baresim.legendre import (GeneratorSpec, _integral, build_lambda, build_phi,
                               legendre_transform)
 
@@ -22,8 +23,8 @@ def lambda_grid(law, m=12):
 
 
 def t_grid(gen, m=12):
-    lo = gen.t_sc_minus if math.isfinite(gen.t_sc_minus) else -2.0
-    hi = gen.t_sc_plus if math.isfinite(gen.t_sc_plus) else 4.0
+    lo = gen.a if math.isfinite(gen.a) else -2.0
+    hi = gen.b if math.isfinite(gen.b) else 4.0
     span = hi - lo
     return np.linspace(lo + 0.06 * span, hi - 0.06 * span, m)
 
@@ -142,6 +143,24 @@ class TestBuildPhi:
             assert float(phi.phi(np.array([t]))[0]) == pytest.approx(
                 float(case.gen.phi(np.array([t]))[0]), abs=1e-6
             )
+
+    def test_derivative_of_the_affine_tail_is_lambda_minus(self):
+        # gamma = 3: below t_- = 0, phi' is the tail's slope lambda_- = -1/2,
+        # as for the closed form, and a central difference of phi agrees
+        case = next(c for c in SOLVED_CASES if c.name == "power gamma=3")
+        phi = build_phi(case.spec())
+        ts, h = np.array([-2.0, -0.5, -0.01]), 1e-4
+        assert np.allclose(phi.phi_prime(ts), -0.5, atol=1e-9)
+        assert np.allclose(phi.phi_prime(ts), case.gen.phi_prime(ts), atol=1e-9)
+        slopes = (phi.phi(ts + h) - phi.phi(ts - h)) / (2.0 * h)
+        assert np.allclose(phi.phi_prime(ts), slopes, atol=1e-6)
+
+    def test_m_equation_on_the_built_generator(self):
+        # the bisection on ]a, b[ = ]-inf, inf[ finds the closed form's m*
+        case = next(c for c in SOLVED_CASES if c.name == "power gamma=3")
+        q, p = np.array([0.5, 0.2, 0.3]), np.array([0.2, 0.3, 0.5])
+        m = engine.solve_m_equation(build_phi(case.spec()), q, p)
+        assert m == pytest.approx(bs.min_over_m_closed(PowerGamma(3.0), q, p)[1], rel=1e-8)
 
 
     @pytest.mark.parametrize("case", SOLVED_CASES, ids=lambda c: c.name)

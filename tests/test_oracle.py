@@ -63,11 +63,11 @@ class TestGridMin:
         omega = bs.simplex_face(0, 0.6, ">=")
 
         def mproj(q):
-            val, _ = bs.min_over_m_closed(gen, q, P, A=float(q.sum()))
+            val, _ = bs.min_over_m_closed(gen, q, P)
             return val
 
         v_grid, arg = oracle.grid_min_divergence(gen, P, omega, objective=mproj)
-        direct, _ = bs.min_over_m_closed(gen, arg, P, A=float(arg.sum()))
+        direct, _ = bs.min_over_m_closed(gen, arg, P)
         assert v_grid == pytest.approx(direct, abs=1e-10)
 
     def test_dimension_guard(self):

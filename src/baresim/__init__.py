@@ -18,7 +18,6 @@ from .constraints import (
 from .divergence import (
     AnchoredKL,
     BlendedWeightChiSq,
-    CustomGenerator,
     GenAsymLaplace,
     GeneralizedKL,
     PowerGamma,
@@ -62,10 +61,7 @@ from .engine import (
 from .entropy import EntropySpec, entropy
 from .laws import law_for_generator, log_mgf
 from .legendre import (
-    CumulantFunction,
     GeneratorSpec,
-    build_lambda,
-    build_phi,
     check_mean_one,
     legendre_transform,
 )

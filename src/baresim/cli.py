@@ -334,7 +334,7 @@ def _cmd_validate(args) -> int:
         return EXIT_VALIDATION
     cmd = [sys.executable, "-m", "pytest", str(suite), "-v"]
     if args.quick:
-        cmd += ["-k", "not slow"]
+        cmd += ["-m", "not slow"]
     proc = subprocess.run(cmd)
     return EXIT_OK if proc.returncode == 0 else EXIT_VALIDATION
 

@@ -6,7 +6,8 @@ A generator is a convex function ``phi`` with ``phi(1) = 0`` and
 zero entries.  Each built-in generator family also knows the interval on
 which its convex conjugate (the cumulant function of the matching weight
 law) is finite; that interval drives both the zero-entry conventions and
-the simulation machinery.
+the simulation machinery.  A generator built numerically from a monotone
+derivative, with its conjugate, is a ``baresim.legendre.GeneratorSpec``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "BlendedWeightChiSq",
     "TwoPoint",
     "GenAsymLaplace",
-    "CustomGenerator",
     "phi_eval",
     "phi_prime",
     "divergence",
@@ -456,25 +456,6 @@ class GenAsymLaplace(Generator):
             1.0 - (s * xs) ** 2 / 8.0
         )
         return out
-
-
-@dataclass(frozen=True)
-class CustomGenerator(Generator):
-    """Generator built numerically from a monotone-derivative description;
-    see :mod:`baresim.legendre`."""
-
-    spec: object  # legendre.GeneratorSpec; kept loose to avoid an import cycle
-
-    a = property(lambda self: self.spec.phi_dom[0])
-    b = property(lambda self: self.spec.phi_dom[1])
-    lambda_minus = property(lambda self: self.spec.lambda_dom[0])
-    lambda_plus = property(lambda self: self.spec.lambda_dom[1])
-
-    def phi(self, t):
-        return self.spec.phi(t)
-
-    def phi_prime(self, t):
-        return self.spec.phi_prime(t)
 
 
 # ---------------------------------------------------------------------------

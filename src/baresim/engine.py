@@ -844,13 +844,13 @@ def compute_taus(prepared: Prepared, proxy: ProxyResult) -> np.ndarray:
 
 
 def is_estimate(prepared: Prepared, config: EstimatorConfig,
-                q_star: Optional[ProxyResult] = None) -> Estimate:
-    """Importance-sampling estimator of the hitting probability, tilted
-    toward ``q_star``, or toward the proxy ``proxy_q_star`` finds when it is
-    None."""
-    if q_star is None:
-        q_star = proxy_q_star(prepared, config)
-    return _run_batches(prepared, config, compute_taus(prepared, q_star))
+                proxy: Optional[ProxyResult] = None) -> Estimate:
+    """Importance-sampling estimator of the hitting probability, tilted by
+    ``proxy``, a ``ProxyResult`` from ``proxy_q_star`` (a point and its
+    tilts), or by the one ``proxy_q_star`` finds when it is None."""
+    if proxy is None:
+        proxy = proxy_q_star(prepared, config)
+    return _run_batches(prepared, config, compute_taus(prepared, proxy))
 
 
 # ---------------------------------------------------------------------------
@@ -1121,7 +1121,7 @@ def bounds_general(gen: Generator, P, omega: ConstraintSet,
         # D there is no upper bound on the minimum over Omega
         raise ValueError("the 'given' proxy q_star is outside the constraint set; the "
                          "upper bound needs a feasible point")
-    est = finalize(is_estimate(prepared, config, q_star=proxy), "deterministic", prepared)
+    est = finalize(is_estimate(prepared, config, proxy=proxy), "deterministic", prepared)
     lower = est.value
     upper = divergence(gen, proxy.q_star, prepared.part.p_tilde)
     if lower > upper:

@@ -21,7 +21,6 @@ from . import stable
 from .divergence import (
     AnchoredKL,
     BlendedWeightChiSq,
-    CustomGenerator,
     GenAsymLaplace,
     Generator,
     GeneralizedKL,
@@ -29,6 +28,7 @@ from .divergence import (
     TwoPoint,
     _check_anchor,
 )
+from .legendre import GeneratorSpec
 
 __all__ = [
     "WeightLaw",
@@ -757,7 +757,7 @@ def law_for_generator(gen: Generator, extra_scale: float = 1.0) -> WeightLaw:
         return GenAsymLaplaceLaw(
             gen.alpha, gen.beta1, gen.beta2, gen.scale * extra_scale
         )
-    if isinstance(gen, CustomGenerator):
+    if isinstance(gen, GeneratorSpec):
         raise ValueError(
             "custom generators need a user-provided weight law; pass one "
             "explicitly to the estimator"

@@ -1,16 +1,18 @@
-"""Numeric construction of cumulant functions and generators from a
-monotone derivative description.
+"""Divergence generators built numerically from a monotone derivative.
 
 Given a smooth strictly increasing ``F`` on ``]a_F, b_F[`` and an anchor
-``c`` in the interior of its range, the generator is the integral of its
-derivative phi'(u) = F(u + F^{-1}(c) - 1) - c from 1, on ``[t_-, t_+] = 1 +
-[a_F, b_F] - F^{-1}(c)``: one adaptive quadrature, +inf where it diverges
-at an end, extended affinely beyond a finite end with slope
-lambda_-/lambda_+, the limit of phi' there.  Its conjugate, the cumulant
-function on ``]lambda_-, lambda_+[ = int(range F) - c``, follows by the
+``c`` in the interior of its range, :class:`GeneratorSpec` is the
+generator whose derivative is phi'(u) = F(u + F^{-1}(c) - 1) - c: phi is
+the integral of phi' from 1 on ``[t_-, t_+] = 1 + [a_F, b_F] - F^{-1}(c)``,
+one adaptive quadrature, +inf where it diverges at an end, extended
+affinely beyond a finite end with slope lambda_-/lambda_+, the limit of
+phi' there.  The same object gives the conjugate, the cumulant function
+on ``]lambda_-, lambda_+[ = int(range F) - c``, as ``cumulant``, by the
 Legendre identity (Rockafellar, *Convex Analysis*, 1970, section 26):
 Lambda(z) = z t - phi(t) at t = Lambda'(z) = F^{-1}(z + c) + 1 - F^{-1}(c),
-one inversion of ``F`` (bracketed root finding) and one quadrature.
+one inversion of ``F`` (bracketed root finding) and one quadrature.  A
+spec is a :class:`baresim.divergence.Generator`, so it goes wherever a
+built-in generator does; its weight law is the user's to give.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-__all__ = ["GeneratorSpec", "CumulantFunction", "build_lambda", "build_phi",
-           "legendre_transform", "check_mean_one"]
+from .divergence import Generator
+
+__all__ = ["GeneratorSpec", "legendre_transform", "check_mean_one"]
 
 _GRID_SIZE = 512
 _INV_TOL = 1e-12
@@ -53,13 +56,15 @@ def _build_grid(lo: float, hi: float) -> np.ndarray:
     return grid[(grid > lo) & (grid < hi)]
 
 
-@dataclass
-class GeneratorSpec:
-    """A generator description: strictly increasing smooth ``F`` on
-    ``]a_F, b_F[`` plus an anchor point ``c`` in the interior of range(F).
+@dataclass(frozen=True, eq=False)
+class GeneratorSpec(Generator):
+    """The generator built from a strictly increasing smooth ``F`` on
+    ``]a_F, b_F[`` and an anchor point ``c`` in the interior of range(F).
 
     Monotonicity is verified numerically on a grid at construction, where
-    the range of F and ``F^{-1}(c)`` are computed once.
+    the range of F and ``F^{-1}(c)`` are computed once.  It is immutable,
+    as the built-in generators are, and hashed and compared by identity:
+    two ``F`` that compute one function cannot be told apart.
     """
 
     F: Callable[[float], float]
@@ -69,7 +74,7 @@ class GeneratorSpec:
 
     _grid: np.ndarray = field(init=False, repr=False)
     _F_grid: np.ndarray = field(init=False, repr=False)
-    _range_F: Tuple[float, float] = field(init=False, repr=False)
+    _F_range: Tuple[float, float] = field(init=False, repr=False)
     _f_inv_c: float = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -87,23 +92,22 @@ class GeneratorSpec:
             raise ValueError("F is not strictly increasing on its grid")
         # drop float-saturated ties near finite range limits
         keep = np.concatenate(([True], diffs > 0))
-        self._grid = grid[keep]
-        self._F_grid = vals[keep]
+        object.__setattr__(self, "_grid", grid[keep])
+        object.__setattr__(self, "_F_grid", vals[keep])
         lo = _endpoint_limit(self.F, self.a_F, side="lower")
         hi = _endpoint_limit(self.F, self.b_F, side="upper")
-        self._range_F = lo, hi
+        object.__setattr__(self, "_F_range", (lo, hi))
         if not (lo < self.c < hi):
             raise ValueError(f"anchor {self.c} outside int(range F) = ]{lo}, {hi}[")
-        self._f_inv_c = self.F_inverse(self.c)
+        object.__setattr__(self, "_f_inv_c", self.F_inverse(self.c))
 
     @property
-    def range_F(self) -> Tuple[float, float]:
-        return self._range_F
+    def lambda_minus(self) -> float:
+        return self._F_range[0] - self.c
 
     @property
-    def lambda_dom(self) -> Tuple[float, float]:
-        lo, hi = self.range_F
-        return lo - self.c, hi - self.c
+    def lambda_plus(self) -> float:
+        return self._F_range[1] - self.c
 
     @property
     def t_sc(self) -> Tuple[float, float]:
@@ -111,19 +115,19 @@ class GeneratorSpec:
         return 1.0 + self.a_F - f_inv_c, 1.0 + self.b_F - f_inv_c
 
     @property
-    def phi_dom(self) -> Tuple[float, float]:
-        lam_lo, lam_hi = self.lambda_dom
-        t_lo, t_hi = self.t_sc
-        a = t_lo if lam_lo == -math.inf else -math.inf
-        b = t_hi if lam_hi == math.inf else math.inf
-        return a, b
+    def a(self) -> float:
+        return self.t_sc[0] if self.lambda_minus == -math.inf else -math.inf
+
+    @property
+    def b(self) -> float:
+        return self.t_sc[1] if self.lambda_plus == math.inf else math.inf
 
     def F_inverse(self, x: float) -> float:
         """Invert F by bracketed root finding on the monotone grid
         (Brent: bisection with secant/inverse-quadratic polish)."""
         from scipy import optimize
 
-        lo, hi = self._range_F
+        lo, hi = self._F_range
         if not (lo < x < hi):
             raise ValueError(f"{x} outside int(range F) = ]{lo}, {hi}[")
         idx = int(np.searchsorted(self._F_grid, x))
@@ -170,7 +174,7 @@ class GeneratorSpec:
                                 else 2 * t_hi - t_lo)
         return t_lo, min(t_hi, self.b_F - 1e-300)
 
-    # phi / phi_prime in the CustomGenerator protocol ------------------------
+    # the Generator protocol, and the conjugate ------------------------------
 
     def phi(self, t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -187,13 +191,24 @@ class GeneratorSpec:
         shift = self._f_inv_c - 1.0
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         t_lo, t_hi = self.t_sc
-        lam_lo, lam_hi = self.lambda_dom
-        out = np.where(t_arr <= t_lo, lam_lo, np.where(t_arr >= t_hi, lam_hi, np.nan))
+        out = np.where(t_arr <= t_lo, self.lambda_minus,
+                       np.where(t_arr >= t_hi, self.lambda_plus, np.nan))
         out[np.isinf(out)] = np.nan
         inside = (t_arr > t_lo) & (t_arr < t_hi)
         for i in np.nonzero(inside)[0]:
             out[i] = float(self.F(t_arr[i] + shift)) - self.c
         return out
+
+    def cumulant(self, z) -> float | np.ndarray:
+        """The cumulant function Lambda of the weight law tied to this
+        generator, with Lambda(0) = 0 and Lambda'(0) = 1: a float for a
+        scalar ``z``, an array for an array, +inf outside ]lambda_-,
+        lambda_+[ except at z = 0."""
+        z_arr = np.atleast_1d(np.asarray(z, dtype=float))
+        out = np.empty(z_arr.shape)
+        for i, zi in enumerate(z_arr):
+            out[i] = _cumulant_at(self, float(zi))
+        return float(out[0]) if np.ndim(z) == 0 else out
 
 
 def _endpoint_limit(F, endpoint: float, side: str) -> float:
@@ -226,34 +241,13 @@ def _endpoint_limit(F, endpoint: float, side: str) -> float:
     return v_near
 
 
-@dataclass(frozen=True)
-class CumulantFunction:
-    """Numerically represented cumulant function Lambda on ]lam_lo, lam_hi[,
-    with Lambda(0) = 0 and Lambda'(0) = 1."""
-
-    spec: GeneratorSpec
-    lam_lo: float
-    lam_hi: float
-
-    def __call__(self, z) -> float | np.ndarray:
-        z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-        out = np.empty(z_arr.shape)
-        for i, zi in enumerate(z_arr):
-            out[i] = self._at(float(zi))
-        return float(out[0]) if np.ndim(z) == 0 else out
-
-    def _at(self, z: float) -> float:
-        if not (self.lam_lo < z < self.lam_hi):
-            return 0.0 if z == 0.0 else math.inf
-        spec = self.spec
-        s = spec.F_inverse(z + spec.c)
-        return z * (s - (spec._f_inv_c - 1.0)) - _integral(spec, s)
-
-
-def build_lambda(spec: GeneratorSpec) -> CumulantFunction:
-    """Cumulant function of the weight law tied to ``spec``."""
-    lo, hi = spec.lambda_dom
-    return CumulantFunction(spec, lo, hi)
+def _cumulant_at(spec: GeneratorSpec, z: float) -> float:
+    """Lambda(z) = z t - phi(t) at t = Lambda'(z), +inf outside ]lambda_-,
+    lambda_+[ but at 0."""
+    if not (spec.lambda_minus < z < spec.lambda_plus):
+        return 0.0 if z == 0.0 else math.inf
+    s = spec.F_inverse(z + spec.c)
+    return z * (s - (spec._f_inv_c - 1.0)) - _integral(spec, s)
 
 
 def _integral(spec: GeneratorSpec, s: float) -> float:
@@ -303,18 +297,10 @@ def _phi_at(spec: GeneratorSpec, t: float) -> float:
     finite end with slope lambda_-/lambda_+, +inf where that is infinite."""
     t_lo, t_hi = spec.t_sc
     if t < t_lo or t > t_hi:
-        end, slope = (t_lo, spec.lambda_dom[0]) if t < t_lo else (t_hi, spec.lambda_dom[1])
+        end, slope = (t_lo, spec.lambda_minus) if t < t_lo else (t_hi, spec.lambda_plus)
         return _phi_at(spec, end) + slope * (t - end) if math.isfinite(slope) else math.inf
     s = spec.a_F if t == t_lo else spec.b_F if t == t_hi else t + (spec._f_inv_c - 1.0)
     return _integral(spec, s)
-
-
-def build_phi(spec: GeneratorSpec):
-    """Return the divergence generator tied to ``spec`` as a
-    :class:`baresim.divergence.CustomGenerator`."""
-    from .divergence import CustomGenerator
-
-    return CustomGenerator(spec)
 
 
 def legendre_transform(f: Callable[[float], float], domain: Tuple[float, float]):

@@ -286,9 +286,10 @@ def test_value_coverage_renyi_entropy_extremum():
 
 def test_proxy_gap_stalled_polish():
     # KL over {sum x >= 1.3} in deterministic mode: the minimum is at
-    # q = 1.3 p, D = 1.3 log 1.3 - 0.3 = 0.041073.  The search's polish
+    # q = 1.3 p, D = 1.3 log 1.3 - 0.3 = 0.041073.  A searched proxy once
     # stalled at q* = (.2, .375, .725), D = 0.0531, which pi-coverage missed
-    # (|z| <= 1.51 over seeds 1-5 at n = 150); the dual finds the minimum
+    # (|z| <= 1.51 over seeds 1-5 at n = 150); a halfspace is not searched,
+    # and its proxy, the dual's point, is the minimum
     gen, P = PowerGamma(1.0), np.array([0.2, 0.3, 0.5])
     cfg = bs.EstimatorConfig(n=150, seed=1)
     prepared = engine.prepare(gen, P, bs.halfspace([1.0, 1.0, 1.0], 1.3, ">="), cfg,

@@ -831,6 +831,21 @@ class TestValidateCommand:
         assert suite.is_absolute()
         assert suite.is_file()
 
+    def test_quick_selects_by_marker(self, monkeypatch):
+        # -m, not -k: a keyword match would keep a test whose slow marker
+        # is misspelt, and --strict-markers fails such a marker at collection
+        calls = []
+
+        def fake_run(cmd, **kwargs):
+            calls.append(cmd)
+            return subprocess.CompletedProcess(cmd, 0)
+
+        monkeypatch.setattr(subprocess, "run", fake_run)
+        assert cli.main(["validate", "--quick"]) == cli.EXIT_OK
+        (cmd,) = calls
+        assert cmd[-2:] == ["-m", "not slow"]
+        assert "-k" not in cmd
+
     def test_missing_suite_is_a_validation_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "__file__", str(tmp_path / "site" / "baresim" / "cli.py"))
         monkeypatch.setattr(subprocess, "run", pytest.fail)

@@ -51,8 +51,8 @@ class TestPartition:
 
     def test_rescaled_reference_keeps_its_blocks(self):
         # P / sum(P) for P = 1.7 * (.2, .3, .5) is (.2, .3, .5) up to
-        # rounding: the blocks, and the hit-run proxy's short blocks, must
-        # not lose a unit to it
+        # rounding: the blocks, and the shorter blocks of the tilt search's
+        # ladder, must not lose a unit to it
         P = 1.7 * np.array([0.2, 0.3, 0.5])
         part = engine.partition(P / P.sum(), 300)
         assert list(part.sizes) == [60, 90, 150]
@@ -1032,7 +1032,7 @@ class TestDual:
         assert lattice.bias_correction is None
 
 
-class TestCustomGeneratorPath:
+class TestBuiltGeneratorPath:
     def test_naive_with_explicit_law_and_no_generator(self):
         # a weight law alone is enough for the naive estimator
         cfg = bs.EstimatorConfig(n=20, L=2_000, seed=8)
@@ -1045,17 +1045,29 @@ class TestCustomGeneratorPath:
         # numerically built quadratic generator + Gaussian law reproduces
         # the built-in power-generator run
         spec = bs.GeneratorSpec(F=lambda t: t - 1.0, a_F=-math.inf, b_F=math.inf)
-        custom = bs.CustomGenerator(spec)
         p = np.array([0.5, 0.5])
         omega = bs.simplex_face(0, 0.7, ">=")
         cfg = bs.EstimatorConfig(n=60, L=10_000, seed=9)
         est_custom = engine.is_estimate(
-            engine.prepare(custom, p, omega, cfg, "simplex", law=laws.Gaussian(1.0)), cfg)
+            engine.prepare(spec, p, omega, cfg, "simplex", law=laws.Gaussian(1.0)), cfg)
         est_builtin = engine.is_estimate(
             engine.prepare(PowerGamma(2.0, 1.0), p, omega, cfg, "simplex"), cfg)
         assert est_custom.log_pi_hat == pytest.approx(
             est_builtin.log_pi_hat, abs=1e-6
         )
+
+    def test_bounds_on_a_built_generator(self):
+        # the built KL generator takes a user law in bounds_general; its
+        # upper bound is the closed form's divergence at the proxy point
+        spec = bs.GeneratorSpec(F=lambda t: math.log(t) if t > 0 else -math.inf,
+                                a_F=0.0, b_F=math.inf)
+        P = np.array([0.2, 0.3, 0.5])
+        cfg = bs.EstimatorConfig(n=2000, L=20_000, seed=1)
+        lower, upper, q_hat, _ = engine.bounds_general(
+            spec, P, bs.simplex_face(0, 0.5, ">="), cfg, mode="simplex",
+            law=laws.ScaledPoisson(1.0))
+        assert lower <= upper
+        assert upper == pytest.approx(bs.divergence(PowerGamma(1.0), q_hat, P), rel=1e-12)
 
 
 class TestBoundsEmpirical:

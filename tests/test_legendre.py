@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,8 @@ import pytest
 
 import baresim as bs
 from baresim import engine, laws as lw
-from baresim.divergence import PowerGamma
-from baresim.legendre import (GeneratorSpec, _integral, build_lambda, build_phi,
-                              legendre_transform)
+from baresim.divergence import Generator, PowerGamma
+from baresim.legendre import GeneratorSpec, _integral, legendre_transform
 
 from cases import SOLVED_CASES
 
@@ -33,31 +33,31 @@ class TestBuildLambda:
     def test_poisson_case(self):
         spec = GeneratorSpec(F=lambda t: math.log(t) if t > 0 else -INF,
                              a_F=0.0, b_F=INF, c=0.0)
-        lam = build_lambda(spec)
+        lam = spec.cumulant
         assert lam(0.0) == 0.0
         assert lam(1.0) == pytest.approx(math.e - 1.0, abs=1e-9)
 
     def test_gaussian_case(self):
         spec = GeneratorSpec(F=lambda t: t - 1.0, a_F=-INF, b_F=INF, c=0.0)
-        lam = build_lambda(spec)
+        lam = spec.cumulant
         for z in (-1.0, 0.3, 2.0):
             assert lam(z) == pytest.approx(z * z / 2.0 + z, abs=1e-9)
 
     def test_gamma_case_value(self):
         spec = GeneratorSpec(F=lambda t: 1.0 - 1.0 / t if t > 0 else -INF,
                              a_F=0.0, b_F=INF, c=0.0)
-        lam = build_lambda(spec)
+        lam = spec.cumulant
         assert lam(0.5) == pytest.approx(math.log(2.0), abs=1e-8)
 
     def test_outside_domain_infinite(self):
         spec = GeneratorSpec(F=lambda t: 1.0 - 1.0 / t if t > 0 else -INF,
                              a_F=0.0, b_F=INF, c=0.0)
-        lam = build_lambda(spec)
+        lam = spec.cumulant
         assert lam(1.5) == INF
 
     @pytest.mark.parametrize("case", SOLVED_CASES, ids=lambda c: c.name)
     def test_matches_closed_form(self, case):
-        lam = build_lambda(case.spec())
+        lam = case.spec().cumulant
         for z in lambda_grid(case.law):
             assert lam(float(z)) == pytest.approx(
                 float(lw.log_mgf(case.law, float(z))), abs=1e-8
@@ -65,7 +65,7 @@ class TestBuildLambda:
 
     @pytest.mark.parametrize("case", SOLVED_CASES, ids=lambda c: c.name)
     def test_normalization_and_slope(self, case):
-        lam = build_lambda(case.spec())
+        lam = case.spec().cumulant
         assert lam(0.0) == 0.0
         # Richardson-extrapolated central difference
         h = 1e-4
@@ -77,7 +77,8 @@ class TestBuildLambda:
     def test_domain_ends_are_the_laws(self, case):
         # the ends are F's limits, extrapolated from the probes nearest them:
         # built gamma = 1/2 read 1.999998 for 2, generalized KL log 2 - 1e-12
-        for built, law in zip(case.spec().lambda_dom, case.law.mgf_dom()):
+        spec = case.spec()
+        for built, law in zip((spec.lambda_minus, spec.lambda_plus), case.law.mgf_dom()):
             assert built == law or abs(built - law) <= 1e-13 * abs(law)
 
     def test_finite_just_below_its_upper_end(self):
@@ -85,7 +86,7 @@ class TestBuildLambda:
         # and F^-1 widens its bracket far past the grid to reach it
         case = next(c for c in SOLVED_CASES if c.name == "power gamma=0.5")
         z = 1.9999985
-        assert build_lambda(case.spec())(z) == pytest.approx(4.0 / (2.0 - z) - 2.0, rel=1e-6)
+        assert case.spec().cumulant(z) == pytest.approx(4.0 / (2.0 - z) - 2.0, rel=1e-6)
 
     def test_anchor_outside_range_rejected(self):
         with pytest.raises(ValueError):
@@ -101,24 +102,23 @@ class TestBuildPhi:
     def test_kl_case(self):
         spec = GeneratorSpec(F=lambda t: math.log(t) if t > 0 else -INF,
                              a_F=0.0, b_F=INF, c=0.0)
-        phi = build_phi(spec)
         ref = bs.PowerGamma(1.0, 1.0)
         for t in (0.3, 1.0, 2.5):
-            assert bs.phi_eval(phi, t) == pytest.approx(
+            assert bs.phi_eval(spec, t) == pytest.approx(
                 bs.phi_eval(ref, t), abs=1e-8
             )
 
     def test_anchored_domain_and_boundary(self):
         spec = GeneratorSpec(F=lambda t: math.log(t) if t > 0 else -INF,
                              a_F=0.0, b_F=INF, c=1.0)
-        lo, hi = spec.phi_dom
+        lo, hi = spec.a, spec.b
         assert lo == pytest.approx(1.0 - math.e, abs=1e-6)
         assert hi == INF
         assert float(spec.phi(1.0 - math.e)[0]) == pytest.approx(math.e, abs=1e-12)
 
     @pytest.mark.parametrize("case", SOLVED_CASES, ids=lambda c: c.name)
     def test_matches_closed_form(self, case):
-        phi = build_phi(case.spec())
+        phi = case.spec()
         ts = t_grid(case.gen)
         built = np.array([float(phi.phi(np.array([t]))[0]) for t in ts])
         ref = case.gen.phi(ts)
@@ -138,7 +138,7 @@ class TestBuildPhi:
     def test_affine_tail_for_unbounded_generator(self):
         # gamma = 3: finite affine continuation below zero
         case = next(c for c in SOLVED_CASES if c.name == "power gamma=3")
-        phi = build_phi(case.spec())
+        phi = case.spec()
         for t in (-0.5, -2.0):
             assert float(phi.phi(np.array([t]))[0]) == pytest.approx(
                 float(case.gen.phi(np.array([t]))[0]), abs=1e-6
@@ -148,7 +148,7 @@ class TestBuildPhi:
         # gamma = 3: below t_- = 0, phi' is the tail's slope lambda_- = -1/2,
         # as for the closed form, and a central difference of phi agrees
         case = next(c for c in SOLVED_CASES if c.name == "power gamma=3")
-        phi = build_phi(case.spec())
+        phi = case.spec()
         ts, h = np.array([-2.0, -0.5, -0.01]), 1e-4
         assert np.allclose(phi.phi_prime(ts), -0.5, atol=1e-9)
         assert np.allclose(phi.phi_prime(ts), case.gen.phi_prime(ts), atol=1e-9)
@@ -159,7 +159,7 @@ class TestBuildPhi:
         # the bisection on ]a, b[ = ]-inf, inf[ finds the closed form's m*
         case = next(c for c in SOLVED_CASES if c.name == "power gamma=3")
         q, p = np.array([0.5, 0.2, 0.3]), np.array([0.2, 0.3, 0.5])
-        m = engine.solve_m_equation(build_phi(case.spec()), q, p)
+        m = engine.solve_m_equation(case.spec(), q, p)
         assert m == pytest.approx(bs.min_over_m_closed(PowerGamma(3.0), q, p)[1], rel=1e-8)
 
 
@@ -199,7 +199,43 @@ class TestBuildPhi:
         # built gamma = 0, phi(t) = t - 1 - log t: phi(0) = +inf
         spec = GeneratorSpec(F=lambda t: 1.0 - 1.0 / t if t > 0 else -INF,
                              a_F=0.0, b_F=INF, c=0.0)
-        assert bs.divergence(bs.CustomGenerator(spec), [0.0, 0.5, 0.5], [0.2, 0.3, 0.5]) == INF
+        assert bs.divergence(spec, [0.0, 0.5, 0.5], [0.2, 0.3, 0.5]) == INF
+
+
+class TestOneObject:
+    @staticmethod
+    def kl_spec():
+        return GeneratorSpec(F=lambda t: math.log(t) if t > 0 else -INF, a_F=0.0, b_F=INF)
+
+    def test_a_spec_is_a_generator_with_its_conjugate(self):
+        spec = self.kl_spec()
+        assert isinstance(spec, Generator)
+        assert (spec.a, spec.b, spec.lambda_minus, spec.lambda_plus) == (0.0, INF, -INF, INF)
+        assert isinstance(spec.cumulant(1.0), float)
+        zs = np.array([-1.0, 0.0, 1.0])
+        assert np.allclose(spec.cumulant(zs), np.expm1(zs), atol=1e-9)
+
+    def test_cumulant_is_infinite_outside_its_domain_but_at_zero(self):
+        # built gamma = 0: Lambda(z) = -log(1 - z) on ]-inf, 1[
+        spec = GeneratorSpec(F=lambda t: 1.0 - 1.0 / t if t > 0 else -INF, a_F=0.0, b_F=INF)
+        assert spec.lambda_plus == 1.0
+        assert list(spec.cumulant(np.array([0.0, 1.0, 2.0]))) == [0.0, INF, INF]
+
+    def test_fields_are_frozen(self):
+        # a changed anchor would leave F^-1(c) stale: phi(2) read -0.1137
+        # after c = 0.5, where a spec built with c = 0.5 reads 0.2557
+        spec = self.kl_spec()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.c = 0.5
+        assert float(spec.phi(2.0)[0]) == pytest.approx(2.0 * math.log(2.0) - 1.0, abs=1e-12)
+
+    def test_hashed_and_compared_by_identity(self):
+        spec = self.kl_spec()
+        twin = GeneratorSpec(F=spec.F, a_F=spec.a_F, b_F=spec.b_F)
+        assert hash(spec) == hash(spec)
+        assert spec == spec
+        assert spec != twin
+        assert len({spec, twin}) == 2
 
 
 class TestLegendreTransform:

@@ -24,7 +24,6 @@ from .divergence import (
     TwoPoint,
     bhattacharyya_arccos,
     bounded_bhattacharyya,
-    divergence,
     escort_renyi,
     flatten_matrix,
     hellinger_integral,
@@ -58,7 +57,7 @@ from .engine import (
     prepare,
     proxy_q_star,
 )
-from .entropy import EntropySpec, entropy
+from .entropy import EntropySpec
 from .laws import law_for_generator, log_mgf
 from .legendre import (
     GeneratorSpec,

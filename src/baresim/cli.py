@@ -197,8 +197,8 @@ def _run(args, solve) -> int:
     """Shared body of the estimation commands: load and read the config,
     solve, and write the result and the per-batch trace where ``--out`` or
     the config's ``output`` section asks.  ``solve(spec, config)`` returns
-    the estimate and the extra payload fields.  A top-level key the command
-    does not read is an error."""
+    the estimate and the extra payload fields.  A top-level or ``output``
+    key the command does not read is an error."""
     spec = _load_config(args.config)
     unknown = sorted(set(spec) - {"estimator", "output", *_KEYS[args.command]})
     if unknown:
@@ -206,6 +206,9 @@ def _run(args, solve) -> int:
                           f"{unknown[0]!r}")
     config = _config_from_dict(spec, args)
     output = field(spec, "output", as_object, {})
+    unknown = sorted(set(output) - {"result", "trace"})
+    if unknown:
+        raise ConfigError(f"output/{unknown[0]}: the output section reads no key {unknown[0]!r}")
     result = field(output, "result", as_string, None, path="output")
     trace = field(output, "trace", as_string, None, path="output")
     est, extra = solve(spec, config)

@@ -613,12 +613,12 @@ def renyi_power_transform(gamma: float, Q, P, c1: float, c2: float, c3: float) -
     return c1 * (hellinger_integral(gamma, Q, P) ** c2 - c3)
 
 
-def renyi_log_transform(gamma: float, Q, P, c4: float, fprime0: float = 1.0) -> float:
-    """``(c4 / f'(0)) * log H_gamma``; ``c4 = 1/(gamma(gamma-1))`` recovers
-    the plain Renyi divergence."""
-    if c4 == 0 or fprime0 == 0:
-        raise ValueError("c4 and f'(0) must be nonzero")
-    return c4 / fprime0 * math.log(hellinger_integral(gamma, Q, P))
+def renyi_log_transform(gamma: float, Q, P, c4: float) -> float:
+    """``c4 * log H_gamma``; ``c4 = 1/(gamma(gamma-1))`` recovers the plain
+    Renyi divergence."""
+    if c4 == 0:
+        raise ValueError("c4 must be nonzero")
+    return c4 * math.log(hellinger_integral(gamma, Q, P))
 
 
 def bhattacharyya_arccos(gamma: float, Q, P, c5: float = 1.0, c6: float = 1.0) -> float:

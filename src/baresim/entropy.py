@@ -1,7 +1,7 @@
 """Entropy and diversity-index families.
 
 One parametrized evaluator covers the power-sum families
-``c1 * ((sum q^gamma)^c2 - c3)`` and ``(c4/f'(0)) * log (sum q^gamma)``;
+``c1 * ((sum q^gamma)^c2 - c3)`` and ``c4 * log (sum q^gamma)``;
 named presets pin the classical indices to their parameters.  Shannon-type
 families go through ``sum q log q``.  Each family is a function of its
 moment, sum q^gamma or sum q log q (``_from_moment``), which the
@@ -38,7 +38,7 @@ class EntropySpec:
     """Description of one entropy functional.
 
     kind "power":   c1 * ((sum q^gamma)^c2 - c3)
-    kind "log":     (c4 / fprime0) * log(sum q^gamma)
+    kind "log":     c4 * log(sum q^gamma)
     kind "shannon": -sum q log q
     kind "sm2":     (exp((s-1) * sum q log q) - 1) / (1 - s)
     """
@@ -49,7 +49,6 @@ class EntropySpec:
     c2: float = 1.0
     c3: float = 0.0
     c4: float = 1.0
-    fprime0: float = 1.0
     s: float = 0.0
 
     def __post_init__(self):
@@ -61,8 +60,8 @@ class EntropySpec:
             if self.gamma in (0.0, 1.0):
                 raise ValueError("power entropy needs gamma outside {0,1}")
         if self.kind == "log":
-            if self.c4 == 0 or self.fprime0 == 0:
-                raise ValueError("log entropy needs c4, f'(0) != 0")
+            if self.c4 == 0:
+                raise ValueError("log entropy needs c4 != 0")
             if self.gamma in (0.0, 1.0):
                 raise ValueError("log entropy needs gamma outside {0,1}")
         if self.kind == "sm2" and (self.s <= 0 or self.s == 1.0):
@@ -93,7 +92,7 @@ def _from_moment(spec: EntropySpec, moment: float) -> float:
     if spec.kind == "power":
         return spec.c1 * (moment**spec.c2 - spec.c3)
     if spec.kind == "log":
-        return spec.c4 / spec.fprime0 * math.log(moment)
+        return spec.c4 * math.log(moment)
     if spec.kind == "shannon":
         return -moment
     return (math.exp((spec.s - 1.0) * moment) - 1.0) / (1.0 - spec.s)
@@ -165,7 +164,7 @@ def patil_taillie(s: float) -> EntropySpec:
 
 def renyi_entropy(gamma: float) -> EntropySpec:
     """Renyi entropy ``log(sum q^gamma)/(1-gamma)``."""
-    return EntropySpec("log", gamma=gamma, c4=1.0 / (1.0 - gamma), fprime0=1.0)
+    return EntropySpec("log", gamma=gamma, c4=1.0 / (1.0 - gamma))
 
 
 def shannon() -> EntropySpec:

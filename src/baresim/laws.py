@@ -499,51 +499,6 @@ class ScaledNegBinomial(WeightLaw):
 
 
 @dataclass(frozen=True)
-class ScaledBinomial(WeightLaw):
-    """Binomial(m, scale/m) / scale with integer m > scale; matches the
-    generalized-KL generator with alpha = -scale/m in ]-1,0[."""
-
-    m: int
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if not (isinstance(self.m, int) and self.m >= 1):
-            raise ValueError("m must be a positive integer")
-        if not (0 < self.scale < self.m):
-            raise ValueError("need 0 < scale < m")
-
-    def mgf_dom(self) -> Tuple[float, float]:
-        return (-INF, INF)
-
-    def log_mgf(self, z):
-        z = np.asarray(z, dtype=float)
-        c, m = self.scale, float(self.m)
-        return m * np.log((1.0 - c / m) + (c / m) * np.exp(z / c))
-
-    def log_mgf_slopes(self, z):
-        # the tilted success probability p: Lambda' = m p / c, Lambda'' = m p (1-p) / c^2
-        c, m = self.scale, float(self.m)
-        p, var = _bernoulli(np.asarray(z, dtype=float) / c + math.log(c / (m - c)))
-        return m / c * p, m / c**2 * var
-
-    def _p_tilted(self, tau: float) -> float:
-        c, m = self.scale, float(self.m)
-        return _logistic(tau / c + math.log(c / (m - c)))
-
-    def sample_tilted_block(self, tau, nk, rng, size):
-        return rng.binomial(self.m * nk, self._p_tilted(tau), size=size) / self.scale
-
-    is_discrete = True
-
-    def block_support(self, nk, tail_log_mass):
-        from scipy import stats
-
-        n = self.m * nk
-        j = np.arange(n + 1)
-        return j / self.scale, stats.binom.pmf(j, n, self.scale / self.m), 0.0
-
-
-@dataclass(frozen=True)
 class ModTiltedStable(WeightLaw):
     """Affinely modified tilted stable: W/beta - (1/beta - 1) with W the
     tilted-stable law of index parameter gamma = -1 and scale/beta^2;
@@ -592,7 +547,8 @@ class ModTiltedStable(WeightLaw):
 class TwoPointLaw(WeightLaw):
     """Law on {z1, z2} with P[W = z1] = (z2-1)/(z2-z1) (mean 1); with
     ``mult`` > 1 the law of the average of ``mult`` such draws, matching
-    ``mult * phi``."""
+    ``mult * phi``.  The one binomial implementation: ``ScaledBinomial``
+    is this law on {0, m/scale} with ``mult = m``."""
 
     z1: float
     z2: float
@@ -648,6 +604,24 @@ class TwoPointLaw(WeightLaw):
         ell = np.arange(steps + 1)
         vals = (self.z1 * (steps - ell) + self.z2 * ell) / self.mult
         return vals, stats.binom.pmf(ell, steps, 1.0 - self.p), 0.0
+
+
+class ScaledBinomial(TwoPointLaw):
+    """Binomial(m, scale/m) / scale with integer m > scale; matches the
+    generalized-KL generator with alpha = -scale/m in ]-1,0[.  It is the
+    two-point law on {0, m/scale} averaged m times, and is drawn, tilted
+    and enumerated as that law."""
+
+    def __init__(self, m: int, scale: float = 1.0):
+        if not (isinstance(m, int) and m >= 1):
+            raise ValueError("m must be a positive integer")
+        if not (0 < scale < m):
+            raise ValueError("need 0 < scale < m")
+        TwoPointLaw.__init__(self, 0.0, m / scale, m)
+
+    @property
+    def m(self) -> int:
+        return self.mult
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from scipy import stats
 
 import baresim as bs
 from baresim import engine, laws as lw, oracle, problems
-from baresim.divergence import GeneralizedKL, PowerGamma
+from baresim.divergence import GeneralizedKL, PowerGamma, divergence
 from baresim.entropy import shannon
 from baresim.legendre import legendre_transform
 
@@ -126,7 +126,7 @@ def test_criterion_3_lemma5_suite():
         gen = PowerGamma(g, c)
         val, m = bs.min_over_m_closed(gen, Q, P)
         _, f_gold = oracle.golden_min(
-            lambda mm: bs.divergence(gen, mm * Q, P), (1e-4, 50.0), tol=1e-12
+            lambda mm: divergence(gen, mm * Q, P), (1e-4, 50.0), tol=1e-12
         )
         worst = max(worst, abs(val - f_gold))
     # argmin coincidence on the exhaustive 0.01 grid, K = 3
@@ -137,7 +137,7 @@ def test_criterion_3_lemma5_suite():
     coincide = True
     for g in (-1.0, 0.5, 2.0):
         gen = PowerGamma(g, 1.0)
-        direct = np.array([bs.divergence(gen, q, P) for q in grid])
+        direct = np.array([divergence(gen, q, P) for q in grid])
         mproj = np.array([bs.min_over_m_closed(gen, q, P)[0] for q in grid])
         coincide &= bool(np.argmin(direct) == np.argmin(mproj))
     ok = worst < 1e-10 and coincide
@@ -285,14 +285,14 @@ def test_criterion_8_reductions():
         red = problems.reduce_quadratic(inst)
         x = rng.normal(0, 2, k)
         err = abs(inst.objective(x)
-                  - (red.offset + bs.divergence(red.gen, red.to_reduced(x), red.P)))
+                  - (red.offset + divergence(red.gen, red.to_reduced(x), red.P)))
         worst_q = max(worst_q, err / max(1.0, abs(inst.objective(x))))
 
         tr = problems.Transport(mu=rng.dirichlet([2, 2]), nu=rng.dirichlet([2, 2]))
         tred = problems.reduce_transport(tr)
         pi = rng.uniform(0.01, 1.0, (2, 2))
         err = abs(tr.objective(pi)
-                  - bs.divergence(tred.gen, pi.reshape(-1), tred.P))
+                  - divergence(tred.gen, pi.reshape(-1), tred.P))
         worst_t = max(worst_t, err / max(1.0, tr.objective(pi)))
 
         g = float(rng.choice([2.0, 3.0, 0.5]))

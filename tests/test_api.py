@@ -37,6 +37,16 @@ def test_package_imports_resolve():
     assert not missing, f"baresim imports missing names {missing}"
 
 
+def test_submodules_are_modules():
+    # the package re-exports no function under a submodule's name, so
+    # `import baresim.divergence as dv` binds the module
+    import baresim.divergence as dv
+    import baresim.entropy
+
+    assert dv.PowerGamma is not None
+    assert baresim.entropy.shannon is not None
+
+
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 

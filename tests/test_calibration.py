@@ -19,7 +19,7 @@ from scipy import special, stats
 
 import baresim as bs
 from baresim import engine, laws, oracle, problems
-from baresim.divergence import PowerGamma
+from baresim.divergence import PowerGamma, divergence
 from baresim.entropy import entropy, renyi_entropy
 
 K, N, L = 3, 150, 10_000
@@ -251,7 +251,7 @@ def test_value_coverage_gaussian_simplex_face():
     for gamma, n, L in runs:
         z = value_z_score(PowerGamma(gamma), NEYMAN_P, bs.simplex_face(0, 0.5, ">="),
                           bs.EstimatorConfig(n=n, L=L, seed=1), "simplex",
-                          bs.divergence(PowerGamma(gamma), q_star, NEYMAN_P))
+                          divergence(PowerGamma(gamma), q_star, NEYMAN_P))
         assert abs(z) <= 3.0, (gamma, n, z)
 
 
@@ -295,4 +295,4 @@ def test_proxy_gap_stalled_polish():
     prepared = engine.prepare(gen, P, bs.halfspace([1.0, 1.0, 1.0], 1.3, ">="), cfg,
                               "deterministic")
     q_star = engine.proxy_q_star(prepared, cfg).q_star
-    assert bs.divergence(gen, q_star, P) - (1.3 * math.log(1.3) - 0.3) <= 1e-3
+    assert divergence(gen, q_star, P) - (1.3 * math.log(1.3) - 0.3) <= 1e-3

@@ -114,6 +114,9 @@ RULE_ROWS = [
      {'kind': 'power', 'gamma': 2.0, 'c4': 'x'}, 'c4'),
     ('entropy/fprime0: type', 'entropy-max', 'entropy',
      {'kind': 'power', 'gamma': 2.0, 'fprime0': 'x'}, 'fprime0'),
+    # the former f'(0) divisor of the log kind is no setting: refused by name
+    ('entropy: additionalProperties fprime0', 'entropy-max', 'entropy',
+     {'kind': 'log', 'gamma': 2.0, 'c4': -1.0, 'fprime0': 1.0}, 'fprime0'),
     ('K: type', 'entropy-max', 'K', 1.5, 'K'),
     ('K: minimum', 'entropy-max', 'K', 0, 'K'),
     ('reference_vector: type', 'estimate', 'reference_vector', 5, 'reference_vector'),
@@ -771,6 +774,16 @@ class TestOtherCommands:
         lines = trace.read_text().strip().splitlines()
         assert lines[0] == "batch,log_mean"
         assert len(lines) == 33  # header + 32 batches
+
+    def test_output_section_refuses_unknown_keys(self, tmp_path, capsys, monkeypatch):
+        # a misspelt output key is an error before any draw, not a result on stdout
+        monkeypatch.setattr(engine, "law_for_generator", lambda *args, **kw: NoDrawLaw())
+        result = tmp_path / "out.json"
+        config = dict(BASE_CONFIG, output={"reslt": str(result)})
+        assert cli.main(["estimate", "--config", write_config(tmp_path, config)]) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert "output/reslt" in err and out == ""
+        assert not result.exists()
 
     def test_assignment_constructs(self, tmp_path):
         config = {

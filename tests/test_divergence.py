@@ -14,6 +14,7 @@ from baresim.divergence import (
     PowerGamma,
     TwoPoint,
     _divergence_positive,
+    divergence,
 )
 
 from cases import SOLVED_CASES
@@ -124,13 +125,13 @@ class TestDivergence:
     def test_reflexivity_exact(self):
         P = np.array([0.5, 0.5])
         for gen in ALL_GENERATORS:
-            assert bs.divergence(gen, P, P) == pytest.approx(0.0, abs=1e-14)
+            assert divergence(gen, P, P) == pytest.approx(0.0, abs=1e-14)
 
     def test_pearson_example(self):
-        assert bs.divergence(PowerGamma(2.0, 1.0), [1, 0], [0.5, 0.5]) == pytest.approx(0.5)
+        assert divergence(PowerGamma(2.0, 1.0), [1, 0], [0.5, 0.5]) == pytest.approx(0.5)
 
     def test_kl_example(self):
-        val = bs.divergence(PowerGamma(1.0, 1.0), [0.25, 0.75], [0.5, 0.5])
+        val = divergence(PowerGamma(1.0, 1.0), [0.25, 0.75], [0.5, 0.5])
         assert val == pytest.approx(0.130812, abs=1e-6)
 
     def test_reflexivity_and_positivity_random(self, rng):
@@ -144,31 +145,31 @@ class TestDivergence:
             Q = Q / Q.sum()
             # keep ratios inside the variant's strict-convexity window
             Q = 0.5 * Q + 0.5 * P
-            assert bs.divergence(gen, P, P) == pytest.approx(0.0, abs=1e-13)
+            assert divergence(gen, P, P) == pytest.approx(0.0, abs=1e-13)
             if not np.allclose(Q, P):
-                assert bs.divergence(gen, Q, P) > 0, type(gen).__name__
+                assert divergence(gen, Q, P) > 0, type(gen).__name__
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            bs.divergence(PowerGamma(2.0), [1, 0, 0], [0.5, 0.5])
+            divergence(PowerGamma(2.0), [1, 0, 0], [0.5, 0.5])
 
     def test_negative_reference_rejected(self):
         with pytest.raises(ValueError):
-            bs.divergence(PowerGamma(2.0), [1, 0], [-0.5, 0.5])
+            divergence(PowerGamma(2.0), [1, 0], [-0.5, 0.5])
 
     def test_zero_conventions(self):
         # p = 0, q = 0 contributes nothing
         gen = PowerGamma(2.0, 1.0)
-        assert bs.divergence(gen, [0.5, 0.5, 0.0], [0.5, 0.5, 0.0]) == pytest.approx(0.0)
+        assert divergence(gen, [0.5, 0.5, 0.0], [0.5, 0.5, 0.0]) == pytest.approx(0.0)
         # p = 0, q > 0: slope at +inf; infinite for KL, finite for gamma=0
-        assert bs.divergence(PowerGamma(1.0), [0.5, 0.5], [1.0, 0.0]) == math.inf
-        val = bs.divergence(PowerGamma(0.0, 1.0), [0.5, 0.5], [1.0, 0.0])
+        assert divergence(PowerGamma(1.0), [0.5, 0.5], [1.0, 0.0]) == math.inf
+        val = divergence(PowerGamma(0.0, 1.0), [0.5, 0.5], [1.0, 0.0])
         assert val == pytest.approx(bs.phi_eval(PowerGamma(0.0, 1.0), 0.5) + 0.5)
         # p = 0, q < 0: finite only when the conjugate domain is bounded below
         gen10 = GenAsymLaplace(1.0, 2.0, 1.5, 1.0)
-        val = bs.divergence(gen10, [1.5, -0.5], [1.0, 0.0])
+        val = divergence(gen10, [1.5, -0.5], [1.0, 0.0])
         assert math.isfinite(val)
-        assert bs.divergence(PowerGamma(2.0), [1.5, -0.5], [1.0, 0.0]) == math.inf
+        assert divergence(PowerGamma(2.0), [1.5, -0.5], [1.0, 0.0]) == math.inf
 
     def test_private_evaluator_matches_public(self, rng):
         # the proxy search scores candidates with the unchecked evaluator on
@@ -180,7 +181,7 @@ class TestDivergence:
                 k = int(rng.integers(2, 6))
                 P = rng.dirichlet(np.ones(k)) + 1e-3
                 Q = P * rng.uniform(-1.0, 4.0, size=k)
-                public = bs.divergence(case.gen, Q, P)
+                public = divergence(case.gen, Q, P)
                 assert _divergence_positive(case.gen, Q, P) == public, case.name
                 outside += public == math.inf
         assert outside > 0
@@ -202,7 +203,7 @@ class TestWeighted:
     def test_unit_weights(self):
         gen = PowerGamma(2.0)
         q, p = np.array([1.0, 0.0]), np.array([0.5, 0.5])
-        assert bs.weighted_divergence(gen, q, p, [1, 1]) == bs.divergence(gen, q, p)
+        assert bs.weighted_divergence(gen, q, p, [1, 1]) == divergence(gen, q, p)
 
     def test_doubling_example(self):
         val = bs.weighted_divergence(PowerGamma(2.0), [1, 0], [0.5, 0.5], [2, 2])
@@ -216,7 +217,7 @@ class TestWeighted:
             P = rng.uniform(0.1, 2.0, k)
             c = rng.uniform(0.2, 3.0, k)
             assert bs.weighted_divergence(gen, Q, P, c) == pytest.approx(
-                bs.divergence(gen, Q * c, P * c), rel=1e-12
+                divergence(gen, Q * c, P * c), rel=1e-12
             )
 
     def test_nonpositive_weight_rejected(self):
@@ -241,8 +242,8 @@ class TestNormalize:
             P = rng.uniform(0.2, 3.0, 3)
             Q = rng.uniform(0.2, 3.0, 3)
             p_t, m = bs.normalize_bs1(P)
-            lhs = bs.divergence(gen, Q, P)
-            rhs = bs.divergence(PowerGamma(1.0, m), Q / m, p_t)
+            lhs = divergence(gen, Q, P)
+            rhs = divergence(PowerGamma(1.0, m), Q / m, p_t)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_zero_vector_rejected(self):
@@ -275,7 +276,7 @@ class TestHellinger:
             Q = np.maximum(rng.dirichlet([2, 2, 2]), 1e-3)
             Q = A * Q / Q.sum()
             h = bs.hellinger_integral(g, Q, P)
-            d = bs.divergence(PowerGamma(g, 1.0), Q, P)
+            d = divergence(PowerGamma(g, 1.0), Q, P)
             a = Q.sum()
             assert h == pytest.approx(1 + g * (a - 1) + g * (g - 1) * d, abs=1e-12)
 
@@ -308,10 +309,10 @@ class TestModifiedKL:
             Q = np.maximum(A * rng.dirichlet([3, 3, 3]), 1e-9)
             a = Q.sum()
             assert bs.modified_kl(Q, P) == pytest.approx(
-                bs.divergence(gen1, Q, P) + a - 1, rel=1e-9, abs=1e-11
+                divergence(gen1, Q, P) + a - 1, rel=1e-9, abs=1e-11
             )
             assert bs.modified_rev_kl(Q, P) == pytest.approx(
-                bs.divergence(gen0, Q, P) + 1 - a, rel=1e-9, abs=1e-11
+                divergence(gen0, Q, P) + 1 - a, rel=1e-9, abs=1e-11
             )
 
 
@@ -392,7 +393,7 @@ class TestMinOverM:
             Q = np.maximum(A * rng.dirichlet([3, 3, 3]), 1e-4)
             val, m = bs.min_over_m_closed(gen, Q, P)
             x, fx = golden_min(
-                lambda mm: bs.divergence(gen, mm * Q, P), (1e-3, 20.0), tol=1e-12
+                lambda mm: divergence(gen, mm * Q, P), (1e-3, 20.0), tol=1e-12
             )
             assert val == pytest.approx(fx, abs=1e-10)
             assert m == pytest.approx(x, abs=1e-6)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 import baresim as bs
 from baresim import engine, laws, oracle, problems
 from baresim.divergence import (
-    GenAsymLaplace, GeneralizedKL, PowerGamma, TwoPoint, min_over_m_closed, modified_kl,
-    modified_rev_kl,
+    GenAsymLaplace, GeneralizedKL, PowerGamma, TwoPoint, divergence, min_over_m_closed,
+    modified_kl, modified_rev_kl,
 )
 from baresim.entropy import (
     _order, arimoto, entropy, gamma_norm, havrda_charvat, hill_number, patil_taillie,
@@ -223,7 +223,7 @@ class TestProxy:
         res = engine.proxy_q_star(
             engine.prepare(PowerGamma(2.0), p, omega, cfg, "simplex"), cfg)
         assert omega.contains_point(res.q_star)
-        assert bs.divergence(PowerGamma(2.0), res.q_star, p) <= 2.0 + 1e-3
+        assert divergence(PowerGamma(2.0), res.q_star, p) <= 2.0 + 1e-3
 
     @pytest.mark.parametrize("gen", [PowerGamma(1.0), GeneralizedKL(1.0, 1.0)],
                              ids=["kl", "generalized_kl"])
@@ -799,7 +799,7 @@ class TestDeterministicModeAccuracy:
         P = np.array([1.0, 2.0])
         omega = bs.box([1.6, 2.2], [3.0, 4.0])
         q_star = np.array([1.6, 2.2])
-        ref = bs.divergence(gen, q_star, P)
+        ref = divergence(gen, q_star, P)
         cfg = bs.EstimatorConfig(n=1500, L=40_000, seed=13)
         est = bs.estimate_min_divergence(gen, P, omega, cfg, mode="deterministic")
         assert abs(est.value - ref) < 0.02 + 0.05 * ref
@@ -812,7 +812,7 @@ class TestDeterministicModeAccuracy:
         omega = bs.halfspace([1.0, 1.0], 4.0, ">=")
         lam = (4.0 - P.sum()) / P.sum()
         q_star = P * (1 + lam)
-        ref = bs.divergence(gen, q_star, P)
+        ref = divergence(gen, q_star, P)
         cfg = bs.EstimatorConfig(n=1500, L=40_000, seed=14)
         est = bs.estimate_min_divergence(gen, P, omega, cfg, mode="deterministic")
         assert abs(est.value - ref) < 0.02 + 0.05 * ref
@@ -1067,7 +1067,7 @@ class TestBuiltGeneratorPath:
             spec, P, bs.simplex_face(0, 0.5, ">="), cfg, mode="simplex",
             law=laws.ScaledPoisson(1.0))
         assert lower <= upper
-        assert upper == pytest.approx(bs.divergence(PowerGamma(1.0), q_hat, P), rel=1e-12)
+        assert upper == pytest.approx(divergence(PowerGamma(1.0), q_hat, P), rel=1e-12)
 
 
 class TestBoundsEmpirical:
@@ -1407,7 +1407,7 @@ class TestBoundsSingleSearch:
         assert est.hits == plain.hits
         assert np.array_equal(est.batch_log_means, plain.batch_log_means)
         assert np.array_equal(q_hat, proxies[0].q_star)
-        assert upper == bs.divergence(gen, q_hat, p)
+        assert upper == divergence(gen, q_hat, p)
         # ordered bounds add no warning
         assert lower <= upper and est.warnings == plain.warnings
 
@@ -1423,7 +1423,7 @@ class TestBoundsSingleSearch:
         gen = GeneralizedKL(1.0, 1.0)
         assert engine.is_estimate(engine.prepare(gen, p, omega, cfg, "simplex"), cfg).hits > 0
         floor, _ = oracle.grid_min_divergence(gen, p, omega, resolution=0.01)
-        assert bs.divergence(gen, q_star, p) < floor
+        assert divergence(gen, q_star, p) < floor
         with pytest.raises(ValueError, match="'given' proxy q_star is outside"):
             engine.bounds_general(gen, p, omega, cfg, mode="simplex")
 
@@ -1614,7 +1614,7 @@ class TestRay:
         proxy = engine.proxy_q_star(engine.prepare(PowerGamma(1.0), P, omega, cfg, "simplex"),
                                     cfg)
         assert omega.contains_point(proxy.q_star)
-        assert 0.0 <= bs.divergence(PowerGamma(1.0), proxy.q_star, P) - math.log(1.25) <= 1e-3
+        assert 0.0 <= divergence(PowerGamma(1.0), proxy.q_star, P) - math.log(1.25) <= 1e-3
 
     def test_a_ray_without_a_member_keeps_the_ladder(self):
         # every member of {q_0 <= 0} has q_0 = 0, which a tilted Poisson mean

@@ -3,11 +3,7 @@ import math
 import numpy as np
 import pytest
 
-import sys
-
-import baresim.entropy  # noqa: F401  (the package re-exports `entropy` as a function)
-
-ent = sys.modules["baresim.entropy"]
+import baresim.entropy as ent
 
 
 class TestPresets:

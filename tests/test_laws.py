@@ -246,6 +246,11 @@ class TestExtremeTilts:
         law = lw.ScaledBinomial(4, 1.0)
         assert law.sample_tilted_block(tau, 10, rng, 3).tolist() == [value] * 3
 
+    def test_binomial_cumulant_at_a_large_tilt(self):
+        # 4 (800 + log 1/4): the tilted mass sits on the top atom
+        assert float(lw.ScaledBinomial(4, 1.0).log_mgf(800.0)) == pytest.approx(
+            3194.4548225555, rel=1e-13)
+
     @pytest.mark.parametrize("law, low", [(lw.ScaledPoisson(1.0), 0.0),
                                           (lw.ShiftedPoisson(0.3), 10 * (1 - math.exp(0.3)))],
                              ids=["scaled", "shifted"])
@@ -339,6 +344,25 @@ class TestCumulantSlopes:
         ref_slope, ref_curvature = central_slopes(law, z)
         assert slope == pytest.approx(ref_slope, rel=1e-3)
         assert curvature == pytest.approx(ref_curvature, rel=1e-3)
+
+    @pytest.mark.parametrize("case", SOLVED_CASES, ids=lambda c: c.name)
+    def test_cumulant_is_finite_wherever_the_slopes_are(self, case):
+        # a cumulant that overflows where its slopes do not weighs a hit
+        # with exp(inf); the Poisson laws overflow honestly in both
+        law = case.law
+        lo, hi = law.mgf_dom()
+        far = np.concatenate((np.logspace(-12, 4, 65), [1.0, 40.0, 800.0, 1e4]))
+        near = 10.0 ** -np.arange(1, 13)
+        z = np.concatenate((-far, [0.0], far,
+                            lo + near if math.isfinite(lo) else [],
+                            hi - near if math.isfinite(hi) else []))
+        z = z[(lo < z) & (z < hi)]
+        with np.errstate(over="ignore"):
+            slope, curvature = law.log_mgf_slopes(z)
+            value = np.asarray(law.log_mgf(z), dtype=float)
+        finite = np.isfinite(slope) & np.isfinite(curvature)
+        assert finite.any()
+        assert np.isfinite(value[finite]).all(), z[finite & ~np.isfinite(value)]
 
 
 class TestLawForGenerator:

@@ -6,7 +6,7 @@ import pytest
 
 import baresim as bs
 from baresim import engine, laws as lw
-from baresim.divergence import Generator, PowerGamma
+from baresim.divergence import Generator, PowerGamma, divergence
 from baresim.legendre import GeneratorSpec, _integral, legendre_transform
 
 from cases import SOLVED_CASES
@@ -199,7 +199,7 @@ class TestBuildPhi:
         # built gamma = 0, phi(t) = t - 1 - log t: phi(0) = +inf
         spec = GeneratorSpec(F=lambda t: 1.0 - 1.0 / t if t > 0 else -INF,
                              a_F=0.0, b_F=INF, c=0.0)
-        assert bs.divergence(spec, [0.0, 0.5, 0.5], [0.2, 0.3, 0.5]) == INF
+        assert divergence(spec, [0.0, 0.5, 0.5], [0.2, 0.3, 0.5]) == INF
 
 
 class TestOneObject:

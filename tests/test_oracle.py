@@ -5,7 +5,7 @@ import pytest
 
 import baresim as bs
 from baresim import engine, laws, oracle
-from baresim.divergence import PowerGamma
+from baresim.divergence import PowerGamma, divergence
 
 
 class TestGoldenMin:
@@ -19,7 +19,7 @@ class TestGoldenMin:
         Q = np.array([0.25, 0.75])
         P = np.array([0.5, 0.5])
         h2 = float(np.sum(Q**2 / P))
-        x, _ = oracle.golden_min(lambda m: bs.divergence(gen, m * Q, P), (0.01, 5.0),
+        x, _ = oracle.golden_min(lambda m: divergence(gen, m * Q, P), (0.01, 5.0),
                                  tol=1e-12)
         assert x == pytest.approx(1.0 / h2, abs=1e-8)
 

@@ -5,6 +5,7 @@ import pytest
 
 import baresim as bs
 from baresim import problems
+from baresim.divergence import divergence
 from baresim.entropy import shannon
 
 
@@ -23,7 +24,7 @@ class TestQuadraticReduction:
                 direct = inst.objective(x)
                 q = red.to_reduced(x)
                 assert direct == pytest.approx(
-                    red.offset + bs.divergence(red.gen, q, red.P), rel=1e-12
+                    red.offset + divergence(red.gen, q, red.P), rel=1e-12
                 )
 
     def test_perfect_square(self):
@@ -32,7 +33,7 @@ class TestQuadraticReduction:
         )
         red = problems.reduce_quadratic(inst)
         q = red.to_reduced([1.0])
-        assert red.offset + bs.divergence(red.gen, q, red.P) == pytest.approx(0.0)
+        assert red.offset + divergence(red.gen, q, red.P) == pytest.approx(0.0)
 
     def test_pointwise_identity_random(self, rng):
         for _ in range(100):
@@ -44,7 +45,7 @@ class TestQuadraticReduction:
             red = problems.reduce_quadratic(inst)
             x = rng.normal(0, 2, k)
             assert inst.objective(x) == pytest.approx(
-                red.offset + bs.divergence(red.gen, red.to_reduced(x), red.P),
+                red.offset + divergence(red.gen, red.to_reduced(x), red.P),
                 rel=1e-12, abs=1e-12,
             )
 
@@ -164,7 +165,7 @@ class TestTransportReduction:
         inst = problems.Transport(mu=[0.5, 0.5], nu=[0.5, 0.5])
         red = problems.reduce_transport(inst)
         uniform = np.full(4, 0.25)
-        assert bs.divergence(red.gen, uniform, red.P) == pytest.approx(0.0)
+        assert divergence(red.gen, uniform, red.P) == pytest.approx(0.0)
         assert red.omega.contains_point(uniform)
 
     def test_objective_identity_random(self, rng):
@@ -174,7 +175,7 @@ class TestTransportReduction:
             pi = rng.uniform(0.01, 1.0, (2, 2))
             direct = inst.objective(pi)
             assert direct == pytest.approx(
-                bs.divergence(red.gen, pi.reshape(-1), red.P), rel=1e-12
+                divergence(red.gen, pi.reshape(-1), red.P), rel=1e-12
             )
             # the power-sum form needs couplings of total mass A
             pi_a = pi / pi.sum()
@@ -188,7 +189,7 @@ class TestTransportReduction:
         forced = np.array([[0.5, 0.5], [0.0, 0.0]])
         assert inst.objective(forced) == pytest.approx(1.0)
         red = problems.reduce_transport(inst)
-        assert bs.divergence(red.gen, forced.reshape(-1), red.P) == pytest.approx(1.0)
+        assert divergence(red.gen, forced.reshape(-1), red.P) == pytest.approx(1.0)
 
     def test_unequal_mass_rejected(self):
         with pytest.raises(ValueError):

@@ -245,15 +245,26 @@ def scaled(omega: ConstraintSet, d) -> ConstraintSet:
     coordinate leaf k.  Any other set tests Omega at d * x, which refuses a
     row of another width at the first test."""
     d = np.asarray(d, dtype=float)
-    meta = {"scale": omega.scale, "description": omega.description}
     if omega.row is not None:
-        c, rhs, op = omega.row
-        if isinstance(c, (int, np.integer)):  # a coordinate past d fits no width
-            c = np.eye(d.size)[c] if c < d.size else ()
-        if len(c) == d.size:
-            leaf = halfspace(d * np.asarray(c, dtype=float), rhs, op)
-            return _with_row(replace(leaf, **meta), leaf.row)
-    return ConstraintSet(membership=lambda pts: omega.membership(pts * d), **meta)
+        leaf = _scaled_row(omega.row, tuple(d.tolist()), omega.scale, omega.description)
+        if leaf is not None:
+            return leaf
+    return ConstraintSet(membership=lambda pts: omega.membership(pts * d), scale=omega.scale,
+                         description=omega.description)
+
+
+def _scaled_row(row: tuple, d: tuple, scale: float, description: str):
+    """``scaled`` of a one-inequality leaf given by its row (c, rhs, op) alone:
+    the halfspace (d * c, rhs, op), c = e_k for a coordinate leaf k, with
+    ``scale`` and ``description``; None where c is not of d's width.  Its
+    arguments are values, so that a frame can memoise it by them."""
+    c, rhs, op = row
+    if isinstance(c, (int, np.integer)):  # a coordinate past d fits no width
+        c = np.eye(len(d))[c] if c < len(d) else ()
+    if len(c) != len(d):
+        return None
+    leaf = halfspace(np.array(d) * np.asarray(c, dtype=float), rhs, op)
+    return _with_row(replace(leaf, scale=scale, description=description), leaf.row)
 
 
 def constraint_from_dict(spec, path: str = "constraint") -> ConstraintSet:

@@ -48,6 +48,17 @@ The batches draw in phase 0.  The tilt search of a set without a row
 (``_ladder``) draws before them, on one thread, level j from the stream
 (seed, 1, j); the ray that scales its tilts (``_ray``) draws nothing.  A
 searched proxy point, like a dual's, is the tilted mean of its own tilts.
+
+What a solve builds before its first draw from values alone is memoised
+once per process in one bounded LRU cache (``_memo``, ``_MEMO_SIZE``
+entries): the partition of a reference vector, keyed by the vector and n;
+a one-row set's reduced leaf, by its row, scale and K; that row's dual and
+point, by the law, the block sizes, n, whether the mode is deterministic
+and the row; and its pooled columns and their halfspace, by the row, the
+block sizes and the tilts.  Every array the memo hands out is read-only,
+and an entry is exactly what a cold build returns, so a warm solve, at any
+seed or L, has the bits of a cold one.  A weight law is part of a key, so
+``prepare`` refuses one that cannot be hashed.
 """
 
 from __future__ import annotations
@@ -56,12 +67,12 @@ import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .constraints import ConstraintSet, _dot_rows, _sum_rows, halfspace, scaled
+from .constraints import ConstraintSet, _dot_rows, _scaled_row, _sum_rows, halfspace, scaled
 from .divergence import (
     Generator,
     PowerGamma,
@@ -111,6 +122,8 @@ _BATCHES = 32
 # and tested at once; the passes key the streams, so this sets the bits
 _PASS_ROWS = 4096
 _EPS = float(np.finfo(float).eps)
+# entries of the draw-free memo (``_memo``), least recently used dropped first
+_MEMO_SIZE = 256
 
 
 def _rng(seed: int, *path: int) -> np.random.Generator:
@@ -133,12 +146,35 @@ class BlockPartition:
         return int(self.sizes.size)
 
 
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)
+def _memo(build, *key):
+    """``build(*key)``, built once per process for each builder and value of
+    ``key``, and handed out again to every later solve of that problem: the
+    parts of a frame that come before its first draw and depend on values
+    alone (``_split``, ``constraints._scaled_row``, ``_dual_of``, ``_pool``).
+    Every array they hand out is read-only, so that no caller can change
+    what another solve reads.  ``_MEMO_SIZE`` entries at most, the least recently
+    used dropped first."""
+    return build(*key)
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for arr in arrays:
+        arr.flags.writeable = False
+
+
 def partition(p_tilde, n: int) -> BlockPartition:
     """Deterministic partition: n_k = floor(n * p_k) with the last block
     absorbing the remainder.  Requires every block nonempty.  A product
     n * p_k within 1e-9 of an integer counts as that integer, the same
-    tolerance that decides ``exact``."""
-    p = check_prob_vector(p_tilde)
+    tolerance that decides ``exact``.  Memoised (``_memo``): its arrays are
+    read-only."""
+    return _memo(_split, tuple(check_prob_vector(p_tilde).tolist()), n)
+
+
+def _split(p: tuple, n: int) -> BlockPartition:
+    """``partition`` of the checked probability vector ``p``."""
+    p = np.array(p)
     if np.any(p == 0):
         raise ValueError("reference vector must be strictly positive")
     n_min = int(math.ceil(max(1.0 / p)))
@@ -152,6 +188,7 @@ def partition(p_tilde, n: int) -> BlockPartition:
     if np.any(sizes < 1):
         raise ValueError("empty block; increase n")
     exact = bool(np.all(integral))
+    _read_only(sizes, p)
     return BlockPartition(n=n, sizes=sizes, p_tilde=p, exact=exact)
 
 
@@ -268,23 +305,25 @@ def _log_sum_exp(v: np.ndarray) -> float:
     return float(np.log1p(rest.sum() / count) + np.log(count) + top)
 
 
-def _pass_log_means(log_w: np.ndarray, member: np.ndarray, sizes: Sequence[int]):
+def _pass_log_means(log_w: np.ndarray, member: np.ndarray, sizes: Sequence[int],
+                    log_sizes: np.ndarray):
     """The log-means and hit counts, as arrays, of the consecutive batches
-    of ``sizes`` rows that share a pass: ``member`` marks the pass's hits
-    and ``log_w`` holds their log weights in row order.  A batch without
-    hits has log-mean -inf.
+    of ``sizes`` rows that share a pass: ``member`` marks the pass's hits,
+    ``log_w`` holds their log weights in row order, and ``log_sizes`` the
+    ``math.log`` of each batch's rows (any value for a batch of none).  A
+    batch without hits has log-mean -inf.
 
     A lone batch goes through ``_log_sum_exp``, cheaper than the segmented
     calls on one batch.  Several reduce in one segmented pass with
     ``_log_sum_exp``'s arithmetic: ``reduceat`` counts each batch's hits,
     its maximum and the ties at it, one ``exp`` shifts every hit, and each
-    batch's shifted weights are added by their own ``ndarray.sum``, numpy's
-    pairwise sum over exactly the elements ``_log_sum_exp`` adds
-    (``np.add.reduceat`` adds in sequence, which moves last bits), so every
-    batch keeps its bits."""
+    batch's shifted weights are added by their own ``np.add.reduce``, the
+    pairwise sum ``ndarray.sum`` calls, over exactly the elements
+    ``_log_sum_exp`` adds (``np.add.reduceat`` adds in sequence, which moves
+    last bits), so every batch keeps its bits."""
     if len(sizes) == 1:
         hits = len(log_w)
-        log_mean = _log_sum_exp(log_w) - math.log(sizes[0]) if hits else -INF
+        log_mean = _log_sum_exp(log_w) - log_sizes[0] if hits else -INF
         return np.array([log_mean]), np.array([hits])
     rows = np.array(sizes)
     # a batch of no rows (L below the batch count) gets no index: reduceat
@@ -305,10 +344,9 @@ def _pass_log_means(log_w: np.ndarray, member: np.ndarray, sizes: Sequence[int])
     count = np.add.reduceat(at_top, starts, dtype=np.intp)
     rest = np.exp(log_w - tops)
     rest[at_top] = 0.0
-    total = np.array([rest[lo:hi].sum() for lo, hi in zip(starts.tolist(), ends.tolist())])
-    # math.log, as a lone batch takes it: np.log rounds some integers apart
-    log_size = np.array([math.log(size) for size in rows[has].tolist()])
-    log_means[has] = np.log1p(total / count) + np.log(count) + top - log_size
+    add = np.add.reduce
+    total = np.array([add(rest[lo:hi]) for lo, hi in zip(starts.tolist(), ends.tolist())])
+    log_means[has] = np.log1p(total / count) + np.log(count) + top - log_sizes[has]
     return log_means, hits
 
 
@@ -446,8 +484,16 @@ class Prepared:
     @cached_property
     def tested(self) -> ConstraintSet:
         """Omega in reduced coordinates, {x : A x in Omega}, built once per
-        frame: a one-inequality leaf keeps its row there (``scaled``)."""
-        return scaled(self.omega, np.full(self.part.K, self.scale))
+        frame: a one-inequality leaf keeps its row there (``scaled``), built
+        from the row alone and memoised by it (``_memo``), unless the row
+        does not fit the K blocks."""
+        omega = self.omega
+        if omega.row is not None:
+            leaf = _memo(_scaled_row, omega.row, (self.scale,) * self.part.K, omega.scale,
+                         omega.description)
+            if leaf is not None:
+                return leaf
+        return scaled(omega, np.full(self.part.K, self.scale))
 
     def coords_and_hits(self, sums: np.ndarray, denom: float,
                         tested: Optional[ConstraintSet] = None):
@@ -462,10 +508,10 @@ class Prepared:
         if tested is None:
             tested = self.tested
         if self.mode == "deterministic":
-            divisor, ok = denom, True
-        else:
-            totals = _sum_rows(sums)
-            divisor, ok = totals[:, None], totals != 0.0
+            x = sums / denom
+            return x, tested.contains(x)
+        totals = _sum_rows(sums)
+        divisor, ok = totals[:, None], totals != 0.0
         if np.all(ok):
             x = sums / divisor
             return x, tested.contains(x)
@@ -503,25 +549,41 @@ class Prepared:
     @cached_property
     def dual(self) -> Optional[Dual]:
         """The dual of a one-inequality leaf (the row of ``tested``) in every
-        mode, solved once per frame at the frequencies drawn, sizes / n; None
-        for a set without a row.  The leaf <c, x> op rhs differs by mode only
-        in its row of block sums S: on x = S / n (deterministic) it is a = c
-        with its rhs, and on x = S / sum S (simplex modes) the homogeneous
-        <c - rhs 1, S> op 0.  Its point s* maps to reduced coordinates as a
-        row of block sums does."""
-        if self.tested.row is None:
+        mode (``_dual_of``), memoised by the law, the block sizes, n, whether
+        the mode is deterministic and the row (``_memo``); None for a set
+        without a row."""
+        row = self.tested.row
+        if row is None:
             return None
-        p = self.part.sizes / self.part.n
-        c, rhs, op = self.tested.row
-        sign = 1.0 if op in (">=", ">") else -1.0
-        a, rhs = sign * np.asarray(c), sign * rhs
-        if self.mode != "deterministic":
-            a, rhs = a - rhs, 0.0
-        lam, slope, curvature = _solve_dual(self.law, p, a, rhs)
-        point = p * slope
-        q_star, _ = self.coords_and_hits(point[None, :], 1.0)
-        return Dual(lam=lam, taus=lam * a, q_star=q_star[0],
-                    sigma2=float(p @ (a * a * curvature)), slack=float(a @ point) - rhs)
+        return _memo(_dual_of, self.law, tuple(self.part.sizes.tolist()), self.part.n,
+                     self.mode == "deterministic", row)
+
+
+def _dual_of(law: WeightLaw, sizes: tuple, n: int, deterministic: bool, row: tuple) -> Dual:
+    """The dual of the reduced leaf ``row``, solved at the frequencies drawn,
+    sizes / n.  The leaf <c, x> op rhs differs by mode only in its row of
+    block sums S: on x = S / n (deterministic) it is a = c with its rhs, and
+    on x = S / sum S (simplex modes) the homogeneous <c - rhs 1, S> op 0.
+    Its point s* maps to reduced coordinates as a row of block sums does
+    (``Prepared.coords_and_hits``), untested: itself in deterministic mode,
+    divided by its total, summed column by column, in the simplex modes."""
+    p = np.array(sizes) / n
+    c, rhs, op = row
+    sign = 1.0 if op in (">=", ">") else -1.0
+    a, rhs = sign * np.asarray(c), sign * rhs
+    if not deterministic:
+        a, rhs = a - rhs, 0.0
+    lam, slope, curvature = _solve_dual(law, p, a, rhs)
+    point = p * slope
+    if deterministic:
+        q_star = point
+    else:
+        total = _sum_rows(point[None, :])[0]
+        q_star = point / total if total != 0.0 else np.full_like(point, np.nan)
+    taus = lam * a
+    _read_only(taus, q_star)
+    return Dual(lam=lam, taus=taus, q_star=q_star,
+                sigma2=float(p @ (a * a * curvature)), slack=float(a @ point) - rhs)
 
 
 def prepare(gen: Optional[Generator], P, omega: ConstraintSet, config: EstimatorConfig,
@@ -560,6 +622,11 @@ def prepare(gen: Optional[Generator], P, omega: ConstraintSet, config: Estimator
         if gen is None:
             raise ValueError("need a generator or an explicit weight law")
         law = law_for_generator(gen, extra_scale=mass)
+    try:
+        hash(law)
+    except TypeError as exc:
+        raise ValueError(f"weight law {law!r} cannot be hashed: a WeightLaw subclass must be "
+                         "a frozen dataclass, whose fields are its value") from exc
     return Prepared(gen=gen, part=part, law=law, omega=omega, mode=mode, mass=mass)
 
 
@@ -579,25 +646,37 @@ def _passes(batch_sizes: Sequence[int]) -> list:
 def _columns(prepared: Prepared, taus: np.ndarray):
     """The columns a pass draws for the tilts ``taus``: block k joins the
     group keyed by its ``tested.row`` coefficient and its tilt, (c_k,
-    tau_k), groups in first-block order; for a set without a row, the key
-    is k alone.  A hit and its weight depend on the blocks of a row only
-    through <c, S> and sum S, so the blocks of a group are exchangeable and
-    their sums add, in law, to one block sum of the pooled size.
+    tau_k), groups in first-block order; a set without a row draws one
+    column per block.  A hit and its weight depend on the blocks of a row
+    only through <c, S> and sum S, so the blocks of a group are exchangeable
+    and their sums add, in law, to one block sum of the pooled size.
 
     Returns the pooled sizes, one tilt per group, and the set the columns
     are tested against: ``prepared.tested`` itself when every group is one
-    block, else the row's halfspace over the groups' coefficients."""
+    block, else the row's halfspace over the groups' coefficients.  A row's
+    groups are memoised by the row, the block sizes and the tilts
+    (``_pool``)."""
     row, sizes = prepared.tested.row, prepared.part.sizes
-    keys = range(len(sizes)) if row is None else zip(row[0], taus.tolist())
-    groups = {}
-    for k, key in enumerate(keys):
-        groups.setdefault(key, []).append(k)
-    if len(groups) == len(sizes):
+    if row is None:
         return sizes, taus, prepared.tested
+    sizes, taus, tested = _memo(_pool, row, tuple(sizes.tolist()), tuple(taus.tolist()))
+    return sizes, taus, prepared.tested if tested is None else tested
+
+
+def _pool(row: tuple, sizes: tuple, taus: tuple):
+    """``_columns`` of the row ``row``, with None for the set where every
+    group is one block."""
+    groups = {}
+    for k, key in enumerate(zip(row[0], taus)):
+        groups.setdefault(key, []).append(k)
     firsts = [g[0] for g in groups.values()]
+    pooled = np.array([sum(sizes[k] for k in g) for g in groups.values()])
+    group_taus = np.array(taus)[firsts]
+    _read_only(pooled, group_taus)
+    if len(groups) == len(sizes):
+        return pooled, group_taus, None
     c, rhs, op = row
-    return (np.array([sizes[g].sum() for g in groups.values()]), taus[firsts],
-            halfspace([c[k] for k in firsts], rhs, op))
+    return pooled, group_taus, halfspace([c[k] for k in firsts], rhs, op)
 
 
 def _run_batches(prepared: Prepared, config: EstimatorConfig, taus: np.ndarray) -> Estimate:
@@ -631,6 +710,8 @@ def _run_batches(prepared: Prepared, config: EstimatorConfig, taus: np.ndarray) 
         raise ValueError(f"config n={config.n} differs from the frame's n={part.n}")
     base, rem = divmod(config.L, _BATCHES)
     batch_sizes = [base + (1 if b < rem else 0) for b in range(_BATCHES)]
+    # math.log, as _log_sum_exp's callers take it: np.log rounds some integers apart
+    log_sizes = np.array([math.log(size) if size else -INF for size in batch_sizes])
     sizes, taus, tested = _columns(prepared, taus)
     # sum_j N_j Lambda(tau_j), the part of every log ISF that is fixed
     log_isf_offset = sizes @ np.asarray(law.log_mgf(taus), dtype=float)
@@ -643,7 +724,8 @@ def _run_batches(prepared: Prepared, config: EstimatorConfig, taus: np.ndarray) 
         # zero tilts are skipped, so the untilted run's log weights are
         # its offset, exactly 0 where Lambda(0) is
         dots = _dot_rows(sums, taus)
-        return _pass_log_means(log_isf_offset - dots[member], member, pass_sizes)
+        return _pass_log_means(log_isf_offset - dots[member], member, pass_sizes,
+                               log_sizes[batches.start:batches.stop])
 
     passes = _passes(batch_sizes)
     if config.threads > 1 and len(passes) > 1:
@@ -662,8 +744,15 @@ def _run_batches(prepared: Prepared, config: EstimatorConfig, taus: np.ndarray) 
 
 def _estimate_from_batches(batch_log_means, batch_hits, batch_sizes,
                            config: EstimatorConfig, n: int) -> Estimate:
-    hits = int(batch_hits.sum())
-    L = int(batch_sizes.sum())
+    """The estimate from the log-means, hit counts and sizes of the batches.
+    The batch-means stderr scores the min(L, ``_BATCHES``) batches that drew
+    rows, a batch without hits among them as mean zero; below two such
+    batches it is unknown, +inf.  Its mean and standard deviation are
+    ``np.add.reduce`` sums in the order ``ndarray.std`` takes them, so that
+    they keep its bits."""
+    add = np.add.reduce
+    hits = int(add(batch_hits))
+    L = int(add(batch_sizes))
     warnings = []
     if hits == 0:
         warnings.append(
@@ -680,10 +769,15 @@ def _estimate_from_batches(batch_log_means, batch_hits, batch_sizes,
     log_pi = _log_sum_exp(log_sums) - math.log(L)
     # batch-means stderr on a relative scale, safe against underflow; a
     # batch log-mean is finite, or -inf where the batch has no hits
-    ref = float(np.max(batch_log_means))
-    rel = np.exp(batch_log_means - ref)
-    rel_se = float(rel.std(ddof=1) / math.sqrt(len(rel)) / rel.mean())
-    if not has_hits.all():
+    drawn = batch_sizes > 0
+    scored = batch_log_means[drawn]
+    rel = np.exp(scored - scored.max())
+    m = len(rel)
+    mean = add(rel) / m
+    dev = rel - mean
+    rel_se = (float(np.sqrt(add(dev * dev) / (m - 1)) / math.sqrt(m) / mean) if m > 1
+              else INF)
+    if not has_hits[drawn].all():
         warnings.append("some batches had zero hits; stderr is rough")
     return Estimate(
         log_pi_hat=log_pi, value=math.nan, hits=hits, stderr=math.nan,

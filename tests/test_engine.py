@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -584,7 +586,8 @@ class TestBatchKernelBits:
             for size, kind in zip(sizes, kinds)])
         log_w = (rng.integers(-3, 4, len(member)).astype(float) if lattice
                  else rng.normal(-40.0, 6.0, len(member)))
-        log_means, hits = engine._pass_log_means(log_w[member], member, sizes)
+        log_sizes = np.array([math.log(size) if size else -math.inf for size in sizes])
+        log_means, hits = engine._pass_log_means(log_w[member], member, sizes, log_sizes)
         want_means, want_hits, lo = [], [], 0
         for size in sizes:
             hit = member[lo:lo + size]
@@ -1472,6 +1475,175 @@ class TestOnePreparePerSolve:
                                   bs.EstimatorConfig(n=300), "simplex")
         with pytest.raises(ValueError, match="n=5000 differs from the frame's n=300"):
             stage(prepared, bs.EstimatorConfig(n=5000, L=1000, seed=1))
+
+
+class TestDrawFreeMemo:
+    """A frame's draw-free parts (the partition, a row's reduced leaf, its
+    dual and its pooled columns) are built once per process and handed out
+    read-only to every later solve of the same problem (``engine._memo``)."""
+
+    P = np.array([0.2, 0.3, 0.5])
+    FACE = bs.simplex_face(0, 0.5, ">=")
+
+    @staticmethod
+    def solves(seed=1):
+        cfg = bs.EstimatorConfig(n=2000, L=8000, seed=seed)
+        part = engine.ingest_sample(["a"] * 400 + ["b"] * 600 + ["c"] * 1000)
+        face = TestDrawFreeMemo.FACE
+        quadratic = problems.SeparableQuadratic(
+            c1=[0.25, 1.0, 2.25], c2=[-1.0, -2.0, -3.0], c3=[1.0, 1.0, 1.0],
+            omega=bs.halfspace([1.0, 1.0, 1.0], 3.15, ">="))
+        given = bs.ProxySpec("given", q_star=np.array([0.5, 0.1875, 0.3125]))
+        return {
+            "neyman": lambda: bs.estimate_min_divergence(
+                PowerGamma(-1.0), [0.2, 0.3, 0.5], bs.halfspace([1.0, 1.0, 1.0], 1.3),
+                bs.EstimatorConfig(n=200, L=2000, seed=seed), mode="deterministic"),
+            "face_simplex": lambda: bs.estimate_min_divergence(
+                PowerGamma(1.0), [0.2, 0.3, 0.5], face, cfg, mode="simplex"),
+            "face_empirical": lambda: bs.estimate_min_divergence(
+                PowerGamma(1.0), part, face, cfg, mode="empirical"),
+            "quadratic": lambda: problems.solve(quadratic, cfg).estimate,
+            "given_proxy": lambda: bs.estimate_min_divergence(
+                PowerGamma(1.0), [0.2, 0.3, 0.5], face, dataclasses.replace(cfg, proxy=given),
+                mode="simplex"),
+            "no_row": lambda: bs.estimate_min_divergence(
+                PowerGamma(1.0), [0.2, 0.3, 0.5], bs.intersection(face), cfg, mode="simplex"),
+        }
+
+    @staticmethod
+    def bits(est):
+        return float(est.value).hex(), float(est.stderr).hex(), est.hits
+
+    @pytest.mark.parametrize("solve", ["neyman", "face_simplex", "face_empirical", "quadratic",
+                                       "given_proxy", "no_row"])
+    def test_a_warm_solve_has_the_bits_of_the_cold_one(self, solve):
+        run = self.solves()[solve]
+        engine._memo.cache_clear()
+        cold = self.bits(run())
+        hits = engine._memo.cache_info().hits
+        assert self.bits(run()) == cold
+        assert engine._memo.cache_info().hits > hits
+
+    @pytest.mark.parametrize("change", ["mode", "n", "op", "law_scale", "K"])
+    def test_problems_that_differ_in_one_value_share_no_entry(self, change):
+        # the face {q_0 >= .5} from (.2, .3, .5) at n = 200, and the same
+        # problem but for one value; each, solved after the other, must keep
+        # the bits it has alone, and the two must not share a dual
+        base = dict(gen=PowerGamma(1.0), P=[0.2, 0.3, 0.5], omega=self.FACE, n=200,
+                    mode="simplex")
+        other = dict(base, **{
+            "mode": {"mode": "deterministic"},
+            "n": {"n": 300},
+            "op": {"omega": bs.simplex_face(0, 0.5, "<=")},
+            "law_scale": {"gen": PowerGamma(1.0, 2.0)},
+            "K": {"P": [0.2, 0.3, 0.25, 0.25]},
+        }[change])
+
+        def solve(problem):
+            cfg = bs.EstimatorConfig(n=problem["n"], L=4000, seed=2)
+            frame = engine.prepare(problem["gen"], problem["P"], problem["omega"], cfg,
+                                   problem["mode"])
+            est = engine.finalize(engine.is_estimate(frame, cfg), "deterministic", frame)
+            return self.bits(est), frame.dual
+
+        engine._memo.cache_clear()
+        alone = solve(other)[0]
+        engine._memo.cache_clear()
+        _, base_dual = solve(base)
+        after, other_dual = solve(other)
+        assert after == alone
+        assert other_dual is not base_dual
+
+    def test_solves_racing_on_threads_keep_their_cold_bits(self):
+        # four threads, more than the cores, each solve every problem at
+        # every seed in its own order, with a short switch interval, into a
+        # memo that starts empty: every result has the bits of its cold solve
+        jobs = [(name, seed) for name in ("neyman", "face_simplex", "given_proxy")
+                for seed in (1, 2)]
+
+        def run(job):
+            name, seed = job
+            return self.bits(self.solves(seed)[name]())
+
+        cold = {}
+        for job in jobs:
+            engine._memo.cache_clear()
+            cold[job] = run(job)
+        engine._memo.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(lambda order: [(job, run(job)) for job in order],
+                                       jobs[i:] + jobs[:i]) for i in range(4)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(bits == cold[job] for result in results for job, bits in result)
+        assert sum(len(result) for result in results) == 4 * len(jobs)
+
+    def test_handed_out_arrays_are_read_only(self):
+        cfg = bs.EstimatorConfig(n=200, L=2000, seed=1)
+        prepared = engine.prepare(PowerGamma(-1.0), self.P, bs.halfspace([1.0, 1.0, 1.0], 1.3),
+                                  cfg, "deterministic")
+        proxy = engine.proxy_q_star(prepared, cfg)
+        for arr in (prepared.dual.taus, prepared.dual.q_star, proxy.taus,
+                    prepared.part.sizes, prepared.part.p_tilde,
+                    engine.partition(self.P, 200).sizes):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+
+    def test_the_memo_holds_its_bound(self):
+        engine._memo.cache_clear()
+        assert engine._memo.cache_info().maxsize == engine._MEMO_SIZE
+        for n in range(10, 10 + engine._MEMO_SIZE + 20):
+            prepared = engine.prepare(PowerGamma(-1.0), self.P,
+                                      bs.halfspace([1.0, 1.0, 1.0], 1.3),
+                                      bs.EstimatorConfig(n=n), "deterministic")
+            assert prepared.dual.lam > 0.0
+        assert engine._memo.cache_info().currsize == engine._MEMO_SIZE
+
+    def test_an_unhashable_law_is_refused_before_any_draw(self):
+        @dataclasses.dataclass
+        class LooseLaw(laws.WeightLaw):
+            """A law that is a dataclass but not frozen, so not hashable."""
+
+            scale: float = 1.0
+
+            def sample_tilted_block(self, *args, **kwargs):
+                pytest.fail("a weight law was drawn from")
+
+        cfg = bs.EstimatorConfig(n=200, L=1000, seed=1)
+        with pytest.raises(ValueError, match="cannot be hashed: a WeightLaw subclass must be "
+                                             "a frozen dataclass"):
+            bs.estimate_min_divergence(PowerGamma(1.0), self.P, self.FACE, cfg, mode="simplex",
+                                       law=LooseLaw())
+
+
+class TestEmptyBatches:
+    """Below 32 replications, the batches that drew no rows are not scored
+    by the batch-means stderr."""
+
+    @staticmethod
+    def full_space_run(L):
+        # every row hits with weight 1, so every batch that drew rows has mean 1
+        return bs.estimate_min_divergence(
+            PowerGamma(-1.0), (0.2, 0.3, 0.5), bs.full_space(),
+            bs.EstimatorConfig(n=200, L=L, seed=3), mode="deterministic")
+
+    @pytest.mark.parametrize("L", [2, 10, 31, 32, 100])
+    def test_batches_of_equal_means_have_no_spread(self, L):
+        est = self.full_space_run(L)
+        assert est.hits == L
+        assert est.stderr_log_pi == 0.0
+        assert est.value == 0.0
+        assert not any("zero hits" in w for w in est.warnings)
+
+    def test_one_batch_gives_no_stderr(self):
+        est = self.full_space_run(1)
+        assert est.hits == 1
+        assert est.stderr_log_pi == math.inf
+        assert est.stderr == math.inf
 
 
 class TestBoundsOrderWarning:
